@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, NonFiniteInputError
+from .exceptions import DimensionMismatchError, NonFiniteInputError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,25 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
         )
     if not np.all(np.isfinite(x)):
         raise NonFiniteInputError("point set contains non-finite entries")
+    return x
+
+
+def snapshot_array(snap: dict, key: str, shape: tuple) -> np.ndarray:
+    """A finite, C-ordered float64 copy of snapshot field `key`.
+
+    `shape` gives the expected shape; a None entry accepts any length.
+    """
+    try:
+        x = np.array(snap[key], dtype=np.float64, order="C")
+    except KeyError:
+        raise ValidationError(f"snapshot lacks {key!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"snapshot {key!r} is not a numeric array: {exc}") from None
+    if x.ndim != len(shape) or any(w is not None and n != w for n, w in zip(x.shape, shape)):
+        want = tuple("*" if w is None else w for w in shape)
+        raise ValidationError(f"snapshot {key!r} has shape {x.shape}, expected {want}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"snapshot {key!r} contains non-finite entries")
     return x
 
 

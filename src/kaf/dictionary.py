@@ -1,8 +1,10 @@
-"""ALD center dictionary: kernel Gram matrix and its recursively updated inverse.
+"""ALD center dictionary: the centers and their recursively updated Gram inverse.
 
-The dictionary holds the ordered centers c_1..c_K admitted so far, the Gram
-matrix G[i, j] = k(c_i, c_j), and G^-1 maintained incrementally via the
-block-inverse identity, so admission tests cost O(K^2) instead of O(K^3).
+The dictionary holds the ordered centers c_1..c_K admitted so far and G^-1,
+the inverse of the Gram matrix G[i, j] = k(c_i, c_j), maintained
+incrementally via the block-inverse identity, so admission tests cost O(K^2)
+instead of O(K^3). G itself is not kept: no step needs it, and `gram`
+recomputes it from the centers for verification and diagnostics.
 
 A Dictionary is a single-writer value: `grow` needs exclusive access, while
 `ald_test` and `kernel_vector` are read-only.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import as_input
+from .base import as_input, snapshot_array
 from .exceptions import (
     NearSingularGrowthError,
     NumericalError,
@@ -25,6 +27,33 @@ from .kernels import KernelSpec, gram as full_gram, kernel_eval, kernel_vector
 
 # Residuals below this cannot be admitted: the inverse update divides by d2.
 GROWTH_FLOOR = 1e-12
+
+# Rows per block of `rank_one_update`: each block's outer-product temporary
+# stays small enough to be cache-resident (64 x 800 doubles = 400 KiB).
+ROW_BLOCK = 64
+
+
+def rank_one_update(A: np.ndarray, x: np.ndarray, y: np.ndarray, *,
+                    mul: float | None = None, div: float | None = None,
+                    subtract: bool = False) -> None:
+    """A += outer(x, y) in place, ROW_BLOCK rows at a time.
+
+    The term is outer(x, y) * mul or outer(x, y) / div when given, and is
+    subtracted instead with `subtract`. Each entry is rounded exactly as in
+    the whole-matrix expression, e.g. A - np.outer(x, y), so the result is
+    bit-identical to it without its K x K temporaries.
+    """
+    for i in range(0, A.shape[0], ROW_BLOCK):
+        rows = A[i:i + ROW_BLOCK]
+        term = np.outer(x[i:i + ROW_BLOCK], y)
+        if mul is not None:
+            term *= mul
+        if div is not None:
+            term /= div
+        if subtract:
+            rows -= term
+        else:
+            rows += term
 
 
 @dataclass(frozen=True)
@@ -45,7 +74,10 @@ class AldResult:
 
 
 class Dictionary:
-    """Ordered center set with incrementally maintained Gram inverse."""
+    """Ordered center set with incrementally maintained Gram inverse.
+
+    State: the centers and `gram_inv` (G^-1). `gram` is computed on demand.
+    """
 
     def __init__(self, spec: KernelSpec, first_center):
         c = as_input(first_center)
@@ -55,7 +87,6 @@ class Dictionary:
                 f"degenerate first center: k(u, u) = {k11!r} is not invertible"
             )
         self.spec = spec
-        self.gram = np.array([[k11]])
         self.gram_inv = np.array([[1.0 / k11]])
         self._centers = np.empty((4, c.shape[0]))
         self._centers[0] = c
@@ -75,6 +106,11 @@ class Dictionary:
         view = self._centers[: self._size]
         view.flags.writeable = False
         return view
+
+    @property
+    def gram(self) -> np.ndarray:
+        """G[i, j] = k(c_i, c_j), recomputed from the centers on every access."""
+        return full_gram(self.spec, self._centers[: self._size])
 
     def kernel_vector(self, u: np.ndarray) -> np.ndarray:
         """h_i = k(c_i, u) against every stored center."""
@@ -103,7 +139,7 @@ class Dictionary:
         return AldResult(a=a, d2=d2, h=h, admitted=d2 > delta, d2_raw=d2_raw)
 
     def grow(self, u, ald: AldResult) -> None:
-        """Admit u as a new center, extending the Gram matrix and its inverse.
+        """Admit u as a new center, extending the Gram inverse.
 
         Requires an admitted AldResult computed against the current contents.
         Refuses near-singular extensions (d2 below GROWTH_FLOOR) before any
@@ -123,19 +159,13 @@ class Dictionary:
                 f"< {GROWTH_FLOOR:.0e}"
             )
 
-        a, h, d2 = ald.a, ald.h, ald.d2
-        kuu = kernel_eval(self.spec, uu, uu)
+        a, d2 = ald.a, ald.d2
 
-        new_gram = np.empty((k + 1, k + 1))
-        new_gram[:k, :k] = self.gram
-        new_gram[:k, k] = h
-        new_gram[k, :k] = h
-        new_gram[k, k] = kuu
-
-        # Block-inverse of [[G, h], [h^T, kuu]] with Schur complement d2,
+        # Block-inverse of [[G, h], [h^T, k(u, u)]] with Schur complement d2,
         # reusing a = G^-1 h from the admission test.
         new_inv = np.empty((k + 1, k + 1))
-        new_inv[:k, :k] = self.gram_inv + np.outer(a, a) / d2
+        new_inv[:k, :k] = self.gram_inv
+        rank_one_update(new_inv[:k, :k], a, a, div=d2)
         new_inv[:k, k] = -a / d2
         new_inv[k, :k] = -a / d2
         new_inv[k, k] = 1.0 / d2
@@ -145,7 +175,6 @@ class Dictionary:
             bigger[:k] = self._centers
             self._centers = bigger
         self._centers[k] = uu
-        self.gram = new_gram
         self.gram_inv = new_inv
         self._size = k + 1
 
@@ -165,33 +194,35 @@ class Dictionary:
             "centers_sha256": self.centers_checksum(),
         }
         if store_matrices:
-            snap["gram"] = self.gram.tolist()
             snap["gram_inv"] = self.gram_inv.tolist()
         return snap
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Dictionary":
-        """Rebuild from a snapshot; Gram matrices are recomputed unless stored.
+        """Rebuild from a snapshot; G^-1 is recomputed unless stored.
 
-        The stored center checksum is always verified.
+        The stored center checksum is always verified: a snapshot without one
+        is rejected. A "gram" entry, which older snapshots carry, is ignored,
+        since G follows from the checked centers.
         """
         spec = KernelSpec.from_json(snap["kernel"])
-        centers = np.asarray(snap["centers"], dtype=np.float64)
-        if centers.ndim != 2 or centers.shape[0] == 0:
+        centers = snapshot_array(snap, "centers", (None, None))
+        if centers.shape[0] == 0:
             raise ValidationError("snapshot centers must be a nonempty list of vectors")
         d = cls(spec, centers[0])
-        d._centers = np.ascontiguousarray(centers)
+        d._centers = centers
         d._size = centers.shape[0]
         want = snap.get("centers_sha256")
-        if want is not None and d.centers_checksum() != want:
+        if want is None:
+            raise ValidationError("snapshot lacks the centers_sha256 checksum")
+        if d.centers_checksum() != want:
             raise ValidationError("snapshot center checksum mismatch")
-        if "gram" in snap and "gram_inv" in snap:
-            d.gram = np.asarray(snap["gram"], dtype=np.float64)
-            d.gram_inv = np.asarray(snap["gram_inv"], dtype=np.float64)
+        gram = d.gram
+        if "gram_inv" in snap:
+            d.gram_inv = snapshot_array(snap, "gram_inv", gram.shape)
         else:
-            d.gram = full_gram(spec, centers)
-            d.gram_inv = np.linalg.inv(d.gram)
-        resid = np.linalg.norm(d.gram @ d.gram_inv - np.eye(d._size), ord=np.inf)
+            d.gram_inv = np.linalg.inv(gram)
+        resid = np.linalg.norm(gram @ d.gram_inv - np.eye(d._size), ord=np.inf)
         if not resid <= 1e-8:
             raise NumericalError(
                 f"snapshot Gram inverse fails the identity check (residual {resid:.3e})"

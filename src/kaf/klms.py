@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target
+from .base import StepOutput, as_input, check_target, snapshot_array
 from .exceptions import CapacityError, ValidationError
 from .kernels import KernelSpec, kernel_vector
 
@@ -93,27 +93,32 @@ class Klms:
                           step_seconds=time.perf_counter() - t0)
 
     def to_snapshot(self) -> dict:
-        return {
+        snap = {
             "algorithm": "klms",
             "kernel": self.spec.to_json(),
             "eta": self.eta,
             "centers": self._centers[: self.n].tolist(),
             "coeffs": self._coeffs[: self.n].tolist(),
         }
+        if self.max_terms is not None:
+            snap["max_terms"] = self.max_terms
+        return snap
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Klms":
         if snap.get("algorithm") != "klms":
             raise ValidationError(f"not a klms snapshot: {snap.get('algorithm')!r}")
-        centers = np.asarray(snap["centers"], dtype=np.float64)
-        coeffs = np.asarray(snap["coeffs"], dtype=np.float64)
-        if centers.ndim != 2 or centers.shape[0] == 0:
+        centers = snapshot_array(snap, "centers", (None, None))
+        n = centers.shape[0]
+        if n == 0:
             raise ValidationError("snapshot centers must be a nonempty list of vectors")
-        if coeffs.shape != (centers.shape[0],):
-            raise ValidationError("snapshot coeffs length does not match center count")
+        coeffs = snapshot_array(snap, "coeffs", (n,))
+        max_terms = snap.get("max_terms")
         obj = cls(KernelSpec.from_json(snap["kernel"]), float(snap["eta"]),
-                  centers[0], 0.0)
-        obj._centers = np.ascontiguousarray(centers)
-        obj._coeffs = np.ascontiguousarray(coeffs)
-        obj.n = centers.shape[0]
+                  centers[0], 0.0, max_terms=max_terms)
+        if max_terms is not None and n > max_terms:
+            raise ValidationError(f"snapshot holds {n} terms, above its cap of {max_terms}")
+        obj._centers = centers
+        obj._coeffs = coeffs
+        obj.n = n
         return obj

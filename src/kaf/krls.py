@@ -8,12 +8,17 @@ Model state after n samples, with K = dictionary size:
                    matrix A (A itself is never stored: rejected samples add
                    a a^T to M, admitted ones extend M by a unit diagonal)
 
+plus the dictionary's centers and G^-1. G is never stored: the recursion
+needs only G^-1 and kernel vectors, and `dict.gram` recomputes G on demand.
+
 Each step runs the ALD admission test and then applies exactly one of two
 O(K^2) updates: a Sherman-Morrison rank-one correction of P when the
-dictionary is unchanged, or a block-inverse extension when it grows.
+dictionary is unchanged, or a block-inverse extension when it grows. The
+rank-one branch updates P and M in place; the growth branch builds new
+(K+1)^2 arrays and assigns them at the end.
 
-Steps are transactional: every floor check and allocation happens before any
-field is assigned, so a raised error leaves the state bit-identical.
+Steps are transactional: all floor checks precede the first write, so a
+raised error leaves the state bit-identical.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ import time
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target
-from .dictionary import Dictionary
+from .base import StepOutput, as_input, check_target, snapshot_array
+from .dictionary import Dictionary, rank_one_update
 from .exceptions import KafError, NumericalError, ValidationError
 from .kernels import KernelSpec, kernel_eval
 
@@ -51,6 +56,20 @@ class KrlsAldReg:
 
     def __init__(self, spec: KernelSpec, lam: float, delta: float,
                  first_input, first_target, *, unregularized: bool = False):
+        self._set_parameters(lam, delta, unregularized)
+        u = as_input(first_input)
+        d = check_target(first_target)
+        self.dict = Dictionary(spec, u)
+        k11_lam = kernel_eval(spec, u, u) + self.lam
+        if abs(k11_lam) < self._floor():
+            raise ValidationError(f"degenerate initialization: k(u,u) + lambda = {k11_lam!r}")
+        self.alpha = np.array([d / k11_lam])
+        self.P = np.array([[1.0 / k11_lam]])
+        self.M = np.array([[1.0]])
+        self.n = 1
+
+    def _set_parameters(self, lam, delta, unregularized) -> None:
+        """Validate and set lambda, delta and the unregularized flag."""
         lam = float(lam)
         if unregularized:
             if lam != 0.0:
@@ -60,20 +79,9 @@ class KrlsAldReg:
         delta = float(delta)
         if np.isnan(delta) or delta < 0:
             raise ValidationError(f"delta must be a nonnegative real, got {delta!r}")
-
-        u = as_input(first_input)
-        d = check_target(first_target)
-        self.dict = Dictionary(spec, u)
-        k11 = self.dict.gram[0, 0]
-        if abs(k11 + lam) < (0.0 if unregularized else DEGENERACY_FLOOR):
-            raise ValidationError(f"degenerate initialization: k(u,u) + lambda = {k11 + lam!r}")
         self.lam = lam
-        self.delta = float(delta)
-        self.unregularized = unregularized
-        self.alpha = np.array([d / (k11 + lam)])
-        self.P = np.array([[1.0 / (k11 + lam)]])
-        self.M = np.array([[1.0]])
-        self.n = 1
+        self.delta = delta
+        self.unregularized = bool(unregularized)
 
     @property
     def spec(self) -> KernelSpec:
@@ -104,31 +112,33 @@ class KrlsAldReg:
         e = dd - y
 
         if ald.admitted:
-            self._update_grow(uu, dd, ald)
+            self._update_grow(uu, e, ald)
         else:
-            self._update_unchanged(dd, ald)
+            self._update_unchanged(e, ald)
         self.n += 1
         return StepOutput(y=y, e=e, grew=ald.admitted, dict_size=self.dict.size,
                           step_seconds=time.perf_counter() - t0)
 
-    def _update_unchanged(self, d: float, ald) -> None:
-        """Rank-one refresh of P, alpha, M when the dictionary is kept."""
-        a = ald.a
-        s = a @ self.dict.gram
+    def _update_unchanged(self, e: float, ald) -> None:
+        """Rank-one refresh of P, alpha, M when the dictionary is kept.
+
+        The Sherman-Morrison term uses s = G a, which is h since a = G^-1 h.
+        P and M are updated in place, after the denominator check.
+        """
+        a, h = ald.a, ald.h
         Pa = self.P @ a
-        denom = 1.0 + float(s @ Pa)
+        denom = 1.0 + float(h @ Pa)
         if abs(denom) <= self._floor() or not np.isfinite(denom):
             raise NumericalError(f"degenerate rank-one update: 1 + s P a = {denom!r}")
         q = Pa / denom
-        new_alpha = self.alpha + q * (d - float(s @ self.alpha))
-        new_P = self.P - np.outer(q, s @ self.P)
-        new_M = self.M + np.outer(a, a)
+        new_alpha = self.alpha + q * e
+        hP = h @ self.P
 
+        rank_one_update(self.P, q, hP, subtract=True)
+        rank_one_update(self.M, a, a)
         self.alpha = new_alpha
-        self.P = new_P
-        self.M = new_M
 
-    def _update_grow(self, u: np.ndarray, d: float, ald) -> None:
+    def _update_grow(self, u: np.ndarray, e: float, ald) -> None:
         """Extend alpha, P, M by one center via the block-inverse identity."""
         k = self.dict.size
         h = ald.h
@@ -141,7 +151,6 @@ class KrlsAldReg:
                 f"degenerate dictionary extension: gamma = {gamma!r} "
                 f"(near-duplicate admission or lambda too small)"
             )
-        e = d - float(h @ self.alpha)
         ginv = 1.0 / gamma
 
         new_alpha = np.empty(k + 1)
@@ -149,7 +158,8 @@ class KrlsAldReg:
         new_alpha[k] = ginv * e
 
         new_P = np.empty((k + 1, k + 1))
-        new_P[:k, :k] = self.P + np.outer(z_a, z) * ginv
+        new_P[:k, :k] = self.P
+        rank_one_update(new_P[:k, :k], z_a, z, mul=ginv)
         new_P[:k, k] = -z_a * ginv
         new_P[k, :k] = -z * ginv
         new_P[k, k] = ginv
@@ -187,28 +197,29 @@ class KrlsAldReg:
             snap["M"] = self.M.tolist()
             # exact resume also needs the incrementally built Gram inverse:
             # a recomputed dense inverse differs in the last ulps
-            snap["gram"] = self.dict.gram.tolist()
             snap["gram_inv"] = self.dict.gram_inv.tolist()
         return snap
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "KrlsAldReg":
+        """Rebuild a filter, checking every field as the constructor would."""
         if snap.get("algorithm") != "krls-ald-reg":
             raise ValidationError(f"not a krls-ald-reg snapshot: {snap.get('algorithm')!r}")
         obj = object.__new__(cls)
+        try:
+            obj._set_parameters(snap["lambda"], snap["delta"], snap.get("unregularized", False))
+            n = int(snap["n"])
+        except KeyError as exc:
+            raise ValidationError(f"snapshot lacks {exc.args[0]!r}") from None
         obj.dict = Dictionary.from_snapshot(snap)
-        obj.lam = float(snap["lambda"])
-        obj.delta = float(snap["delta"])
-        obj.unregularized = bool(snap.get("unregularized", False))
-        obj.alpha = np.asarray(snap["alpha"], dtype=np.float64)
-        obj.n = int(snap["n"])
-        if obj.alpha.shape != (obj.dict.size,):
-            raise ValidationError("snapshot alpha length does not match center count")
+        k = obj.dict.size
+        if n < k:
+            raise ValidationError(f"snapshot n = {n} is below its center count {k}")
+        obj.n = n
+        obj.alpha = snapshot_array(snap, "alpha", (k,))
         if snap.get("resume_exact"):
-            obj.P = np.asarray(snap["P"], dtype=np.float64)
-            obj.M = np.asarray(snap["M"], dtype=np.float64)
-            if obj.P.shape != (obj.dict.size,) * 2 or obj.M.shape != (obj.dict.size,) * 2:
-                raise ValidationError("snapshot P/M shapes do not match center count")
+            obj.P = snapshot_array(snap, "P", (k, k))
+            obj.M = snapshot_array(snap, "M", (k, k))
         else:
             obj.P = None
             obj.M = None

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target
+from .base import StepOutput, as_input, check_target, snapshot_array
 from .exceptions import ValidationError
 
 
@@ -53,8 +53,9 @@ class Lms:
     def from_snapshot(cls, snap: dict) -> "Lms":
         if snap.get("algorithm") != "lms":
             raise ValidationError(f"not an lms snapshot: {snap.get('algorithm')!r}")
-        obj = cls(len(snap["weights"]), float(snap["eta"]))
-        obj.weights = np.asarray(snap["weights"], dtype=np.float64)
+        weights = snapshot_array(snap, "weights", (None,))
+        obj = cls(weights.shape[0], float(snap["eta"]))
+        obj.weights = weights
         return obj
 
 
@@ -114,8 +115,9 @@ class Rls:
     def from_snapshot(cls, snap: dict) -> "Rls":
         if snap.get("algorithm") != "rls":
             raise ValidationError(f"not an rls snapshot: {snap.get('algorithm')!r}")
-        obj = cls(len(snap["weights"]), float(snap["lambda"]),
-                  float(snap.get("forgetting", 1.0)))
-        obj.weights = np.asarray(snap["weights"], dtype=np.float64)
-        obj.aux = np.asarray(snap["aux"], dtype=np.float64)
+        weights = snapshot_array(snap, "weights", (None,))
+        dim = weights.shape[0]
+        obj = cls(dim, float(snap["lambda"]), float(snap.get("forgetting", 1.0)))
+        obj.weights = weights
+        obj.aux = snapshot_array(snap, "aux", (dim, dim))
         return obj

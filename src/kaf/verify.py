@@ -142,14 +142,14 @@ def inverse_consistency_suite(samples: int = 500, lam: float = 0.1,
     for i in range(1, samples):
         out = filt.step(U[i], d[i])
         k = filt.dict_size
+        G = filt.dict.gram
         if out.grew:
-            g_res = float(np.linalg.norm(
-                filt.dict.gram @ filt.dict.gram_inv - np.eye(k), ord=np.inf))
+            g_res = float(np.linalg.norm(G @ filt.dict.gram_inv - np.eye(k), ord=np.inf))
             worst_gram = max(worst_gram, g_res)
             if g_res > tol and first_failure is None:
                 first_failure = {"step": i + 1, "gram_identity_residual": g_res}
         p_res = float(np.linalg.norm(
-            filt.P @ (filt.M @ filt.dict.gram + lam * np.eye(k)) - np.eye(k),
+            filt.P @ (filt.M @ G + lam * np.eye(k)) - np.eye(k),
             ord=np.inf)) / k
         worst_p = max(worst_p, p_res)
         if p_res > 1e-6 and first_failure is None:

@@ -196,3 +196,11 @@ class TestSnapshot:
         snap["centers"][0][0] += 1.0
         with pytest.raises(ValidationError):
             Dictionary.from_snapshot(snap)
+
+    def test_missing_checksum_rejected(self):
+        d = grown_dictionary(GAUSS, [[0.0], [2.0]], 0.1)
+        snap = d.to_snapshot()
+        del snap["centers_sha256"]
+        snap["centers"][0][0] += 1.0
+        with pytest.raises(ValidationError, match="centers_sha256"):
+            Dictionary.from_snapshot(snap)

@@ -143,9 +143,32 @@ class TestSnapshot:
         b = g.step([0.5, 0.5], 1.0)
         assert a.y == b.y and a.e == b.e
 
+    def test_round_trip_keeps_cap(self):
+        rng = np.random.default_rng(6)
+        f = Klms(GAUSS, 0.2, rng.standard_normal(2), 0.3, max_terms=10)
+        for _ in range(5):
+            f.step(rng.standard_normal(2), float(rng.standard_normal()))
+        g = Klms.from_snapshot(f.to_snapshot())
+        assert g.max_terms == 10
+        for _ in range(4):
+            g.step(rng.standard_normal(2), 0.1)
+        with pytest.raises(CapacityError):
+            g.step(rng.standard_normal(2), 0.1)
+        over = g.to_snapshot()
+        over["max_terms"] = 9
+        with pytest.raises(ValidationError):
+            Klms.from_snapshot(over)
+
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
             Klms.from_snapshot({"algorithm": "lms"})
         with pytest.raises(ValidationError):
             Klms.from_snapshot({"algorithm": "klms", "kernel": GAUSS.to_json(),
                                 "eta": 0.1, "centers": [[0.0]], "coeffs": [1.0, 2.0]})
+        for field, value in (("coeffs", [np.nan]), ("centers", [[np.inf]]),
+                             ("centers", [0.0])):
+            snap = {"algorithm": "klms", "kernel": GAUSS.to_json(), "eta": 0.1,
+                    "centers": [[0.0]], "coeffs": [1.0]}
+            snap[field] = value
+            with pytest.raises(ValidationError):
+                Klms.from_snapshot(snap)

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from kaf.exceptions import (
     DimensionMismatchError,
     KafError,
     NearSingularGrowthError,
+    NumericalError,
     ValidationError,
 )
 
@@ -31,17 +33,15 @@ def stream_2d(n, seed, scale=1.5):
 
 
 def state_copy(f):
-    return (f.alpha.copy(), f.P.copy(), f.M.copy(),
-            f.dict.gram.copy(), f.dict.gram_inv.copy(),
+    return (f.alpha.copy(), f.P.copy(), f.M.copy(), f.dict.gram_inv.copy(),
             f.dict.centers.copy(), f.n)
 
 
 def assert_state_equal(f, snap):
-    alpha, P, M, G, Gi, C, n = snap
+    alpha, P, M, Gi, C, n = snap
     assert np.array_equal(f.alpha, alpha)
     assert np.array_equal(f.P, P)
     assert np.array_equal(f.M, M)
-    assert np.array_equal(f.dict.gram, G)
     assert np.array_equal(f.dict.gram_inv, Gi)
     assert np.array_equal(f.dict.centers, C)
     assert f.n == n
@@ -250,6 +250,62 @@ class TestTransactional:
         assert_state_equal(f, snap)
 
 
+    def test_rank_one_floor_leaves_state(self):
+        """P and M are updated in place, so the 1 + h^T P a check must run
+        before either is written."""
+        U, d = stream_2d(40, 19)
+        f = KrlsAldReg(GAUSS, 0.1, 0.05, U[0], d[0])
+        for i in range(1, 40):
+            f.step(U[i], d[i])
+        u = f.dict.centers[3].copy()  # a member: takes the unchanged branch
+        ald = f.dict.ald_test(u, f.delta)
+        assert not ald.admitted
+        # white-box P with h^T P a = -1 up to roundoff: denominator ~ 0
+        f.P = -np.outer(ald.h, ald.a) / ((ald.h @ ald.h) * (ald.a @ ald.a))
+        snap = state_copy(f)
+        with pytest.raises(NumericalError, match="rank-one"):
+            f.step(u, 0.5)
+        assert_state_equal(f, snap)
+
+    def test_growth_gamma_floor_leaves_state(self):
+        U, d = stream_2d(40, 19)
+        lam = 0.1
+        f = KrlsAldReg(GAUSS, lam, 0.05, U[0], d[0])
+        for i in range(1, 40):
+            f.step(U[i], d[i])
+        far = np.array([9.0, -9.0])
+        ald = f.dict.ald_test(far, f.delta)
+        assert ald.admitted
+        # white-box P = c I with h^T P M h = lam + k(u, u): gamma ~ 0
+        c = (lam + kernel_eval(GAUSS, far, far)) / (ald.h @ f.M @ ald.h)
+        f.P = c * np.eye(f.dict_size)
+        snap = state_copy(f)
+        with pytest.raises(NumericalError, match="gamma"):
+            f.step(far, 0.5)
+        assert_state_equal(f, snap)
+
+
+def test_unchanged_step_allocates_less_than_one_matrix():
+    """The rank-one branch updates P and M in row blocks: one unchanged
+    step at K = 400 must not allocate a K x K temporary (1250 KiB)."""
+    k = 400
+    pts = np.zeros((k, 1))
+    pts[:, 0] = 3.0 * np.arange(k)  # kernel values ~exp(-9): all admitted
+    f = KrlsAldReg(GAUSS, 0.1, 0.5, pts[0], 1.0)
+    for u in pts[1:]:
+        assert f.step(u, 1.0).grew
+    assert f.dict_size == k
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = f.step(pts[7], 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not out.grew
+    assert peak < k * k * 8
+
+
 class TestSnapshot:
     def test_resume_exact_continues_identically(self):
         U, d = stream_2d(120, 23)
@@ -280,6 +336,57 @@ class TestSnapshot:
     def test_wrong_algorithm_rejected(self):
         with pytest.raises(ValidationError):
             KrlsAldReg.from_snapshot({"algorithm": "klms"})
+
+    def test_snapshot_with_gram_entry_resumes_identically(self):
+        """Older snapshots also stored the Gram matrix; it is ignored on load."""
+        U, d = stream_2d(100, 37)
+        f = KrlsAldReg(GAUSS, 0.1, 0.05, U[0], d[0])
+        for i in range(1, 50):
+            f.step(U[i], d[i])
+        snap = f.to_snapshot(resume_exact=True)
+        assert "gram" not in snap
+        legacy = dict(snap, gram=f.dict.gram.tolist())
+        g, h = KrlsAldReg.from_snapshot(legacy), KrlsAldReg.from_snapshot(snap)
+        for i in range(50, 100):
+            a, b = g.step(U[i], d[i]), h.step(U[i], d[i])
+            assert a.y == b.y and a.e == b.e and a.grew == b.grew
+        assert_state_equal(g, state_copy(h))
+
+    @pytest.mark.parametrize("field, value", [
+        ("lambda", -5.0),
+        ("lambda", 0.0),
+        ("lambda", math.nan),
+        ("delta", -1.0),
+        ("delta", math.nan),
+        ("unregularized", True),  # requires lambda == 0
+        ("n", 2),                 # fewer samples than centers
+        ("alpha", "nan"),
+        ("alpha", "short"),
+        ("P", "nan"),
+        ("P", "short"),
+        ("M", "inf"),
+        ("M", "short"),
+        ("centers_sha256", None),
+    ])
+    def test_corrupted_field_rejected(self, field, value):
+        U, d = stream_2d(40, 41)
+        f = KrlsAldReg(GAUSS, 0.1, 0.05, U[0], d[0])
+        for i in range(1, 40):
+            f.step(U[i], d[i])
+        snap = f.to_snapshot(resume_exact=True)
+        KrlsAldReg.from_snapshot(copy.deepcopy(snap))  # intact: loads
+        arr = np.array(snap.get(field, 0.0))
+        if value == "short":
+            snap[field] = arr[:-1].tolist()
+        elif value in ("nan", "inf"):
+            arr.flat[arr.size // 2] = float(value)
+            snap[field] = arr.tolist()
+        elif value is None:
+            del snap[field]
+        else:
+            snap[field] = value
+        with pytest.raises(ValidationError):
+            KrlsAldReg.from_snapshot(snap)
 
 
 def test_first_sample_becomes_first_center():

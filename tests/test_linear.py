@@ -43,6 +43,11 @@ class TestLms:
         g = Lms.from_snapshot(f.to_snapshot())
         assert np.array_equal(g.weights, f.weights) and g.eta == f.eta
 
+    def test_snapshot_rejects_bad_weights(self):
+        for weights in ([np.nan, 0.0], [[1.0, 2.0]], [], "ab"):
+            with pytest.raises(ValidationError):
+                Lms.from_snapshot({"algorithm": "lms", "eta": 0.1, "weights": weights})
+
 
 class TestRls:
     def test_noiseless_linear_system_recovered(self):
@@ -97,6 +102,14 @@ class TestRls:
         d = float(rng.standard_normal())
         a, b = f.step(u, d), g.step(u, d)
         assert a.y == b.y and a.e == b.e
+
+    def test_snapshot_rejects_bad_weights_and_aux(self):
+        snap = Rls(2, 0.3).to_snapshot()
+        for field, value in (("weights", [np.nan, 0.0]), ("weights", [[0.0, 0.0]]),
+                             ("aux", [[1.0, 0.0], [0.0, np.inf]]), ("aux", [[1.0, 0.0]]),
+                             ("aux", [1.0, 1.0])):
+            with pytest.raises(ValidationError):
+                Rls.from_snapshot(dict(snap, **{field: value}))
 
 
 def test_klms_degree_one_equals_affine_lms():
