@@ -1,7 +1,9 @@
 """Shared per-step record, input validation, and float formatting helpers.
 
 Validation happens once at public API boundaries; internal code assumes
-finite, correctly shaped float64 data.
+finite, correctly shaped float64 data. Filters do not time themselves: a
+caller that wants per-step cost times its own `step` calls, as
+`experiments.run_trial` and `bench.run_bench` do.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ class StepOutput:
     e: float
     grew: bool
     dict_size: int
-    step_seconds: float
 
 
 def as_input(u, dim: int | None = None) -> np.ndarray:

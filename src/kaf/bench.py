@@ -2,8 +2,9 @@
 
 KRLS is driven by a forced-growth stream (widely spaced centers, so every
 sample is admitted and the Gram matrix stays near the identity); KLMS and
-the linear baselines are driven by a plain random stream. Step times come
-from the filters' own StepOutput timing. Medians are taken over a window of
+the linear baselines are driven by a plain random stream. One loop times
+every `step` call from outside with `perf_counter`; the filters do not time
+themselves. Medians are taken over a window of
 steps around each requested size, which keeps the estimate robust against
 scheduler noise; a relative IQR above 50% in any bucket is flagged but not
 fatal.
@@ -11,6 +12,7 @@ fatal.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +48,17 @@ def _forced_growth_samples(count: int) -> np.ndarray:
 
 
 def _collect(kind: str, max_size: int, repeats: int):
-    """Run one stream past max_size, returning (size_before_step, seconds) pairs."""
-    sizes, times = [], []
+    """Run one stream past max_size, returning (size_before_step, seconds) pairs.
+
+    `repeats` applies to LMS only, whose size axis is the step index.
+    """
     if kind == "krls-ald-reg":
         spec = KernelSpec("gaussian", sigma=1.0)
         U = _forced_growth_samples(max_size + 2)
+        d = np.ones(U.shape[0])
         filt = KrlsAldReg(spec, lam=0.1, delta=0.5, first_input=U[0], first_target=1.0)
-        for i in range(1, U.shape[0]):
-            pre = filt.dict_size
-            out = filt.step(U[i], 1.0)
-            sizes.append(pre)
-            times.append(out.step_seconds)
+        size_before = lambda i: filt.dict_size
+        repeats = 1
     elif kind == "klms":
         # 32-dimensional stream: the O(n L) kernel sum dominates fixed call
         # overhead already at desk-scale expansion sizes.
@@ -65,24 +67,24 @@ def _collect(kind: str, max_size: int, repeats: int):
         U = rng.standard_normal((max_size + 2, 32))
         d = rng.standard_normal(max_size + 2)
         filt = Klms(spec, 0.01, U[0], d[0])
-        for i in range(1, U.shape[0]):
-            pre = filt.n
-            out = filt.step(U[i], d[i])
-            sizes.append(pre)
-            times.append(out.step_seconds)
+        size_before = lambda i: filt.n
+        repeats = 1
     elif kind == "lms":
         rng = np.random.default_rng(0)
         U = rng.standard_normal((max_size + 2, 8))
         d = rng.standard_normal(max_size + 2)
         filt = Lms(8, 0.1)
-        for i in range(1, U.shape[0]):
-            # repeat the constant-time step so bucket medians are populated
-            for _ in range(repeats):
-                out = filt.step(U[i], d[i])
-                sizes.append(i)
-                times.append(out.step_seconds)
+        # repeat the constant-time step so bucket medians are populated
+        size_before = lambda i: i
     else:
         raise ValidationError(f"bench supports {BENCH_KINDS}, got {kind!r}")
+    sizes, times = [], []
+    for i in range(1, U.shape[0]):
+        for _ in range(repeats):
+            sizes.append(size_before(i))
+            t0 = time.perf_counter()
+            filt.step(U[i], d[i])
+            times.append(time.perf_counter() - t0)
     return np.array(sizes), np.array(times)
 
 

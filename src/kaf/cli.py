@@ -33,6 +33,7 @@ from .base import fmt17
 from .bench import BENCH_KINDS, run_bench
 from .exceptions import KafError, ValidationError
 from .experiments import (
+    CSV_HEADER,
     FilterConfig,
     StreamConfig,
     average_curves,
@@ -64,18 +65,21 @@ def _load_config(path: str) -> dict:
         raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
+def _set_hyperparameters(filt: dict, values: dict) -> None:
+    """Write SWEEP_KEYS values into a filter config dict in place. sigma goes
+    under "kernel", which defaults to a Gaussian kernel."""
+    for key, val in values.items():
+        if key == "sigma":
+            filt.setdefault("kernel", {"family": "gaussian"})["sigma"] = val
+        else:
+            filt[key] = val
+
+
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(cfg)
-    filt = cfg.setdefault("filter", {})
-    if args.delta is not None:
-        filt["delta"] = args.delta
-    if args.lam is not None:
-        filt["lambda"] = args.lam
-    if args.eta is not None:
-        filt["eta"] = args.eta
-    if args.sigma is not None:
-        kernel = filt.setdefault("kernel", {"family": "gaussian"})
-        kernel["sigma"] = args.sigma
+    flags = vars(args)
+    _set_hyperparameters(cfg.setdefault("filter", {}),
+                         {k: flags[k] for k in SWEEP_KEYS if flags[k] is not None})
     if args.seed is not None:
         cfg.setdefault("stream", {})["seed"] = args.seed
     if args.out is not None:
@@ -84,7 +88,12 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
 
 
 class _OutputSet:
-    """Temp-file writes with atomic rename, so failures leave no partial output."""
+    """Temp-file writes with atomic rename, so failures leave no partial output.
+
+    Used as a context manager: a clean exit renames every temp file into
+    place; an exception, including one raised by a rename, deletes the temp
+    files that remain and propagates.
+    """
 
     def __init__(self):
         self._pending: list[tuple[str, str]] = []
@@ -94,18 +103,22 @@ class _OutputSet:
         self._pending.append((tmp, path))
         return open(tmp, "w", newline="")
 
-    def commit(self):
-        for tmp, path in self._pending:
-            os.replace(tmp, path)
-        self._pending.clear()
+    def __enter__(self) -> "_OutputSet":
+        return self
 
-    def discard(self):
-        for tmp, _ in self._pending:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        self._pending.clear()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                for tmp, path in self._pending:
+                    os.replace(tmp, path)
+                self._pending.clear()
+        finally:
+            for tmp, _ in self._pending:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+            self._pending.clear()
 
 
 def _dump_json(obj: dict) -> str:
@@ -125,11 +138,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     curves = run_trials(fc, sc, trials, workers=_workers())
 
-    outputs = _OutputSet()
-    try:
+    with _OutputSet() as outputs:
         with outputs.open(out_path) as f:
             w = csv.writer(f, lineterminator="\n")
-            w.writerow(["n", "y", "d", "e", "e2", "dict_size", "step_seconds"])
+            w.writerow(CSV_HEADER)
             for curve in curves:
                 curve.append_csv_rows(w, include_timings=timings)
         per_trial = [dict(seed=sc.seed + i, **c.summary()) for i, c in enumerate(curves)]
@@ -145,10 +157,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 average_curves(curves).step_seconds.mean())
         with outputs.open(summary_path) as f:
             f.write(_dump_json(summary))
-        outputs.commit()
-    except BaseException:
-        outputs.discard()
-        raise
     print(f"wrote {out_path} ({trials} trial(s) x {len(curves[0])} steps) and {summary_path}")
     return 0
 
@@ -159,14 +167,7 @@ def _sweep_point(base_filter: dict, sc: StreamConfig, trials: int,
     t0 = time.perf_counter()
     try:
         fdict = copy.deepcopy(base_filter)
-        if "delta" in point:
-            fdict["delta"] = point["delta"]
-        if "lambda" in point:
-            fdict["lambda"] = point["lambda"]
-        if "eta" in point:
-            fdict["eta"] = point["eta"]
-        if "sigma" in point:
-            fdict.setdefault("kernel", {"family": "gaussian"})["sigma"] = point["sigma"]
+        _set_hyperparameters(fdict, point)
         fc = FilterConfig.from_json(fdict)
         curves = run_trials(fc, sc, trials)
         row["steady_state_mse"] = sum(c.steady_state_mse() for c in curves) / trials
@@ -203,21 +204,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = list(pool.map(
             lambda p: _sweep_point(base_filter, sc, trials, p), points))
 
-    outputs = _OutputSet()
-    try:
-        with outputs.open(out_path) as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(list(keys) + ["steady_state_mse", "final_dict_size",
-                                     "total_seconds", "error"])
-            for row in rows:  # deterministic: submission order, not completion
-                w.writerow([fmt17(row[k]) for k in keys]
-                           + [fmt17(row["steady_state_mse"]) if row["error"] == "" else "",
-                              fmt17(row["final_dict_size"]) if row["error"] == "" else "",
-                              fmt17(row["total_seconds"]), row["error"]])
-        outputs.commit()
-    except BaseException:
-        outputs.discard()
-        raise
+    with _OutputSet() as outputs, outputs.open(out_path) as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(list(keys) + ["steady_state_mse", "final_dict_size",
+                                 "total_seconds", "error"])
+        for row in rows:  # deterministic: submission order, not completion
+            w.writerow([fmt17(row[k]) for k in keys]
+                       + [fmt17(row["steady_state_mse"]) if row["error"] == "" else "",
+                          fmt17(row["final_dict_size"]) if row["error"] == "" else "",
+                          fmt17(row["total_seconds"]), row["error"]])
     failures = sum(1 for r in rows if r["error"])
     print(f"wrote {out_path} ({len(rows)} grid points, {failures} failed)")
     return 0
@@ -239,19 +234,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     res = run_bench(args.filter, sizes)
-    outputs = _OutputSet()
-    try:
-        if args.out:
-            with outputs.open(args.out) as f:
-                w = csv.writer(f, lineterminator="\n")
-                w.writerow(["size", "median_step_seconds", "rel_iqr"])
-                for row in res.rows:
-                    w.writerow([row.size, fmt17(row.median_step_seconds),
-                                fmt17(row.rel_iqr)])
-            outputs.commit()
-    except BaseException:
-        outputs.discard()
-        raise
+    if args.out:
+        with _OutputSet() as outputs, outputs.open(args.out) as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(["size", "median_step_seconds", "rel_iqr"])
+            for row in res.rows:
+                w.writerow([row.size, fmt17(row.median_step_seconds),
+                            fmt17(row.rel_iqr)])
     print(json.dumps({"filter": res.kind, "slope": res.slope,
                       "unstable_timings": res.unstable}, sort_keys=True))
     if res.unstable:
@@ -271,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ALD admission threshold, compared against the "
                              "squared residual d2 (pass delta**2 if yours is "
                              "a residual norm)")
-        sp.add_argument("--lambda", dest="lam", type=float, default=None,
+        sp.add_argument("--lambda", type=float, default=None,
                         help="ridge regularizer")
         sp.add_argument("--sigma", type=float, default=None,
                         help="Gaussian kernel width (enters as sigma^2)")

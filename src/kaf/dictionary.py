@@ -63,7 +63,8 @@ class AldResult:
     `a` solves G a = h for the current Gram matrix G and kernel vector
     h_i = k(c_i, u); `d2` is the squared residual of approximating the
     feature vector of u by the span of the current centers, clamped to 0
-    (the raw value is kept in `d2_raw`). `admitted` is d2 > delta.
+    (the raw value is kept in `d2_raw`). `admitted` is d2 > delta. `kuu` is
+    k(u, u), which d2 is computed from and the KRLS growth step reuses.
     """
 
     a: np.ndarray
@@ -71,6 +72,7 @@ class AldResult:
     h: np.ndarray
     admitted: bool
     d2_raw: float
+    kuu: float
 
 
 class Dictionary:
@@ -128,7 +130,8 @@ class Dictionary:
             raise ValidationError(f"delta must be a nonnegative real, got {delta!r}")
         h = self.kernel_vector(uu)
         a = self.gram_inv @ h
-        d2_raw = float(kernel_eval(self.spec, uu, uu) - h @ a)
+        kuu = kernel_eval(self.spec, uu, uu)
+        d2_raw = float(kuu - h @ a)
         if not (np.isfinite(d2_raw) and np.all(np.isfinite(a))):
             cond = float(np.linalg.cond(self.gram))
             raise NumericalError(
@@ -136,7 +139,7 @@ class Dictionary:
                 f"ill-conditioned (cond ~ {cond:.3e}, size {self._size})"
             )
         d2 = max(d2_raw, 0.0)
-        return AldResult(a=a, d2=d2, h=h, admitted=d2 > delta, d2_raw=d2_raw)
+        return AldResult(a=a, d2=d2, h=h, admitted=d2 > delta, d2_raw=d2_raw, kuu=kuu)
 
     def grow(self, u, ald: AldResult) -> None:
         """Admit u as a new center, extending the Gram inverse.

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .base import StepOutput, fmt17
+from .base import fmt17
 from .exceptions import KafError, ValidationError
 from .kernels import KernelSpec
 from .klms import Klms
@@ -278,19 +278,6 @@ class LearningCurve:
             ])
 
     @classmethod
-    def from_rows(cls, targets: np.ndarray, outputs: list[StepOutput]) -> "LearningCurve":
-        e = np.array([o.e for o in outputs])
-        return cls(
-            n=np.arange(1, len(outputs) + 1),
-            y=np.array([o.y for o in outputs]),
-            d=np.asarray(targets, dtype=np.float64),
-            e=e,
-            e2=e * e,
-            dict_size=np.array([o.dict_size for o in outputs]),
-            step_seconds=np.array([o.step_seconds for o in outputs]),
-        )
-
-    @classmethod
     def read_csv(cls, fileobj: io.TextIOBase) -> "LearningCurve":
         rows = list(csv.reader(fileobj))
         if not rows or rows[0] != CSV_HEADER:
@@ -332,26 +319,35 @@ def run_trial(fc: FilterConfig, sc: StreamConfig) -> LearningCurve:
     """Feed one generated stream through one filter, recording every step.
 
     Kernel filters absorb the first sample at construction; that iteration is
-    recorded as y = 0, e = d(1) (zero initial model). Filter errors are
-    re-raised with the failing step index attached.
+    recorded as y = 0, e = d(1) (zero initial model). This is the one place
+    that times the steps of a trial: each `step` call (and a kernel filter's
+    construction) is timed from outside with `perf_counter`. Filter errors
+    are re-raised naming the trial's seed and the failing 1-based step.
     """
     U, d = generate(sc)
-    outputs: list[StepOutput] = []
+    count = U.shape[0]
+    y = np.zeros(count)
+    e = np.empty(count)
+    dict_size = np.empty(count, dtype=int)
+    seconds = np.empty(count)
+    t0 = time.perf_counter()
+    filt = build_filter(fc, U[0], d[0], sc.embed_L)
     start = 0
     if fc.kind in ("krls-ald-reg", "klms"):
-        t0 = time.perf_counter()
-        filt = build_filter(fc, U[0], d[0], sc.embed_L)
-        outputs.append(StepOutput(y=0.0, e=float(d[0]), grew=True, dict_size=1,
-                                  step_seconds=time.perf_counter() - t0))
+        seconds[0] = time.perf_counter() - t0
+        e[0] = d[0]
+        dict_size[0] = 1
         start = 1
-    else:
-        filt = build_filter(fc, U[0], d[0], sc.embed_L)
-    for i in range(start, U.shape[0]):
+    for i in range(start, count):
+        t0 = time.perf_counter()
         try:
-            outputs.append(filt.step(U[i], d[i]))
+            out = filt.step(U[i], d[i])
         except KafError as exc:
-            raise type(exc)(f"trial failed at step {i + 1}: {exc}") from exc
-    return LearningCurve.from_rows(d, outputs)
+            raise type(exc)(f"trial with seed {sc.seed} failed at step {i + 1}: {exc}") from exc
+        seconds[i] = time.perf_counter() - t0
+        y[i], e[i], dict_size[i] = out.y, out.e, out.dict_size
+    return LearningCurve(n=np.arange(1, count + 1), y=y, d=d, e=e, e2=e * e,
+                         dict_size=dict_size, step_seconds=seconds)
 
 
 def run_trials(fc: FilterConfig, sc: StreamConfig, trials: int,

@@ -15,8 +15,6 @@ optional hard cap aborts with CapacityError instead of silently degrading.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .base import StepOutput, as_input, check_target, snapshot_array
@@ -67,7 +65,6 @@ class Klms:
 
     def step(self, u, d) -> StepOutput:
         """Predict with the current expansion, then append a unit for this sample."""
-        t0 = time.perf_counter()
         uu = as_input(u, dim=self.dim)
         dd = check_target(d)
         if self.max_terms is not None and self.n >= self.max_terms:
@@ -89,8 +86,7 @@ class Klms:
         self._centers[n] = uu
         self._coeffs[n] = self.eta * e
         self.n = n + 1
-        return StepOutput(y=y, e=e, grew=True, dict_size=self.n,
-                          step_seconds=time.perf_counter() - t0)
+        return StepOutput(y=y, e=e, grew=True, dict_size=self.n)
 
     def to_snapshot(self) -> dict:
         snap = {

@@ -23,8 +23,6 @@ raised error leaves the state bit-identical.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .base import StepOutput, as_input, check_target, snapshot_array
@@ -102,7 +100,6 @@ class KrlsAldReg:
     def step(self, u, d) -> StepOutput:
         """Process one sample: predict with the pre-update coefficients, then
         update along the branch selected by the ALD test."""
-        t0 = time.perf_counter()
         self._require_resumable()
         uu = as_input(u, dim=self.dict.dim)
         dd = check_target(d)
@@ -116,8 +113,7 @@ class KrlsAldReg:
         else:
             self._update_unchanged(e, ald)
         self.n += 1
-        return StepOutput(y=y, e=e, grew=ald.admitted, dict_size=self.dict.size,
-                          step_seconds=time.perf_counter() - t0)
+        return StepOutput(y=y, e=e, grew=ald.admitted, dict_size=self.dict.size)
 
     def _update_unchanged(self, e: float, ald) -> None:
         """Rank-one refresh of P, alpha, M when the dictionary is kept.
@@ -142,10 +138,9 @@ class KrlsAldReg:
         """Extend alpha, P, M by one center via the block-inverse identity."""
         k = self.dict.size
         h = ald.h
-        kuu = kernel_eval(self.spec, u, u)
         z_a = self.P @ (self.M @ h)
         z = self.P.T @ h
-        gamma = self.lam + kuu - float(h @ z_a)
+        gamma = self.lam + ald.kuu - float(h @ z_a)
         if abs(gamma) <= self._floor() or not np.isfinite(gamma):
             raise NumericalError(
                 f"degenerate dictionary extension: gamma = {gamma!r} "

@@ -9,8 +9,6 @@ eps playing the same role as the kernel filter's ridge parameter.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .base import StepOutput, as_input, check_target, snapshot_array
@@ -37,14 +35,12 @@ class Lms:
         return float(as_input(u, dim=self.dim) @ self.weights)
 
     def step(self, u, d) -> StepOutput:
-        t0 = time.perf_counter()
         uu = as_input(u, dim=self.dim)
         dd = check_target(d)
         y = float(self.weights @ uu)
         e = dd - y
         self.weights = self.weights + self.eta * e * uu
-        return StepOutput(y=y, e=e, grew=False, dict_size=0,
-                          step_seconds=time.perf_counter() - t0)
+        return StepOutput(y=y, e=e, grew=False, dict_size=0)
 
     def to_snapshot(self) -> dict:
         return {"algorithm": "lms", "eta": self.eta, "weights": self.weights.tolist()}
@@ -88,7 +84,6 @@ class Rls:
         return float(as_input(u, dim=self.dim) @ self.weights)
 
     def step(self, u, d) -> StepOutput:
-        t0 = time.perf_counter()
         uu = as_input(u, dim=self.dim)
         dd = check_target(d)
         y = float(self.weights @ uu)
@@ -99,8 +94,7 @@ class Rls:
         self.weights = self.weights + gain * e
         # outer(Pu, Pu) keeps aux exactly symmetric.
         self.aux = (self.aux - np.outer(Pu, Pu) / denom) / self.forgetting
-        return StepOutput(y=y, e=e, grew=False, dict_size=0,
-                          step_seconds=time.perf_counter() - t0)
+        return StepOutput(y=y, e=e, grew=False, dict_size=0)
 
     def to_snapshot(self) -> dict:
         return {

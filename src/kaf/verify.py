@@ -17,8 +17,6 @@ from .klms import Klms
 from .krls import KrlsAldReg
 from .oracle import BatchProblem, batch_solve_regularized, feature_space_lms
 
-SUITES = ("krls-batch", "klms-feature", "gram-psd", "inverse-consistency")
-
 
 @dataclass
 class VerifyResult:
@@ -162,13 +160,16 @@ def inverse_consistency_suite(samples: int = 500, lam: float = 0.1,
     )
 
 
+_SUITE_FUNCTIONS = {
+    "krls-batch": krls_batch_suite,
+    "klms-feature": klms_feature_suite,
+    "gram-psd": gram_psd_suite,
+    "inverse-consistency": inverse_consistency_suite,
+}
+SUITES = tuple(_SUITE_FUNCTIONS)
+
+
 def run_suite(name: str) -> VerifyResult:
-    if name == "krls-batch":
-        return krls_batch_suite()
-    if name == "klms-feature":
-        return klms_feature_suite()
-    if name == "gram-psd":
-        return gram_psd_suite()
-    if name == "inverse-consistency":
-        return inverse_consistency_suite()
-    raise ValidationError(f"unknown verify suite {name!r}; choose from {SUITES}")
+    if name not in _SUITE_FUNCTIONS:
+        raise ValidationError(f"unknown verify suite {name!r}; choose from {SUITES}")
+    return _SUITE_FUNCTIONS[name]()

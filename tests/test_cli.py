@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from kaf.cli import main
+from kaf.exceptions import ValidationError
 from kaf.experiments import StreamConfig, generate
+from kaf.verify import run_suite
 
 
 def write_config(path, cfg):
@@ -52,6 +54,14 @@ class TestRun:
         main(["run", "--config", write_config(tmp_path / "c.json", cfg)])
         assert {r[6] for r in read_rows(cfg["out"])[1:]} == {"0"}
 
+    def test_recorded_timings_come_from_the_driver(self, tmp_path):
+        cfg = base_run_config(tmp_path, record_timings=True)
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        seconds = [float(r[6]) for r in read_rows(cfg["out"])[1:]]
+        assert min(seconds) >= 0 and max(seconds) > 0
+        summary = json.loads((tmp_path / "curve.summary.json").read_text())
+        assert summary["mean_step_seconds"] > 0
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = base_run_config(tmp_path)
         cpath = write_config(tmp_path / "c.json", cfg)
@@ -93,6 +103,15 @@ class TestRun:
         cfg = base_run_config(tmp_path, out=str(tmp_path / "missing" / "x.csv"))
         assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 3
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "io"
+
+    def test_late_write_failure_leaves_no_partial_output(self, tmp_path, capsys):
+        # the CSV is written first; the summary's directory does not exist
+        cfg = base_run_config(tmp_path,
+                              summary_out=str(tmp_path / "missing" / "s.json"))
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "io"
+        assert not os.path.exists(cfg["out"])
+        assert not list(tmp_path.glob("*.tmp.*"))
 
     def test_bad_kaf_threads_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KAF_THREADS", "zero")
@@ -167,6 +186,10 @@ class TestVerify:
         assert main(["verify", "--suite", suite]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "max_deviation" in out
+
+    def test_unknown_suite_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="unknown verify suite"):
+            run_suite("bogus")
 
 
 class TestBench:

@@ -1,10 +1,11 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kaf import FilterConfig, KernelSpec, LearningCurve, StreamConfig
-from kaf.exceptions import ValidationError
+from kaf.exceptions import CapacityError, ValidationError
 from kaf.experiments import average_curves, generate, run_trial, run_trials
 
 
@@ -144,6 +145,9 @@ class TestRunTrial:
         fc = FilterConfig("klms", eta=0.2, max_terms=5)
         with pytest.raises(Exception, match="step 6"):
             run_trial(fc, sc)
+        # through the trial pool the message names the failing seed as well
+        with pytest.raises(CapacityError, match=r"seed 7 failed at step 6:"):
+            run_trials(fc, replace(sc, seed=7), trials=2, workers=2)
 
 
 class TestTrialsAndAveraging:
