@@ -8,6 +8,7 @@ caller that wants per-step cost times its own `step` calls, as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ def as_input(u, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"incompatible vectors: expected length {dim}, got {v.shape[0]}"
         )
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteInputError("input vector contains non-finite entries")
     return v
 
@@ -58,7 +59,7 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"incompatible vectors: expected dimension {dim}, got {x.shape[1]}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteInputError("point set contains non-finite entries")
     return x
 
@@ -77,14 +78,29 @@ def snapshot_array(snap: dict, key: str, shape: tuple) -> np.ndarray:
     if x.ndim != len(shape) or any(w is not None and n != w for n, w in zip(x.shape, shape)):
         want = tuple("*" if w is None else w for w in shape)
         raise ValidationError(f"snapshot {key!r} has shape {x.shape}, expected {want}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValidationError(f"snapshot {key!r} contains non-finite entries")
     return x
 
 
+def snapshot_scalar(snap: dict, key: str, kind: type = float, default=None):
+    """Snapshot field `key` converted by `kind` (float or int).
+
+    A missing field takes `default` when one is given. A missing required
+    field, or a value `kind` cannot convert, raises ValidationError.
+    """
+    value = snap.get(key, default)
+    if value is None:
+        raise ValidationError(f"snapshot lacks {key!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"snapshot {key!r} is not a {kind.__name__}: {value!r}") from None
+
+
 def check_target(d) -> float:
     d = float(d)
-    if not np.isfinite(d):
+    if not math.isfinite(d):
         raise NonFiniteInputError("target value is not finite")
     return d
 

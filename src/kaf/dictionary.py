@@ -8,12 +8,17 @@ recomputes it from the centers for verification and diagnostics.
 
 A Dictionary is a single-writer value: `grow` needs exclusive access, while
 `ald_test` and `kernel_vector` are read-only.
+
+The public `ald_test` and `grow` validate their input vector (and `delta`)
+and delegate to `_ald` and `_grow`, which take a vector already checked by
+the caller: `KrlsAldReg.step` validates once and calls those directly.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,10 +28,18 @@ from .exceptions import (
     NumericalError,
     ValidationError,
 )
-from .kernels import KernelSpec, gram as full_gram, kernel_eval, kernel_vector
+from .kernels import KernelSpec, gram as full_gram, kernel_self, kernel_vector
 
 # Residuals below this cannot be admitted: the inverse update divides by d2.
 GROWTH_FLOOR = 1e-12
+
+# The snapshot identity check accepts ||G G^-1 - I||_inf up to IDENTITY_FACTOR
+# times the roundoff scale K eps ||G||_inf ||G^-1||_inf, and never less than
+# IDENTITY_FLOOR. Inverses built by `grow` reach 0.03-33x that scale at
+# delta = 0.01 (up to ~300x at delta = 1e-4); one largest entry of G^-1 off by
+# a relative 1e-6 reads >= 8000x.
+IDENTITY_FACTOR = 1000.0
+IDENTITY_FLOOR = 1e-8
 
 # Rows per block of `rank_one_update`: each block's outer-product temporary
 # stays small enough to be cache-resident (64 x 800 doubles = 400 KiB).
@@ -41,11 +54,12 @@ def rank_one_update(A: np.ndarray, x: np.ndarray, y: np.ndarray, *,
     The term is outer(x, y) * mul or outer(x, y) / div when given, and is
     subtracted instead with `subtract`. Each entry is rounded exactly as in
     the whole-matrix expression, e.g. A - np.outer(x, y), so the result is
-    bit-identical to it without its K x K temporaries.
+    bit-identical to it without its K x K temporaries. The block term is the
+    broadcast product np.outer itself computes.
     """
     for i in range(0, A.shape[0], ROW_BLOCK):
         rows = A[i:i + ROW_BLOCK]
-        term = np.outer(x[i:i + ROW_BLOCK], y)
+        term = x[i:i + ROW_BLOCK, None] * y
         if mul is not None:
             term *= mul
         if div is not None:
@@ -56,8 +70,7 @@ def rank_one_update(A: np.ndarray, x: np.ndarray, y: np.ndarray, *,
             rows += term
 
 
-@dataclass(frozen=True)
-class AldResult:
+class AldResult(NamedTuple):
     """Outcome of the approximate-linear-dependency test for one input.
 
     `a` solves G a = h for the current Gram matrix G and kernel vector
@@ -83,8 +96,8 @@ class Dictionary:
 
     def __init__(self, spec: KernelSpec, first_center):
         c = as_input(first_center)
-        k11 = kernel_eval(spec, c, c)
-        if not np.isfinite(k11) or k11 <= GROWTH_FLOOR:
+        k11 = kernel_self(spec, c)
+        if not math.isfinite(k11) or k11 <= GROWTH_FLOOR:
             raise ValidationError(
                 f"degenerate first center: k(u, u) = {k11!r} is not invertible"
             )
@@ -128,11 +141,15 @@ class Dictionary:
         uu = as_input(u, dim=self.dim)
         if np.isnan(delta) or delta < 0:
             raise ValidationError(f"delta must be a nonnegative real, got {delta!r}")
+        return self._ald(uu, delta)
+
+    def _ald(self, uu: np.ndarray, delta: float) -> AldResult:
+        """`ald_test` for a validated length-`dim` float64 vector and delta."""
         h = self.kernel_vector(uu)
         a = self.gram_inv @ h
-        kuu = kernel_eval(self.spec, uu, uu)
+        kuu = kernel_self(self.spec, uu)
         d2_raw = float(kuu - h @ a)
-        if not (np.isfinite(d2_raw) and np.all(np.isfinite(a))):
+        if not (math.isfinite(d2_raw) and np.isfinite(a).all()):
             cond = float(np.linalg.cond(self.gram))
             raise NumericalError(
                 f"ALD test produced non-finite values; Gram matrix is "
@@ -148,7 +165,10 @@ class Dictionary:
         Refuses near-singular extensions (d2 below GROWTH_FLOOR) before any
         mutation, so a raised error leaves the dictionary untouched.
         """
-        uu = as_input(u, dim=self.dim)
+        self._grow(as_input(u, dim=self.dim), ald)
+
+    def _grow(self, uu: np.ndarray, ald: AldResult) -> None:
+        """`grow` for a validated length-`dim` float64 vector."""
         if not ald.admitted:
             raise ValidationError("grow requires an admitted ALD result")
         k = self._size
@@ -206,9 +226,11 @@ class Dictionary:
 
         The stored center checksum is always verified: a snapshot without one
         is rejected. A "gram" entry, which older snapshots carry, is ignored,
-        since G follows from the checked centers.
+        since G follows from the checked centers. G^-1 must pass an identity
+        check scaled to its roundoff (see IDENTITY_FACTOR), so the inverse a
+        large or ill-conditioned dictionary was grown with still loads.
         """
-        spec = KernelSpec.from_json(snap["kernel"])
+        spec = KernelSpec.from_json(snap.get("kernel"))
         centers = snapshot_array(snap, "centers", (None, None))
         if centers.shape[0] == 0:
             raise ValidationError("snapshot centers must be a nonempty list of vectors")
@@ -224,10 +246,16 @@ class Dictionary:
         if "gram_inv" in snap:
             d.gram_inv = snapshot_array(snap, "gram_inv", gram.shape)
         else:
-            d.gram_inv = np.linalg.inv(gram)
+            try:
+                d.gram_inv = np.linalg.inv(gram)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"snapshot Gram matrix cannot be inverted: {exc}") from None
         resid = np.linalg.norm(gram @ d.gram_inv - np.eye(d._size), ord=np.inf)
-        if not resid <= 1e-8:
+        tol = max(IDENTITY_FLOOR, IDENTITY_FACTOR * d._size * np.finfo(float).eps
+                  * np.linalg.norm(gram, ord=np.inf) * np.linalg.norm(d.gram_inv, ord=np.inf))
+        if not resid <= tol:
             raise NumericalError(
-                f"snapshot Gram inverse fails the identity check (residual {resid:.3e})"
+                f"snapshot Gram inverse fails the identity check "
+                f"(residual {resid:.3e} > {tol:.3e})"
             )
         return d

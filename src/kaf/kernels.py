@@ -42,7 +42,8 @@ class KernelSpec:
                 f"kernel.family must be one of {FAMILIES}, got {self.family!r}"
             )
         if self.family == "gaussian":
-            if not (np.isfinite(self.sigma) and self.sigma > 0):
+            # sigma^2 must not underflow to 0: k(u, u) would be 0/0 = NaN.
+            if not (np.isfinite(self.sigma) and self.sigma * self.sigma > 0):
                 raise ValidationError("kernel.sigma must be a positive finite real")
         else:
             if int(self.degree) != self.degree or self.degree < 1:
@@ -55,11 +56,12 @@ class KernelSpec:
     def from_json(cls, obj: dict) -> "KernelSpec":
         if not isinstance(obj, dict) or "family" not in obj:
             raise ValidationError("kernel spec must be an object with a 'family' key")
-        return cls(
-            family=obj["family"],
-            sigma=float(obj.get("sigma", 1.0)),
-            degree=int(obj.get("degree", 2)),
-        )
+        try:
+            sigma = float(obj.get("sigma", 1.0))
+            degree = int(obj.get("degree", 2))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"kernel sigma and degree must be numbers: {exc}") from None
+        return cls(family=obj["family"], sigma=sigma, degree=degree)
 
 
 def kernel_eval(spec: KernelSpec, u, v) -> float:
@@ -70,6 +72,16 @@ def kernel_eval(spec: KernelSpec, u, v) -> float:
         diff = uu - vv
         return float(np.exp(-np.dot(diff, diff) / (spec.sigma * spec.sigma)))
     return float((np.dot(uu, vv) + 1.0) ** spec.degree)
+
+
+def kernel_self(spec: KernelSpec, u: np.ndarray) -> float:
+    """k(u, u), bit-identical to kernel_eval(spec, u, u). Hot path: u assumed validated.
+
+    The Gaussian value is exp(-0.0 / sigma^2), which is exactly 1.0.
+    """
+    if spec.family == "gaussian":
+        return 1.0
+    return float((np.dot(u, u) + 1.0) ** spec.degree)
 
 
 def kernel_vector(spec: KernelSpec, centers: np.ndarray, u: np.ndarray) -> np.ndarray:

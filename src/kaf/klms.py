@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target, snapshot_array
+from .base import StepOutput, as_input, check_target, snapshot_array, snapshot_scalar
 from .exceptions import CapacityError, ValidationError
 from .kernels import KernelSpec, kernel_vector
 
@@ -28,8 +28,10 @@ class Klms:
         eta = float(eta)
         if not (np.isfinite(eta) and eta > 0):
             raise ValidationError(f"eta must be > 0, got {eta!r}")
-        if max_terms is not None and max_terms < 1:
-            raise ValidationError(f"max_terms must be >= 1, got {max_terms!r}")
+        if max_terms is not None and (isinstance(max_terms, bool)
+                                      or not isinstance(max_terms, (int, np.integer))
+                                      or max_terms < 1):
+            raise ValidationError(f"max_terms must be an integer >= 1, got {max_terms!r}")
         u = as_input(first_input)
         d = check_target(first_target)
         self.spec = spec
@@ -110,7 +112,7 @@ class Klms:
             raise ValidationError("snapshot centers must be a nonempty list of vectors")
         coeffs = snapshot_array(snap, "coeffs", (n,))
         max_terms = snap.get("max_terms")
-        obj = cls(KernelSpec.from_json(snap["kernel"]), float(snap["eta"]),
+        obj = cls(KernelSpec.from_json(snap.get("kernel")), snapshot_scalar(snap, "eta"),
                   centers[0], 0.0, max_terms=max_terms)
         if max_terms is not None and n > max_terms:
             raise ValidationError(f"snapshot holds {n} terms, above its cap of {max_terms}")

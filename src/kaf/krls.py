@@ -18,17 +18,20 @@ rank-one branch updates P and M in place; the growth branch builds new
 (K+1)^2 arrays and assigns them at the end.
 
 Steps are transactional: all floor checks precede the first write, so a
-raised error leaves the state bit-identical.
+raised error leaves the state bit-identical. `step` validates its input once
+and passes the checked vector to the dictionary's trusted `_ald`/`_grow`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .base import StepOutput, as_input, check_target, snapshot_array
+from .base import StepOutput, as_input, check_target, snapshot_array, snapshot_scalar
 from .dictionary import Dictionary, rank_one_update
 from .exceptions import KafError, NumericalError, ValidationError
-from .kernels import KernelSpec, kernel_eval
+from .kernels import KernelSpec, kernel_self
 
 DEGENERACY_FLOOR = 1e-12
 
@@ -58,7 +61,7 @@ class KrlsAldReg:
         u = as_input(first_input)
         d = check_target(first_target)
         self.dict = Dictionary(spec, u)
-        k11_lam = kernel_eval(spec, u, u) + self.lam
+        k11_lam = kernel_self(spec, u) + self.lam
         if abs(k11_lam) < self._floor():
             raise ValidationError(f"degenerate initialization: k(u,u) + lambda = {k11_lam!r}")
         self.alpha = np.array([d / k11_lam])
@@ -104,7 +107,7 @@ class KrlsAldReg:
         uu = as_input(u, dim=self.dict.dim)
         dd = check_target(d)
 
-        ald = self.dict.ald_test(uu, self.delta)
+        ald = self.dict._ald(uu, self.delta)
         y = float(ald.h @ self.alpha)
         e = dd - y
 
@@ -124,7 +127,7 @@ class KrlsAldReg:
         a, h = ald.a, ald.h
         Pa = self.P @ a
         denom = 1.0 + float(h @ Pa)
-        if abs(denom) <= self._floor() or not np.isfinite(denom):
+        if abs(denom) <= self._floor() or not math.isfinite(denom):
             raise NumericalError(f"degenerate rank-one update: 1 + s P a = {denom!r}")
         q = Pa / denom
         new_alpha = self.alpha + q * e
@@ -141,7 +144,7 @@ class KrlsAldReg:
         z_a = self.P @ (self.M @ h)
         z = self.P.T @ h
         gamma = self.lam + ald.kuu - float(h @ z_a)
-        if abs(gamma) <= self._floor() or not np.isfinite(gamma):
+        if abs(gamma) <= self._floor() or not math.isfinite(gamma):
             raise NumericalError(
                 f"degenerate dictionary extension: gamma = {gamma!r} "
                 f"(near-duplicate admission or lambda too small)"
@@ -164,7 +167,7 @@ class KrlsAldReg:
         new_M[k, k] = 1.0
 
         # May refuse near-singular growth; runs before any state assignment.
-        self.dict.grow(u, ald)
+        self.dict._grow(u, ald)
         self.alpha = new_alpha
         self.P = new_P
         self.M = new_M
@@ -201,11 +204,9 @@ class KrlsAldReg:
         if snap.get("algorithm") != "krls-ald-reg":
             raise ValidationError(f"not a krls-ald-reg snapshot: {snap.get('algorithm')!r}")
         obj = object.__new__(cls)
-        try:
-            obj._set_parameters(snap["lambda"], snap["delta"], snap.get("unregularized", False))
-            n = int(snap["n"])
-        except KeyError as exc:
-            raise ValidationError(f"snapshot lacks {exc.args[0]!r}") from None
+        obj._set_parameters(snapshot_scalar(snap, "lambda"), snapshot_scalar(snap, "delta"),
+                            snap.get("unregularized", False))
+        n = snapshot_scalar(snap, "n", int)
         obj.dict = Dictionary.from_snapshot(snap)
         k = obj.dict.size
         if n < k:

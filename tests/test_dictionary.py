@@ -98,8 +98,9 @@ class TestAldTest:
 
     def test_negative_delta_rejected(self):
         d = Dictionary(GAUSS, [0.0])
-        with pytest.raises(ValidationError):
-            d.ald_test([1.0], -0.5)
+        for delta in (-0.5, math.nan):
+            with pytest.raises(ValidationError):
+                d.ald_test([1.0], delta)
 
     def test_non_finite_inverse_reports_condition_diagnostic(self):
         # white-box: a corrupted inverse must surface as a NumericalError
@@ -203,4 +204,14 @@ class TestSnapshot:
         del snap["centers_sha256"]
         snap["centers"][0][0] += 1.0
         with pytest.raises(ValidationError, match="centers_sha256"):
+            Dictionary.from_snapshot(snap)
+
+    def test_singular_centers_are_a_numerical_error(self):
+        """Duplicate centers with a matching checksum make G exactly singular:
+        the loader reports NumericalError, not numpy's LinAlgError."""
+        d = grown_dictionary(GAUSS, [[0.0], [2.0]], 0.1)
+        snap = d.to_snapshot()
+        d._centers[1] = d._centers[0]
+        snap.update(centers=d.centers.tolist(), centers_sha256=d.centers_checksum())
+        with pytest.raises(NumericalError, match="cannot be inverted"):
             Dictionary.from_snapshot(snap)

@@ -9,8 +9,10 @@ from kaf import (
     BatchProblem,
     KernelSpec,
     KrlsAldReg,
+    StreamConfig,
     batch_solve_regularized,
     expansion_inner_product,
+    generate,
     gram,
     kernel_eval,
 )
@@ -306,6 +308,31 @@ def test_unchanged_step_allocates_less_than_one_matrix():
     assert peak < k * k * 8
 
 
+@pytest.fixture(scope="module")
+def grown_filters():
+    """Filters whose grown G^-1 misses the identity by more than 1e-8, each with
+    its stream and the index of the next sample: 1-D inputs 0.3 apart (K = 15)
+    and the L = 3 system-identification stream grown to K = 480."""
+    out = {}
+    U = 0.3 * np.arange(60.0)[:, None]
+    d = np.sin(U[:, 0])
+    f = KrlsAldReg(GAUSS, 0.1, 0.01, U[0], d[0])
+    for i in range(1, 20):
+        f.step(U[i], d[i])
+    out["spaced_1d"] = (f, U, d, 20)
+    U, d = generate(StreamConfig("nonlinear_sysid", length=3000, seed=3, embed_L=3))
+    f = KrlsAldReg(GAUSS, 0.1, 0.01, U[0], d[0])
+    i = 1
+    while f.dict_size < 480:
+        f.step(U[i], d[i])
+        i += 1
+    out["sysid_k480"] = (f, U, d, i)
+    for f, *_ in out.values():
+        G = f.dict.gram
+        assert np.linalg.norm(G @ f.dict.gram_inv - np.eye(f.dict_size), np.inf) > 1e-8
+    return out
+
+
 class TestSnapshot:
     def test_resume_exact_continues_identically(self):
         U, d = stream_2d(120, 23)
@@ -351,6 +378,30 @@ class TestSnapshot:
             a, b = g.step(U[i], d[i]), h.step(U[i], d[i])
             assert a.y == b.y and a.e == b.e and a.grew == b.grew
         assert_state_equal(g, state_copy(h))
+
+    @pytest.mark.parametrize("grown", ["spaced_1d", "sysid_k480"])
+    def test_grown_inverse_round_trips(self, grown, grown_filters):
+        """The incrementally built G^-1 of these two filters misses the identity
+        by 1.1-1.9e-8, above the former fixed 1e-8 bound, yet is the inverse
+        the filter runs on: it must load and resume bit-identically."""
+        f, U, d, i = grown_filters[grown]
+        g = KrlsAldReg.from_snapshot(f.to_snapshot(resume_exact=True))
+        f = copy.deepcopy(f)
+        for j in range(i, i + 30):
+            a, b = f.step(U[j], d[j]), g.step(U[j], d[j])
+            assert a.y == b.y and a.e == b.e and a.grew == b.grew
+        assert_state_equal(g, state_copy(f))
+
+    @pytest.mark.parametrize("grown", ["spaced_1d", "sysid_k480"])
+    def test_corrupted_inverse_rejected(self, grown, grown_filters):
+        f = grown_filters[grown][0]
+        snap = f.to_snapshot(resume_exact=True)
+        Gi = np.array(snap["gram_inv"])
+        i, j = np.unravel_index(np.abs(Gi).argmax(), Gi.shape)
+        Gi[i, j] *= 1 + 1e-6
+        snap["gram_inv"] = Gi.tolist()
+        with pytest.raises(NumericalError, match="identity"):
+            KrlsAldReg.from_snapshot(snap)
 
     @pytest.mark.parametrize("field, value", [
         ("lambda", -5.0),
