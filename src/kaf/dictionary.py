@@ -34,7 +34,8 @@ from .kernels import KernelSpec, gram as full_gram, kernel_self, kernel_vector
 GROWTH_FLOOR = 1e-12
 
 # The snapshot identity check accepts ||G G^-1 - I||_inf up to IDENTITY_FACTOR
-# times the roundoff scale K eps ||G||_inf ||G^-1||_inf, and never less than
+# times the roundoff scale K eps ||G||_inf ||inv(G)||_inf, where inv(G) is a
+# dense inverse of the G rebuilt from the centers, and never less than
 # IDENTITY_FLOOR. Inverses built by `grow` reach 0.03-33x that scale at
 # delta = 0.01 (up to ~300x at delta = 1e-4); one largest entry of G^-1 off by
 # a relative 1e-6 reads >= 8000x.
@@ -243,17 +244,19 @@ class Dictionary:
         if d.centers_checksum() != want:
             raise ValidationError("snapshot center checksum mismatch")
         gram = d.gram
-        if "gram_inv" in snap:
-            d.gram_inv = snapshot_array(snap, "gram_inv", gram.shape)
-        else:
-            try:
-                d.gram_inv = np.linalg.inv(gram)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"snapshot Gram matrix cannot be inverted: {exc}") from None
-        resid = np.linalg.norm(gram @ d.gram_inv - np.eye(d._size), ord=np.inf)
+        stored = snapshot_array(snap, "gram_inv", gram.shape) if "gram_inv" in snap else None
+        try:
+            dense_inv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"snapshot Gram matrix cannot be inverted: {exc}") from None
+        d.gram_inv = dense_inv if stored is None else stored
+        # The scale comes from G and its dense inverse, which follow from the
+        # checked centers, never from the stored inverse under test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.linalg.norm(gram @ d.gram_inv - np.eye(d._size), ord=np.inf)
         tol = max(IDENTITY_FLOOR, IDENTITY_FACTOR * d._size * np.finfo(float).eps
-                  * np.linalg.norm(gram, ord=np.inf) * np.linalg.norm(d.gram_inv, ord=np.inf))
-        if not resid <= tol:
+                  * np.linalg.norm(gram, ord=np.inf) * np.linalg.norm(dense_inv, ord=np.inf))
+        if not (math.isfinite(tol) and resid <= tol):
             raise NumericalError(
                 f"snapshot Gram inverse fails the identity check "
                 f"(residual {resid:.3e} > {tol:.3e})"

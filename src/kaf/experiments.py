@@ -32,7 +32,7 @@ import numpy as np
 from .base import fmt17
 from .exceptions import KafError, ValidationError
 from .kernels import KernelSpec
-from .klms import Klms
+from .klms import Klms, check_max_terms
 from .krls import KrlsAldReg
 from .linear import Lms, Rls
 
@@ -174,6 +174,8 @@ class FilterConfig:
             raise ValidationError(f"filter.lambda must be > 0, got {self.lam!r}")
         if self.kind in ("klms", "lms") and not (np.isfinite(self.eta) and self.eta > 0):
             raise ValidationError(f"filter.eta must be > 0, got {self.eta!r}")
+        if self.max_terms is not None:
+            check_max_terms(self.max_terms)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -208,7 +210,7 @@ class FilterConfig:
             eta=float(obj.get("eta", 0.2)),
             forgetting=float(obj.get("forgetting", 1.0)),
             unregularized=bool(obj.get("unregularized", False)),
-            max_terms=None if obj.get("max_terms") is None else int(obj["max_terms"]),
+            max_terms=obj.get("max_terms"),
         )
 
 

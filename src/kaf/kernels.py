@@ -43,7 +43,7 @@ class KernelSpec:
             )
         if self.family == "gaussian":
             # sigma^2 must not underflow to 0: k(u, u) would be 0/0 = NaN.
-            if not (np.isfinite(self.sigma) and self.sigma * self.sigma > 0):
+            if not (np.isfinite(self.sigma) and self.sigma > 0 and self.sigma * self.sigma > 0):
                 raise ValidationError("kernel.sigma must be a positive finite real")
         else:
             if int(self.degree) != self.degree or self.degree < 1:

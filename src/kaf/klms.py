@@ -22,16 +22,21 @@ from .exceptions import CapacityError, ValidationError
 from .kernels import KernelSpec, kernel_vector
 
 
+def check_max_terms(max_terms) -> None:
+    """Refuse a term cap that is not an integer >= 1 (a bool is refused)."""
+    if (isinstance(max_terms, bool) or not isinstance(max_terms, (int, np.integer))
+            or max_terms < 1):
+        raise ValidationError(f"max_terms must be an integer >= 1, got {max_terms!r}")
+
+
 class Klms:
     def __init__(self, spec: KernelSpec, eta: float, first_input, first_target,
                  *, max_terms: int | None = None):
         eta = float(eta)
         if not (np.isfinite(eta) and eta > 0):
             raise ValidationError(f"eta must be > 0, got {eta!r}")
-        if max_terms is not None and (isinstance(max_terms, bool)
-                                      or not isinstance(max_terms, (int, np.integer))
-                                      or max_terms < 1):
-            raise ValidationError(f"max_terms must be an integer >= 1, got {max_terms!r}")
+        if max_terms is not None:
+            check_max_terms(max_terms)
         u = as_input(first_input)
         d = check_target(first_target)
         self.spec = spec

@@ -181,3 +181,10 @@ class TestTrialsAndAveraging:
         assert FilterConfig.from_json(fc.to_json()) == fc
         with pytest.raises(ValidationError):
             FilterConfig.from_json({"kind": "klms", "bogus": 1})
+
+    @pytest.mark.parametrize("value", ["5", [3], 2.5, True, 0])
+    def test_filter_config_max_terms_checked_as_klms(self, value):
+        """A config takes the max_terms a KLMS snapshot takes, unconverted."""
+        with pytest.raises(ValidationError, match="max_terms"):
+            FilterConfig.from_json({"kind": "klms", "max_terms": value})
+        assert FilterConfig.from_json({"kind": "klms", "max_terms": 5}).max_terms == 5

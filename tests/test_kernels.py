@@ -181,6 +181,10 @@ class TestKernelSpec:
             KernelSpec("gaussian", sigma=0.0)
         with pytest.raises(ValidationError):
             KernelSpec("gaussian", sigma=float("nan"))
+        with pytest.raises(ValidationError):
+            KernelSpec("gaussian", sigma=-1.0)
+        with pytest.raises(ValidationError):
+            KernelSpec.from_json({"family": "gaussian", "sigma": -1.0})
 
     def test_invalid_degree(self):
         with pytest.raises(ValidationError):

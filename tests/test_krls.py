@@ -403,6 +403,15 @@ class TestSnapshot:
         with pytest.raises(NumericalError, match="identity"):
             KrlsAldReg.from_snapshot(snap)
 
+    def test_huge_inverse_rejected(self, grown_filters):
+        """Finite but huge G^-1 entries make the residual overflow; the bound
+        does not grow with them, so the snapshot is refused."""
+        f = grown_filters["spaced_1d"][0]
+        snap = f.to_snapshot(resume_exact=True)
+        snap["gram_inv"] = np.full_like(np.array(snap["gram_inv"]), 1e308).tolist()
+        with pytest.raises(NumericalError, match="identity"):
+            KrlsAldReg.from_snapshot(snap)
+
     @pytest.mark.parametrize("field, value", [
         ("lambda", -5.0),
         ("lambda", 0.0),
