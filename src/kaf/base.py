@@ -83,19 +83,21 @@ def snapshot_array(snap: dict, key: str, shape: tuple) -> np.ndarray:
     return x
 
 
-def snapshot_scalar(snap: dict, key: str, kind: type = float, default=None):
-    """Snapshot field `key` converted by `kind` (float or int).
+def scalar_field(obj: dict, key: str, kind: type = float, default=None,
+                 where: str = "snapshot"):
+    """Field `key` of a snapshot or config object, converted by `kind` (float or int).
 
     A missing field takes `default` when one is given. A missing required
-    field, or a value `kind` cannot convert, raises ValidationError.
+    field, or a value `kind` cannot convert, raises ValidationError naming
+    `where` the field was read from.
     """
-    value = snap.get(key, default)
+    value = obj.get(key, default)
     if value is None:
-        raise ValidationError(f"snapshot lacks {key!r}")
+        raise ValidationError(f"{where} lacks {key!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"snapshot {key!r} is not a {kind.__name__}: {value!r}") from None
+        raise ValidationError(f"{where} {key!r} is not a {kind.__name__}: {value!r}") from None
 
 
 def check_target(d) -> float:

@@ -29,7 +29,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .base import fmt17
+from .base import fmt17, scalar_field
 from .bench import BENCH_KINDS, run_bench
 from .exceptions import KafError, ValidationError
 from .experiments import (
@@ -129,7 +129,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
     fc = FilterConfig.from_json(cfg.get("filter", {}))
     sc = StreamConfig.from_json(cfg.get("stream", {}))
-    trials = int(cfg.get("trials", 1))
+    trials = scalar_field(cfg, "trials", int, 1, "config")
     out_path = cfg.get("out")
     if not out_path:
         raise ValidationError("config key 'out' (CSV path) is required for run")
@@ -185,7 +185,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
     base_filter = cfg.get("filter", {})
     sc = StreamConfig.from_json(cfg.get("stream", {}))
-    trials = int(cfg.get("trials", 1))
+    trials = scalar_field(cfg, "trials", int, 1, "config")
     grid = cfg.get("grid")
     if not isinstance(grid, dict) or not grid:
         raise ValidationError("sweep config requires a nonempty 'grid' object")

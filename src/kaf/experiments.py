@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .base import fmt17
+from .base import fmt17, scalar_field
 from .exceptions import KafError, ValidationError
 from .kernels import KernelSpec
 from .klms import Klms, check_max_terms
@@ -75,16 +75,15 @@ class StreamConfig:
         unknown = set(obj) - {"generator", "length", "noise_std", "seed", "embed_L"}
         if unknown:
             raise ValidationError(f"unknown stream config keys: {sorted(unknown)}")
-        try:
-            return cls(
-                generator=obj["generator"],
-                length=int(obj["length"]),
-                noise_std=float(obj.get("noise_std", 0.0)),
-                seed=int(obj.get("seed", 0)),
-                embed_L=int(obj.get("embed_L", 1)),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"stream config missing key {exc}") from exc
+        if "generator" not in obj:
+            raise ValidationError("stream config lacks 'generator'")
+        return cls(
+            generator=obj["generator"],
+            length=scalar_field(obj, "length", int, where="stream config"),
+            noise_std=scalar_field(obj, "noise_std", float, 0.0, "stream config"),
+            seed=scalar_field(obj, "seed", int, 0, "stream config"),
+            embed_L=scalar_field(obj, "embed_L", int, 1, "stream config"),
+        )
 
 
 def _embed(x: np.ndarray, L: int, start: int, count: int) -> np.ndarray:
@@ -205,10 +204,10 @@ class FilterConfig:
         return cls(
             kind=obj["kind"],
             kernel=kernel,
-            lam=float(obj.get("lambda", 0.1)),
-            delta=float(obj.get("delta", 0.01)),
-            eta=float(obj.get("eta", 0.2)),
-            forgetting=float(obj.get("forgetting", 1.0)),
+            lam=scalar_field(obj, "lambda", float, 0.1, "filter config"),
+            delta=scalar_field(obj, "delta", float, 0.01, "filter config"),
+            eta=scalar_field(obj, "eta", float, 0.2, "filter config"),
+            forgetting=scalar_field(obj, "forgetting", float, 1.0, "filter config"),
             unregularized=bool(obj.get("unregularized", False)),
             max_terms=obj.get("max_terms"),
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target, snapshot_array, snapshot_scalar
+from .base import StepOutput, as_input, check_target, scalar_field, snapshot_array
 from .exceptions import CapacityError, ValidationError
 from .kernels import KernelSpec, kernel_vector
 
@@ -117,7 +117,7 @@ class Klms:
             raise ValidationError("snapshot centers must be a nonempty list of vectors")
         coeffs = snapshot_array(snap, "coeffs", (n,))
         max_terms = snap.get("max_terms")
-        obj = cls(KernelSpec.from_json(snap.get("kernel")), snapshot_scalar(snap, "eta"),
+        obj = cls(KernelSpec.from_json(snap.get("kernel")), scalar_field(snap, "eta"),
                   centers[0], 0.0, max_terms=max_terms)
         if max_terms is not None and n > max_terms:
             raise ValidationError(f"snapshot holds {n} terms, above its cap of {max_terms}")

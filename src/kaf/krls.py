@@ -1,21 +1,21 @@
 """Regularized kernel RLS with ALD sparsification (online recursion).
 
-Model state after n samples, with K = dictionary size:
+With the dictionary's factor W (W G W^T = I) and alpha = W^T b, the batch
+problem (A^T A G + lambda I) alpha = A^T d, for the n x K sample-to-center
+expansion matrix A, is ridge regression on the whitened features l = W h(u),
+the rows of L = A G W^T. Model state after n samples, K = dictionary size:
 
-    alpha  (K,)    expansion coefficients; prediction is h(u) . alpha
-    P      (K, K)  inverse of (M G + lambda I), where G is the Gram matrix
-    M      (K, K)  accumulated A^T A for the sample-to-center expansion
-                   matrix A (A itself is never stored: rejected samples add
-                   a a^T to M, admitted ones extend M by a unit diagonal)
+    P  (K, K)  (L^T L + lambda I)^-1, kept exactly symmetric
+    b  (K,)    the ridge solution P L^T d; y(u) = l(u) . b = h(u) . alpha
 
-plus the dictionary's centers and G^-1. G is never stored: the recursion
-needs only G^-1 and kernel vectors, and `dict.gram` recomputes G on demand.
+plus the dictionary's centers and W. `alpha` = W^T b is computed when first
+read after a step and cached until the next one.
 
-Each step runs the ALD admission test and then applies exactly one of two
-O(K^2) updates: a Sherman-Morrison rank-one correction of P when the
-dictionary is unchanged, or a block-inverse extension when it grows. The
-rank-one branch updates P and M in place; the growth branch builds new
-(K+1)^2 arrays and assigns them at the end.
+Every step makes one Sherman-Morrison update along a feature f with the
+denominator 1 + f^T P f. An unchanged step uses f = l, in place. A growth
+step gives the earlier samples a 0 in the new coordinate, so it borders P
+with 1/lambda and b with 0 in new arrays, then updates with f = [l; sqrt(d2)].
+The unregularized variant (lambda = 0) writes the bordered inverse of L^T L.
 
 Steps are transactional: all floor checks precede the first write, so a
 raised error leaves the state bit-identical. `step` validates its input once
@@ -28,12 +28,24 @@ import math
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target, snapshot_array, snapshot_scalar
-from .dictionary import Dictionary, rank_one_update
+from .base import StepOutput, as_input, check_target, scalar_field, snapshot_array
+from .dictionary import Dictionary
 from .exceptions import KafError, NumericalError, ValidationError
 from .kernels import KernelSpec, kernel_self
 
 DEGENERACY_FLOOR = 1e-12
+
+# Rows per block of `_downdate`: each block's outer-product temporary stays
+# small enough to be cache-resident (64 x 800 doubles = 400 KiB).
+ROW_BLOCK = 64
+
+
+def _downdate(P: np.ndarray, q: np.ndarray, denom: float) -> None:
+    """P -= outer(q, q) / denom in place, ROW_BLOCK rows at a time, with no
+    K x K temporary. Entry (i, j) is rounded as (q_i q_j) / denom, the same
+    float as entry (j, i), so a symmetric P stays exactly symmetric."""
+    for i in range(0, P.shape[0], ROW_BLOCK):
+        P[i:i + ROW_BLOCK] -= q[i:i + ROW_BLOCK, None] * q / denom
 
 
 class KrlsAldReg:
@@ -46,7 +58,7 @@ class KrlsAldReg:
     lam : float
         Ridge regularizer, > 0. Pass 0 together with ``unregularized=True``
         to run the degenerate unregularized variant (the denominator floors
-        are relaxed; only exact zeros and non-finite values are rejected).
+        are relaxed; only nonpositive and non-finite values are rejected).
     delta : float
         ALD admission threshold, >= 0: a sample joins the dictionary iff its
         squared approximation residual d2 exceeds delta. Callers wanting a
@@ -61,12 +73,13 @@ class KrlsAldReg:
         u = as_input(first_input)
         d = check_target(first_target)
         self.dict = Dictionary(spec, u)
-        k11_lam = kernel_self(spec, u) + self.lam
+        kuu = kernel_self(spec, u)
+        k11_lam = kuu + self.lam
         if abs(k11_lam) < self._floor():
             raise ValidationError(f"degenerate initialization: k(u,u) + lambda = {k11_lam!r}")
-        self.alpha = np.array([d / k11_lam])
         self.P = np.array([[1.0 / k11_lam]])
-        self.M = np.array([[1.0]])
+        self.b = np.array([math.sqrt(kuu) * d / k11_lam])
+        self._alpha = None
         self.n = 1
 
     def _set_parameters(self, lam, delta, unregularized) -> None:
@@ -92,6 +105,13 @@ class KrlsAldReg:
     def dict_size(self) -> int:
         return self.dict.size
 
+    @property
+    def alpha(self) -> np.ndarray:
+        """Expansion coefficients W^T b; the model is sum_i alpha_i k(c_i, .)."""
+        if self._alpha is None:
+            self._alpha = self.b @ self.dict.W
+        return self._alpha
+
     def _floor(self) -> float:
         return 0.0 if self.unregularized else DEGENERACY_FLOOR
 
@@ -108,121 +128,113 @@ class KrlsAldReg:
         dd = check_target(d)
 
         ald = self.dict._ald(uu, self.delta)
-        y = float(ald.h @ self.alpha)
+        y = float(ald.l @ self.b)
         e = dd - y
 
         if ald.admitted:
-            self._update_grow(uu, e, ald)
+            self._grow(uu, e, ald)
         else:
-            self._update_unchanged(e, ald)
+            self._update(self.P, self.b, ald.l, e)
+        self._alpha = None
         self.n += 1
         return StepOutput(y=y, e=e, grew=ald.admitted, dict_size=self.dict.size)
 
-    def _update_unchanged(self, e: float, ald) -> None:
-        """Rank-one refresh of P, alpha, M when the dictionary is kept.
+    def _gain(self, P: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
+        """q = P f and the floor-checked denominator 1 + f^T P f, which is
+        >= 1 in exact arithmetic since P is positive definite."""
+        q = P @ f
+        denom = 1.0 + float(f @ q)
+        if not self._floor() < denom < math.inf:
+            raise NumericalError(f"degenerate rank-one update: 1 + f^T P f = {denom!r}")
+        return q, denom
 
-        The Sherman-Morrison term uses s = G a, which is h since a = G^-1 h.
-        P and M are updated in place, after the denominator check.
-        """
-        a, h = ald.a, ald.h
-        Pa = self.P @ a
-        denom = 1.0 + float(h @ Pa)
-        if abs(denom) <= self._floor() or not math.isfinite(denom):
-            raise NumericalError(f"degenerate rank-one update: 1 + s P a = {denom!r}")
-        q = Pa / denom
-        new_alpha = self.alpha + q * e
-        hP = h @ self.P
+    def _update(self, P: np.ndarray, b: np.ndarray, f: np.ndarray, e: float) -> None:
+        """Sherman-Morrison step of P and b along f, in place after the check."""
+        q, denom = self._gain(P, f)
+        b += q * (e / denom)
+        _downdate(P, q, denom)
 
-        rank_one_update(self.P, q, hP, subtract=True)
-        rank_one_update(self.M, a, a)
-        self.alpha = new_alpha
-
-    def _update_grow(self, u: np.ndarray, e: float, ald) -> None:
-        """Extend alpha, P, M by one center via the block-inverse identity."""
+    def _grow(self, u: np.ndarray, e: float, ald) -> None:
+        """Extend P and b by the new center's coordinate and absorb the sample,
+        in new arrays assigned only after the dictionary has grown."""
         k = self.dict.size
-        h = ald.h
-        z_a = self.P @ (self.M @ h)
-        z = self.P.T @ h
-        gamma = self.lam + ald.kuu - float(h @ z_a)
-        if abs(gamma) <= self._floor() or not math.isfinite(gamma):
-            raise NumericalError(
-                f"degenerate dictionary extension: gamma = {gamma!r} "
-                f"(near-duplicate admission or lambda too small)"
-            )
-        ginv = 1.0 / gamma
-
-        new_alpha = np.empty(k + 1)
-        new_alpha[:k] = self.alpha - z_a * (ginv * e)
-        new_alpha[k] = ginv * e
-
-        new_P = np.empty((k + 1, k + 1))
-        new_P[:k, :k] = self.P
-        rank_one_update(new_P[:k, :k], z_a, z, mul=ginv)
-        new_P[:k, k] = -z_a * ginv
-        new_P[k, :k] = -z * ginv
-        new_P[k, k] = ginv
-
-        new_M = np.zeros((k + 1, k + 1))
-        new_M[:k, :k] = self.M
-        new_M[k, k] = 1.0
+        s = math.sqrt(ald.d2)
+        P = np.zeros((k + 1, k + 1))
+        P[:k, :k] = self.P
+        b = np.append(self.b, 0.0)
+        if self.unregularized:
+            # exact bordered inverse of L^T L + f f^T for f = [l; s]
+            q, denom = self._gain(self.P, ald.l)
+            P[:k, k] = P[k, :k] = -q / s
+            P[k, k] = denom / ald.d2
+            b[k] = e / s
+        else:
+            P[k, k] = 1.0 / self.lam
+            self._update(P, b, np.append(ald.l, s), e)
 
         # May refuse near-singular growth; runs before any state assignment.
         self.dict._grow(u, ald)
-        self.alpha = new_alpha
-        self.P = new_P
-        self.M = new_M
+        self.P, self.b = P, b
 
     # -- serialization ----------------------------------------------------
 
     def to_snapshot(self, resume_exact: bool = False) -> dict:
-        """Model snapshot. With ``resume_exact`` the P and M matrices are
+        """Model snapshot. With ``resume_exact`` the W, P and b matrices are
         embedded so training can continue exactly; without it the snapshot
         supports prediction only (or resume by replaying the stream)."""
         snap = {
             "algorithm": "krls-ald-reg",
-            "kernel": self.spec.to_json(),
             "lambda": self.lam,
             "delta": self.delta,
             "unregularized": self.unregularized,
-            "centers": self.dict.centers.tolist(),
-            "centers_sha256": self.dict.centers_checksum(),
+            # exact resume needs the incrementally built W: a recomputed
+            # dense factor differs in the last ulps
+            **self.dict.to_snapshot(store_matrices=resume_exact),
             "alpha": self.alpha.tolist(),
             "n": self.n,
         }
         if resume_exact:
             snap["resume_exact"] = True
             snap["P"] = self.P.tolist()
-            snap["M"] = self.M.tolist()
-            # exact resume also needs the incrementally built Gram inverse:
-            # a recomputed dense inverse differs in the last ulps
-            snap["gram_inv"] = self.dict.gram_inv.tolist()
+            snap["b"] = self.b.tolist()
         return snap
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "KrlsAldReg":
-        """Rebuild a filter, checking every field as the constructor would."""
+        """Rebuild a filter, checking every field as the constructor would.
+
+        Snapshots of the former P/M/G^-1 state (with "M" or "gram_inv") are
+        refused: their P is a different matrix from this version's.
+        """
         if snap.get("algorithm") != "krls-ald-reg":
             raise ValidationError(f"not a krls-ald-reg snapshot: {snap.get('algorithm')!r}")
+        legacy = sorted({"M", "gram_inv"} & snap.keys())
+        if legacy:
+            raise ValidationError(f"snapshot stores {legacy} of the former P/M/G^-1 state, "
+                                  f"which this version cannot resume; replay the stream")
         obj = object.__new__(cls)
-        obj._set_parameters(snapshot_scalar(snap, "lambda"), snapshot_scalar(snap, "delta"),
+        obj._set_parameters(scalar_field(snap, "lambda"), scalar_field(snap, "delta"),
                             snap.get("unregularized", False))
-        n = snapshot_scalar(snap, "n", int)
+        n = scalar_field(snap, "n", int)
         obj.dict = Dictionary.from_snapshot(snap)
         k = obj.dict.size
         if n < k:
             raise ValidationError(f"snapshot n = {n} is below its center count {k}")
         obj.n = n
-        obj.alpha = snapshot_array(snap, "alpha", (k,))
+        obj._alpha = snapshot_array(snap, "alpha", (k,))
         if snap.get("resume_exact"):
             obj.P = snapshot_array(snap, "P", (k, k))
-            obj.M = snapshot_array(snap, "M", (k, k))
+            if not np.array_equal(obj.P, obj.P.T):
+                raise ValidationError("snapshot 'P' is not symmetric")
+            obj.b = snapshot_array(snap, "b", (k,))
+            obj._alpha = None
         else:
             obj.P = None
-            obj.M = None
+            obj.b = None
         return obj
 
     def _require_resumable(self):
-        if self.P is None or self.M is None:
+        if self.P is None:
             raise KafError(
                 "snapshot was saved without resume_exact: this state supports "
                 "predict only; re-save with resume_exact=True or rebuild by replay"

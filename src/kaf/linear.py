@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target, snapshot_array, snapshot_scalar
+from .base import StepOutput, as_input, check_target, scalar_field, snapshot_array
 from .exceptions import ValidationError
 
 
@@ -50,7 +50,7 @@ class Lms:
         if snap.get("algorithm") != "lms":
             raise ValidationError(f"not an lms snapshot: {snap.get('algorithm')!r}")
         weights = snapshot_array(snap, "weights", (None,))
-        obj = cls(weights.shape[0], snapshot_scalar(snap, "eta"))
+        obj = cls(weights.shape[0], scalar_field(snap, "eta"))
         obj.weights = weights
         return obj
 
@@ -111,8 +111,8 @@ class Rls:
             raise ValidationError(f"not an rls snapshot: {snap.get('algorithm')!r}")
         weights = snapshot_array(snap, "weights", (None,))
         dim = weights.shape[0]
-        obj = cls(dim, snapshot_scalar(snap, "lambda"),
-                  snapshot_scalar(snap, "forgetting", default=1.0))
+        obj = cls(dim, scalar_field(snap, "lambda"),
+                  scalar_field(snap, "forgetting", default=1.0))
         obj.weights = weights
         obj.aux = snapshot_array(snap, "aux", (dim, dim))
         return obj

@@ -127,28 +127,34 @@ def gram_psd_suite(sets: int = 50, points: int = 50, seed: int = 3) -> VerifyRes
 
 def inverse_consistency_suite(samples: int = 500, lam: float = 0.1,
                               delta: float = 0.05, seed: int = 29) -> VerifyResult:
-    """Identity residuals of the maintained inverses along a growing run.
+    """Identity residuals of the maintained factor and inverse along a growing run.
 
-    Checks ||G G^-1 - I||_inf <= 1e-8 after every dictionary growth and
-    ||P (M G + lam I) - I||_inf <= 1e-6 K after every step.
+    Checks ||G W^T W - I||_inf <= 1e-8 after every dictionary growth and
+    ||P (L^T L + lam I) - I||_inf <= 1e-6 K after every step, where
+    L = A G W^T is built from the batch oracle's expansion matrix A.
     """
     spec = KernelSpec("gaussian", sigma=1.0)
     U, d = _stream_2d(samples, seed)
+    sol = batch_solve_regularized(BatchProblem(U, d, spec, lam, delta))
     filt = KrlsAldReg(spec, lam, delta, U[0], d[0])
     tol = 1e-8
     worst_gram, worst_p, first_failure = 0.0, 0.0, None
     for i in range(1, samples):
         out = filt.step(U[i], d[i])
         k = filt.dict_size
-        G = filt.dict.gram
+        if sol.A[i, k:].any() or not np.array_equal(filt.dict.centers, sol.centers[:k]):
+            first_failure = {"step": i + 1, "reason": "dictionary diverged from the oracle"}
+            worst_gram = np.inf
+            break
+        G, W = filt.dict.gram, filt.dict.W
         if out.grew:
-            g_res = float(np.linalg.norm(G @ filt.dict.gram_inv - np.eye(k), ord=np.inf))
+            g_res = float(np.linalg.norm(G @ W.T @ W - np.eye(k), ord=np.inf))
             worst_gram = max(worst_gram, g_res)
             if g_res > tol and first_failure is None:
                 first_failure = {"step": i + 1, "gram_identity_residual": g_res}
+        L = sol.A[: i + 1, :k] @ G @ W.T
         p_res = float(np.linalg.norm(
-            filt.P @ (filt.M @ G + lam * np.eye(k)) - np.eye(k),
-            ord=np.inf)) / k
+            filt.P @ (L.T @ L + lam * np.eye(k)) - np.eye(k), ord=np.inf)) / k
         worst_p = max(worst_p, p_res)
         if p_res > 1e-6 and first_failure is None:
             first_failure = {"step": i + 1, "p_identity_residual_per_k": p_res}

@@ -49,10 +49,12 @@ def krls_300_stream():
             break
         max_dev = max(max_dev, float(
             np.linalg.norm(filt.alpha - ref, np.inf) / np.linalg.norm(ref, np.inf)))
+        # P inverts L^T L + lam I for the whitened features L = A G W^T,
+        # with A the oracle's expansion matrix over this prefix
         k = filt.dict_size
+        L = sol.A[: i + 1, :k] @ filt.dict.gram @ filt.dict.W.T
         p_resid.append(float(np.linalg.norm(
-            filt.P @ (filt.M @ filt.dict.gram + lam * np.eye(k)) - np.eye(k),
-            np.inf)) / k)
+            filt.P @ (L.T @ L + lam * np.eye(k)) - np.eye(k), np.inf)) / k)
     return {"max_dev": max_dev, "grew": grew, "unchanged": unchanged,
             "max_p_residual_per_k": max(p_resid)}
 
@@ -83,13 +85,13 @@ def test_krr_limit():
 def test_p_invariant(krls_300_stream):
     worst = krls_300_stream["max_p_residual_per_k"]
     report("p-invariant", worst <= 1e-6,
-           f"max ||P(M G + lam I) - I||_inf / K = {worst:.3e} <= 1e-6 over 300 steps")
+           f"max ||P(L^T L + lam I) - I||_inf / K = {worst:.3e} <= 1e-6 over 300 steps")
 
 
 def test_gram_inverse_consistency():
     res = inverse_consistency_suite(samples=500)
     report("gram-inverse-consistency", res.max_deviation <= 1e-8 and res.passed,
-           f"max ||G G^-1 - I||_inf {res.max_deviation:.3e} <= 1e-8 after every "
+           f"max ||G W^T W - I||_inf {res.max_deviation:.3e} <= 1e-8 after every "
            f"growth, 500-step run, final K={res.details['final_dict_size']}")
 
 

@@ -99,6 +99,22 @@ class TestRun:
         assert main(["run", "--config", str(bad)]) == 1
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "validation"
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("run", "filter", "lambda", "x"),
+        ("run", None, "trials", "abc"),
+        ("run", "stream", "length", "ten"),
+        ("sweep", None, "trials", "abc"),
+        ("sweep", "stream", "length", "ten"),
+    ])
+    def test_malformed_config_scalar_exits_1(self, command, section, key, value,
+                                              tmp_path, capsys):
+        cfg = base_run_config(tmp_path, grid={"delta": [0.01]})
+        (cfg[section] if section else cfg)[key] = value
+        assert main([command, "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "validation" and repr(value) in err["message"]
+        assert not os.path.exists(cfg["out"])
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         cfg = base_run_config(tmp_path, out=str(tmp_path / "missing" / "x.csv"))
         assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 3

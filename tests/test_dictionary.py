@@ -16,6 +16,16 @@ from kaf.oracle import polynomial_feature_map
 GAUSS = KernelSpec("gaussian", sigma=1.0)
 
 
+def coefficients(d, res):
+    """a = W^T l = G^-1 h: the ALD coefficients of the tested input."""
+    return res.l @ d.W
+
+
+def dense_factor(d):
+    """The inverse Cholesky factor of the recomputed Gram matrix."""
+    return np.linalg.inv(np.linalg.cholesky(d.gram))
+
+
 def grown_dictionary(spec, points, delta):
     d = Dictionary(spec, points[0])
     for u in points[1:]:
@@ -29,7 +39,7 @@ class TestAldTest:
     def test_exact_self_representation(self):
         d = Dictionary(GAUSS, [0.5, -1.0])
         res = d.ald_test([0.5, -1.0], 0.0)
-        np.testing.assert_allclose(res.a, [1.0])
+        np.testing.assert_allclose(coefficients(d, res), [1.0])
         assert res.d2 == 0.0
         assert not res.admitted
 
@@ -38,7 +48,7 @@ class TestAldTest:
         res = d.ald_test([2.0], 0.1)
         e4 = math.exp(-4.0)
         np.testing.assert_allclose(res.h, [e4], rtol=1e-15)
-        np.testing.assert_allclose(res.a, [e4], rtol=1e-15)
+        np.testing.assert_allclose(coefficients(d, res), [e4], rtol=1e-15)
         assert res.d2 == pytest.approx(1.0 - math.exp(-8.0), rel=1e-12)
         assert res.admitted
 
@@ -49,7 +59,7 @@ class TestAldTest:
         d = Dictionary(spec, [1.0])
         res = d.ald_test([3.0], 0.0)
         np.testing.assert_allclose(res.h, [4.0])
-        np.testing.assert_allclose(res.a, [2.0])
+        np.testing.assert_allclose(coefficients(d, res), [2.0])
         assert res.d2 == pytest.approx(2.0, abs=1e-12)
 
         phi = polynomial_feature_map([[1.0], [3.0]], 1)
@@ -65,7 +75,7 @@ class TestAldTest:
             assert res.d2 <= 1e-10
             ind = np.zeros(d.size)
             ind[idx] = 1.0
-            np.testing.assert_allclose(res.a, ind, atol=1e-8)
+            np.testing.assert_allclose(coefficients(d, res), ind, atol=1e-8)
 
     def test_residual_matches_feature_space_lstsq(self):
         rng = np.random.default_rng(1)
@@ -103,10 +113,10 @@ class TestAldTest:
                 d.ald_test([1.0], delta)
 
     def test_non_finite_inverse_reports_condition_diagnostic(self):
-        # white-box: a corrupted inverse must surface as a NumericalError
+        # white-box: a corrupted factor must surface as a NumericalError
         # carrying the condition diagnostic, not as silent NaN propagation
         d = Dictionary(GAUSS, [0.0])
-        d.gram_inv = np.array([[np.nan]])
+        d.W = np.array([[np.nan]])
         with pytest.raises(NumericalError, match="cond"):
             d.ald_test([1.0], 0.1)
 
@@ -118,8 +128,10 @@ class TestGrow:
         d.grow([2.0], res)
         e4 = math.exp(-4.0)
         np.testing.assert_allclose(d.gram, [[1.0, e4], [e4, 1.0]], rtol=1e-15)
-        resid = np.linalg.norm(d.gram @ d.gram_inv - np.eye(2), ord=np.inf)
+        resid = np.linalg.norm(d.gram @ d.W.T @ d.W - np.eye(2), ord=np.inf)
         assert resid <= 1e-10
+        np.testing.assert_allclose(d.W, [[1.0, 0.0], [-e4, 1.0]] / np.array(
+            [[1.0], [math.sqrt(1.0 - e4 * e4)]]), rtol=1e-15)
 
     def test_inverse_matches_dense_inversion_along_stream(self):
         rng = np.random.default_rng(2)
@@ -129,8 +141,10 @@ class TestGrow:
             res = d.ald_test(u, 0.1)
             if res.admitted:
                 d.grow(u, res)
-                dense = np.linalg.inv(d.gram)
-                assert np.abs(d.gram_inv - dense).max() <= 1e-8
+                dense = dense_factor(d)
+                assert np.abs(d.W.T @ d.W - dense.T @ dense).max() <= 1e-8
+                assert np.abs(d.W - dense).max() <= 1e-8
+                assert not np.triu(d.W, 1).any()
 
     def test_gram_matches_recomputation(self):
         rng = np.random.default_rng(3)
@@ -181,7 +195,7 @@ class TestSnapshot:
         d2 = Dictionary.from_snapshot(d.to_snapshot())
         np.testing.assert_array_equal(d2.centers, d.centers)
         np.testing.assert_allclose(d2.gram, d.gram, atol=1e-12)
-        assert np.linalg.norm(d2.gram @ d2.gram_inv - np.eye(d2.size), np.inf) <= 1e-8
+        assert np.linalg.norm(d2.gram @ d2.W.T @ d2.W - np.eye(d2.size), np.inf) <= 1e-8
 
     def test_round_trip_stored_matrices(self):
         rng = np.random.default_rng(7)
@@ -189,7 +203,7 @@ class TestSnapshot:
         snap = d.to_snapshot(store_matrices=True)
         d2 = Dictionary.from_snapshot(snap)
         np.testing.assert_array_equal(d2.gram, d.gram)
-        np.testing.assert_array_equal(d2.gram_inv, d.gram_inv)
+        np.testing.assert_array_equal(d2.W, d.W)
 
     def test_checksum_detects_tampering(self):
         d = grown_dictionary(GAUSS, [[0.0], [2.0]], 0.1)

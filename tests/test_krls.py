@@ -23,6 +23,7 @@ from kaf.exceptions import (
     NumericalError,
     ValidationError,
 )
+from kaf.verify import krls_batch_suite
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
 
@@ -35,18 +36,24 @@ def stream_2d(n, seed, scale=1.5):
 
 
 def state_copy(f):
-    return (f.alpha.copy(), f.P.copy(), f.M.copy(), f.dict.gram_inv.copy(),
+    return (f.alpha.copy(), f.P.copy(), f.b.copy(), f.dict.W.copy(),
             f.dict.centers.copy(), f.n)
 
 
 def assert_state_equal(f, snap):
-    alpha, P, M, Gi, C, n = snap
+    alpha, P, b, W, C, n = snap
     assert np.array_equal(f.alpha, alpha)
     assert np.array_equal(f.P, P)
-    assert np.array_equal(f.M, M)
-    assert np.array_equal(f.dict.gram_inv, Gi)
+    assert np.array_equal(f.b, b)
+    assert np.array_equal(f.dict.W, W)
     assert np.array_equal(f.dict.centers, C)
     assert f.n == n
+
+
+def whitened_features(f, A):
+    """L = A G W^T: the rows P inverts L^T L + lam I over, built from an
+    expansion matrix A (one row per sample, one column per center)."""
+    return A @ f.dict.gram @ f.dict.W.T
 
 
 class TestInit:
@@ -54,8 +61,8 @@ class TestInit:
         f = KrlsAldReg(GAUSS, 1.0, 0.1, [0.4], 2.0)
         np.testing.assert_allclose(f.alpha, [1.0])
         np.testing.assert_allclose(f.P, [[0.5]])
-        np.testing.assert_allclose(f.M, [[1.0]])
-        np.testing.assert_allclose(f.dict.gram_inv, [[1.0]])
+        np.testing.assert_allclose(f.b, [1.0])
+        np.testing.assert_allclose(f.dict.W, [[1.0]])
         assert f.n == 1 and f.dict_size == 1
 
     def test_zero_target(self):
@@ -90,10 +97,12 @@ class TestUnchangedBranch:
         assert not out.grew
         np.testing.assert_allclose(f.alpha, [2.0], rtol=1e-14)
         np.testing.assert_allclose(f.P, [[1.0 / 3.0]], rtol=1e-14)
-        np.testing.assert_allclose(f.M, [[2.0]], rtol=1e-14)
-        # direct inversion oracle for the P definition
-        np.testing.assert_allclose(
-            f.P, np.linalg.inv(f.M @ f.dict.gram + 1.0 * np.eye(1)), rtol=1e-12)
+        np.testing.assert_allclose(f.b, [2.0], rtol=1e-14)
+        # direct inversion oracle for the P definition: both samples expand
+        # onto the single center with coefficient 1
+        L = whitened_features(f, np.ones((2, 1)))
+        np.testing.assert_allclose(f.P, np.linalg.inv(L.T @ L + 1.0 * np.eye(1)), rtol=1e-12)
+        np.testing.assert_allclose(f.b, f.P @ L.T @ [3.0, 3.0], rtol=1e-12)
 
     def test_apriori_error_uses_pre_update_alpha(self):
         f = KrlsAldReg(GAUSS, 0.5, 0.0, [0.2], 1.0)
@@ -141,17 +150,20 @@ class TestGrowBranch:
     def test_p_identity_after_growth_steps(self):
         U, d = stream_2d(200, 8)
         lam = 0.1
+        A = batch_solve_regularized(BatchProblem(U, d, GAUSS, lam, 0.05)).A
         f = KrlsAldReg(GAUSS, lam, 0.05, U[0], d[0])
         for i in range(1, 200):
             out = f.step(U[i], d[i])
             if out.grew:
                 k = f.dict_size
+                L = whitened_features(f, A[: i + 1, :k])
                 resid = np.linalg.norm(
-                    f.P @ (f.M @ f.dict.gram + lam * np.eye(k)) - np.eye(k), np.inf)
+                    f.P @ (L.T @ L + lam * np.eye(k)) - np.eye(k), np.inf)
                 assert resid <= 1e-8 * k
-        # accumulated expansion normal matrix stays symmetric PSD
-        assert np.array_equal(f.M, f.M.T)
-        assert np.linalg.eigvalsh(f.M)[0] >= -1e-10
+        # P stays exactly symmetric, with its spectrum in (0, 1/lam]
+        assert np.array_equal(f.P, f.P.T)
+        eig = np.linalg.eigvalsh(f.P)
+        assert eig[0] > 0 and eig[-1] <= (1 + 1e-12) / lam
 
 
 class TestRecursiveEqualsBatch:
@@ -201,10 +213,69 @@ class TestRecursiveEqualsBatch:
             assert dev <= 1e-6
 
 
+    def test_small_lambda_and_delta_match_batch_at_every_prefix(self):
+        """Small lambda and delta on the verify stream (seed 5): within 1e-8
+        of the dense solve at every prefix."""
+        res = krls_batch_suite(samples=300, lam=1e-3, delta=1e-3, seed=5)
+        assert res.passed and res.max_deviation <= 1e-8, res.first_failure
+
+    def test_small_delta_sysid_matches_batch(self):
+        """delta = 1e-4 grows an ill-conditioned dictionary (K = 174,
+        cond(G) ~ 2.6e9); the final coefficients still agree to 1e-8."""
+        U, d = generate(StreamConfig("nonlinear_sysid", length=1500, noise_std=0.1,
+                                     seed=1, embed_L=2))
+        lam, delta = 0.1, 1e-4
+        f = KrlsAldReg(GAUSS, lam, delta, U[0], d[0])
+        for i in range(1, 1500):
+            f.step(U[i], d[i])
+        ref = batch_solve_regularized(BatchProblem(U, d, GAUSS, lam, delta)).alpha
+        assert ref.shape == f.alpha.shape
+        assert np.linalg.norm(f.alpha - ref, np.inf) / np.linalg.norm(ref, np.inf) <= 1e-8
+
+    def test_zero_delta_refuses_what_the_oracle_refuses(self):
+        """With delta = 0 a sample whose residual lies below GROWTH_FLOOR is
+        refused with NearSingularGrowthError, at the sample where the batch
+        oracle refuses it, instead of being admitted on a drifted residual."""
+        rng = np.random.default_rng(2)
+        U = rng.uniform(-2, 2, (400, 1))
+        d = np.sin(U[:, 0])
+        with pytest.raises(NearSingularGrowthError, match="sample 15:"):
+            batch_solve_regularized(BatchProblem(U, d, GAUSS, 1.0, 0.0))
+        f = KrlsAldReg(GAUSS, 1.0, 0.0, U[0], d[0])
+        for i in range(1, 15):
+            f.step(U[i], d[i])
+        snap = state_copy(f)
+        with pytest.raises(NearSingularGrowthError):
+            f.step(U[15], d[15])
+        assert_state_equal(f, snap)
+
+
+def test_long_horizon_drift():
+    """1e5 steps at delta = 1e-4 (K = 17): the whitening factor keeps
+    ||G W^T W - I||_inf <= 1e-8 at every sampled prefix, and the coefficients
+    match the dense solve over the first 20000 samples to 1e-8."""
+    U, d = generate(StreamConfig("noisy_sinc", length=100_000, noise_std=0.1, seed=3))
+    lam, delta = 0.1, 1e-4
+    f = KrlsAldReg(GAUSS, lam, delta, U[0], d[0])
+    for i in range(1, U.shape[0]):
+        f.step(U[i], d[i])
+        if (i + 1) % 20_000:
+            continue
+        k = f.dict_size
+        W = f.dict.W
+        assert np.linalg.norm(f.dict.gram @ W.T @ W - np.eye(k), np.inf) <= 1e-8
+        if i + 1 == 20_000:
+            ref = batch_solve_regularized(
+                BatchProblem(U[:20_000], d[:20_000], GAUSS, lam, delta)).alpha
+            assert ref.shape == f.alpha.shape
+            dev = np.linalg.norm(f.alpha - ref, np.inf) / np.linalg.norm(ref, np.inf)
+            assert dev <= 1e-8
+
+
 class TestPredict:
     def test_single_center_identity(self):
         f = KrlsAldReg(GAUSS, 1.0, 0.1, [0.3], 2.0)
-        f.alpha = np.array([1.0])
+        assert np.array_equal(f.alpha, [1.0])
         assert f.predict([0.3]) == 1.0
 
     def test_zero_alpha(self):
@@ -253,8 +324,8 @@ class TestTransactional:
 
 
     def test_rank_one_floor_leaves_state(self):
-        """P and M are updated in place, so the 1 + h^T P a check must run
-        before either is written."""
+        """An unchanged step updates P and b in place, so the 1 + l^T P l
+        check must run before either is written."""
         U, d = stream_2d(40, 19)
         f = KrlsAldReg(GAUSS, 0.1, 0.05, U[0], d[0])
         for i in range(1, 40):
@@ -262,14 +333,17 @@ class TestTransactional:
         u = f.dict.centers[3].copy()  # a member: takes the unchanged branch
         ald = f.dict.ald_test(u, f.delta)
         assert not ald.admitted
-        # white-box P with h^T P a = -1 up to roundoff: denominator ~ 0
-        f.P = -np.outer(ald.h, ald.a) / ((ald.h @ ald.h) * (ald.a @ ald.a))
+        # white-box P with l^T P l = -1 up to roundoff: denominator ~ 0
+        f.P = -np.outer(ald.l, ald.l) / (ald.l @ ald.l) ** 2
         snap = state_copy(f)
         with pytest.raises(NumericalError, match="rank-one"):
             f.step(u, 0.5)
         assert_state_equal(f, snap)
 
-    def test_growth_gamma_floor_leaves_state(self):
+    def test_growth_denominator_floor_leaves_state(self):
+        """A growth step runs the same floor-checked update on the bordered P,
+        whose denominator is 1 + l^T P l + d2 / lam; the dictionary must not
+        grow when it is refused."""
         U, d = stream_2d(40, 19)
         lam = 0.1
         f = KrlsAldReg(GAUSS, lam, 0.05, U[0], d[0])
@@ -278,17 +352,16 @@ class TestTransactional:
         far = np.array([9.0, -9.0])
         ald = f.dict.ald_test(far, f.delta)
         assert ald.admitted
-        # white-box P = c I with h^T P M h = lam + k(u, u): gamma ~ 0
-        c = (lam + kernel_eval(GAUSS, far, far)) / (ald.h @ f.M @ ald.h)
-        f.P = c * np.eye(f.dict_size)
+        # white-box P with l^T P l = -(1 + d2 / lam): denominator ~ 0
+        f.P = -(1.0 + ald.d2 / lam) * np.outer(ald.l, ald.l) / (ald.l @ ald.l) ** 2
         snap = state_copy(f)
-        with pytest.raises(NumericalError, match="gamma"):
+        with pytest.raises(NumericalError, match="rank-one"):
             f.step(far, 0.5)
         assert_state_equal(f, snap)
 
 
 def test_unchanged_step_allocates_less_than_one_matrix():
-    """The rank-one branch updates P and M in row blocks: one unchanged
+    """The rank-one branch updates P in row blocks: one unchanged
     step at K = 400 must not allocate a K x K temporary (1250 KiB)."""
     k = 400
     pts = np.zeros((k, 1))
@@ -310,8 +383,8 @@ def test_unchanged_step_allocates_less_than_one_matrix():
 
 @pytest.fixture(scope="module")
 def grown_filters():
-    """Filters whose grown G^-1 misses the identity by more than 1e-8, each with
-    its stream and the index of the next sample: 1-D inputs 0.3 apart (K = 15)
+    """Filters whose grown W differs from a dense recomputation, each with its
+    stream and the index of the next sample: 1-D inputs 0.3 apart (K = 15)
     and the L = 3 system-identification stream grown to K = 480."""
     out = {}
     U = 0.3 * np.arange(60.0)[:, None]
@@ -328,8 +401,8 @@ def grown_filters():
         i += 1
     out["sysid_k480"] = (f, U, d, i)
     for f, *_ in out.values():
-        G = f.dict.gram
-        assert np.linalg.norm(G @ f.dict.gram_inv - np.eye(f.dict_size), np.inf) > 1e-8
+        dense = np.tril(np.linalg.inv(np.linalg.cholesky(f.dict.gram)))
+        assert not np.array_equal(f.dict.W, dense)
     return out
 
 
@@ -344,8 +417,7 @@ class TestSnapshot:
             a = f.step(U[i], d[i])
             b = g.step(U[i], d[i])
             assert a.y == b.y and a.e == b.e and a.grew == b.grew
-        assert np.array_equal(f.alpha, g.alpha)
-        assert np.array_equal(f.P, g.P)
+        assert_state_equal(g, state_copy(f))
 
     def test_plain_snapshot_predicts_but_cannot_step(self):
         U, d = stream_2d(40, 29)
@@ -354,7 +426,7 @@ class TestSnapshot:
             f.step(U[i], d[i])
         snap = f.to_snapshot()
         assert snap["algorithm"] == "krls-ald-reg"
-        assert "P" not in snap and "M" not in snap
+        assert not {"P", "b", "W"} & set(snap)
         g = KrlsAldReg.from_snapshot(snap)
         assert g.predict(U[3]) == pytest.approx(f.predict(U[3]), abs=1e-12)
         with pytest.raises(KafError):
@@ -381,9 +453,9 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("grown", ["spaced_1d", "sysid_k480"])
     def test_grown_inverse_round_trips(self, grown, grown_filters):
-        """The incrementally built G^-1 of these two filters misses the identity
-        by 1.1-1.9e-8, above the former fixed 1e-8 bound, yet is the inverse
-        the filter runs on: it must load and resume bit-identically."""
+        """The incrementally built W of these two filters is the factor the
+        filter runs on, not the dense one: it must pass the loader's identity
+        check and resume bit-identically."""
         f, U, d, i = grown_filters[grown]
         g = KrlsAldReg.from_snapshot(f.to_snapshot(resume_exact=True))
         f = copy.deepcopy(f)
@@ -396,19 +468,19 @@ class TestSnapshot:
     def test_corrupted_inverse_rejected(self, grown, grown_filters):
         f = grown_filters[grown][0]
         snap = f.to_snapshot(resume_exact=True)
-        Gi = np.array(snap["gram_inv"])
-        i, j = np.unravel_index(np.abs(Gi).argmax(), Gi.shape)
-        Gi[i, j] *= 1 + 1e-6
-        snap["gram_inv"] = Gi.tolist()
+        W = np.array(snap["W"])
+        i, j = np.unravel_index(np.abs(W).argmax(), W.shape)
+        W[i, j] *= 1 + 1e-6
+        snap["W"] = W.tolist()
         with pytest.raises(NumericalError, match="identity"):
             KrlsAldReg.from_snapshot(snap)
 
     def test_huge_inverse_rejected(self, grown_filters):
-        """Finite but huge G^-1 entries make the residual overflow; the bound
+        """Finite but huge W entries make the residual overflow; the bound
         does not grow with them, so the snapshot is refused."""
         f = grown_filters["spaced_1d"][0]
         snap = f.to_snapshot(resume_exact=True)
-        snap["gram_inv"] = np.full_like(np.array(snap["gram_inv"]), 1e308).tolist()
+        snap["W"] = np.tril(np.full_like(np.array(snap["W"]), 1e308)).tolist()
         with pytest.raises(NumericalError, match="identity"):
             KrlsAldReg.from_snapshot(snap)
 
@@ -424,8 +496,14 @@ class TestSnapshot:
         ("alpha", "short"),
         ("P", "nan"),
         ("P", "short"),
-        ("M", "inf"),
-        ("M", "short"),
+        ("W", "inf"),
+        ("W", "short"),
+        ("b", "nan"),
+        ("b", "short"),
+        ("P", "asymmetric"),
+        ("W", "upper"),
+        ("M", "legacy"),          # any entry of the former P/M/G^-1 state
+        ("gram_inv", "legacy"),
         ("centers_sha256", None),
     ])
     def test_corrupted_field_rejected(self, field, value):
@@ -440,6 +518,12 @@ class TestSnapshot:
             snap[field] = arr[:-1].tolist()
         elif value in ("nan", "inf"):
             arr.flat[arr.size // 2] = float(value)
+            snap[field] = arr.tolist()
+        elif value == "asymmetric":
+            arr[0, 1] = np.nextafter(arr[0, 1], np.inf)   # one ulp off
+            snap[field] = arr.tolist()
+        elif value == "upper":
+            arr[0, -1] = 1e-300
             snap[field] = arr.tolist()
         elif value is None:
             del snap[field]
