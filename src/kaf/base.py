@@ -85,7 +85,7 @@ def snapshot_array(snap: dict, key: str, shape: tuple) -> np.ndarray:
 
 def scalar_field(obj: dict, key: str, kind: type = float, default=None,
                  where: str = "snapshot"):
-    """Field `key` of a snapshot or config object, converted by `kind` (float or int).
+    """Field `key` of a snapshot or config object, converted by `kind` (float, int or bool).
 
     A missing field takes `default` when one is given. A missing required
     field, or a value `kind` cannot convert, raises ValidationError naming
@@ -95,6 +95,8 @@ def scalar_field(obj: dict, key: str, kind: type = float, default=None,
     if value is None:
         raise ValidationError(f"{where} lacks {key!r}")
     try:
+        if kind is bool and not isinstance(value, bool):
+            raise TypeError  # bool("false") is True: no conversion for flags
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{where} {key!r} is not a {kind.__name__}: {value!r}") from None

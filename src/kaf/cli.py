@@ -134,7 +134,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not out_path:
         raise ValidationError("config key 'out' (CSV path) is required for run")
     summary_path = cfg.get("summary_out") or f"{os.path.splitext(out_path)[0]}.summary.json"
-    timings = bool(cfg.get("record_timings", False))
+    timings = scalar_field(cfg, "record_timings", bool, False, "config")
 
     curves = run_trials(fc, sc, trials, workers=_workers())
 

@@ -38,6 +38,8 @@ from .linear import Lms, Rls
 
 GENERATORS = ("nonlinear_sysid", "noisy_sinc", "mackey_glass_like", "linear_plant")
 FILTER_KINDS = ("klms", "krls-ald-reg", "lms", "rls")
+KERNEL_KINDS = ("krls-ald-reg", "klms")
+STEP_SIZE_KINDS = ("klms", "lms")
 
 CSV_HEADER = ["n", "y", "d", "e", "e2", "dict_size", "step_seconds"]
 
@@ -162,30 +164,28 @@ class FilterConfig:
             raise ValidationError(
                 f"filter.kind must be one of {FILTER_KINDS}, got {self.kind!r}"
             )
-        if self.kind in ("krls-ald-reg", "klms") and self.kernel is None:
+        if self.kind in KERNEL_KINDS and self.kernel is None:
             object.__setattr__(self, "kernel", KernelSpec("gaussian", sigma=1.0))
-        if self.kind == "krls-ald-reg":
-            if not self.unregularized and not (np.isfinite(self.lam) and self.lam > 0):
-                raise ValidationError(f"filter.lambda must be > 0, got {self.lam!r}")
-            if np.isnan(self.delta) or self.delta < 0:
-                raise ValidationError(f"filter.delta must be >= 0, got {self.delta!r}")
-        if self.kind == "rls" and not (np.isfinite(self.lam) and self.lam > 0):
+        ridge = self.kind == "rls" or (self.kind == "krls-ald-reg" and not self.unregularized)
+        if ridge and not (np.isfinite(self.lam) and self.lam > 0):
             raise ValidationError(f"filter.lambda must be > 0, got {self.lam!r}")
-        if self.kind in ("klms", "lms") and not (np.isfinite(self.eta) and self.eta > 0):
+        if self.kind == "krls-ald-reg" and (np.isnan(self.delta) or self.delta < 0):
+            raise ValidationError(f"filter.delta must be >= 0, got {self.delta!r}")
+        if self.kind in STEP_SIZE_KINDS and not (np.isfinite(self.eta) and self.eta > 0):
             raise ValidationError(f"filter.eta must be > 0, got {self.eta!r}")
         if self.max_terms is not None:
             check_max_terms(self.max_terms)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
-        if self.kind in ("krls-ald-reg", "klms"):
+        if self.kind in KERNEL_KINDS:
             out["kernel"] = self.kernel.to_json()
         if self.kind == "krls-ald-reg":
             out.update({"lambda": self.lam, "delta": self.delta,
                         "unregularized": self.unregularized})
         if self.kind == "rls":
             out.update({"lambda": self.lam, "forgetting": self.forgetting})
-        if self.kind in ("klms", "lms"):
+        if self.kind in STEP_SIZE_KINDS:
             out["eta"] = self.eta
         if self.kind == "klms" and self.max_terms is not None:
             out["max_terms"] = self.max_terms
@@ -208,7 +208,7 @@ class FilterConfig:
             delta=scalar_field(obj, "delta", float, 0.01, "filter config"),
             eta=scalar_field(obj, "eta", float, 0.2, "filter config"),
             forgetting=scalar_field(obj, "forgetting", float, 1.0, "filter config"),
-            unregularized=bool(obj.get("unregularized", False)),
+            unregularized=scalar_field(obj, "unregularized", bool, False, "filter config"),
             max_terms=obj.get("max_terms"),
         )
 
@@ -334,7 +334,7 @@ def run_trial(fc: FilterConfig, sc: StreamConfig) -> LearningCurve:
     t0 = time.perf_counter()
     filt = build_filter(fc, U[0], d[0], sc.embed_L)
     start = 0
-    if fc.kind in ("krls-ald-reg", "klms"):
+    if fc.kind in KERNEL_KINDS:
         seconds[0] = time.perf_counter() - t0
         e[0] = d[0]
         dict_size[0] = 1

@@ -11,11 +11,17 @@ the rows of L = A G W^T. Model state after n samples, K = dictionary size:
 plus the dictionary's centers and W. `alpha` = W^T b is computed when first
 read after a step and cached until the next one.
 
-Every step makes one Sherman-Morrison update along a feature f with the
-denominator 1 + f^T P f. An unchanged step uses f = l, in place. A growth
-step gives the earlier samples a 0 in the new coordinate, so it borders P
-with 1/lambda and b with 0 in new arrays, then updates with f = [l; sqrt(d2)].
-The unregularized variant (lambda = 0) writes the bordered inverse of L^T L.
+Both branches take q = P l and D = 1 + l^T q (>= 1 in exact arithmetic,
+floor-checked). An unchanged step is the Sherman-Morrison update of P and b
+along l, in place. A growth step appends the row [l^T, s], s = sqrt(d2), to
+L (earlier samples get a 0 in the new coordinate) and writes the bordered
+inverse in new arrays, with den = lambda D + d2 and a priori error e:
+
+    P' = [[P - (lambda/den) q q^T, -(s/den) q], [-(s/den) q^T, D/den]]
+    b' = [b + (lambda e/den) q; s e/den]
+
+One formula serves every lambda >= 0 (lambda = 0 is Engel, Mannor & Meir's
+original KRLS) and the first sample, bordered onto the empty state.
 
 Steps are transactional: all floor checks precede the first write, so a
 raised error leaves the state bit-identical. `step` validates its input once
@@ -40,12 +46,12 @@ DEGENERACY_FLOOR = 1e-12
 ROW_BLOCK = 64
 
 
-def _downdate(P: np.ndarray, q: np.ndarray, denom: float) -> None:
-    """P -= outer(q, q) / denom in place, ROW_BLOCK rows at a time, with no
-    K x K temporary. Entry (i, j) is rounded as (q_i q_j) / denom, the same
-    float as entry (j, i), so a symmetric P stays exactly symmetric."""
+def _downdate(P: np.ndarray, q: np.ndarray, c: float) -> None:
+    """P -= c outer(q, q) in place, ROW_BLOCK rows at a time, with no K x K
+    temporary. Entry (i, j) is rounded as (q_i q_j) c, the same float as
+    entry (j, i), so a symmetric P stays exactly symmetric."""
     for i in range(0, P.shape[0], ROW_BLOCK):
-        P[i:i + ROW_BLOCK] -= q[i:i + ROW_BLOCK, None] * q / denom
+        P[i:i + ROW_BLOCK] -= q[i:i + ROW_BLOCK, None] * q * c
 
 
 class KrlsAldReg:
@@ -57,8 +63,8 @@ class KrlsAldReg:
         Kernel family and hyperparameters.
     lam : float
         Ridge regularizer, > 0. Pass 0 together with ``unregularized=True``
-        to run the degenerate unregularized variant (the denominator floors
-        are relaxed; only nonpositive and non-finite values are rejected).
+        to run the unregularized variant, P = (L^T L)^-1; it takes the same
+        update formulas and floors, and needs a well-conditioned Gram matrix.
     delta : float
         ALD admission threshold, >= 0: a sample joins the dictionary iff its
         squared approximation residual d2 exceeds delta. Callers wanting a
@@ -73,12 +79,8 @@ class KrlsAldReg:
         u = as_input(first_input)
         d = check_target(first_target)
         self.dict = Dictionary(spec, u)
-        kuu = kernel_self(spec, u)
-        k11_lam = kuu + self.lam
-        if abs(k11_lam) < self._floor():
-            raise ValidationError(f"degenerate initialization: k(u,u) + lambda = {k11_lam!r}")
-        self.P = np.array([[1.0 / k11_lam]])
-        self.b = np.array([math.sqrt(kuu) * d / k11_lam])
+        self.P, self.b = np.empty((0, 0)), np.empty(0)  # K = 0: border the empty state
+        self.P, self.b = self._border(np.empty(0), kernel_self(spec, u), d)
         self._alpha = None
         self.n = 1
 
@@ -112,9 +114,6 @@ class KrlsAldReg:
             self._alpha = self.b @ self.dict.W
         return self._alpha
 
-    def _floor(self) -> float:
-        return 0.0 if self.unregularized else DEGENERACY_FLOOR
-
     def predict(self, u) -> float:
         """Current model output sum_i alpha_i k(c_i, u); no state mutation."""
         uu = as_input(u, dim=self.dict.dim)
@@ -123,7 +122,9 @@ class KrlsAldReg:
     def step(self, u, d) -> StepOutput:
         """Process one sample: predict with the pre-update coefficients, then
         update along the branch selected by the ALD test."""
-        self._require_resumable()
+        if self.P is None:
+            raise KafError("snapshot was saved without resume_exact: this state supports "
+                           "predict only; re-save with resume_exact=True or rebuild by replay")
         uu = as_input(u, dim=self.dict.dim)
         dd = check_target(d)
 
@@ -134,45 +135,44 @@ class KrlsAldReg:
         if ald.admitted:
             self._grow(uu, e, ald)
         else:
-            self._update(self.P, self.b, ald.l, e)
+            self._update(ald.l, e)
         self._alpha = None
         self.n += 1
         return StepOutput(y=y, e=e, grew=ald.admitted, dict_size=self.dict.size)
 
-    def _gain(self, P: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, float]:
+    def _gain(self, f: np.ndarray) -> tuple[np.ndarray, float]:
         """q = P f and the floor-checked denominator 1 + f^T P f, which is
         >= 1 in exact arithmetic since P is positive definite."""
-        q = P @ f
+        q = self.P @ f
         denom = 1.0 + float(f @ q)
-        if not self._floor() < denom < math.inf:
+        if not DEGENERACY_FLOOR < denom < math.inf:
             raise NumericalError(f"degenerate rank-one update: 1 + f^T P f = {denom!r}")
         return q, denom
 
-    def _update(self, P: np.ndarray, b: np.ndarray, f: np.ndarray, e: float) -> None:
+    def _update(self, f: np.ndarray, e: float) -> None:
         """Sherman-Morrison step of P and b along f, in place after the check."""
-        q, denom = self._gain(P, f)
-        b += q * (e / denom)
-        _downdate(P, q, denom)
+        q, denom = self._gain(f)
+        self.b += q * (e / denom)
+        _downdate(self.P, q, 1.0 / denom)
+
+    def _border(self, l: np.ndarray, d2: float, e: float) -> tuple[np.ndarray, np.ndarray]:
+        """P and b extended by a coordinate for the feature [l; sqrt(d2)] with
+        a priori error e, in new arrays (see the module docstring)."""
+        k = l.shape[0]
+        q, D = self._gain(l)
+        s = math.sqrt(d2)
+        den = self.lam * D + d2
+        P = np.empty((k + 1, k + 1))
+        P[:k, :k] = self.P
+        _downdate(P[:k, :k], q, self.lam / den)
+        P[:k, k] = P[k, :k] = -(s / den) * q
+        P[k, k] = D / den
+        return P, np.append(self.b + (self.lam * e / den) * q, s * e / den)
 
     def _grow(self, u: np.ndarray, e: float, ald) -> None:
-        """Extend P and b by the new center's coordinate and absorb the sample,
-        in new arrays assigned only after the dictionary has grown."""
-        k = self.dict.size
-        s = math.sqrt(ald.d2)
-        P = np.zeros((k + 1, k + 1))
-        P[:k, :k] = self.P
-        b = np.append(self.b, 0.0)
-        if self.unregularized:
-            # exact bordered inverse of L^T L + f f^T for f = [l; s]
-            q, denom = self._gain(self.P, ald.l)
-            P[:k, k] = P[k, :k] = -q / s
-            P[k, k] = denom / ald.d2
-            b[k] = e / s
-        else:
-            P[k, k] = 1.0 / self.lam
-            self._update(P, b, np.append(ald.l, s), e)
-
-        # May refuse near-singular growth; runs before any state assignment.
+        """Border P and b for the new center; they are assigned only after the
+        dictionary has grown, since `Dictionary._grow` may refuse the sample."""
+        P, b = self._border(ald.l, ald.d2, e)
         self.dict._grow(u, ald)
         self.P, self.b = P, b
 
@@ -214,7 +214,7 @@ class KrlsAldReg:
                                   f"which this version cannot resume; replay the stream")
         obj = object.__new__(cls)
         obj._set_parameters(scalar_field(snap, "lambda"), scalar_field(snap, "delta"),
-                            snap.get("unregularized", False))
+                            scalar_field(snap, "unregularized", bool, False))
         n = scalar_field(snap, "n", int)
         obj.dict = Dictionary.from_snapshot(snap)
         k = obj.dict.size
@@ -222,7 +222,7 @@ class KrlsAldReg:
             raise ValidationError(f"snapshot n = {n} is below its center count {k}")
         obj.n = n
         obj._alpha = snapshot_array(snap, "alpha", (k,))
-        if snap.get("resume_exact"):
+        if scalar_field(snap, "resume_exact", bool, False):
             obj.P = snapshot_array(snap, "P", (k, k))
             if not np.array_equal(obj.P, obj.P.T):
                 raise ValidationError("snapshot 'P' is not symmetric")
@@ -232,10 +232,3 @@ class KrlsAldReg:
             obj.P = None
             obj.b = None
         return obj
-
-    def _require_resumable(self):
-        if self.P is None:
-            raise KafError(
-                "snapshot was saved without resume_exact: this state supports "
-                "predict only; re-save with resume_exact=True or rebuild by replay"
-            )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import StepOutput, as_input, check_target, scalar_field, snapshot_array
-from .exceptions import ValidationError
+from .exceptions import NumericalError, ValidationError
 
 
 class Lms:
@@ -88,12 +88,16 @@ class Rls:
         dd = check_target(d)
         y = float(self.weights @ uu)
         e = dd - y
-        Pu = self.aux @ uu
-        denom = self.forgetting + float(uu @ Pu)
-        gain = Pu / denom
-        self.weights = self.weights + gain * e
-        # outer(Pu, Pu) keeps aux exactly symmetric.
-        self.aux = (self.aux - np.outer(Pu, Pu) / denom) / self.forgetting
+        with np.errstate(over="ignore", invalid="ignore"):
+            Pu = self.aux @ uu
+            denom = self.forgetting + float(uu @ Pu)
+            weights = self.weights + Pu / denom * e
+            # outer(Pu, Pu) keeps aux exactly symmetric.
+            aux = (self.aux - np.outer(Pu, Pu) / denom) / self.forgetting
+        if not (np.isfinite(aux).all() and np.isfinite(weights).all()):
+            raise NumericalError("RLS update overflowed: with forgetting < 1, aux grows "
+                                 "without bound along a direction the inputs never excite")
+        self.weights, self.aux = weights, aux
         return StepOutput(y=y, e=e, grew=False, dict_size=0)
 
     def to_snapshot(self) -> dict:

@@ -93,10 +93,13 @@ def batch_solve_regularized(problem: BatchProblem,
     A_rows = [np.array([1.0])]
     steps: list[np.ndarray] = []
 
-    def solve_now() -> np.ndarray:
+    def assemble() -> tuple[np.ndarray, np.ndarray, np.ndarray]:  # A, G, A^T A G + lam I
         A = np.array([np.pad(r, (0, len(centers) - len(r))) for r in A_rows])
         G = gram(spec, np.array(centers))
-        system = A.T @ A @ G + lam * np.eye(len(centers))
+        return A, G, A.T @ A @ G + lam * np.eye(len(centers))
+
+    def solve_now() -> np.ndarray:
+        A, _, system = assemble()
         return _solve(system, A.T @ targets[: len(A_rows)], lam)
 
     if collect_steps:
@@ -123,10 +126,8 @@ def batch_solve_regularized(problem: BatchProblem,
         if collect_steps:
             steps.append(solve_now())
 
-    alpha = steps[-1] if collect_steps else solve_now()
-    A = np.array([np.pad(r, (0, len(centers) - len(r))) for r in A_rows])
-    G = gram(spec, np.array(centers))
-    system = A.T @ A @ G + lam * np.eye(len(centers))
+    A, G, system = assemble()
+    alpha = steps[-1] if collect_steps else _solve(system, A.T @ targets, lam)
     return BatchSolution(
         alpha=alpha,
         centers=np.array(centers),

@@ -103,6 +103,8 @@ class TestRun:
         ("run", "filter", "lambda", "x"),
         ("run", None, "trials", "abc"),
         ("run", "stream", "length", "ten"),
+        ("run", "filter", "unregularized", "false"),
+        ("run", None, "record_timings", "false"),
         ("sweep", None, "trials", "abc"),
         ("sweep", "stream", "length", "ten"),
     ])

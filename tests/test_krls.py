@@ -65,6 +65,20 @@ class TestInit:
         np.testing.assert_allclose(f.dict.W, [[1.0]])
         assert f.n == 1 and f.dict_size == 1
 
+    @pytest.mark.parametrize("spec, lam, unregularized", [
+        (GAUSS, 0.1, False),
+        (KernelSpec("polynomial", degree=2), 0.3, False),
+        (GAUSS, 0.0, True),
+    ])
+    def test_first_sample_closed_form(self, spec, lam, unregularized):
+        """The first sample borders the empty state: P = [[1/(k(u,u) + lam)]]
+        and b = [sqrt(k(u,u)) d / (k(u,u) + lam)], to the last bit."""
+        u, d = [0.7, -0.4], 1.3
+        f = KrlsAldReg(spec, lam, 0.1, u, d, unregularized=unregularized)
+        kuu = kernel_eval(spec, u, u)
+        assert np.array_equal(f.P, [[1.0 / (kuu + lam)]])
+        assert np.array_equal(f.b, [math.sqrt(kuu) * d / (kuu + lam)])
+
     def test_zero_target(self):
         f = KrlsAldReg(GAUSS, 1.0, 0.1, [0.4], 0.0)
         np.testing.assert_array_equal(f.alpha, [0.0])
@@ -323,11 +337,13 @@ class TestTransactional:
         assert_state_equal(f, snap)
 
 
-    def test_rank_one_floor_leaves_state(self):
+    @pytest.mark.parametrize("lam, unregularized", [(0.1, False), (0.0, True)],
+                             ids=["regularized", "unregularized"])
+    def test_rank_one_floor_leaves_state(self, lam, unregularized):
         """An unchanged step updates P and b in place, so the 1 + l^T P l
         check must run before either is written."""
         U, d = stream_2d(40, 19)
-        f = KrlsAldReg(GAUSS, 0.1, 0.05, U[0], d[0])
+        f = KrlsAldReg(GAUSS, lam, 0.05, U[0], d[0], unregularized=unregularized)
         for i in range(1, 40):
             f.step(U[i], d[i])
         u = f.dict.centers[3].copy()  # a member: takes the unchanged branch
@@ -340,20 +356,20 @@ class TestTransactional:
             f.step(u, 0.5)
         assert_state_equal(f, snap)
 
-    def test_growth_denominator_floor_leaves_state(self):
-        """A growth step runs the same floor-checked update on the bordered P,
-        whose denominator is 1 + l^T P l + d2 / lam; the dictionary must not
-        grow when it is refused."""
+    @pytest.mark.parametrize("lam, unregularized", [(0.1, False), (0.0, True)],
+                             ids=["regularized", "unregularized"])
+    def test_growth_denominator_floor_leaves_state(self, lam, unregularized):
+        """A growth step checks the same denominator D = 1 + l^T P l before
+        it borders P; the dictionary must not grow when it is refused."""
         U, d = stream_2d(40, 19)
-        lam = 0.1
-        f = KrlsAldReg(GAUSS, lam, 0.05, U[0], d[0])
+        f = KrlsAldReg(GAUSS, lam, 0.05, U[0], d[0], unregularized=unregularized)
         for i in range(1, 40):
             f.step(U[i], d[i])
         far = np.array([9.0, -9.0])
         ald = f.dict.ald_test(far, f.delta)
         assert ald.admitted
-        # white-box P with l^T P l = -(1 + d2 / lam): denominator ~ 0
-        f.P = -(1.0 + ald.d2 / lam) * np.outer(ald.l, ald.l) / (ald.l @ ald.l) ** 2
+        # white-box P with l^T P l = -1 up to roundoff: D ~ 0
+        f.P = -np.outer(ald.l, ald.l) / (ald.l @ ald.l) ** 2
         snap = state_copy(f)
         with pytest.raises(NumericalError, match="rank-one"):
             f.step(far, 0.5)
@@ -432,6 +448,19 @@ class TestSnapshot:
         with pytest.raises(KafError):
             g.step(U[1], d[1])
 
+    def test_unregularized_flag_must_be_bool(self):
+        """bool("no") is True: an unregularized snapshot whose flag is the
+        string "no" must be refused, not loaded as unregularized."""
+        U, d = stream_2d(20, 43, scale=4.0)
+        f = KrlsAldReg(GAUSS, 0.0, 0.05, U[0], d[0], unregularized=True)
+        for i in range(1, 20):
+            f.step(U[i], d[i])
+        snap = f.to_snapshot(resume_exact=True)
+        assert KrlsAldReg.from_snapshot(copy.deepcopy(snap)).unregularized
+        snap["unregularized"] = "no"
+        with pytest.raises(ValidationError, match="not a bool"):
+            KrlsAldReg.from_snapshot(snap)
+
     def test_wrong_algorithm_rejected(self):
         with pytest.raises(ValidationError):
             KrlsAldReg.from_snapshot({"algorithm": "klms"})
@@ -491,6 +520,8 @@ class TestSnapshot:
         ("delta", -1.0),
         ("delta", math.nan),
         ("unregularized", True),  # requires lambda == 0
+        ("unregularized", "no"),  # a flag must be a JSON bool
+        ("resume_exact", "yes"),
         ("n", 2),                 # fewer samples than centers
         ("alpha", "nan"),
         ("alpha", "short"),

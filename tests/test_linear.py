@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kaf import KernelSpec, Klms, Lms, Rls
-from kaf.exceptions import DimensionMismatchError, ValidationError
+from kaf.exceptions import DimensionMismatchError, NumericalError, ValidationError
 
 
 class TestLms:
@@ -81,6 +81,22 @@ class TestRls:
         for _ in range(100):
             f.step(rng.standard_normal(3), float(rng.standard_normal()))
         assert np.abs(f.aux - f.aux.T).max() <= 1e-8
+
+    def test_overflow_raises_and_leaves_state(self):
+        """Forgetting 0.9 on collinear inputs [x, x]: the unexcited direction
+        of aux grows by 1/0.9 a step and overflows at step 1585. That step
+        raises NumericalError, with no numpy warning, and writes nothing."""
+        rng = np.random.default_rng(0)
+        f = Rls(2, 0.1, forgetting=0.9)
+        for _ in range(1, 1585):
+            x = rng.standard_normal()
+            f.step([x, x], 2 * x)
+        weights, aux = f.weights.copy(), f.aux.copy()
+        assert np.isfinite(aux).all()
+        x = rng.standard_normal()
+        with pytest.raises(NumericalError, match="overflow"):
+            f.step([x, x], 2 * x)
+        assert np.array_equal(f.weights, weights) and np.array_equal(f.aux, aux)
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
