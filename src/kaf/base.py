@@ -94,12 +94,29 @@ def scalar_field(obj: dict, key: str, kind: type = float, default=None,
     value = obj.get(key, default)
     if value is None:
         raise ValidationError(f"{where} lacks {key!r}")
+    return convert(value, kind, f"{where} {key!r}")
+
+
+def convert(value, kind: type, what: str):
+    """`value` converted by `kind` (float, int or bool); a value `kind` cannot
+    convert, or a flag that is not a bool, raises ValidationError naming `what`."""
     try:
         if kind is bool and not isinstance(value, bool):
             raise TypeError  # bool("false") is True: no conversion for flags
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{where} {key!r} is not a {kind.__name__}: {value!r}") from None
+        raise ValidationError(f"{what} is not a {kind.__name__}: {value!r}") from None
+
+
+def append_row(buf: np.ndarray, n: int, value) -> np.ndarray:
+    """Write `value` as row n of `buf`, which holds n rows, doubling its
+    capacity first when it is full. Returns the buffer, new if it grew."""
+    if n == buf.shape[0]:
+        grown = np.empty((2 * n,) + buf.shape[1:])
+        grown[:n] = buf
+        buf = grown
+    buf[n] = value
+    return buf
 
 
 def check_target(d) -> float:

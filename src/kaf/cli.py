@@ -27,7 +27,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .base import fmt17, scalar_field
 from .bench import BENCH_KINDS, run_bench
@@ -37,6 +36,7 @@ from .experiments import (
     FilterConfig,
     StreamConfig,
     average_curves,
+    pool_map,
     run_trials,
 )
 from .verify import SUITES, run_suite
@@ -200,9 +200,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     points = [dict(zip(keys, combo))
               for combo in itertools.product(*(grid[k] for k in keys))]
 
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        rows = list(pool.map(
-            lambda p: _sweep_point(base_filter, sc, trials, p), points))
+    rows = pool_map(lambda p: _sweep_point(base_filter, sc, trials, p), points, _workers())
 
     with _OutputSet() as outputs, outputs.open(out_path) as f:
         w = csv.writer(f, lineterminator="\n")

@@ -8,6 +8,10 @@ KRLS recursion regresses on. Admitting u appends the row [-a^T, 1] / sqrt(d2),
 a = W^T l = G^-1 h, to W; no existing row changes. G itself is not kept:
 `gram` recomputes it from the centers for verification and diagnostics.
 
+W depends on the centers alone, so a snapshot stores only the centers and
+their checksum: `from_snapshot` rebuilds W by admitting the centers again in
+order, the same float operations that grew it, so the factor is bit-identical.
+
 A Dictionary is a single-writer value: `grow` needs exclusive access, while
 `ald_test` and `kernel_vector` are read-only.
 
@@ -24,26 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import as_input, snapshot_array
-from .exceptions import (
-    NearSingularGrowthError,
-    NumericalError,
-    ValidationError,
-)
+from .base import append_row, as_input, snapshot_array
+from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
 from .kernels import KernelSpec, gram as full_gram, kernel_self, kernel_vector
 
 # Residuals below this cannot be admitted: the new row of W divides by sqrt(d2).
 GROWTH_FLOOR = 1e-12
-
-# The snapshot identity check accepts ||G W^T W - I||_inf up to
-# IDENTITY_FACTOR times the roundoff scale K eps ||G||_inf ||inv(G)||_inf,
-# where inv(G) comes from a dense Cholesky factor of the G rebuilt from the
-# centers, and never less than IDENTITY_FLOOR. Factors built by `grow` read
-# 0.001-33x that scale on 22 streams (1-D spaced inputs, `noisy_sinc`,
-# `nonlinear_sysid` L=2 and L=3; delta = 0.01 and 1e-4; K up to 665); the
-# largest entry of W off by a relative 1e-6 reads >= 9000x.
-IDENTITY_FACTOR = 1000.0
-IDENTITY_FLOOR = 1e-8
 
 
 class AldResult(NamedTuple):
@@ -167,75 +157,55 @@ class Dictionary:
         W[k, :k] = -(ald.l @ self.W) / s
         W[k, k] = 1.0 / s
 
-        if k == self._centers.shape[0]:
-            bigger = np.empty((2 * k, self._centers.shape[1]))
-            bigger[:k] = self._centers
-            self._centers = bigger
-        self._centers[k] = uu
+        self._centers = append_row(self._centers, k, uu)
         self.W = W
         self._size = k + 1
 
     # -- serialization ----------------------------------------------------
 
     def centers_checksum(self) -> str:
-        c = np.ascontiguousarray(self._centers[: self._size])
-        digest = hashlib.sha256()
-        digest.update(repr(c.shape).encode())
-        digest.update(c.tobytes())
-        return digest.hexdigest()
+        return _checksum(self._centers[: self._size])
 
-    def to_snapshot(self, store_matrices: bool = False) -> dict:
-        snap = {
+    def to_snapshot(self) -> dict:
+        return {
             "kernel": self.spec.to_json(),
             "centers": self._centers[: self._size].tolist(),
             "centers_sha256": self.centers_checksum(),
         }
-        if store_matrices:
-            snap["W"] = self.W.tolist()
-        return snap
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Dictionary":
-        """Rebuild from a snapshot; W is recomputed unless stored.
+        """Rebuild from a snapshot's kernel and centers, replaying their admission.
 
-        The stored center checksum is always verified: a snapshot without one
-        is rejected. "gram" and "gram_inv" entries, which older snapshots
-        carry, are ignored, since G and W follow from the checked centers. A
-        stored W must be lower triangular and pass an identity check scaled
-        to its roundoff (see IDENTITY_FACTOR), so the factor a large or
-        ill-conditioned dictionary was grown with still loads.
+        The center checksum must be present and match before anything else
+        is built. W is then grown as the filter grew it: from the first center,
+        each later one is admitted in order through `_ald` and `_grow`, so it
+        is bit-identical to the saved factor. A center the replay cannot admit
+        (d2 below GROWTH_FLOOR, as for a duplicate) raises
+        NearSingularGrowthError. Stored "W", "gram" and "gram_inv" entries are
+        ignored: they follow from the checked centers.
         """
         spec = KernelSpec.from_json(snap.get("kernel"))
         centers = snapshot_array(snap, "centers", (None, None))
         if centers.shape[0] == 0:
             raise ValidationError("snapshot centers must be a nonempty list of vectors")
-        d = cls(spec, centers[0])
-        d._centers = centers
-        d._size = centers.shape[0]
         want = snap.get("centers_sha256")
         if want is None:
             raise ValidationError("snapshot lacks the centers_sha256 checksum")
-        if d.centers_checksum() != want:
+        if _checksum(centers) != want:
             raise ValidationError("snapshot center checksum mismatch")
-        gram = d.gram
-        stored = snapshot_array(snap, "W", gram.shape) if "W" in snap else None
-        if stored is not None and np.triu(stored, 1).any():
-            raise ValidationError("snapshot 'W' is not lower triangular")
-        try:
-            dense_W = np.tril(np.linalg.inv(np.linalg.cholesky(gram)))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"snapshot Gram matrix cannot be inverted: {exc}") from None
-        d.W = dense_W if stored is None else stored
-        # The scale comes from G and its dense factor, which follow from the
-        # checked centers, never from the stored factor under test.
-        with np.errstate(over="ignore", invalid="ignore"):
-            resid = np.linalg.norm(gram @ (d.W.T @ d.W) - np.eye(d._size), ord=np.inf)
-        tol = max(IDENTITY_FLOOR, IDENTITY_FACTOR * d._size * np.finfo(float).eps
-                  * np.linalg.norm(gram, ord=np.inf)
-                  * np.linalg.norm(dense_W.T @ dense_W, ord=np.inf))
-        if not (math.isfinite(tol) and resid <= tol):
-            raise NumericalError(
-                f"snapshot Gram factor fails the identity check "
-                f"(residual {resid:.3e} > {tol:.3e})"
-            )
+        d = cls(spec, centers[0])
+        for c in centers[1:]:
+            # Admit unconditionally: the center was admitted when it was saved,
+            # and `_grow` still refuses a residual below GROWTH_FLOOR.
+            d._grow(c, d._ald(c, 0.0)._replace(admitted=True))
         return d
+
+
+def _checksum(centers: np.ndarray) -> str:
+    """SHA-256 of a (K, L) center array's shape and float64 bytes."""
+    c = np.ascontiguousarray(centers)
+    digest = hashlib.sha256()
+    digest.update(repr(c.shape).encode())
+    digest.update(c.tobytes())
+    return digest.hexdigest()

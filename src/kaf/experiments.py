@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .base import fmt17, scalar_field
+from .base import convert, fmt17, scalar_field
 from .exceptions import KafError, ValidationError
 from .kernels import KernelSpec
 from .klms import Klms, check_max_terms
@@ -166,6 +166,7 @@ class FilterConfig:
             )
         if self.kind in KERNEL_KINDS and self.kernel is None:
             object.__setattr__(self, "kernel", KernelSpec("gaussian", sigma=1.0))
+        convert(self.unregularized, bool, "filter.unregularized")
         ridge = self.kind == "rls" or (self.kind == "krls-ald-reg" and not self.unregularized)
         if ridge and not (np.isfinite(self.lam) and self.lam > 0):
             raise ValidationError(f"filter.lambda must be > 0, got {self.lam!r}")
@@ -353,12 +354,19 @@ def run_trial(fc: FilterConfig, sc: StreamConfig) -> LearningCurve:
 
 def run_trials(fc: FilterConfig, sc: StreamConfig, trials: int,
                workers: int | None = None) -> list[LearningCurve]:
-    """Independent trials over seeds sc.seed .. sc.seed + trials - 1, executed
-    on a bounded pool, results in seed order regardless of completion order."""
+    """Independent trials over seeds sc.seed .. sc.seed + trials - 1, run by
+    `pool_map` on up to `workers` threads, results in seed order."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials!r}")
     configs = [replace(sc, seed=sc.seed + i) for i in range(trials)]
-    if workers is None or workers <= 1 or trials == 1:
-        return [run_trial(fc, c) for c in configs]
+    return pool_map(lambda c: run_trial(fc, c), configs, workers)
+
+
+def pool_map(fn, items: list, workers: int | None = None) -> list:
+    """[fn(x) for x in items], in submission order whatever the completion
+    order: on a pool of `workers` threads, or serially when workers <= 1 or
+    there is only one item."""
+    if workers is None or workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: run_trial(fc, c), configs))
+        return list(pool.map(fn, items))

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target, scalar_field, snapshot_array
+from .base import (StepOutput, append_row, as_input, check_target, scalar_field,
+                   snapshot_array)
 from .exceptions import CapacityError, ValidationError
 from .kernels import KernelSpec, kernel_vector
 
@@ -83,15 +84,8 @@ class Klms:
         y = float(h @ self._coeffs[:n])
         e = dd - y
 
-        if n == self._centers.shape[0]:
-            grown = np.empty((2 * n, self.dim))
-            grown[:n] = self._centers
-            self._centers = grown
-            grown_c = np.empty(2 * n)
-            grown_c[:n] = self._coeffs
-            self._coeffs = grown_c
-        self._centers[n] = uu
-        self._coeffs[n] = self.eta * e
+        self._centers = append_row(self._centers, n, uu)
+        self._coeffs = append_row(self._coeffs, n, self.eta * e)
         self.n = n + 1
         return StepOutput(y=y, e=e, grew=True, dict_size=self.n)
 

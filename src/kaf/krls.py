@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target, scalar_field, snapshot_array
+from .base import StepOutput, as_input, check_target, convert, scalar_field, snapshot_array
 from .dictionary import Dictionary
 from .exceptions import KafError, NumericalError, ValidationError
 from .kernels import KernelSpec, kernel_self
@@ -86,6 +86,7 @@ class KrlsAldReg:
 
     def _set_parameters(self, lam, delta, unregularized) -> None:
         """Validate and set lambda, delta and the unregularized flag."""
+        unregularized = convert(unregularized, bool, "unregularized")
         lam = float(lam)
         if unregularized:
             if lam != 0.0:
@@ -97,7 +98,7 @@ class KrlsAldReg:
             raise ValidationError(f"delta must be a nonnegative real, got {delta!r}")
         self.lam = lam
         self.delta = delta
-        self.unregularized = bool(unregularized)
+        self.unregularized = unregularized
 
     @property
     def spec(self) -> KernelSpec:
@@ -179,17 +180,16 @@ class KrlsAldReg:
     # -- serialization ----------------------------------------------------
 
     def to_snapshot(self, resume_exact: bool = False) -> dict:
-        """Model snapshot. With ``resume_exact`` the W, P and b matrices are
-        embedded so training can continue exactly; without it the snapshot
-        supports prediction only (or resume by replaying the stream)."""
+        """Model snapshot. With ``resume_exact`` P and b are embedded so
+        training can continue exactly; without it the snapshot supports
+        prediction only (or resume by replaying the stream). W is never
+        stored: the loader rebuilds it bit for bit from the centers."""
         snap = {
             "algorithm": "krls-ald-reg",
             "lambda": self.lam,
             "delta": self.delta,
             "unregularized": self.unregularized,
-            # exact resume needs the incrementally built W: a recomputed
-            # dense factor differs in the last ulps
-            **self.dict.to_snapshot(store_matrices=resume_exact),
+            **self.dict.to_snapshot(),
             "alpha": self.alpha.tolist(),
             "n": self.n,
         }
@@ -203,8 +203,10 @@ class KrlsAldReg:
     def from_snapshot(cls, snap: dict) -> "KrlsAldReg":
         """Rebuild a filter, checking every field as the constructor would.
 
-        Snapshots of the former P/M/G^-1 state (with "M" or "gram_inv") are
-        refused: their P is a different matrix from this version's.
+        The dictionary's W is rebuilt from the centers (see
+        `Dictionary.from_snapshot`); a stored "W" entry is ignored. Snapshots
+        of the former P/M/G^-1 state (with "M" or "gram_inv") are refused:
+        their P is a different matrix from this version's.
         """
         if snap.get("algorithm") != "krls-ald-reg":
             raise ValidationError(f"not a krls-ald-reg snapshot: {snap.get('algorithm')!r}")

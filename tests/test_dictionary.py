@@ -197,10 +197,12 @@ class TestSnapshot:
         np.testing.assert_allclose(d2.gram, d.gram, atol=1e-12)
         assert np.linalg.norm(d2.gram @ d2.W.T @ d2.W - np.eye(d2.size), np.inf) <= 1e-8
 
-    def test_round_trip_stored_matrices(self):
+    def test_round_trip_replays_grown_factor(self):
+        """The snapshot holds no W; replaying the admissions rebuilds it bit for bit."""
         rng = np.random.default_rng(7)
         d = grown_dictionary(GAUSS, rng.uniform(-2, 2, (30, 2)), 0.05)
-        snap = d.to_snapshot(store_matrices=True)
+        snap = d.to_snapshot()
+        assert "W" not in snap
         d2 = Dictionary.from_snapshot(snap)
         np.testing.assert_array_equal(d2.gram, d.gram)
         np.testing.assert_array_equal(d2.W, d.W)
@@ -221,11 +223,15 @@ class TestSnapshot:
             Dictionary.from_snapshot(snap)
 
     def test_singular_centers_are_a_numerical_error(self):
-        """Duplicate centers with a matching checksum make G exactly singular:
-        the loader reports NumericalError, not numpy's LinAlgError."""
+        """Duplicate centers make G exactly singular. The checksum is checked
+        before the replay, so with a stale one they are a ValidationError; with
+        a matching one the replay cannot admit the copy: NumericalError."""
         d = grown_dictionary(GAUSS, [[0.0], [2.0]], 0.1)
         snap = d.to_snapshot()
         d._centers[1] = d._centers[0]
-        snap.update(centers=d.centers.tolist(), centers_sha256=d.centers_checksum())
-        with pytest.raises(NumericalError, match="cannot be inverted"):
+        snap["centers"] = d.centers.tolist()
+        with pytest.raises(ValidationError, match="checksum"):
+            Dictionary.from_snapshot(snap)
+        snap["centers_sha256"] = d.centers_checksum()
+        with pytest.raises(NumericalError, match="near-singular"):
             Dictionary.from_snapshot(snap)

@@ -174,6 +174,8 @@ class TestTrialsAndAveraging:
             FilterConfig("krls-ald-reg", lam=0.0)
         with pytest.raises(ValidationError, match="filter.eta"):
             FilterConfig("klms", eta=-1.0)
+        with pytest.raises(ValidationError, match="filter.unregularized"):
+            FilterConfig("krls-ald-reg", lam=0.0, unregularized="no")
 
     def test_filter_config_json_round_trip(self):
         fc = FilterConfig("krls-ald-reg", kernel=KernelSpec("gaussian", sigma=2.0),

@@ -96,6 +96,8 @@ class TestInit:
             KrlsAldReg(GAUSS, -0.5, 0.1, [0.0], 1.0)
         with pytest.raises(ValidationError):
             KrlsAldReg(GAUSS, 0.1, 0.1, [0.0], 1.0, unregularized=True)
+        with pytest.raises(ValidationError, match="not a bool"):
+            KrlsAldReg(GAUSS, 0.0, 0.1, [0.0], 1.0, unregularized="no")
 
     def test_delta_validation(self):
         with pytest.raises(ValidationError):
@@ -483,10 +485,13 @@ class TestSnapshot:
     @pytest.mark.parametrize("grown", ["spaced_1d", "sysid_k480"])
     def test_grown_inverse_round_trips(self, grown, grown_filters):
         """The incrementally built W of these two filters is the factor the
-        filter runs on, not the dense one: it must pass the loader's identity
-        check and resume bit-identically."""
+        filter runs on, not the dense one. The snapshot does not store it: the
+        loader must rebuild it by replay, and the filter resume bit-identically."""
         f, U, d, i = grown_filters[grown]
-        g = KrlsAldReg.from_snapshot(f.to_snapshot(resume_exact=True))
+        snap = f.to_snapshot(resume_exact=True)
+        assert "W" not in snap
+        g = KrlsAldReg.from_snapshot(snap)
+        assert np.array_equal(g.dict.W, f.dict.W)
         f = copy.deepcopy(f)
         for j in range(i, i + 30):
             a, b = f.step(U[j], d[j]), g.step(U[j], d[j])
@@ -494,24 +499,26 @@ class TestSnapshot:
         assert_state_equal(g, state_copy(f))
 
     @pytest.mark.parametrize("grown", ["spaced_1d", "sysid_k480"])
-    def test_corrupted_inverse_rejected(self, grown, grown_filters):
+    @pytest.mark.parametrize("tamper", ["inf", "short", "upper", "huge", "largest"])
+    def test_stored_w_entry_is_ignored(self, tamper, grown, grown_filters):
+        """W follows from the centers, so a "W" entry, as older snapshots
+        carry, is never read: however it is corrupted, the loaded filter
+        holds the grown W."""
         f = grown_filters[grown][0]
-        snap = f.to_snapshot(resume_exact=True)
-        W = np.array(snap["W"])
-        i, j = np.unravel_index(np.abs(W).argmax(), W.shape)
-        W[i, j] *= 1 + 1e-6
-        snap["W"] = W.tolist()
-        with pytest.raises(NumericalError, match="identity"):
-            KrlsAldReg.from_snapshot(snap)
-
-    def test_huge_inverse_rejected(self, grown_filters):
-        """Finite but huge W entries make the residual overflow; the bound
-        does not grow with them, so the snapshot is refused."""
-        f = grown_filters["spaced_1d"][0]
-        snap = f.to_snapshot(resume_exact=True)
-        snap["W"] = np.tril(np.full_like(np.array(snap["W"]), 1e308)).tolist()
-        with pytest.raises(NumericalError, match="identity"):
-            KrlsAldReg.from_snapshot(snap)
+        W = f.dict.W.copy()
+        if tamper == "inf":
+            W.flat[W.size // 2] = math.inf
+        elif tamper == "short":
+            W = W[:-1]
+        elif tamper == "upper":
+            W[0, -1] = 1e-300
+        elif tamper == "huge":
+            W = np.tril(np.full_like(W, 1e308))
+        else:
+            i, j = np.unravel_index(np.abs(W).argmax(), W.shape)
+            W[i, j] *= 1 + 1e-6
+        g = KrlsAldReg.from_snapshot(dict(f.to_snapshot(resume_exact=True), W=W.tolist()))
+        assert np.array_equal(g.dict.W, f.dict.W)
 
     @pytest.mark.parametrize("field, value", [
         ("lambda", -5.0),
@@ -527,12 +534,9 @@ class TestSnapshot:
         ("alpha", "short"),
         ("P", "nan"),
         ("P", "short"),
-        ("W", "inf"),
-        ("W", "short"),
         ("b", "nan"),
         ("b", "short"),
         ("P", "asymmetric"),
-        ("W", "upper"),
         ("M", "legacy"),          # any entry of the former P/M/G^-1 state
         ("gram_inv", "legacy"),
         ("centers_sha256", None),
@@ -552,9 +556,6 @@ class TestSnapshot:
             snap[field] = arr.tolist()
         elif value == "asymmetric":
             arr[0, 1] = np.nextafter(arr[0, 1], np.inf)   # one ulp off
-            snap[field] = arr.tolist()
-        elif value == "upper":
-            arr[0, -1] = 1e-300
             snap[field] = arr.tolist()
         elif value is None:
             del snap[field]

@@ -6,9 +6,10 @@ and delegate to the trusted `_ald`/`_grow`. These tests pin that contract:
 bad inputs raise the typed error and leave the state bit-identical, the
 trusted paths compute exactly what the public ones do, and one KRLS step
 validates once. Snapshot loaders turn malformed scalar fields into
-ValidationError.
+ValidationError, and a resume_exact KRLS snapshot resumes bit for bit.
 """
 
+import json
 import math
 import pickle
 import struct
@@ -31,7 +32,9 @@ from kaf.kernels import kernel_self
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
 DIM = 2
-PROPS = settings(max_examples=30, deadline=None)
+# derandomize: every run draws the same examples, so a failure reproduces
+# from the commit alone.
+PROPS = settings(max_examples=30, deadline=None, derandomize=True)
 
 
 def stream(n, seed):
@@ -197,6 +200,30 @@ def test_krls_step_validates_once(monkeypatch):
         calls.update(as_input=0, kernel_eval=0)
         assert f.step(u, 0.5).grew == grows
         assert calls == {"as_input": 1, "kernel_eval": 0}
+
+
+@PROPS
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 3),
+       sigma=st.floats(0.3, 3.0), lam=st.floats(1e-3, 1.0),
+       delta=st.sampled_from([1e-4, 1e-3, 1e-2, 0.1]), split=st.integers(2, 40))
+def test_resume_exact_json_round_trip_is_bitwise(seed, dim, sigma, lam, delta, split):
+    """A resume_exact snapshot through JSON text loads with the centers, the
+    replayed W, P and b bit-identical, and the next steps match bit for bit."""
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(-2, 2, (60, dim))
+    d = np.sin(U.sum(axis=1)) + 0.1 * rng.standard_normal(60)
+    f = KrlsAldReg(KernelSpec("gaussian", sigma=sigma), lam, delta, U[0], d[0])
+    for u, t in zip(U[1:split], d[1:split]):
+        f.step(u, t)
+    g = KrlsAldReg.from_snapshot(json.loads(json.dumps(f.to_snapshot(resume_exact=True))))
+    for name in ("P", "b"):
+        assert getattr(g, name).tobytes() == getattr(f, name).tobytes()
+    assert g.dict.W.tobytes() == f.dict.W.tobytes()
+    assert g.dict.centers.tobytes() == f.dict.centers.tobytes()
+    assert g.n == f.n
+    for u, t in zip(U[split:], d[split:]):
+        a, b = f.step(u, t), g.step(u, t)
+        assert (bits(a.y), bits(a.e), a.grew) == (bits(b.y), bits(b.e), b.grew)
 
 
 def _snapshot(kind):
