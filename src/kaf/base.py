@@ -9,6 +9,7 @@ caller that wants per-step cost times its own `step` calls, as
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +84,26 @@ def snapshot_array(snap: dict, key: str, shape: tuple) -> np.ndarray:
     return x
 
 
+def check_object(obj, keys, what: str, required=()) -> dict:
+    """`obj` when it is a JSON object with every `required` key and no key
+    outside `keys`; anything else raises ValidationError naming `what`."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be an object, got {type(obj).__name__}")
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in obj:
+            raise ValidationError(f"{what} lacks {key!r}")
+    return obj
+
+
 def scalar_field(obj: dict, key: str, kind: type = float, default=None,
                  where: str = "snapshot"):
-    """Field `key` of a snapshot or config object, converted by `kind` (float, int or bool).
+    """Field `key` of a snapshot or config object, read by `convert`.
 
     A missing field takes `default` when one is given. A missing required
-    field, or a value `kind` cannot convert, raises ValidationError naming
+    field, or a value `convert` refuses, raises ValidationError naming
     `where` the field was read from.
     """
     value = obj.get(key, default)
@@ -98,12 +113,19 @@ def scalar_field(obj: dict, key: str, kind: type = float, default=None,
 
 
 def convert(value, kind: type, what: str):
-    """`value` converted by `kind` (float, int or bool); a value `kind` cannot
-    convert, or a flag that is not a bool, raises ValidationError naming `what`."""
+    """`value` as a `kind` (float, int, bool or str) under the one field rule:
+    a float or int takes a number that is not a bool (numpy scalars count),
+    an int only an integral one, a flag only a bool, a str only a string, and
+    nothing is parsed from a string. Anything else raises ValidationError
+    naming `what`."""
     try:
-        if kind is bool and not isinstance(value, bool):
-            raise TypeError  # bool("false") is True: no conversion for flags
-        return kind(value)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(
+                value, str if kind is str else numbers.Real):
+            raise TypeError
+        converted = kind(value)
+        if kind is int and converted != value:  # int(2.5) truncates
+            raise ValueError
+        return converted
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what} is not a {kind.__name__}: {value!r}") from None
 

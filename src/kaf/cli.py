@@ -9,8 +9,10 @@ verify  run an oracle-equivalence suite; exit 0 iff within tolerance
 bench   median per-step time versus model size plus fitted log-log slope
 
 Configuration comes from a JSON file with flag overrides; precedence is
-flags > file > defaults. Exit codes: 0 success, 1 validation error,
-2 numerical failure, 3 I/O error. KAF_THREADS bounds the worker pool.
+flags > file > defaults. Each config object is read once: unknown keys are
+refused, numbers must be JSON numbers (integral for ints), flags JSON bools,
+paths strings. Exit codes: 0 success, 1 validation error, 2 numerical
+failure, 3 I/O error. KAF_THREADS bounds the worker pool.
 
 Outputs are deterministic given config + seed: CSV floats are printed with
 17 significant digits and per-step wall times are zeroed unless the config
@@ -20,15 +22,15 @@ sets "record_timings": true (real timings differ between runs by nature).
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import itertools
 import json
 import os
 import sys
 import time
+from dataclasses import replace
 
-from .base import fmt17, scalar_field
+from .base import check_object, convert, fmt17, scalar_field
 from .bench import BENCH_KINDS, run_bench
 from .exceptions import KafError, ValidationError
 from .experiments import (
@@ -39,9 +41,11 @@ from .experiments import (
     pool_map,
     run_trials,
 )
+from .kernels import KernelSpec
 from .verify import SUITES, run_suite
 
 SWEEP_KEYS = ("delta", "lambda", "sigma", "eta")
+CONFIG_KEYS = ("filter", "stream", "trials", "out", "summary_out", "record_timings", "grid")
 
 
 def _workers() -> int:
@@ -57,34 +61,46 @@ def _workers() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _load_config(path: str) -> dict:
+def _read_config(args: argparse.Namespace) -> dict:
+    """The config file under the flag overrides (flags > file > defaults), read
+    once: an object of CONFIG_KEYS, each field by the one field rule, "filter"
+    and "stream" as FilterConfig and StreamConfig, "grid" as lists of floats."""
     try:
-        with open(path) as f:
-            return json.load(f)
+        with open(args.config) as f:
+            cfg = check_object(json.load(f), CONFIG_KEYS, "config")
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"config file {args.config} is not valid JSON: {exc}") from exc
+    out = scalar_field(cfg, "out", str, "", "config")
+    out = out if args.out is None else args.out
+    if not out:
+        raise ValidationError(f"config key 'out' (CSV path) is required for {args.command}")
+    grid = check_object(cfg.get("grid", {}), SWEEP_KEYS, "grid")
+    for key, values in grid.items():
+        if not isinstance(values, list):
+            raise ValidationError(f"grid {key!r} is not a list of numbers: {values!r}")
+    sc = StreamConfig.from_json(cfg.get("stream", {}))
+    flags = {k: v for k, v in vars(args).items() if k in SWEEP_KEYS and v is not None}
+    return {
+        "filter": _set_hyperparameters(FilterConfig.from_json(cfg.get("filter", {})), flags),
+        "stream": sc if args.seed is None else replace(sc, seed=args.seed),
+        "trials": scalar_field(cfg, "trials", int, 1, "config"),
+        "out": out,
+        "summary_out": (scalar_field(cfg, "summary_out", str, "", "config")
+                        or f"{os.path.splitext(out)[0]}.summary.json"),
+        "record_timings": scalar_field(cfg, "record_timings", bool, False, "config"),
+        "grid": {key: [convert(v, float, f"grid {key!r} entry in {grid[key]!r}")
+                       for v in grid[key]] for key in SWEEP_KEYS if key in grid},
+    }
 
 
-def _set_hyperparameters(filt: dict, values: dict) -> None:
-    """Write SWEEP_KEYS values into a filter config dict in place. sigma goes
-    under "kernel", which defaults to a Gaussian kernel."""
-    for key, val in values.items():
-        if key == "sigma":
-            filt.setdefault("kernel", {"family": "gaussian"})["sigma"] = val
-        else:
-            filt[key] = val
-
-
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    cfg = copy.deepcopy(cfg)
-    flags = vars(args)
-    _set_hyperparameters(cfg.setdefault("filter", {}),
-                         {k: flags[k] for k in SWEEP_KEYS if flags[k] is not None})
-    if args.seed is not None:
-        cfg.setdefault("stream", {})["seed"] = args.seed
-    if args.out is not None:
-        cfg["out"] = args.out
-    return cfg
+def _set_hyperparameters(fc: FilterConfig, values: dict) -> FilterConfig:
+    """`fc` with the SWEEP_KEYS `values` set, checked as any FilterConfig; sigma
+    sets the kernel's width, a Gaussian kernel's when `fc` has none."""
+    fields = {{"lambda": "lam"}.get(key, key): val for key, val in values.items()
+              if key != "sigma"}
+    if "sigma" in values:
+        fields["kernel"] = replace(fc.kernel or KernelSpec("gaussian"), sigma=values["sigma"])
+    return replace(fc, **fields)
 
 
 class _OutputSet:
@@ -99,6 +115,8 @@ class _OutputSet:
         self._pending: list[tuple[str, str]] = []
 
     def open(self, path: str):
+        if os.path.isdir(path):  # refused before a rename could put any output in place
+            raise IsADirectoryError(f"output path {path} is a directory")
         tmp = f"{path}.tmp.{os.getpid()}"
         self._pending.append((tmp, path))
         return open(tmp, "w", newline="")
@@ -126,15 +144,9 @@ def _dump_json(obj: dict) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
-    fc = FilterConfig.from_json(cfg.get("filter", {}))
-    sc = StreamConfig.from_json(cfg.get("stream", {}))
-    trials = scalar_field(cfg, "trials", int, 1, "config")
-    out_path = cfg.get("out")
-    if not out_path:
-        raise ValidationError("config key 'out' (CSV path) is required for run")
-    summary_path = cfg.get("summary_out") or f"{os.path.splitext(out_path)[0]}.summary.json"
-    timings = scalar_field(cfg, "record_timings", bool, False, "config")
+    cfg = _read_config(args)
+    fc, sc, trials = cfg["filter"], cfg["stream"], cfg["trials"]
+    out_path, summary_path, timings = cfg["out"], cfg["summary_out"], cfg["record_timings"]
 
     curves = run_trials(fc, sc, trials, workers=_workers())
 
@@ -161,15 +173,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_point(base_filter: dict, sc: StreamConfig, trials: int,
+def _sweep_point(base: FilterConfig, sc: StreamConfig, trials: int,
                  point: dict) -> dict:
     row = dict(point)
     t0 = time.perf_counter()
     try:
-        fdict = copy.deepcopy(base_filter)
-        _set_hyperparameters(fdict, point)
-        fc = FilterConfig.from_json(fdict)
-        curves = run_trials(fc, sc, trials)
+        curves = run_trials(_set_hyperparameters(base, point), sc, trials)
         row["steady_state_mse"] = sum(c.steady_state_mse() for c in curves) / trials
         row["final_dict_size"] = sum(int(c.dict_size[-1]) for c in curves) / trials
         row["error"] = ""
@@ -182,32 +191,21 @@ def _sweep_point(base_filter: dict, sc: StreamConfig, trials: int,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(_load_config(args.config), args)
-    base_filter = cfg.get("filter", {})
-    sc = StreamConfig.from_json(cfg.get("stream", {}))
-    trials = scalar_field(cfg, "trials", int, 1, "config")
-    grid = cfg.get("grid")
-    if not isinstance(grid, dict) or not grid:
+    cfg = _read_config(args)
+    grid, out_path = cfg["grid"], cfg["out"]
+    if not grid:
         raise ValidationError("sweep config requires a nonempty 'grid' object")
-    unknown = set(grid) - set(SWEEP_KEYS)
-    if unknown:
-        raise ValidationError(f"grid keys must be among {SWEEP_KEYS}, got {sorted(unknown)}")
-    out_path = cfg.get("out")
-    if not out_path:
-        raise ValidationError("config key 'out' (CSV path) is required for sweep")
+    points = [dict(zip(grid, combo)) for combo in itertools.product(*grid.values())]
 
-    keys = [k for k in SWEEP_KEYS if k in grid]
-    points = [dict(zip(keys, combo))
-              for combo in itertools.product(*(grid[k] for k in keys))]
-
-    rows = pool_map(lambda p: _sweep_point(base_filter, sc, trials, p), points, _workers())
+    rows = pool_map(lambda p: _sweep_point(cfg["filter"], cfg["stream"], cfg["trials"], p),
+                    points, _workers())
 
     with _OutputSet() as outputs, outputs.open(out_path) as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(list(keys) + ["steady_state_mse", "final_dict_size",
+        w.writerow(list(grid) + ["steady_state_mse", "final_dict_size",
                                  "total_seconds", "error"])
         for row in rows:  # deterministic: submission order, not completion
-            w.writerow([fmt17(row[k]) for k in keys]
+            w.writerow([fmt17(row[k]) for k in grid]
                        + [fmt17(row["steady_state_mse"]) if row["error"] == "" else "",
                           fmt17(row["final_dict_size"]) if row["error"] == "" else "",
                           fmt17(row["total_seconds"]), row["error"]])

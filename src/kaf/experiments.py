@@ -29,17 +29,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .base import convert, fmt17, scalar_field
+from .base import check_object, fmt17, scalar_field
 from .exceptions import KafError, ValidationError
 from .kernels import KernelSpec
-from .klms import Klms, check_max_terms
+from .klms import Klms
 from .krls import KrlsAldReg
 from .linear import Lms, Rls
 
 GENERATORS = ("nonlinear_sysid", "noisy_sinc", "mackey_glass_like", "linear_plant")
-FILTER_KINDS = ("klms", "krls-ald-reg", "lms", "rls")
-KERNEL_KINDS = ("krls-ald-reg", "klms")
-STEP_SIZE_KINDS = ("klms", "lms")
+# The config keys each filter kind reads besides "kind": `FilterConfig.to_json`
+# writes these, and its constructor checks the fields behind them.
+FILTER_KEYS = {
+    "klms": ("kernel", "eta", "max_terms"),
+    "krls-ald-reg": ("kernel", "lambda", "delta", "unregularized"),
+    "lms": ("eta",),
+    "rls": ("lambda", "forgetting"),
+}
+FILTER_KINDS = tuple(FILTER_KEYS)
+KERNEL_KINDS = tuple(kind for kind, keys in FILTER_KEYS.items() if "kernel" in keys)
+STREAM_KEYS = ("generator", "length", "noise_std", "seed", "embed_L")
 
 CSV_HEADER = ["n", "y", "d", "e", "e2", "dict_size", "step_seconds"]
 
@@ -67,18 +75,11 @@ class StreamConfig:
             raise ValidationError(f"stream.noise_std must be >= 0, got {self.noise_std!r}")
 
     def to_json(self) -> dict:
-        return {"generator": self.generator, "length": self.length,
-                "noise_std": self.noise_std, "seed": self.seed, "embed_L": self.embed_L}
+        return {key: getattr(self, key) for key in STREAM_KEYS}
 
     @classmethod
     def from_json(cls, obj: dict) -> "StreamConfig":
-        if not isinstance(obj, dict):
-            raise ValidationError("stream config must be an object")
-        unknown = set(obj) - {"generator", "length", "noise_std", "seed", "embed_L"}
-        if unknown:
-            raise ValidationError(f"unknown stream config keys: {sorted(unknown)}")
-        if "generator" not in obj:
-            raise ValidationError("stream config lacks 'generator'")
+        check_object(obj, STREAM_KEYS, "stream config", required=("generator",))
         return cls(
             generator=obj["generator"],
             length=scalar_field(obj, "length", int, where="stream config"),
@@ -160,51 +161,33 @@ class FilterConfig:
     max_terms: int | None = None
 
     def __post_init__(self):
+        """The kind is checked here; the rest by the filter's constructor, run
+        on a placeholder sample (k(0, 0) = 1 for both kernel families)."""
         if self.kind not in FILTER_KINDS:
             raise ValidationError(
                 f"filter.kind must be one of {FILTER_KINDS}, got {self.kind!r}"
             )
         if self.kind in KERNEL_KINDS and self.kernel is None:
             object.__setattr__(self, "kernel", KernelSpec("gaussian", sigma=1.0))
-        convert(self.unregularized, bool, "filter.unregularized")
-        ridge = self.kind == "rls" or (self.kind == "krls-ald-reg" and not self.unregularized)
-        if ridge and not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValidationError(f"filter.lambda must be > 0, got {self.lam!r}")
-        if self.kind == "krls-ald-reg" and (np.isnan(self.delta) or self.delta < 0):
-            raise ValidationError(f"filter.delta must be >= 0, got {self.delta!r}")
-        if self.kind in STEP_SIZE_KINDS and not (np.isfinite(self.eta) and self.eta > 0):
-            raise ValidationError(f"filter.eta must be > 0, got {self.eta!r}")
-        if self.max_terms is not None:
-            check_max_terms(self.max_terms)
+        try:
+            build_filter(self, np.zeros(1), 0.0, 1)
+        except ValidationError as exc:
+            raise ValidationError(f"filter.{exc}") from None
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind in KERNEL_KINDS:
-            out["kernel"] = self.kernel.to_json()
-        if self.kind == "krls-ald-reg":
-            out.update({"lambda": self.lam, "delta": self.delta,
-                        "unregularized": self.unregularized})
-        if self.kind == "rls":
-            out.update({"lambda": self.lam, "forgetting": self.forgetting})
-        if self.kind in STEP_SIZE_KINDS:
-            out["eta"] = self.eta
-        if self.kind == "klms" and self.max_terms is not None:
-            out["max_terms"] = self.max_terms
-        return out
+        values = {"kernel": self.kernel and self.kernel.to_json(), "lambda": self.lam,
+                  "delta": self.delta, "eta": self.eta, "forgetting": self.forgetting,
+                  "unregularized": self.unregularized, "max_terms": self.max_terms}
+        return {"kind": self.kind, **{key: values[key] for key in FILTER_KEYS[self.kind]
+                                      if values[key] is not None}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilterConfig":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValidationError("filter config must be an object with a 'kind' key")
-        known = {"kind", "kernel", "lambda", "delta", "eta", "forgetting",
-                 "unregularized", "max_terms"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValidationError(f"unknown filter config keys: {sorted(unknown)}")
-        kernel = KernelSpec.from_json(obj["kernel"]) if "kernel" in obj else None
+        check_object(obj, {"kind"}.union(*FILTER_KEYS.values()), "filter config",
+                     required=("kind",))
         return cls(
             kind=obj["kind"],
-            kernel=kernel,
+            kernel=KernelSpec.from_json(obj["kernel"]) if "kernel" in obj else None,
             lam=scalar_field(obj, "lambda", float, 0.1, "filter config"),
             delta=scalar_field(obj, "delta", float, 0.01, "filter config"),
             eta=scalar_field(obj, "eta", float, 0.2, "filter config"),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import as_input, as_points
+from .base import as_input, as_points, check_object, scalar_field
 from .exceptions import DimensionMismatchError, ValidationError
 
 FAMILIES = ("gaussian", "polynomial")
@@ -54,14 +54,10 @@ class KernelSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelSpec":
-        if not isinstance(obj, dict) or "family" not in obj:
-            raise ValidationError("kernel spec must be an object with a 'family' key")
-        try:
-            sigma = float(obj.get("sigma", 1.0))
-            degree = int(obj.get("degree", 2))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"kernel sigma and degree must be numbers: {exc}") from None
-        return cls(family=obj["family"], sigma=sigma, degree=degree)
+        check_object(obj, ("family", "sigma", "degree"), "kernel spec", required=("family",))
+        return cls(family=obj["family"],
+                   sigma=scalar_field(obj, "sigma", float, 1.0, "kernel spec"),
+                   degree=scalar_field(obj, "degree", int, 2, "kernel spec"))
 
 
 def kernel_eval(spec: KernelSpec, u, v) -> float:

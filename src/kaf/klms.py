@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (StepOutput, append_row, as_input, check_target, scalar_field,
+from .base import (StepOutput, append_row, as_input, check_target, convert, scalar_field,
                    snapshot_array)
 from .exceptions import CapacityError, ValidationError
 from .kernels import KernelSpec, kernel_vector
@@ -33,7 +33,7 @@ def check_max_terms(max_terms) -> None:
 class Klms:
     def __init__(self, spec: KernelSpec, eta: float, first_input, first_target,
                  *, max_terms: int | None = None):
-        eta = float(eta)
+        eta = convert(eta, float, "eta")
         if not (np.isfinite(eta) and eta > 0):
             raise ValidationError(f"eta must be > 0, got {eta!r}")
         if max_terms is not None:

@@ -87,13 +87,13 @@ class KrlsAldReg:
     def _set_parameters(self, lam, delta, unregularized) -> None:
         """Validate and set lambda, delta and the unregularized flag."""
         unregularized = convert(unregularized, bool, "unregularized")
-        lam = float(lam)
+        lam = convert(lam, float, "lambda")
         if unregularized:
             if lam != 0.0:
                 raise ValidationError("unregularized mode requires lambda == 0")
         elif not (np.isfinite(lam) and lam > 0):
             raise ValidationError(f"lambda must be > 0, got {lam!r}")
-        delta = float(delta)
+        delta = convert(delta, float, "delta")
         if np.isnan(delta) or delta < 0:
             raise ValidationError(f"delta must be a nonnegative real, got {delta!r}")
         self.lam = lam

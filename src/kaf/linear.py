@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target, scalar_field, snapshot_array
+from .base import StepOutput, as_input, check_target, convert, scalar_field, snapshot_array
 from .exceptions import NumericalError, ValidationError
 
 
@@ -19,9 +19,10 @@ class Lms:
     """omega <- omega + eta * e * u"""
 
     def __init__(self, dim: int, eta: float):
+        dim = convert(dim, int, "dim")
         if dim < 1:
             raise ValidationError(f"dim must be >= 1, got {dim!r}")
-        eta = float(eta)
+        eta = convert(eta, float, "eta")
         if not (np.isfinite(eta) and eta >= 0):
             raise ValidationError(f"eta must be a nonnegative real, got {eta!r}")
         self.eta = eta
@@ -64,15 +65,17 @@ class Rls:
     """
 
     def __init__(self, dim: int, lam: float, forgetting: float = 1.0):
+        dim = convert(dim, int, "dim")
         if dim < 1:
             raise ValidationError(f"dim must be >= 1, got {dim!r}")
-        lam = float(lam)
+        lam = convert(lam, float, "lambda")
         if not (np.isfinite(lam) and lam > 0):
             raise ValidationError(f"lambda must be > 0, got {lam!r}")
+        forgetting = convert(forgetting, float, "forgetting")
         if not (0.0 < forgetting <= 1.0):
             raise ValidationError(f"forgetting must be in (0, 1], got {forgetting!r}")
         self.lam = lam
-        self.forgetting = float(forgetting)
+        self.forgetting = forgetting
         self.weights = np.zeros(dim)
         self.aux = np.eye(dim) / lam
 

@@ -107,15 +107,25 @@ class TestRun:
         ("run", None, "record_timings", "false"),
         ("sweep", None, "trials", "abc"),
         ("sweep", "stream", "length", "ten"),
+        ("run", "filter", "lambda", "0.1"),
+        ("run", "stream", "embed_L", True),
+        ("run", None, "trials", 2.5),
+        ("run", "stream", "length", 100.9),
+        ("run", None, "out", 5),
+        ("run", None, "summary_out", 7),
+        ("sweep", "grid", "eta", 0.1),
+        ("sweep", "grid", "eta", ["a"]),
     ])
     def test_malformed_config_scalar_exits_1(self, command, section, key, value,
                                               tmp_path, capsys):
         cfg = base_run_config(tmp_path, grid={"delta": [0.01]})
+        out = cfg["out"]
         (cfg[section] if section else cfg)[key] = value
         assert main([command, "--config", write_config(tmp_path / "c.json", cfg)]) == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "validation" and repr(value) in err["message"]
-        assert not os.path.exists(cfg["out"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert not os.path.exists(out)
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         cfg = base_run_config(tmp_path, out=str(tmp_path / "missing" / "x.csv"))
@@ -123,13 +133,16 @@ class TestRun:
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "io"
 
     def test_late_write_failure_leaves_no_partial_output(self, tmp_path, capsys):
-        # the CSV is written first; the summary's directory does not exist
-        cfg = base_run_config(tmp_path,
-                              summary_out=str(tmp_path / "missing" / "s.json"))
-        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 3
-        assert json.loads(capsys.readouterr().out)["error"]["type"] == "io"
-        assert not os.path.exists(cfg["out"])
-        assert not list(tmp_path.glob("*.tmp.*"))
+        # the CSV is written first; the summary's directory does not exist,
+        # or the summary path names a directory
+        (tmp_path / "sdir").mkdir()
+        for summary in (tmp_path / "missing" / "s.json", tmp_path / "sdir"):
+            cfg = base_run_config(tmp_path, summary_out=str(summary))
+            assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 3
+            assert json.loads(capsys.readouterr().out)["error"]["type"] == "io"
+            assert not os.path.exists(cfg["out"])
+            assert not list(tmp_path.glob("*.tmp.*"))
+            assert not list((tmp_path / "sdir").iterdir())
 
     def test_bad_kaf_threads_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("KAF_THREADS", "zero")

@@ -176,6 +176,14 @@ class TestTrialsAndAveraging:
             FilterConfig("klms", eta=-1.0)
         with pytest.raises(ValidationError, match="filter.unregularized"):
             FilterConfig("krls-ald-reg", lam=0.0, unregularized="no")
+        # The filters' constructors are the one rule: LMS takes eta = 0 (a
+        # frozen filter), RLS refuses forgetting > 1 and KRLS refuses
+        # unregularized mode with lambda != 0.
+        assert FilterConfig("lms", eta=0.0).eta == 0.0
+        with pytest.raises(ValidationError, match="filter.forgetting"):
+            FilterConfig("rls", forgetting=2.0)
+        with pytest.raises(ValidationError, match="filter.unregularized"):
+            FilterConfig("krls-ald-reg", lam=0.1, unregularized=True)
 
     def test_filter_config_json_round_trip(self):
         fc = FilterConfig("krls-ald-reg", kernel=KernelSpec("gaussian", sigma=2.0),

@@ -32,6 +32,11 @@ class TestLms:
             w = w + eta * e * u
         np.testing.assert_allclose(f.weights, w, rtol=1e-14)
 
+    def test_parameter_validation(self):
+        for dim, eta in (("3", 0.1), (0, 0.1), (2, -1.0), (2, "0.1")):
+            with pytest.raises(ValidationError):
+                Lms(dim, eta)
+
     def test_dimension_mismatch(self):
         f = Lms(2, 0.1)
         with pytest.raises(DimensionMismatchError):
@@ -105,6 +110,8 @@ class TestRls:
             Rls(2, 0.1, forgetting=0.0)
         with pytest.raises(ValidationError):
             Rls(2, 0.1, forgetting=1.5)
+        with pytest.raises(ValidationError):
+            Rls(2, 0.1, forgetting="0.5")
 
     def test_snapshot_round_trip(self):
         rng = np.random.default_rng(5)

@@ -7,13 +7,21 @@ bad inputs raise the typed error and leave the state bit-identical, the
 trusted paths compute exactly what the public ones do, and one KRLS step
 validates once. Snapshot loaders turn malformed scalar fields into
 ValidationError, and a resume_exact KRLS snapshot resumes bit for bit.
+Config readers share one field rule and one key check: `FilterConfig`
+refuses exactly what the filters' constructors refuse, and a malformed
+config exits 1 and writes nothing.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
 import pickle
 import struct
 import sys
+import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,13 +29,17 @@ from hypothesis import given, settings, strategies as st
 
 import kaf.base
 import kaf.kernels
-from kaf import Dictionary, KernelSpec, Klms, KrlsAldReg, Lms, Rls, kernel_eval
+from kaf import (Dictionary, FilterConfig, KernelSpec, Klms, KrlsAldReg, Lms, Rls,
+                 kernel_eval)
+from kaf.base import convert
+from kaf.cli import main
 from kaf.exceptions import (
     DimensionMismatchError,
     NonFiniteInputError,
     NumericalError,
     ValidationError,
 )
+from kaf.experiments import FILTER_KEYS, build_filter
 from kaf.kernels import kernel_self
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -255,15 +267,172 @@ LOADERS = {"krls": KrlsAldReg, "klms": Klms, "lms": Lms, "rls": Rls}
     ("lms", "eta", "x"),
     ("rls", "lambda", None),
     ("rls", "forgetting", "x"),
+    ("krls", "n", 40.5),
+    ("krls", "lambda", "0.1"),
+    ("krls", "sigma", True),
+    ("krls", "degree", 2.7),
+    ("krls", "sigmaa", 5),
+    ("klms", "eta", True),
+    ("lms", "eta", "0.05"),
+    ("rls", "forgetting", True),
 ])
 def test_malformed_scalar_field_rejected(kind, field, value):
     snap = _snapshot(kind)
     LOADERS[kind].from_snapshot(pickle.loads(pickle.dumps(snap)))  # intact: loads
-    if field == "sigma":
-        snap["kernel"]["sigma"] = value
+    if field in ("sigma", "degree", "sigmaa"):
+        snap["kernel"][field] = value
     elif value == "missing":
         del snap[field]
     else:
         snap[field] = value
     with pytest.raises(ValidationError):
         LOADERS[kind].from_snapshot(snap)
+
+
+@pytest.mark.parametrize("value, kind, want", [
+    (1, float, 1.0), (np.float32(0.5), float, 0.5), (np.int64(3), float, 3.0),
+    (5.0, int, 5), (np.int64(3), int, 3), (True, bool, True), ("a.csv", str, "a.csv"),
+])
+def test_field_rule_accepts(value, kind, want):
+    got = convert(value, kind, "field")
+    assert got == want and type(got) is kind
+
+
+@pytest.mark.parametrize("value, kind", [
+    ("0.1", float), (True, float), (None, float), ([0.1], float), (True, int),
+    (2.5, int), (math.inf, int), (math.nan, int), ("3", int), (1, bool), ("false", bool),
+    (np.True_, bool), (5, str), (None, str),
+])
+def test_field_rule_refuses(value, kind):
+    with pytest.raises(ValidationError, match="field"):
+        convert(value, kind, "field")
+
+
+def _mostly(lo, hi, edges):
+    """A float from [lo, hi] three times in four, else one of `edges`."""
+    return st.integers(0, 3).flatmap(
+        lambda i: st.sampled_from(edges) if i == 0 else st.floats(lo, hi))
+
+
+@settings(PROPS, max_examples=100)   # cheap examples: every kind meets every edge
+@given(kind=st.sampled_from(sorted(FILTER_KEYS)),
+       kernel=st.sampled_from([GAUSS, KernelSpec("polynomial", degree=2)]),
+       lam=_mostly(-0.2, 2, [0.0, -0.1, math.inf, math.nan, 1e300]),
+       delta=_mostly(-0.05, 1, [0.0, -1e-9, math.inf, math.nan]),
+       eta=_mostly(-0.2, 2, [0.0, -0.1, math.inf, math.nan]),
+       forgetting=_mostly(0.5, 1.2, [0.0, -0.1, 1.0, 1.0 + 1e-12, math.nan]),
+       unregularized=st.sampled_from([False, False, False, True, 0, "no"]),
+       max_terms=st.sampled_from([None, None, 1, 7, 0, -2, 2.5, True, "5"]))
+def test_filter_config_is_the_constructors_rule(kind, kernel, lam, delta, eta, forgetting,
+                                                unregularized, max_terms):
+    """FilterConfig refuses a setting exactly when building its filter on a
+    real sample does: the constructor is the one rule."""
+    fields = dict(kind=kind, kernel=kernel, lam=lam, delta=delta, eta=eta,
+                  forgetting=forgetting, unregularized=unregularized, max_terms=max_terms)
+    U, d = stream(2, 3)
+    try:
+        build_filter(SimpleNamespace(**fields), U[0], d[0], DIM)
+        constructor_refuses = False
+    except ValidationError:
+        constructor_refuses = True
+    try:
+        FilterConfig(**fields)
+        config_refuses = False
+    except ValidationError as exc:
+        assert str(exc).startswith("filter.")
+        config_refuses = True
+    assert config_refuses == constructor_refuses
+
+
+# The type of every config field, level by level, and values wrong for each.
+CONFIG_FIELDS = {
+    "config": {"filter": dict, "stream": dict, "trials": int, "out": str,
+               "summary_out": str, "record_timings": bool, "grid": dict},
+    "filter": {"kind": str, "kernel": dict, "lambda": float, "delta": float,
+               "eta": float, "forgetting": float, "unregularized": bool, "max_terms": int},
+    "stream": {"generator": str, "length": int, "noise_std": float, "seed": int,
+               "embed_L": int},
+    "kernel": {"family": str, "sigma": float, "degree": int},
+    "grid": {"delta": list, "lambda": list, "sigma": list, "eta": list},
+}
+WRONG = {
+    float: ["0.1", [0.1], {"v": 0.1}, None, True],
+    int: ["3", [3], {"v": 3}, None, True, 2.5],
+    bool: ["true", [True], {"v": True}, None, 1],
+    str: [["x"], {"v": "x"}, None, True, 3],
+    dict: ["x", [{}], None, True, 3],
+    list: ["0.1", 0.1, {"v": 0.1}, None, True, ["a"], [0.1, None], [[0.1]], [False]],
+}
+BASE_FILTERS = {
+    "klms": {"eta": 0.2, "max_terms": 100},
+    "krls-ald-reg": {"lambda": 0.1, "delta": 0.01, "unregularized": False},
+    "lms": {"eta": 0.05},
+    "rls": {"lambda": 0.1, "forgetting": 0.99},
+}
+
+
+def _small_config(directory, kind):
+    return {
+        "filter": {"kind": kind, "kernel": {"family": "gaussian", "sigma": 1.0},
+                   **BASE_FILTERS[kind]},
+        "stream": {"generator": "nonlinear_sysid", "length": 50, "noise_std": 0.1,
+                   "seed": 1, "embed_L": 2},
+        "trials": 1, "record_timings": False, "grid": {"delta": [0.01, 0.1]},
+        "out": os.path.join(directory, "curve.csv"),
+        "summary_out": os.path.join(directory, "summary.json"),
+    }
+
+
+def _run_cli(command, cfg, directory):
+    path = os.path.join(directory, "c.json")
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([command, "--config", path])
+    return code, stdout.getvalue(), sorted(os.listdir(directory))
+
+
+def _level(cfg, level):
+    if level == "config":
+        return cfg
+    return cfg["filter"]["kernel"] if level == "kernel" else cfg[level]
+
+
+@pytest.mark.parametrize("kind", sorted(BASE_FILTERS))
+def test_small_config_runs(kind):
+    """The configs the property below breaks are valid as they stand."""
+    with tempfile.TemporaryDirectory() as directory:
+        for command in ("run", "sweep"):
+            assert _run_cli(command, _small_config(directory, kind), directory)[0] == 0
+
+
+@st.composite
+def broken_configs(draw):
+    """A small valid config with one field set to a value of the wrong type,
+    or one unknown key added, at any level."""
+    kind = draw(st.sampled_from(sorted(BASE_FILTERS)))
+    level = draw(st.sampled_from(sorted(CONFIG_FIELDS)))
+    fields = CONFIG_FIELDS[level]
+    if level == "filter":   # the fields this kind reads
+        fields = {key: fields[key] for key in ("kind",) + FILTER_KEYS[kind]}
+    key = draw(st.sampled_from(sorted(fields) + ["bogus"]))
+    if key == "bogus":
+        value = 1
+    else:                   # a null max_terms means no cap
+        value = draw(st.sampled_from([v for v in WRONG[fields[key]]
+                                      if not (key == "max_terms" and v is None)]))
+    return kind, level, key, value
+
+
+@PROPS
+@given(command=st.sampled_from(["run", "sweep"]), broken=broken_configs())
+def test_malformed_config_exits_1_and_writes_nothing(command, broken):
+    kind, level, key, value = broken
+    with tempfile.TemporaryDirectory() as directory:
+        cfg = _small_config(directory, kind)
+        _level(cfg, level)[key] = value
+        code, stdout, files = _run_cli(command, cfg, directory)
+        assert code == 1, stdout
+        assert json.loads(stdout)["error"]["type"] == "validation"
+        assert files == ["c.json"]
