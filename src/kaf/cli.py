@@ -12,7 +12,9 @@ Configuration comes from a JSON file with flag overrides; precedence is
 flags > file > defaults. Each config object is read once: unknown keys are
 refused, numbers must be JSON numbers (integral for ints), flags JSON bools,
 paths strings. Exit codes: 0 success, 1 validation error, 2 numerical
-failure, 3 I/O error. KAF_THREADS bounds the worker pool.
+failure, 3 I/O error. KAF_THREADS bounds the worker processes that run trials
+(`kaf run`) or grid points (`kaf sweep`) at once; runs are serial where the
+platform cannot fork.
 
 Outputs are deterministic given config + seed: CSV floats are printed with
 17 significant digits and per-step wall times are zeroed unless the config
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -79,11 +82,14 @@ def _read_config(args: argparse.Namespace) -> dict:
         if not isinstance(values, list):
             raise ValidationError(f"grid {key!r} is not a list of numbers: {values!r}")
     sc = StreamConfig.from_json(cfg.get("stream", {}))
+    trials = scalar_field(cfg, "trials", int, 1, "config")
+    if trials < 1:
+        raise ValidationError(f"config 'trials' must be >= 1, got {trials!r}")
     flags = {k: v for k, v in vars(args).items() if k in SWEEP_KEYS and v is not None}
     return {
         "filter": _set_hyperparameters(FilterConfig.from_json(cfg.get("filter", {})), flags),
         "stream": sc if args.seed is None else replace(sc, seed=args.seed),
-        "trials": scalar_field(cfg, "trials", int, 1, "config"),
+        "trials": trials,
         "out": out,
         "summary_out": (scalar_field(cfg, "summary_out", str, "", "config")
                         or f"{os.path.splitext(out)[0]}.summary.json"),
@@ -197,8 +203,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("sweep config requires a nonempty 'grid' object")
     points = [dict(zip(grid, combo)) for combo in itertools.product(*grid.values())]
 
-    rows = pool_map(lambda p: _sweep_point(cfg["filter"], cfg["stream"], cfg["trials"], p),
-                    points, _workers())
+    point_fn = functools.partial(_sweep_point, cfg["filter"], cfg["stream"], cfg["trials"])
+    rows = pool_map(point_fn, points, _workers())
 
     with _OutputSet() as outputs, outputs.open(out_path) as f:
         w = csv.writer(f, lineterminator="\n")

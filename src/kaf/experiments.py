@@ -22,14 +22,14 @@ time-delay embedding [x(n), x(n-1), ..., x(n-L+1)]):
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .base import check_object, fmt17, scalar_field
+from .base import check_object, convert, fmt17, scalar_field
 from .exceptions import KafError, ValidationError
 from .kernels import KernelSpec
 from .klms import Klms
@@ -193,7 +193,8 @@ class FilterConfig:
             eta=scalar_field(obj, "eta", float, 0.2, "filter config"),
             forgetting=scalar_field(obj, "forgetting", float, 1.0, "filter config"),
             unregularized=scalar_field(obj, "unregularized", bool, False, "filter config"),
-            max_terms=obj.get("max_terms"),
+            max_terms=(None if obj.get("max_terms") is None
+                       else convert(obj["max_terms"], int, "filter config 'max_terms'")),
         )
 
 
@@ -338,18 +339,31 @@ def run_trial(fc: FilterConfig, sc: StreamConfig) -> LearningCurve:
 def run_trials(fc: FilterConfig, sc: StreamConfig, trials: int,
                workers: int | None = None) -> list[LearningCurve]:
     """Independent trials over seeds sc.seed .. sc.seed + trials - 1, run by
-    `pool_map` on up to `workers` threads, results in seed order."""
+    `pool_map` on up to `workers` processes, results in seed order."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials!r}")
     configs = [replace(sc, seed=sc.seed + i) for i in range(trials)]
-    return pool_map(lambda c: run_trial(fc, c), configs, workers)
+    return pool_map(functools.partial(run_trial, fc), configs, workers)
 
 
 def pool_map(fn, items: list, workers: int | None = None) -> list:
     """[fn(x) for x in items], in submission order whatever the completion
-    order: on a pool of `workers` threads, or serially when workers <= 1 or
-    there is only one item."""
-    if workers is None or workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    order: on min(workers, len(items)) forked worker processes, or serially
+    when workers <= 1, there is only one item, or the platform cannot fork.
+
+    `fn`, the items and the results must pickle (a module-level function or a
+    `functools.partial` of one). Fork keeps the workers' outputs identical to
+    the serial run: they inherit the loaded modules, the BLAS thread setting,
+    the warning filters and any monkeypatches. Fork copies only the calling
+    thread, so no other thread may hold a lock the work needs. A worker's
+    exception reaches the caller with its type and message. multiprocessing
+    is imported here, not at module top, so `import kaf` does not pay for it.
+    """
+    if workers is not None and workers > 1 and len(items) > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(min(workers, len(items)),
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(fn, items))
+    return [fn(x) for x in items]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import as_input, as_points, check_object, scalar_field
+from .base import as_input, as_points, check_object, convert, scalar_field
 from .exceptions import DimensionMismatchError, ValidationError
 
 FAMILIES = ("gaussian", "polynomial")
@@ -41,16 +41,18 @@ class KernelSpec:
             raise ValidationError(
                 f"kernel.family must be one of {FAMILIES}, got {self.family!r}"
             )
+        object.__setattr__(self, "sigma", convert(self.sigma, float, "kernel.sigma"))
+        object.__setattr__(self, "degree", convert(self.degree, int, "kernel.degree"))
         if self.family == "gaussian":
             # sigma^2 must not underflow to 0: k(u, u) would be 0/0 = NaN.
             if not (np.isfinite(self.sigma) and self.sigma > 0 and self.sigma * self.sigma > 0):
                 raise ValidationError("kernel.sigma must be a positive finite real")
         else:
-            if int(self.degree) != self.degree or self.degree < 1:
+            if self.degree < 1:
                 raise ValidationError("kernel.degree must be an integer >= 1")
 
     def to_json(self) -> dict:
-        return {"family": self.family, "sigma": float(self.sigma), "degree": int(self.degree)}
+        return {"family": self.family, "sigma": self.sigma, "degree": self.degree}
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelSpec":

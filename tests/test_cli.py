@@ -150,6 +150,31 @@ class TestRun:
         assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("filt", [
+        {"kind": "krls-ald-reg", "kernel": {"family": "gaussian", "sigma": 1.0},
+         "lambda": 0.1, "delta": 0.01},
+        {"kind": "klms", "kernel": {"family": "gaussian", "sigma": 1.0}, "eta": 0.2},
+    ])
+    def test_outputs_identical_at_any_worker_count(self, filt, tmp_path, monkeypatch):
+        cfg = base_run_config(tmp_path, filter=filt, trials=3)
+        cpath = write_config(tmp_path / "c.json", cfg)
+        outputs = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("KAF_THREADS", workers)
+            assert main(["run", "--config", cpath]) == 0
+            outputs.append((open(cfg["out"], "rb").read(),
+                            open(tmp_path / "curve.summary.json", "rb").read()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_worker_error_keeps_type_seed_and_step(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("KAF_THREADS", "2")
+        cfg = base_run_config(tmp_path, filter={"kind": "klms", "eta": 0.2, "max_terms": 5})
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "numerical"
+        assert err["message"].startswith("trial with seed 3 failed at step 6: ")
+        assert not os.path.exists(cfg["out"])
+
 
 class TestSweep:
     def sweep_config(self, tmp_path, grid, **overrides):
@@ -204,6 +229,15 @@ class TestSweep:
         assert len(rows) == 3
         assert "ValidationError" in rows[1][-1] and rows[1][1] == ""
         assert rows[2][-1] == "" and float(rows[2][1]) > 0
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trials_below_one_exit_1_before_any_point(self, trials, tmp_path, capsys):
+        cfg = self.sweep_config(tmp_path, {"delta": [0.01, 0.1]}, trials=trials)
+        assert main(["sweep", "--config", write_config(tmp_path / "s.json", cfg)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "validation"
+        assert f"'trials' must be >= 1, got {trials}" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = self.sweep_config(tmp_path, {})

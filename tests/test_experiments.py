@@ -1,12 +1,18 @@
 import io
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import kaf
 from kaf import FilterConfig, KernelSpec, LearningCurve, StreamConfig
 from kaf.exceptions import CapacityError, ValidationError
-from kaf.experiments import average_curves, generate, run_trial, run_trials
+from kaf.experiments import average_curves, generate, pool_map, run_trial, run_trials
 
 
 class TestStreamConfig:
@@ -198,3 +204,42 @@ class TestTrialsAndAveraging:
         with pytest.raises(ValidationError, match="max_terms"):
             FilterConfig.from_json({"kind": "klms", "max_terms": value})
         assert FilterConfig.from_json({"kind": "klms", "max_terms": 5}).max_terms == 5
+
+
+def _first_finishes_last(i):
+    """Item i of 0..2 sleeps longer the earlier it was submitted; returns i,
+    the process that ran it and when it finished."""
+    time.sleep(0.15 * (2 - i))
+    return i, os.getpid(), time.monotonic()
+
+
+class TestPoolMap:
+    def test_submission_order_when_the_first_item_finishes_last(self):
+        got = pool_map(_first_finishes_last, [0, 1, 2], workers=3)
+        assert [i for i, _, _ in got] == [0, 1, 2]
+        assert got[0][2] > got[2][2]                   # item 0 really finished last
+        assert os.getpid() not in {pid for _, pid, _ in got}   # on worker processes
+
+    def test_serial_with_identical_results_where_fork_is_missing(self, monkeypatch):
+        sc = StreamConfig("nonlinear_sysid", length=150, noise_std=0.1, seed=2, embed_L=2)
+        fc = FilterConfig("krls-ald-reg", lam=0.1, delta=0.01)
+        forked = run_trials(fc, sc, trials=3, workers=3)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        got = pool_map(_first_finishes_last, [2, 1, 0], workers=3)
+        assert {pid for _, pid, _ in got} == {os.getpid()}
+        serial = run_trials(fc, sc, trials=3, workers=3)
+        for a, b in zip(forked, serial):
+            for attr in ("y", "d", "e", "e2", "dict_size"):
+                assert np.array_equal(getattr(a, attr), getattr(b, attr))
+
+
+def test_import_kaf_loads_no_process_pool():
+    """multiprocessing and concurrent.futures load only when a pool starts, so
+    `import kaf` does not pay for them."""
+    code = ("import kaf, sys; print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kaf.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -186,6 +186,19 @@ class TestKernelSpec:
         with pytest.raises(ValidationError):
             KernelSpec.from_json({"family": "gaussian", "sigma": -1.0})
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", "1"), ("sigma", True), ("sigma", None), ("degree", 2.5),
+        ("degree", "2"), ("degree", True),
+    ])
+    def test_fields_read_by_the_field_rule(self, field, value):
+        with pytest.raises(ValidationError, match=f"kernel.{field}"):
+            KernelSpec("gaussian", **{field: value})
+
+    def test_to_json_holds_plain_numbers(self):
+        j = KernelSpec("gaussian", sigma=np.float64(2.0), degree=np.int64(3)).to_json()
+        assert j == {"family": "gaussian", "sigma": 2.0, "degree": 3}
+        assert type(j["sigma"]) is float and type(j["degree"]) is int
+
     def test_invalid_degree(self):
         with pytest.raises(ValidationError):
             KernelSpec("polynomial", degree=0)

@@ -239,13 +239,16 @@ def test_resume_exact_json_round_trip_is_bitwise(seed, dim, sigma, lam, delta, s
 
 
 def _snapshot(kind):
+    if kind == "rls-config":   # a filter config, read by FilterConfig.from_json
+        return FilterConfig("rls", lam=0.1).to_json()
     if kind == "klms":      # one term, so no cap value is refused for being below it
         return Klms(GAUSS, 0.2, [0.0] * DIM, 1.0).to_snapshot()
     f = trained(kind)
     return f.to_snapshot(resume_exact=True) if kind == "krls" else f.to_snapshot()
 
 
-LOADERS = {"krls": KrlsAldReg, "klms": Klms, "lms": Lms, "rls": Rls}
+LOADERS = {"krls": KrlsAldReg, "klms": Klms, "lms": Lms, "rls": Rls,
+           "rls-config": SimpleNamespace(from_snapshot=FilterConfig.from_json)}
 
 
 @pytest.mark.parametrize("kind, field, value", [
@@ -275,6 +278,9 @@ LOADERS = {"krls": KrlsAldReg, "klms": Klms, "lms": Lms, "rls": Rls}
     ("klms", "eta", True),
     ("lms", "eta", "0.05"),
     ("rls", "forgetting", True),
+    ("rls-config", "max_terms", "abc"),
+    ("rls-config", "max_terms", True),
+    ("rls-config", "max_terms", 2.5),
 ])
 def test_malformed_scalar_field_rejected(kind, field, value):
     snap = _snapshot(kind)
