@@ -11,10 +11,10 @@ bench   median per-step time versus model size plus fitted log-log slope
 Configuration comes from a JSON file with flag overrides; precedence is
 flags > file > defaults. Each config object is read once: unknown keys are
 refused, numbers must be JSON numbers (integral for ints), flags JSON bools,
-paths strings. Exit codes: 0 success, 1 validation error, 2 numerical
-failure, 3 I/O error. KAF_THREADS bounds the worker processes that run trials
-(`kaf run`) or grid points (`kaf sweep`) at once; runs are serial where the
-platform cannot fork.
+paths strings. Exit codes: 0 success, 1 validation error (a malformed
+command line included), 2 numerical failure, 3 I/O error. KAF_THREADS bounds
+the worker processes that run trials (`kaf run`) or grid points (`kaf sweep`)
+at once; runs are serial where the platform cannot fork.
 
 Outputs are deterministic given config + seed: CSV floats are printed with
 17 significant digits and per-step wall times are zeroed unless the config
@@ -234,8 +234,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    res = run_bench(args.filter, sizes)
+    res = run_bench(args.filter, args.sizes)
     if args.out:
         with _OutputSet() as outputs, outputs.open(args.out) as f:
             w = csv.writer(f, lineterminator="\n")
@@ -251,9 +250,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValidationError (exit 1);
+    argparse's own exit code for them, 2, means a numerical failure here."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="kaf",
-                                description="Online kernel adaptive filtering harness")
+    p = _Parser(prog="kaf", description="Online kernel adaptive filtering harness")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_overrides(sp):
@@ -278,18 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="per-iteration cost scaling")
     b.add_argument("--filter", required=True, choices=BENCH_KINDS)
-    b.add_argument("--sizes", required=True,
+    b.add_argument("--sizes", required=True, type=_int_list,
                    help="comma-separated increasing sizes, e.g. 50,100,200")
     b.add_argument("--out", default=None, help="optional CSV output path")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {"run": cmd_run, "sweep": cmd_sweep,
-               "verify": cmd_verify, "bench": cmd_bench}[args.command]
     try:
-        return handler(args)
+        args = build_parser().parse_args(argv)
+        return {"run": cmd_run, "sweep": cmd_sweep,
+                "verify": cmd_verify, "bench": cmd_bench}[args.command](args)
     except ValidationError as exc:
         print(_dump_json({"error": {"type": "validation", "message": str(exc)}}), end="")
         return 1

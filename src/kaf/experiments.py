@@ -41,7 +41,7 @@ GENERATORS = ("nonlinear_sysid", "noisy_sinc", "mackey_glass_like", "linear_plan
 # writes these, and its constructor checks the fields behind them.
 FILTER_KEYS = {
     "klms": ("kernel", "eta", "max_terms"),
-    "krls-ald-reg": ("kernel", "lambda", "delta", "unregularized"),
+    "krls-ald-reg": ("kernel", "lambda", "delta"),
     "lms": ("eta",),
     "rls": ("lambda", "forgetting"),
 }
@@ -65,6 +65,11 @@ class StreamConfig:
             raise ValidationError(
                 f"stream.generator must be one of {GENERATORS}, got {self.generator!r}"
             )
+        for key, kind in (("length", int), ("noise_std", float), ("seed", int),
+                          ("embed_L", int)):
+            object.__setattr__(self, key, convert(getattr(self, key), kind, f"stream.{key}"))
+        if self.seed < 0:
+            raise ValidationError(f"stream.seed must be >= 0, got {self.seed!r}")
         if self.embed_L < 1:
             raise ValidationError(f"stream.embed_L must be >= 1, got {self.embed_L!r}")
         if self.length <= self.embed_L:
@@ -79,14 +84,8 @@ class StreamConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StreamConfig":
-        check_object(obj, STREAM_KEYS, "stream config", required=("generator",))
-        return cls(
-            generator=obj["generator"],
-            length=scalar_field(obj, "length", int, where="stream config"),
-            noise_std=scalar_field(obj, "noise_std", float, 0.0, "stream config"),
-            seed=scalar_field(obj, "seed", int, 0, "stream config"),
-            embed_L=scalar_field(obj, "embed_L", int, 1, "stream config"),
-        )
+        return cls(**check_object(obj, STREAM_KEYS, "stream config",
+                                  required=("generator", "length")))
 
 
 def _embed(x: np.ndarray, L: int, start: int, count: int) -> np.ndarray:
@@ -148,7 +147,9 @@ class FilterConfig:
     """Which filter to run and with what hyperparameters.
 
     Defaults (documented, not derived): eta=0.2, delta=0.01, lam=0.1, and a
-    Gaussian kernel with sigma=1.
+    Gaussian kernel with sigma=1. The ranges are the filter constructors':
+    `lam` >= 0 for `krls-ald-reg` (0 is the original, ridge-free KRLS) and
+    > 0 for `rls`; `max_terms` is KLMS's term cap, an integer >= 1 or None.
     """
 
     kind: str
@@ -157,7 +158,6 @@ class FilterConfig:
     delta: float = 0.01
     eta: float = 0.2
     forgetting: float = 1.0
-    unregularized: bool = False
     max_terms: int | None = None
 
     def __post_init__(self):
@@ -177,7 +177,7 @@ class FilterConfig:
     def to_json(self) -> dict:
         values = {"kernel": self.kernel and self.kernel.to_json(), "lambda": self.lam,
                   "delta": self.delta, "eta": self.eta, "forgetting": self.forgetting,
-                  "unregularized": self.unregularized, "max_terms": self.max_terms}
+                  "max_terms": self.max_terms}
         return {"kind": self.kind, **{key: values[key] for key in FILTER_KEYS[self.kind]
                                       if values[key] is not None}}
 
@@ -192,7 +192,6 @@ class FilterConfig:
             delta=scalar_field(obj, "delta", float, 0.01, "filter config"),
             eta=scalar_field(obj, "eta", float, 0.2, "filter config"),
             forgetting=scalar_field(obj, "forgetting", float, 1.0, "filter config"),
-            unregularized=scalar_field(obj, "unregularized", bool, False, "filter config"),
             max_terms=(None if obj.get("max_terms") is None
                        else convert(obj["max_terms"], int, "filter config 'max_terms'")),
         )
@@ -292,8 +291,7 @@ def build_filter(fc: FilterConfig, first_u: np.ndarray, first_d: float,
     """Instantiate the configured filter. Kernel filters consume the first
     sample at construction; linear filters only need the input order."""
     if fc.kind == "krls-ald-reg":
-        return KrlsAldReg(fc.kernel, fc.lam, fc.delta, first_u, first_d,
-                          unregularized=fc.unregularized)
+        return KrlsAldReg(fc.kernel, fc.lam, fc.delta, first_u, first_d)
     if fc.kind == "klms":
         return Klms(fc.kernel, fc.eta, first_u, first_d, max_terms=fc.max_terms)
     if fc.kind == "lms":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import as_input, as_points, check_object, convert, scalar_field
+from .base import as_input, as_points, check_object, convert
 from .exceptions import DimensionMismatchError, ValidationError
 
 FAMILIES = ("gaussian", "polynomial")
@@ -56,10 +56,8 @@ class KernelSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "KernelSpec":
-        check_object(obj, ("family", "sigma", "degree"), "kernel spec", required=("family",))
-        return cls(family=obj["family"],
-                   sigma=scalar_field(obj, "sigma", float, 1.0, "kernel spec"),
-                   degree=scalar_field(obj, "degree", int, 2, "kernel spec"))
+        return cls(**check_object(obj, ("family", "sigma", "degree"), "kernel spec",
+                                  required=("family",)))
 
 
 def kernel_eval(spec: KernelSpec, u, v) -> float:

@@ -23,13 +23,6 @@ from .exceptions import CapacityError, ValidationError
 from .kernels import KernelSpec, kernel_vector
 
 
-def check_max_terms(max_terms) -> None:
-    """Refuse a term cap that is not an integer >= 1 (a bool is refused)."""
-    if (isinstance(max_terms, bool) or not isinstance(max_terms, (int, np.integer))
-            or max_terms < 1):
-        raise ValidationError(f"max_terms must be an integer >= 1, got {max_terms!r}")
-
-
 class Klms:
     def __init__(self, spec: KernelSpec, eta: float, first_input, first_target,
                  *, max_terms: int | None = None):
@@ -37,7 +30,9 @@ class Klms:
         if not (np.isfinite(eta) and eta > 0):
             raise ValidationError(f"eta must be > 0, got {eta!r}")
         if max_terms is not None:
-            check_max_terms(max_terms)
+            max_terms = convert(max_terms, int, "max_terms")
+            if max_terms < 1:
+                raise ValidationError(f"max_terms must be >= 1, got {max_terms!r}")
         u = as_input(first_input)
         d = check_target(first_target)
         self.spec = spec
@@ -110,11 +105,10 @@ class Klms:
         if n == 0:
             raise ValidationError("snapshot centers must be a nonempty list of vectors")
         coeffs = snapshot_array(snap, "coeffs", (n,))
-        max_terms = snap.get("max_terms")
         obj = cls(KernelSpec.from_json(snap.get("kernel")), scalar_field(snap, "eta"),
-                  centers[0], 0.0, max_terms=max_terms)
-        if max_terms is not None and n > max_terms:
-            raise ValidationError(f"snapshot holds {n} terms, above its cap of {max_terms}")
+                  centers[0], 0.0, max_terms=snap.get("max_terms"))
+        if obj.max_terms is not None and n > obj.max_terms:
+            raise ValidationError(f"snapshot holds {n} terms, above its cap of {obj.max_terms}")
         obj._centers = centers
         obj._coeffs = coeffs
         obj.n = n

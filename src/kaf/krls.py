@@ -62,9 +62,9 @@ class KrlsAldReg:
     spec : KernelSpec
         Kernel family and hyperparameters.
     lam : float
-        Ridge regularizer, > 0. Pass 0 together with ``unregularized=True``
-        to run the unregularized variant, P = (L^T L)^-1; it takes the same
-        update formulas and floors, and needs a well-conditioned Gram matrix.
+        Ridge regularizer, finite and >= 0. At 0 the filter is Engel, Mannor
+        & Meir's original KRLS, P = (L^T L)^-1: the same formulas and floors,
+        but the Gram matrix must stay well conditioned on its own.
     delta : float
         ALD admission threshold, >= 0: a sample joins the dictionary iff its
         squared approximation residual d2 exceeds delta. Callers wanting a
@@ -74,8 +74,8 @@ class KrlsAldReg:
     """
 
     def __init__(self, spec: KernelSpec, lam: float, delta: float,
-                 first_input, first_target, *, unregularized: bool = False):
-        self._set_parameters(lam, delta, unregularized)
+                 first_input, first_target):
+        self._set_parameters(lam, delta)
         u = as_input(first_input)
         d = check_target(first_target)
         self.dict = Dictionary(spec, u)
@@ -84,21 +84,16 @@ class KrlsAldReg:
         self._alpha = None
         self.n = 1
 
-    def _set_parameters(self, lam, delta, unregularized) -> None:
-        """Validate and set lambda, delta and the unregularized flag."""
-        unregularized = convert(unregularized, bool, "unregularized")
+    def _set_parameters(self, lam, delta) -> None:
+        """Validate and set lambda and delta."""
         lam = convert(lam, float, "lambda")
-        if unregularized:
-            if lam != 0.0:
-                raise ValidationError("unregularized mode requires lambda == 0")
-        elif not (np.isfinite(lam) and lam > 0):
-            raise ValidationError(f"lambda must be > 0, got {lam!r}")
+        if not (np.isfinite(lam) and lam >= 0):
+            raise ValidationError(f"lambda must be a finite real >= 0, got {lam!r}")
         delta = convert(delta, float, "delta")
         if np.isnan(delta) or delta < 0:
             raise ValidationError(f"delta must be a nonnegative real, got {delta!r}")
         self.lam = lam
         self.delta = delta
-        self.unregularized = unregularized
 
     @property
     def spec(self) -> KernelSpec:
@@ -188,7 +183,6 @@ class KrlsAldReg:
             "algorithm": "krls-ald-reg",
             "lambda": self.lam,
             "delta": self.delta,
-            "unregularized": self.unregularized,
             **self.dict.to_snapshot(),
             "alpha": self.alpha.tolist(),
             "n": self.n,
@@ -215,8 +209,7 @@ class KrlsAldReg:
             raise ValidationError(f"snapshot stores {legacy} of the former P/M/G^-1 state, "
                                   f"which this version cannot resume; replay the stream")
         obj = object.__new__(cls)
-        obj._set_parameters(scalar_field(snap, "lambda"), scalar_field(snap, "delta"),
-                            scalar_field(snap, "unregularized", bool, False))
+        obj._set_parameters(scalar_field(snap, "lambda"), scalar_field(snap, "delta"))
         n = scalar_field(snap, "n", int)
         obj.dict = Dictionary.from_snapshot(snap)
         k = obj.dict.size

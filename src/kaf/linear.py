@@ -69,8 +69,8 @@ class Rls:
         if dim < 1:
             raise ValidationError(f"dim must be >= 1, got {dim!r}")
         lam = convert(lam, float, "lambda")
-        if not (np.isfinite(lam) and lam > 0):
-            raise ValidationError(f"lambda must be > 0, got {lam!r}")
+        if not (np.isfinite(lam) and lam > 0 and np.isfinite(1.0 / lam)):  # aux = I / lam
+            raise ValidationError(f"lambda must be > 0 with 1/lambda finite, got {lam!r}")
         forgetting = convert(forgetting, float, "forgetting")
         if not (0.0 < forgetting <= 1.0):
             raise ValidationError(f"forgetting must be in (0, 1], got {forgetting!r}")

@@ -103,7 +103,7 @@ class TestRun:
         ("run", "filter", "lambda", "x"),
         ("run", None, "trials", "abc"),
         ("run", "stream", "length", "ten"),
-        ("run", "filter", "unregularized", "false"),
+        ("run", "stream", "seed", "3"),
         ("run", None, "record_timings", "false"),
         ("sweep", None, "trials", "abc"),
         ("sweep", "stream", "length", "ten"),
@@ -126,6 +126,35 @@ class TestRun:
         assert err["type"] == "validation" and repr(value) in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
         assert not os.path.exists(out)
+
+    def test_former_unregularized_key_exits_1(self, tmp_path, capsys):
+        """lambda = 0 alone selects the unregularized KRLS; the former flag
+        is an unknown key."""
+        cfg = base_run_config(tmp_path)
+        cfg["filter"].update({"lambda": 0.0, "unregularized": True})
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "validation",
+                       "message": "unknown filter config keys: ['unregularized']"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        del cfg["filter"]["unregularized"]
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        summary = json.loads((tmp_path / "curve.summary.json").read_text())
+        assert summary["config"]["filter"]["lambda"] == 0.0
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_negative_seed_exits_1(self, command, where, tmp_path, capsys):
+        """numpy's generator takes no negative seed: the stream config
+        refuses one before any trial or grid point runs."""
+        cfg = base_run_config(tmp_path, grid={"delta": [0.01, 0.1]})
+        flags = ["--seed", "-1"] if where == "flag" else []
+        if where == "config":
+            cfg["stream"]["seed"] = -1
+        assert main([command, "--config", write_config(tmp_path / "c.json", cfg)] + flags) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "validation", "message": "stream.seed must be >= 0, got -1"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         cfg = base_run_config(tmp_path, out=str(tmp_path / "missing" / "x.csv"))
@@ -174,6 +203,32 @@ class TestRun:
         assert err["type"] == "numerical"
         assert err["message"].startswith("trial with seed 3 failed at step 6: ")
         assert not os.path.exists(cfg["out"])
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--config", "c.json", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["run"], "the following arguments are required: --config"),
+        (["verify", "--suite", "bogus"], "argument --suite: invalid choice: 'bogus'"),
+        (["bench", "--filter", "lms", "--sizes", "10,abc", "--out", "b.csv"],
+         "argument --sizes: not a comma-separated list of integers: '10,abc'"),
+    ], ids=["bad-flag-value", "missing-config", "unknown-suite", "bad-sizes"])
+    def test_usage_error_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):
+        """A malformed command line is a validation error, not argparse's
+        exit 2, which the contract gives to numerical failures."""
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path / "c.json", base_run_config(tmp_path))
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "validation" and err["message"].startswith(message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
 
 class TestSweep:

@@ -31,6 +31,26 @@ class TestStreamConfig:
                           seed=3, embed_L=4)
         assert StreamConfig.from_json(sc.to_json()) == sc
 
+    @pytest.mark.parametrize("field, value", [
+        ("length", "50"), ("length", 50.5), ("length", None), ("noise_std", "0.1"),
+        ("noise_std", True), ("seed", True), ("seed", -1), ("embed_L", 2.5),
+    ])
+    def test_fields_read_by_the_field_rule(self, field, value):
+        """The constructor converts every field as the config reader does,
+        and refuses a negative seed, which numpy's generator cannot take."""
+        fields = {"generator": "noisy_sinc", "length": 50, field: value}
+        with pytest.raises(ValidationError, match=f"stream.{field}"):
+            StreamConfig(**fields)
+        with pytest.raises(ValidationError, match=f"stream.{field}"):
+            StreamConfig.from_json(fields)
+
+    def test_to_json_holds_plain_numbers(self):
+        j = StreamConfig("noisy_sinc", length=np.int64(50), noise_std=np.float32(0.5),
+                         seed=np.uint32(3), embed_L=2.0).to_json()
+        assert j == {"generator": "noisy_sinc", "length": 50, "noise_std": 0.5,
+                     "seed": 3, "embed_L": 2}
+        assert [type(v) for v in j.values()] == [str, int, float, int, int]
+
 
 class TestGenerate:
     @pytest.mark.parametrize("gen", ["nonlinear_sysid", "noisy_sinc",
@@ -177,19 +197,18 @@ class TestTrialsAndAveraging:
 
     def test_filter_config_validation_names_field(self):
         with pytest.raises(ValidationError, match="filter.lambda"):
-            FilterConfig("krls-ald-reg", lam=0.0)
+            FilterConfig("krls-ald-reg", lam=-0.1)
         with pytest.raises(ValidationError, match="filter.eta"):
             FilterConfig("klms", eta=-1.0)
-        with pytest.raises(ValidationError, match="filter.unregularized"):
-            FilterConfig("krls-ald-reg", lam=0.0, unregularized="no")
         # The filters' constructors are the one rule: LMS takes eta = 0 (a
-        # frozen filter), RLS refuses forgetting > 1 and KRLS refuses
-        # unregularized mode with lambda != 0.
+        # frozen filter), KRLS lambda = 0 (the unregularized KRLS), RLS
+        # refuses lambda = 0 and forgetting > 1.
         assert FilterConfig("lms", eta=0.0).eta == 0.0
+        assert FilterConfig("krls-ald-reg", lam=0.0).lam == 0.0
+        with pytest.raises(ValidationError, match="filter.lambda"):
+            FilterConfig("rls", lam=0.0)
         with pytest.raises(ValidationError, match="filter.forgetting"):
             FilterConfig("rls", forgetting=2.0)
-        with pytest.raises(ValidationError, match="filter.unregularized"):
-            FilterConfig("krls-ald-reg", lam=0.1, unregularized=True)
 
     def test_filter_config_json_round_trip(self):
         fc = FilterConfig("krls-ald-reg", kernel=KernelSpec("gaussian", sigma=2.0),
@@ -200,7 +219,7 @@ class TestTrialsAndAveraging:
 
     @pytest.mark.parametrize("value", ["5", [3], 2.5, True, 0])
     def test_filter_config_max_terms_checked_as_klms(self, value):
-        """A config takes the max_terms a KLMS snapshot takes, unconverted."""
+        """A config takes the max_terms a KLMS snapshot takes, by the int rule."""
         with pytest.raises(ValidationError, match="max_terms"):
             FilterConfig.from_json({"kind": "klms", "max_terms": value})
         assert FilterConfig.from_json({"kind": "klms", "max_terms": 5}).max_terms == 5

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import tracemalloc
 
@@ -65,16 +66,16 @@ class TestInit:
         np.testing.assert_allclose(f.dict.W, [[1.0]])
         assert f.n == 1 and f.dict_size == 1
 
-    @pytest.mark.parametrize("spec, lam, unregularized", [
-        (GAUSS, 0.1, False),
-        (KernelSpec("polynomial", degree=2), 0.3, False),
-        (GAUSS, 0.0, True),
+    @pytest.mark.parametrize("spec, lam", [
+        (GAUSS, 0.1),
+        (KernelSpec("polynomial", degree=2), 0.3),
+        (GAUSS, 0.0),
     ])
-    def test_first_sample_closed_form(self, spec, lam, unregularized):
+    def test_first_sample_closed_form(self, spec, lam):
         """The first sample borders the empty state: P = [[1/(k(u,u) + lam)]]
         and b = [sqrt(k(u,u)) d / (k(u,u) + lam)], to the last bit."""
         u, d = [0.7, -0.4], 1.3
-        f = KrlsAldReg(spec, lam, 0.1, u, d, unregularized=unregularized)
+        f = KrlsAldReg(spec, lam, 0.1, u, d)
         kuu = kernel_eval(spec, u, u)
         assert np.array_equal(f.P, [[1.0 / (kuu + lam)]])
         assert np.array_equal(f.b, [math.sqrt(kuu) * d / (kuu + lam)])
@@ -90,14 +91,11 @@ class TestInit:
         np.testing.assert_allclose(f.P, [[1.0 / 3.0]])
 
     def test_lambda_validation(self):
-        with pytest.raises(ValidationError):
-            KrlsAldReg(GAUSS, 0.0, 0.1, [0.0], 1.0)
-        with pytest.raises(ValidationError):
-            KrlsAldReg(GAUSS, -0.5, 0.1, [0.0], 1.0)
-        with pytest.raises(ValidationError):
-            KrlsAldReg(GAUSS, 0.1, 0.1, [0.0], 1.0, unregularized=True)
-        with pytest.raises(ValidationError, match="not a bool"):
-            KrlsAldReg(GAUSS, 0.0, 0.1, [0.0], 1.0, unregularized="no")
+        """lambda is a finite real >= 0; 0 runs the unregularized KRLS."""
+        assert KrlsAldReg(GAUSS, 0.0, 0.1, [0.0], 1.0).lam == 0.0
+        for lam in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="lambda"):
+                KrlsAldReg(GAUSS, lam, 0.1, [0.0], 1.0)
 
     def test_delta_validation(self):
         with pytest.raises(ValidationError):
@@ -221,7 +219,7 @@ class TestRecursiveEqualsBatch:
         U, d = stream_2d(80, 13, scale=4.0)  # spread points keep the Gram tame
         sol = batch_solve_regularized(
             BatchProblem(U, d, GAUSS, 0.0, 0.05), collect_steps=True)
-        f = KrlsAldReg(GAUSS, 0.0, 0.05, U[0], d[0], unregularized=True)
+        f = KrlsAldReg(GAUSS, 0.0, 0.05, U[0], d[0])
         for i in range(1, 80):
             f.step(U[i], d[i])
             ref = sol.step_alphas[i]
@@ -339,13 +337,12 @@ class TestTransactional:
         assert_state_equal(f, snap)
 
 
-    @pytest.mark.parametrize("lam, unregularized", [(0.1, False), (0.0, True)],
-                             ids=["regularized", "unregularized"])
-    def test_rank_one_floor_leaves_state(self, lam, unregularized):
+    @pytest.mark.parametrize("lam", [0.1, 0.0], ids=["regularized", "unregularized"])
+    def test_rank_one_floor_leaves_state(self, lam):
         """An unchanged step updates P and b in place, so the 1 + l^T P l
         check must run before either is written."""
         U, d = stream_2d(40, 19)
-        f = KrlsAldReg(GAUSS, lam, 0.05, U[0], d[0], unregularized=unregularized)
+        f = KrlsAldReg(GAUSS, lam, 0.05, U[0], d[0])
         for i in range(1, 40):
             f.step(U[i], d[i])
         u = f.dict.centers[3].copy()  # a member: takes the unchanged branch
@@ -358,13 +355,12 @@ class TestTransactional:
             f.step(u, 0.5)
         assert_state_equal(f, snap)
 
-    @pytest.mark.parametrize("lam, unregularized", [(0.1, False), (0.0, True)],
-                             ids=["regularized", "unregularized"])
-    def test_growth_denominator_floor_leaves_state(self, lam, unregularized):
+    @pytest.mark.parametrize("lam", [0.1, 0.0], ids=["regularized", "unregularized"])
+    def test_growth_denominator_floor_leaves_state(self, lam):
         """A growth step checks the same denominator D = 1 + l^T P l before
         it borders P; the dictionary must not grow when it is refused."""
         U, d = stream_2d(40, 19)
-        f = KrlsAldReg(GAUSS, lam, 0.05, U[0], d[0], unregularized=unregularized)
+        f = KrlsAldReg(GAUSS, lam, 0.05, U[0], d[0])
         for i in range(1, 40):
             f.step(U[i], d[i])
         far = np.array([9.0, -9.0])
@@ -450,18 +446,21 @@ class TestSnapshot:
         with pytest.raises(KafError):
             g.step(U[1], d[1])
 
-    def test_unregularized_flag_must_be_bool(self):
-        """bool("no") is True: an unregularized snapshot whose flag is the
-        string "no" must be refused, not loaded as unregularized."""
-        U, d = stream_2d(20, 43, scale=4.0)
-        f = KrlsAldReg(GAUSS, 0.0, 0.05, U[0], d[0], unregularized=True)
+    def test_snapshot_with_former_unregularized_flag_resumes_at_lambda_zero(self):
+        """Older lambda = 0 snapshots carry "unregularized": true. The flag is
+        ignored on load, and the filter resumes bit for bit as lambda = 0."""
+        U, d = stream_2d(40, 43, scale=4.0)
+        f = KrlsAldReg(GAUSS, 0.0, 0.05, U[0], d[0])
         for i in range(1, 20):
             f.step(U[i], d[i])
         snap = f.to_snapshot(resume_exact=True)
-        assert KrlsAldReg.from_snapshot(copy.deepcopy(snap)).unregularized
-        snap["unregularized"] = "no"
-        with pytest.raises(ValidationError, match="not a bool"):
-            KrlsAldReg.from_snapshot(snap)
+        assert "unregularized" not in snap
+        g = KrlsAldReg.from_snapshot(json.loads(json.dumps(dict(snap, unregularized=True))))
+        assert g.lam == 0.0
+        for i in range(20, 40):
+            a, b = f.step(U[i], d[i]), g.step(U[i], d[i])
+            assert a.y == b.y and a.e == b.e and a.grew == b.grew
+        assert_state_equal(g, state_copy(f))
 
     def test_wrong_algorithm_rejected(self):
         with pytest.raises(ValidationError):
@@ -522,12 +521,10 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("field, value", [
         ("lambda", -5.0),
-        ("lambda", 0.0),
+        ("lambda", math.inf),
         ("lambda", math.nan),
         ("delta", -1.0),
         ("delta", math.nan),
-        ("unregularized", True),  # requires lambda == 0
-        ("unregularized", "no"),  # a flag must be a JSON bool
         ("resume_exact", "yes"),
         ("n", 2),                 # fewer samples than centers
         ("alpha", "nan"),

@@ -106,6 +106,8 @@ class TestRls:
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
             Rls(2, 0.0)
+        with pytest.raises(ValidationError):  # aux = I / lambda would overflow
+            Rls(2, 5e-324)
         with pytest.raises(ValidationError):
             Rls(2, 0.1, forgetting=0.0)
         with pytest.raises(ValidationError):

@@ -8,8 +8,9 @@ trusted paths compute exactly what the public ones do, and one KRLS step
 validates once. Snapshot loaders turn malformed scalar fields into
 ValidationError, and a resume_exact KRLS snapshot resumes bit for bit.
 Config readers share one field rule and one key check: `FilterConfig`
-refuses exactly what the filters' constructors refuse, and a malformed
-config exits 1 and writes nothing.
+refuses exactly what the filters' constructors refuse, a config and a
+snapshot take the same hyperparameter values, and a malformed config exits
+1 and writes nothing.
 """
 
 import contextlib
@@ -39,7 +40,7 @@ from kaf.exceptions import (
     NumericalError,
     ValidationError,
 )
-from kaf.experiments import FILTER_KEYS, build_filter
+from kaf.experiments import FILTER_KEYS, GENERATORS, StreamConfig, build_filter
 from kaf.kernels import kernel_self
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -327,14 +328,14 @@ def _mostly(lo, hi, edges):
        delta=_mostly(-0.05, 1, [0.0, -1e-9, math.inf, math.nan]),
        eta=_mostly(-0.2, 2, [0.0, -0.1, math.inf, math.nan]),
        forgetting=_mostly(0.5, 1.2, [0.0, -0.1, 1.0, 1.0 + 1e-12, math.nan]),
-       unregularized=st.sampled_from([False, False, False, True, 0, "no"]),
-       max_terms=st.sampled_from([None, None, 1, 7, 0, -2, 2.5, True, "5"]))
+       max_terms=st.sampled_from([None, None, 1, 7, 5.0, np.int64(5), 0, -2, 2.5, True,
+                                  "5"]))
 def test_filter_config_is_the_constructors_rule(kind, kernel, lam, delta, eta, forgetting,
-                                                unregularized, max_terms):
+                                                max_terms):
     """FilterConfig refuses a setting exactly when building its filter on a
     real sample does: the constructor is the one rule."""
     fields = dict(kind=kind, kernel=kernel, lam=lam, delta=delta, eta=eta,
-                  forgetting=forgetting, unregularized=unregularized, max_terms=max_terms)
+                  forgetting=forgetting, max_terms=max_terms)
     U, d = stream(2, 3)
     try:
         build_filter(SimpleNamespace(**fields), U[0], d[0], DIM)
@@ -350,12 +351,72 @@ def test_filter_config_is_the_constructors_rule(kind, kernel, lam, delta, eta, f
     assert config_refuses == constructor_refuses
 
 
+PARITY_VALUES = [5, 5.0, np.int64(5), 2.5, True, "5", 0, -1, [3], None,
+                 0.0, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan, np.float32(0.5)]
+
+
+def _kept(load, key):
+    """repr of the value the object `load` returns keeps for config key
+    `key`, or "refused" when `load` raises ValidationError."""
+    try:
+        obj = load()
+    except ValidationError:
+        return "refused"
+    return repr(getattr(obj, {"lambda": "lam"}.get(key, key)))
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, keys in FILTER_KEYS.items()
+                                       for key in keys if key != "kernel"])
+def test_config_and_snapshot_take_the_same_hyperparameters(kind, key):
+    """A filter config and a snapshot of the filter accept the same values
+    for each hyperparameter, converted to the same number, and refuse the
+    same values."""
+    loader = {"krls-ald-reg": "krls"}.get(kind, kind)
+    snap = _snapshot(loader)
+    for value in PARITY_VALUES:
+        config = _kept(lambda: FilterConfig.from_json({"kind": kind, key: value}), key)
+        loaded = _kept(lambda: LOADERS[loader].from_snapshot(dict(snap, **{key: value})), key)
+        assert config == loaded, value
+
+
+kernel_specs = st.builds(KernelSpec, st.sampled_from(kaf.kernels.FAMILIES),
+                         sigma=st.floats(1e-100, 1e100), degree=st.integers(1, 8))
+
+
+@st.composite
+def stream_configs(draw):
+    embed_L = draw(st.integers(1, 6))
+    return StreamConfig(draw(st.sampled_from(GENERATORS)),
+                        length=draw(st.integers(embed_L + 1, 10 ** 9)),
+                        noise_std=draw(st.floats(0, 1e6)), seed=draw(st.integers(0, 2 ** 64)),
+                        embed_L=embed_L)
+
+
+@st.composite
+def filter_configs(draw):
+    """A valid FilterConfig that sets only the fields its kind reads (to_json
+    writes no others); lambda is >= 0 for KRLS and > 0 for RLS."""
+    kind = draw(st.sampled_from(sorted(FILTER_KEYS)))
+    values = {"kernel": kernel_specs, "delta": st.floats(0, 1e6), "eta": st.floats(1e-6, 1e3),
+              "lambda": st.floats(0 if kind == "krls-ald-reg" else 1e-6, 1e6),
+              "forgetting": st.floats(1e-3, 1.0),
+              "max_terms": st.none() | st.integers(1, 10 ** 9)}
+    return FilterConfig(kind, **{{"lambda": "lam"}.get(key, key): draw(values[key])
+                                 for key in FILTER_KEYS[kind]})
+
+
+@settings(PROPS, max_examples=100)
+@given(x=st.one_of(kernel_specs, stream_configs(), filter_configs()))
+def test_config_json_round_trip(x):
+    assert type(x).from_json(json.loads(json.dumps(x.to_json()))) == x
+
+
 # The type of every config field, level by level, and values wrong for each.
 CONFIG_FIELDS = {
     "config": {"filter": dict, "stream": dict, "trials": int, "out": str,
                "summary_out": str, "record_timings": bool, "grid": dict},
     "filter": {"kind": str, "kernel": dict, "lambda": float, "delta": float,
-               "eta": float, "forgetting": float, "unregularized": bool, "max_terms": int},
+               "eta": float, "forgetting": float, "max_terms": int},
     "stream": {"generator": str, "length": int, "noise_std": float, "seed": int,
                "embed_L": int},
     "kernel": {"family": str, "sigma": float, "degree": int},
@@ -371,7 +432,7 @@ WRONG = {
 }
 BASE_FILTERS = {
     "klms": {"eta": 0.2, "max_terms": 100},
-    "krls-ald-reg": {"lambda": 0.1, "delta": 0.01, "unregularized": False},
+    "krls-ald-reg": {"lambda": 0.1, "delta": 0.01},
     "lms": {"eta": 0.05},
     "rls": {"lambda": 0.1, "forgetting": 0.99},
 }
