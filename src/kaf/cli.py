@@ -4,17 +4,20 @@ Commands
 --------
 run     feed a generated stream through a filter; write learning-curve CSV
         plus a summary JSON
-sweep   grid over delta / lambda / sigma / eta; one summary row per point
+sweep   grid over the delta / lambda / sigma / eta the filter kind reads; one
+        summary row per point
 verify  run an oracle-equivalence suite; exit 0 iff within tolerance
 bench   median per-step time versus model size plus fitted log-log slope
 
 Configuration comes from a JSON file with flag overrides; precedence is
 flags > file > defaults. Each config object is read once: unknown keys are
 refused, numbers must be JSON numbers (integral for ints), flags JSON bools,
-paths strings. Exit codes: 0 success, 1 validation error (a malformed
-command line included), 2 numerical failure, 3 I/O error. KAF_THREADS bounds
-the worker processes that run trials (`kaf run`) or grid points (`kaf sweep`)
-at once; runs are serial where the platform cannot fork.
+paths strings. A filter kind takes only the settings it reads
+(`experiments.FILTER_KEYS`), from the file, a flag or a grid alike: any
+other exits 1 before anything runs. Exit codes: 0 success, 1 validation
+error (a malformed command line included), 2 numerical failure, 3 I/O error.
+KAF_THREADS bounds the worker processes that run trials (`kaf run`) or grid
+points (`kaf sweep`) at once; runs are serial where the platform cannot fork.
 
 Outputs are deterministic given config + seed: CSV floats are printed with
 17 significant digits and per-step wall times are zeroed unless the config
@@ -38,16 +41,17 @@ from .bench import BENCH_KINDS, run_bench
 from .exceptions import KafError, ValidationError
 from .experiments import (
     CSV_HEADER,
+    FILTER_KEYS,
     FilterConfig,
     StreamConfig,
     average_curves,
     pool_map,
     run_trials,
 )
-from .kernels import KernelSpec
 from .verify import SUITES, run_suite
 
-SWEEP_KEYS = ("delta", "lambda", "sigma", "eta")
+# Each override flag and grid key, and the filter config key it sets.
+SWEEP_KEYS = {"delta": "delta", "lambda": "lambda", "sigma": "kernel", "eta": "eta"}
 CONFIG_KEYS = ("filter", "stream", "trials", "out", "summary_out", "record_timings", "grid")
 
 
@@ -67,7 +71,9 @@ def _workers() -> int:
 def _read_config(args: argparse.Namespace) -> dict:
     """The config file under the flag overrides (flags > file > defaults), read
     once: an object of CONFIG_KEYS, each field by the one field rule, "filter"
-    and "stream" as FilterConfig and StreamConfig, "grid" as lists of floats."""
+    and "stream" as FilterConfig and StreamConfig, "grid" as nonempty lists of
+    floats. A flag or grid key the filter kind does not read is refused; a
+    grid's values are read before its keys are checked against the kind."""
     try:
         with open(args.config) as f:
             cfg = check_object(json.load(f), CONFIG_KEYS, "config")
@@ -79,34 +85,41 @@ def _read_config(args: argparse.Namespace) -> dict:
         raise ValidationError(f"config key 'out' (CSV path) is required for {args.command}")
     grid = check_object(cfg.get("grid", {}), SWEEP_KEYS, "grid")
     for key, values in grid.items():
-        if not isinstance(values, list):
-            raise ValidationError(f"grid {key!r} is not a list of numbers: {values!r}")
+        if not (isinstance(values, list) and values):
+            raise ValidationError(f"grid {key!r} is not a nonempty list of numbers: {values!r}")
+    grid = {key: [convert(v, float, f"grid {key!r} entry in {grid[key]!r}") for v in grid[key]]
+            for key in SWEEP_KEYS if key in grid}
     sc = StreamConfig.from_json(cfg.get("stream", {}))
     trials = scalar_field(cfg, "trials", int, 1, "config")
     if trials < 1:
         raise ValidationError(f"config 'trials' must be >= 1, got {trials!r}")
     flags = {k: v for k, v in vars(args).items() if k in SWEEP_KEYS and v is not None}
+    fc = _set_hyperparameters(FilterConfig.from_json(cfg.get("filter", {})), flags)
+    check_object(grid, [key for key, sets in SWEEP_KEYS.items() if sets in FILTER_KEYS[fc.kind]],
+                 f"{fc.kind} grid")
     return {
-        "filter": _set_hyperparameters(FilterConfig.from_json(cfg.get("filter", {})), flags),
+        "filter": fc,
         "stream": sc if args.seed is None else replace(sc, seed=args.seed),
         "trials": trials,
         "out": out,
         "summary_out": (scalar_field(cfg, "summary_out", str, "", "config")
                         or f"{os.path.splitext(out)[0]}.summary.json"),
         "record_timings": scalar_field(cfg, "record_timings", bool, False, "config"),
-        "grid": {key: [convert(v, float, f"grid {key!r} entry in {grid[key]!r}")
-                       for v in grid[key]] for key in SWEEP_KEYS if key in grid},
+        "grid": grid,
     }
 
 
 def _set_hyperparameters(fc: FilterConfig, values: dict) -> FilterConfig:
-    """`fc` with the SWEEP_KEYS `values` set, checked as any FilterConfig; sigma
-    sets the kernel's width, a Gaussian kernel's when `fc` has none."""
-    fields = {{"lambda": "lam"}.get(key, key): val for key, val in values.items()
-              if key != "sigma"}
-    if "sigma" in values:
-        fields["kernel"] = replace(fc.kernel or KernelSpec("gaussian"), sigma=values["sigma"])
-    return replace(fc, **fields)
+    """`fc` with the SWEEP_KEYS `values` set, read as a config file's filter
+    object is. A value lands where SWEEP_KEYS says: sigma in the kernel
+    object, when the kind has one; a kind refuses a key it does not read."""
+    obj = fc.to_json()
+    for key, value in values.items():
+        if SWEEP_KEYS[key] == "kernel" and "kernel" in obj:
+            obj["kernel"] = {**obj["kernel"], key: value}
+        else:
+            obj[key] = value
+    return FilterConfig.from_json(obj)
 
 
 class _OutputSet:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .base import check_object, convert, fmt17, scalar_field
+from .base import check_object, convert, fmt17
 from .exceptions import KafError, ValidationError
 from .kernels import KernelSpec
 from .klms import Klms
@@ -37,8 +37,9 @@ from .krls import KrlsAldReg
 from .linear import Lms, Rls
 
 GENERATORS = ("nonlinear_sysid", "noisy_sinc", "mackey_glass_like", "linear_plant")
-# The config keys each filter kind reads besides "kind": `FilterConfig.to_json`
-# writes these, and its constructor checks the fields behind them.
+# The config keys each filter kind reads besides "kind": the only keys its
+# config object, flags and grid points may set, and those `FilterConfig.to_json`
+# writes. The filter's constructor checks the fields behind them.
 FILTER_KEYS = {
     "klms": ("kernel", "eta", "max_terms"),
     "krls-ald-reg": ("kernel", "lambda", "delta"),
@@ -46,6 +47,7 @@ FILTER_KEYS = {
     "rls": ("lambda", "forgetting"),
 }
 FILTER_KINDS = tuple(FILTER_KEYS)
+FIELD_NAMES = {"lambda": "lam"}  # config key -> FilterConfig field, where they differ
 KERNEL_KINDS = tuple(kind for kind, keys in FILTER_KEYS.items() if "kernel" in keys)
 STREAM_KEYS = ("generator", "length", "noise_std", "seed", "embed_L")
 
@@ -146,10 +148,13 @@ def generate(config: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
 class FilterConfig:
     """Which filter to run and with what hyperparameters.
 
-    Defaults (documented, not derived): eta=0.2, delta=0.01, lam=0.1, and a
-    Gaussian kernel with sigma=1. The ranges are the filter constructors':
-    `lam` >= 0 for `krls-ald-reg` (0 is the original, ridge-free KRLS) and
-    > 0 for `rls`; `max_terms` is KLMS's term cap, an integer >= 1 or None.
+    A kind reads only the fields behind its `FILTER_KEYS` entry and keeps the
+    values its filter's constructor, their one rule, stored for them
+    (`eta=np.float32(0.25)` reads as 0.25, `max_terms=5.0` as 5). Defaults
+    (documented, not derived): eta=0.2, delta=0.01, lam=0.1, and a Gaussian
+    kernel with sigma=1. `lam` is >= 0 for `krls-ald-reg` (0 is the original,
+    ridge-free KRLS) and > 0 for `rls`; `max_terms` is KLMS's term cap, an
+    integer >= 1 or None.
     """
 
     kind: str
@@ -161,40 +166,48 @@ class FilterConfig:
     max_terms: int | None = None
 
     def __post_init__(self):
-        """The kind is checked here; the rest by the filter's constructor, run
-        on a placeholder sample (k(0, 0) = 1 for both kernel families)."""
-        if self.kind not in FILTER_KINDS:
-            raise ValidationError(
-                f"filter.kind must be one of {FILTER_KINDS}, got {self.kind!r}"
-            )
-        if self.kind in KERNEL_KINDS and self.kernel is None:
+        """The kind is checked here; the fields it reads by the filter's
+        constructor, run on a placeholder sample (k(0, 0) = 1 for both kernel
+        families), whose stored values the config then keeps."""
+        keys = _filter_keys(self.kind)
+        if "kernel" in keys and self.kernel is None:
             object.__setattr__(self, "kernel", KernelSpec("gaussian", sigma=1.0))
         try:
-            build_filter(self, np.zeros(1), 0.0, 1)
+            filt = build_filter(self, np.zeros(1), 0.0, 1)
         except ValidationError as exc:
             raise ValidationError(f"filter.{exc}") from None
+        for key in keys:
+            if key != "kernel":  # every filter class stores these under the field's name
+                field = FIELD_NAMES.get(key, key)
+                object.__setattr__(self, field, getattr(filt, field))
 
     def to_json(self) -> dict:
-        values = {"kernel": self.kernel and self.kernel.to_json(), "lambda": self.lam,
-                  "delta": self.delta, "eta": self.eta, "forgetting": self.forgetting,
-                  "max_terms": self.max_terms}
-        return {"kind": self.kind, **{key: values[key] for key in FILTER_KEYS[self.kind]
-                                      if values[key] is not None}}
+        obj = {"kind": self.kind}
+        for key in FILTER_KEYS[self.kind]:
+            value = getattr(self, FIELD_NAMES.get(key, key))
+            if value is not None:
+                obj[key] = value.to_json() if key == "kernel" else value
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilterConfig":
-        check_object(obj, {"kind"}.union(*FILTER_KEYS.values()), "filter config",
-                     required=("kind",))
-        return cls(
-            kind=obj["kind"],
-            kernel=KernelSpec.from_json(obj["kernel"]) if "kernel" in obj else None,
-            lam=scalar_field(obj, "lambda", float, 0.1, "filter config"),
-            delta=scalar_field(obj, "delta", float, 0.01, "filter config"),
-            eta=scalar_field(obj, "eta", float, 0.2, "filter config"),
-            forgetting=scalar_field(obj, "forgetting", float, 1.0, "filter config"),
-            max_terms=(None if obj.get("max_terms") is None
-                       else convert(obj["max_terms"], int, "filter config 'max_terms'")),
-        )
+        # The kind says which other keys the object takes.
+        if not isinstance(obj, dict):
+            raise ValidationError(f"filter config must be an object, got {type(obj).__name__}")
+        if "kind" not in obj:
+            raise ValidationError("filter config lacks 'kind'")
+        check_object(obj, ("kind",) + _filter_keys(obj["kind"]), "filter config")
+        fields = {FIELD_NAMES.get(key, key): value for key, value in obj.items()}
+        if "kernel" in fields:
+            fields["kernel"] = KernelSpec.from_json(fields["kernel"])
+        return cls(**fields)
+
+
+def _filter_keys(kind) -> tuple:
+    """The config keys filter kind `kind` reads besides "kind"."""
+    if not (isinstance(kind, str) and kind in FILTER_KEYS):
+        raise ValidationError(f"filter.kind must be one of {FILTER_KINDS}, got {kind!r}")
+    return FILTER_KEYS[kind]
 
 
 @dataclass

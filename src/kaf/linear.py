@@ -94,6 +94,10 @@ class Rls:
         with np.errstate(over="ignore", invalid="ignore"):
             Pu = self.aux @ uu
             denom = self.forgetting + float(uu @ Pu)
+            if not (np.isfinite(denom) and denom > 0):  # denom >= forgetting for a PD aux
+                raise NumericalError(f"RLS denominator forgetting + u'.aux.u is {denom!r}, not a "
+                                     "finite positive number: aux is not positive definite or "
+                                     "has overflowed")
             weights = self.weights + Pu / denom * e
             # outer(Pu, Pu) keeps aux exactly symmetric.
             aux = (self.aux - np.outer(Pu, Pu) / denom) / self.forgetting
@@ -122,4 +126,6 @@ class Rls:
                   scalar_field(snap, "forgetting", default=1.0))
         obj.weights = weights
         obj.aux = snapshot_array(snap, "aux", (dim, dim))
+        if not np.array_equal(obj.aux, obj.aux.T):  # a saved aux is exactly symmetric
+            raise ValidationError("snapshot 'aux' is not symmetric")
         return obj

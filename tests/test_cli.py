@@ -142,6 +142,29 @@ class TestRun:
         summary = json.loads((tmp_path / "curve.summary.json").read_text())
         assert summary["config"]["filter"]["lambda"] == 0.0
 
+    @pytest.mark.parametrize("command, kind, extra, argv, message", [
+        ("run", "lms", {"lambda": 7.0}, [], "unknown filter config keys: ['lambda']"),
+        ("run", "rls", {"kernel": {"family": "gaussian"}}, [],
+         "unknown filter config keys: ['kernel']"),
+        ("run", "lms", {}, ["--lambda", "7"], "unknown filter config keys: ['lambda']"),
+        ("sweep", "rls", {}, ["--eta", "0.1"], "unknown filter config keys: ['eta']"),
+        ("run", "lms", {}, ["--sigma", "2"], "unknown filter config keys: ['sigma']"),
+        ("run", "rls", {}, ["--sigma", "2"], "unknown filter config keys: ['sigma']"),
+        ("run", "klms", {}, ["--delta", "0.5"], "unknown filter config keys: ['delta']"),
+    ], ids=["config-key", "config-kernel", "lambda-flag", "eta-flag", "sigma-flag-lms",
+            "sigma-flag-rls", "delta-flag-klms"])
+    def test_setting_the_kind_does_not_read_exits_1(self, command, kind, extra, argv,
+                                                     message, tmp_path, capsys):
+        """A filter kind takes only the settings it reads, from a config file
+        and from a flag alike; any other exits 1 before a trial runs."""
+        cfg = base_run_config(tmp_path, filter={"kind": kind, **extra},
+                              grid={"lambda" if kind == "rls" else "eta": [0.1]})
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main([command, "--config", path] + argv) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "validation", "message": message}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     @pytest.mark.parametrize("where", ["config", "flag"])
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_negative_seed_exits_1(self, command, where, tmp_path, capsys):
@@ -297,6 +320,30 @@ class TestSweep:
     def test_empty_grid_rejected(self, tmp_path):
         cfg = self.sweep_config(tmp_path, {})
         assert main(["sweep", "--config", write_config(tmp_path / "s.json", cfg)]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_empty_grid_list_exits_1(self, command, tmp_path, capsys):
+        """A grid list with no values would sweep no point: refused, and
+        nothing is written."""
+        cfg = self.sweep_config(tmp_path, {"delta": [], "lambda": [0.1]})
+        assert main([command, "--config", write_config(tmp_path / "s.json", cfg)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "validation",
+                       "message": "grid 'delta' is not a nonempty list of numbers: []"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_grid_key_the_kind_does_not_read_exits_1(self, command, tmp_path, capsys):
+        """An lms sweep over delta x sigma would write four identical rows:
+        the kind reads neither key, so the config exits 1 and nothing is
+        written."""
+        cfg = self.sweep_config(tmp_path, {"delta": [0.01, 0.1], "sigma": [0.5, 1.0]},
+                                filter={"kind": "lms", "eta": 0.05})
+        assert main([command, "--config", write_config(tmp_path / "s.json", cfg)]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "validation",
+                       "message": "unknown lms grid keys: ['delta', 'sigma']"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 
 class TestVerify:

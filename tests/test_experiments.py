@@ -1,4 +1,5 @@
 import io
+import json
 import multiprocessing
 import os
 import subprocess
@@ -216,6 +217,22 @@ class TestTrialsAndAveraging:
         assert FilterConfig.from_json(fc.to_json()) == fc
         with pytest.raises(ValidationError):
             FilterConfig.from_json({"kind": "klms", "bogus": 1})
+
+    def test_filter_config_keeps_the_constructors_values(self):
+        """The config stores what the filter's constructor converted, so its
+        JSON holds plain numbers: the float 0.25 and the int 5."""
+        fc = FilterConfig("klms", eta=np.float32(0.25), max_terms=5.0)
+        assert type(fc.eta) is float and type(fc.max_terms) is int
+        text = json.dumps(fc.to_json(), sort_keys=True)
+        assert '"eta": 0.25' in text and '"max_terms": 5}' in text
+
+    @pytest.mark.parametrize("kind, key", [("lms", "lambda"), ("lms", "kernel"),
+                                           ("rls", "delta"), ("klms", "lambda"),
+                                           ("krls-ald-reg", "eta")])
+    def test_filter_config_refuses_keys_its_kind_does_not_read(self, kind, key):
+        value = {"family": "gaussian"} if key == "kernel" else 0.5
+        with pytest.raises(ValidationError, match=rf"unknown filter config keys: \['{key}'\]"):
+            FilterConfig.from_json({"kind": kind, key: value})
 
     @pytest.mark.parametrize("value", ["5", [3], 2.5, True, 0])
     def test_filter_config_max_terms_checked_as_klms(self, value):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,19 +91,58 @@ class TestRls:
 
     def test_overflow_raises_and_leaves_state(self):
         """Forgetting 0.9 on collinear inputs [x, x]: the unexcited direction
-        of aux grows by 1/0.9 a step and overflows at step 1585. That step
-        raises NumericalError, with no numpy warning, and writes nothing."""
+        of aux grows by 1/0.9 a step, so within 1585 steps either roundoff
+        leaves aux indefinite and the denominator forgetting + u'.aux.u goes
+        to 0 or below, or the update overflows. Which comes first, and at
+        what step, is a roundoff event; the step it happens at raises
+        NumericalError naming the cause, with no numpy warning, and writes
+        nothing."""
         rng = np.random.default_rng(0)
         f = Rls(2, 0.1, forgetting=0.9)
-        for _ in range(1, 1585):
+        error = None
+        for _ in range(2000):
+            weights, aux = f.weights.copy(), f.aux.copy()
             x = rng.standard_normal()
-            f.step([x, x], 2 * x)
-        weights, aux = f.weights.copy(), f.aux.copy()
-        assert np.isfinite(aux).all()
-        x = rng.standard_normal()
-        with pytest.raises(NumericalError, match="overflow"):
-            f.step([x, x], 2 * x)
+            try:
+                f.step([x, x], 2 * x)
+            except NumericalError as exc:
+                error = exc
+                break
+        assert error is not None and np.isfinite(aux).all()
+        assert re.search(r"denominator forgetting \+ u'.aux.u is|overflow", str(error))
         assert np.array_equal(f.weights, weights) and np.array_equal(f.aux, aux)
+
+    def test_overflowing_update_raises_and_leaves_state(self):
+        """A positive definite aux of 1e300 I gives a finite denominator, but
+        its rank-one update overflows: NumericalError, and nothing written."""
+        snap = dict(Rls(2, 0.1, forgetting=0.9).to_snapshot(), aux=[[1e300, 0.0], [0.0, 1e300]])
+        f = Rls.from_snapshot(snap)
+        with pytest.raises(NumericalError, match="overflow"):
+            f.step([1.0, 0.0], 1.0)
+        assert np.array_equal(f.weights, np.zeros(2)) and f.to_snapshot() == snap
+
+    @pytest.mark.parametrize("aux, u", [([[-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0]),
+                                        ([[1.0, 0.0], [0.0, -2.0]], [0.0, 1.0]),
+                                        ([[1e308, 0.0], [0.0, 1.0]], [10.0, 0.0])])
+    def test_bad_denominator_raises_before_any_write(self, aux, u):
+        """At forgetting 1, an aux that is not positive definite gives a
+        denominator forgetting + u'.aux.u of 0 or below, and an aux whose
+        quadratic form overflows one of inf: the step names it, with no numpy
+        warning, and writes nothing."""
+        snap = dict(Rls(2, 0.1).to_snapshot(), aux=aux)
+        f = Rls.from_snapshot(snap)
+        with pytest.raises(NumericalError, match=r"denominator forgetting \+ u'.aux.u is"):
+            f.step(u, 1.0)
+        assert f.to_snapshot() == snap
+
+    def test_snapshot_refuses_asymmetric_aux(self):
+        """A saved aux is exactly symmetric; the loader refuses one that is
+        not, as the KRLS loader refuses an asymmetric P."""
+        snap = Rls(2, 0.3).to_snapshot()
+        with pytest.raises(ValidationError, match="'aux' is not symmetric"):
+            Rls.from_snapshot(dict(snap, aux=[[1.0, 0.5], [0.5 + 1e-16, 1.0]]))
+        with pytest.raises(ValidationError, match="'aux' is not symmetric"):
+            Rls.from_snapshot(dict(snap, aux=[[1.0, 2.0], [0.0, 1.0]]))
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):

@@ -40,7 +40,7 @@ from kaf.exceptions import (
     NumericalError,
     ValidationError,
 )
-from kaf.experiments import FILTER_KEYS, GENERATORS, StreamConfig, build_filter
+from kaf.experiments import FILTER_KEYS, GENERATORS, KERNEL_KINDS, StreamConfig, build_filter
 from kaf.kernels import kernel_self
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -392,23 +392,43 @@ def stream_configs(draw):
                         embed_L=embed_L)
 
 
+def _as_drawn(value):
+    """`value`, or the same number as a numpy scalar or as an int or float of
+    the other Python type where that is exact: what a caller might pass."""
+    if value is None:
+        return st.just(value)
+    forms = [value, np.float64(value), np.float32(value) if np.float32(value) == value else value]
+    if float(value).is_integer() and abs(value) < 2 ** 53:
+        forms += [int(value), float(value), np.int64(value)]
+    return st.sampled_from(forms)
+
+
 @st.composite
 def filter_configs(draw):
     """A valid FilterConfig that sets only the fields its kind reads (to_json
-    writes no others); lambda is >= 0 for KRLS and > 0 for RLS."""
+    writes no others); lambda is >= 0 for KRLS and > 0 for RLS. Each number
+    may be passed as a numpy scalar or an integral float, as a caller may."""
     kind = draw(st.sampled_from(sorted(FILTER_KEYS)))
     values = {"kernel": kernel_specs, "delta": st.floats(0, 1e6), "eta": st.floats(1e-6, 1e3),
               "lambda": st.floats(0 if kind == "krls-ald-reg" else 1e-6, 1e6),
               "forgetting": st.floats(1e-3, 1.0),
               "max_terms": st.none() | st.integers(1, 10 ** 9)}
-    return FilterConfig(kind, **{{"lambda": "lam"}.get(key, key): draw(values[key])
-                                 for key in FILTER_KEYS[kind]})
+    fields = {}
+    for key in FILTER_KEYS[kind]:
+        value = draw(values[key])
+        fields[{"lambda": "lam"}.get(key, key)] = (
+            value if key == "kernel" else draw(_as_drawn(value)))
+    return FilterConfig(kind, **fields)
 
 
 @settings(PROPS, max_examples=100)
 @given(x=st.one_of(kernel_specs, stream_configs(), filter_configs()))
 def test_config_json_round_trip(x):
-    assert type(x).from_json(json.loads(json.dumps(x.to_json()))) == x
+    """A config dumps to JSON text that reads back to an equal config, and
+    dumps again to the same text: its fields hold plain ints and floats."""
+    text = json.dumps(x.to_json())
+    y = type(x).from_json(json.loads(text))
+    assert y == x and json.dumps(y.to_json()) == text
 
 
 # The type of every config field, level by level, and values wrong for each.
@@ -436,15 +456,23 @@ BASE_FILTERS = {
     "lms": {"eta": 0.05},
     "rls": {"lambda": 0.1, "forgetting": 0.99},
 }
+# A grid over every key each kind reads, and no other: a kind refuses a grid
+# key it does not read.
+BASE_GRIDS = {
+    "klms": {"eta": [0.1, 0.2], "sigma": [1.0]},
+    "krls-ald-reg": {"delta": [0.01, 0.1], "lambda": [0.1], "sigma": [1.0]},
+    "lms": {"eta": [0.01, 0.05]},
+    "rls": {"lambda": [0.1, 1.0]},
+}
 
 
 def _small_config(directory, kind):
+    kernel = {"kernel": {"family": "gaussian", "sigma": 1.0}} if kind in KERNEL_KINDS else {}
     return {
-        "filter": {"kind": kind, "kernel": {"family": "gaussian", "sigma": 1.0},
-                   **BASE_FILTERS[kind]},
+        "filter": {"kind": kind, **kernel, **BASE_FILTERS[kind]},
         "stream": {"generator": "nonlinear_sysid", "length": 50, "noise_std": 0.1,
                    "seed": 1, "embed_L": 2},
-        "trials": 1, "record_timings": False, "grid": {"delta": [0.01, 0.1]},
+        "trials": 1, "record_timings": False, "grid": {key: list(values) for key, values in BASE_GRIDS[kind].items()},
         "out": os.path.join(directory, "curve.csv"),
         "summary_out": os.path.join(directory, "summary.json"),
     }
@@ -478,8 +506,8 @@ def test_small_config_runs(kind):
 def broken_configs(draw):
     """A small valid config with one field set to a value of the wrong type,
     or one unknown key added, at any level."""
-    kind = draw(st.sampled_from(sorted(BASE_FILTERS)))
     level = draw(st.sampled_from(sorted(CONFIG_FIELDS)))
+    kind = draw(st.sampled_from(KERNEL_KINDS if level == "kernel" else sorted(BASE_FILTERS)))
     fields = CONFIG_FIELDS[level]
     if level == "filter":   # the fields this kind reads
         fields = {key: fields[key] for key in ("kind",) + FILTER_KEYS[kind]}
@@ -501,5 +529,6 @@ def test_malformed_config_exits_1_and_writes_nothing(command, broken):
         _level(cfg, level)[key] = value
         code, stdout, files = _run_cli(command, cfg, directory)
         assert code == 1, stdout
-        assert json.loads(stdout)["error"]["type"] == "validation"
+        error = json.loads(stdout)["error"]
+        assert error["type"] == "validation" and key in error["message"], error
         assert files == ["c.json"]
