@@ -72,8 +72,9 @@ def _read_config(args: argparse.Namespace) -> dict:
     """The config file under the flag overrides (flags > file > defaults), read
     once: an object of CONFIG_KEYS, each field by the one field rule, "filter"
     and "stream" as FilterConfig and StreamConfig, "grid" as nonempty lists of
-    floats. A flag or grid key the filter kind does not read is refused; a
-    grid's values are read before its keys are checked against the kind."""
+    floats. A flag or grid key the filter kind does not read is refused, and
+    sigma on a kernel other than the Gaussian; a grid's values are read
+    before its keys are checked against the filter."""
     try:
         with open(args.config) as f:
             cfg = check_object(json.load(f), CONFIG_KEYS, "config")
@@ -94,7 +95,11 @@ def _read_config(args: argparse.Namespace) -> dict:
     if trials < 1:
         raise ValidationError(f"config 'trials' must be >= 1, got {trials!r}")
     flags = {k: v for k, v in vars(args).items() if k in SWEEP_KEYS and v is not None}
-    fc = _set_hyperparameters(FilterConfig.from_json(cfg.get("filter", {})), flags)
+    fc = FilterConfig.from_json(cfg.get("filter", {}))
+    kernel = fc.kernel
+    if "sigma" in {**flags, **grid} and kernel is not None and kernel.family != "gaussian":
+        raise ValidationError(f"a {kernel.family} kernel does not read sigma, the Gaussian width")
+    fc = _set_hyperparameters(fc, flags)
     check_object(grid, [key for key, sets in SWEEP_KEYS.items() if sets in FILTER_KEYS[fc.kind]],
                  f"{fc.kind} grid")
     return {
@@ -167,7 +172,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     fc, sc, trials = cfg["filter"], cfg["stream"], cfg["trials"]
     out_path, summary_path, timings = cfg["out"], cfg["summary_out"], cfg["record_timings"]
 
-    curves = run_trials(fc, sc, trials, workers=_workers())
+    curves = run_trials(fc, sc, trials, workers=_workers(), record_timings=timings)
 
     with _OutputSet() as outputs:
         with outputs.open(out_path) as f:

@@ -18,6 +18,8 @@ A Dictionary is a single-writer value: `grow` needs exclusive access, while
 The public `ald_test` and `grow` validate their input vector (and `delta`)
 and delegate to `_ald` and `_grow`, which take a vector already checked by
 the caller: `KrlsAldReg.step` validates once and calls those directly.
+`AldScreen` is `_ald` for a block of checked inputs at once, up to a
+roundoff bound, for `KrlsAldReg.run`.
 """
 
 from __future__ import annotations
@@ -30,10 +32,13 @@ import numpy as np
 
 from .base import append_row, as_input, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
-from .kernels import KernelSpec, gram as full_gram, kernel_self, kernel_vector
+from .kernels import KernelSpec, gram as full_gram, kernel_matrix, kernel_self, kernel_vector
 
 # Residuals below this cannot be admitted: the new row of W divides by sqrt(d2).
 GROWTH_FLOOR = 1e-12
+
+# Safety factor of `AldScreen`'s slack over its roundoff bound.
+SCREEN_SAFETY = 2.0
 
 
 class AldResult(NamedTuple):
@@ -200,6 +205,66 @@ class Dictionary:
             # and `_grow` still refuses a residual below GROWTH_FLOOR.
             d._grow(c, d._ald(c, 0.0)._replace(admitted=True))
         return d
+
+
+class AldScreen:
+    """`Dictionary._ald` for a validated (m, dim) block of inputs U at once,
+    up to roundoff: two products, H = k(U, centers) and L = H W^T, whose
+    rows are the inputs' l, give d2 = k(u, u) - |l|^2 per row, unclamped.
+
+    `_ald` sums the same terms in other orders, one product per input, so its
+    d2_raw for a row differs from `d2` by roundoff. The slack of `rejects`
+    bounds that difference. Each of the two lies within 2 eps n (k(u, u) + h_max
+    sum_i |l_i| r_i) of the exact value, where:
+
+    - n = K + p (dim + 8) + 1 counts the rounding steps, for p the
+      polynomial degree (1 for the Gaussian);
+    - r_i is the i-th row sum of |W|;
+    - h_max = sqrt(k(u, u) max_j k(c_j, c_j)) bounds |h| (Cauchy-Schwarz).
+
+    The slack is SCREEN_SAFETY times the sum of the two bounds, so a row
+    with d2 < delta - slack is one that `_ald` does not admit (`rejects`).
+
+    `extend` follows the dictionary's growth by one center. W's old rows do
+    not change, so L gains the column of W's new row and d2 drops by its
+    square: the same bound, with K one larger.
+    """
+
+    def __init__(self, dic: Dictionary, U: np.ndarray):
+        self._dic = dic
+        self._U = U
+        self._H = kernel_matrix(dic.spec, U, dic.centers)
+        self.L = self._H @ dic.W.T
+        self._k_uu = _self_kernels(dic.spec, U)
+        self.d2 = self._k_uu - np.einsum("ij,ij->i", self.L, self.L)
+        self._k_cc = float(_self_kernels(dic.spec, dic.centers).max())
+        self._lw = np.abs(self.L) @ np.abs(dic.W).sum(axis=1)
+        self._p = dic.spec.degree if dic.spec.family == "polynomial" else 1
+
+    def rejects(self, delta: float) -> np.ndarray:
+        """Mask of the rows that `_ald` does not admit at threshold delta."""
+        n = self.L.shape[1] + self._p * (self._U.shape[1] + 8) + 1
+        h_max = np.sqrt(self._k_uu * self._k_cc)
+        slack = (4 * SCREEN_SAFETY * np.finfo(float).eps * n) * (self._k_uu + h_max * self._lw)
+        return self.d2 < delta - slack
+
+    def extend(self) -> None:
+        """Add the center the dictionary admitted last, and W's new row."""
+        c, w = self._dic.centers[-1:], self._dic.W[-1]
+        self._H = np.column_stack((self._H, kernel_matrix(self._dic.spec, self._U, c)))
+        l = self._H @ w
+        self.L = np.column_stack((self.L, l))
+        self.d2 -= l * l
+        self._k_cc = max(self._k_cc, float(_self_kernels(self._dic.spec, c)[0]))
+        self._lw += np.abs(l) * np.abs(w).sum()
+
+
+def _self_kernels(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """k(x, x) for each row of a validated X, as `kernel_self` gives it up to
+    roundoff (exactly, for the Gaussian)."""
+    if spec.family == "gaussian":
+        return np.ones(X.shape[0])
+    return (np.einsum("ij,ij->i", X, X) + 1.0) ** spec.degree
 
 
 def _checksum(centers: np.ndarray) -> str:

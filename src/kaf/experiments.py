@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import time
 from dataclasses import dataclass, replace
 
@@ -52,6 +53,8 @@ KERNEL_KINDS = tuple(kind for kind, keys in FILTER_KEYS.items() if "kernel" in k
 STREAM_KEYS = ("generator", "length", "noise_std", "seed", "embed_L")
 
 CSV_HEADER = ["n", "y", "d", "e", "e2", "dict_size", "step_seconds"]
+# Rows `LearningCurve.append_csv_rows` formats at once.
+CSV_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -268,12 +271,20 @@ class LearningCurve:
         self.append_csv_rows(w, include_timings)
 
     def append_csv_rows(self, writer, include_timings: bool = False) -> None:
-        for i in range(len(self)):
-            t = self.step_seconds[i] if include_timings else 0.0
-            writer.writerow([
-                int(self.n[i]), fmt17(self.y[i]), fmt17(self.d[i]), fmt17(self.e[i]),
-                fmt17(self.e2[i]), int(self.dict_size[i]), fmt17(t),
-            ])
+        """Write the rows to a `csv.writer`, CSV_ROWS at a time: each column
+        of a block is formatted in one pass (floats as `fmt17` gives them), and
+        the text held at once stays small."""
+        def floats(a):
+            return ["%.17g" % v for v in a.tolist()]
+
+        for lo in range(0, len(self), CSV_ROWS):
+            rows = slice(lo, lo + CSV_ROWS)
+            seconds = (floats(self.step_seconds[rows]) if include_timings
+                       else itertools.repeat(fmt17(0.0)))
+            writer.writerows(zip(self.n[rows].astype(int).tolist(), floats(self.y[rows]),
+                                 floats(self.d[rows]), floats(self.e[rows]),
+                                 floats(self.e2[rows]),
+                                 self.dict_size[rows].astype(int).tolist(), seconds))
 
     @classmethod
     def read_csv(cls, fileobj: io.TextIOBase) -> "LearningCurve":
@@ -312,14 +323,18 @@ def build_filter(fc: FilterConfig, first_u: np.ndarray, first_d: float,
     return Rls(embed_L, fc.lam, fc.forgetting)
 
 
-def run_trial(fc: FilterConfig, sc: StreamConfig) -> LearningCurve:
+def run_trial(fc: FilterConfig, sc: StreamConfig,
+              record_timings: bool = False) -> LearningCurve:
     """Feed one generated stream through one filter, recording every step.
 
     Kernel filters absorb the first sample at construction; that iteration is
-    recorded as y = 0, e = d(1) (zero initial model). This is the one place
-    that times the steps of a trial: each `step` call (and a kernel filter's
-    construction) is timed from outside with `perf_counter`. Filter errors
-    are re-raised naming the trial's seed and the failing 1-based step.
+    recorded as y = 0, e = d(1) (zero initial model). A filter with a bulk
+    `run` (KRLS) takes the rest of the stream in one call, and its
+    step_seconds are zeros, unless `record_timings` is set. Otherwise, and
+    for the other filters, this is the one place that times the steps of a
+    trial: each `step` call (and a kernel filter's construction) is timed
+    from outside with `perf_counter`. Filter errors are re-raised naming the
+    trial's seed and the failing 1-based step.
     """
     U, d = generate(sc)
     count = U.shape[0]
@@ -335,26 +350,38 @@ def run_trial(fc: FilterConfig, sc: StreamConfig) -> LearningCurve:
         e[0] = d[0]
         dict_size[0] = 1
         start = 1
-    for i in range(start, count):
-        t0 = time.perf_counter()
+    if not record_timings and hasattr(filt, "run"):
         try:
-            out = filt.step(U[i], d[i])
+            y[start:], e[start:], dict_size[start:] = filt.run(U[start:], d[start:])
         except KafError as exc:
-            raise type(exc)(f"trial with seed {sc.seed} failed at step {i + 1}: {exc}") from exc
-        seconds[i] = time.perf_counter() - t0
-        y[i], e[i], dict_size[i] = out.y, out.e, out.dict_size
+            # filt.n counts the samples committed, the first one included
+            raise type(exc)(f"trial with seed {sc.seed} failed at step {filt.n + 1}: "
+                            f"{exc}") from exc
+        seconds[:] = 0.0
+    else:
+        for i in range(start, count):
+            t0 = time.perf_counter()
+            try:
+                out = filt.step(U[i], d[i])
+            except KafError as exc:
+                raise type(exc)(f"trial with seed {sc.seed} failed at step {i + 1}: "
+                                f"{exc}") from exc
+            seconds[i] = time.perf_counter() - t0
+            y[i], e[i], dict_size[i] = out.y, out.e, out.dict_size
     return LearningCurve(n=np.arange(1, count + 1), y=y, d=d, e=e, e2=e * e,
                          dict_size=dict_size, step_seconds=seconds)
 
 
 def run_trials(fc: FilterConfig, sc: StreamConfig, trials: int,
-               workers: int | None = None) -> list[LearningCurve]:
+               workers: int | None = None,
+               record_timings: bool = False) -> list[LearningCurve]:
     """Independent trials over seeds sc.seed .. sc.seed + trials - 1, run by
     `pool_map` on up to `workers` processes, results in seed order."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials!r}")
     configs = [replace(sc, seed=sc.seed + i) for i in range(trials)]
-    return pool_map(functools.partial(run_trial, fc), configs, workers)
+    return pool_map(functools.partial(run_trial, fc, record_timings=record_timings),
+                    configs, workers)
 
 
 def pool_map(fn, items: list, workers: int | None = None) -> list:

@@ -26,6 +26,8 @@ from .kernels import KernelSpec, kernel_vector
 class Klms:
     def __init__(self, spec: KernelSpec, eta: float, first_input, first_target,
                  *, max_terms: int | None = None):
+        if not isinstance(spec, KernelSpec):
+            raise ValidationError(f"kernel must be a KernelSpec, got {type(spec).__name__}")
         eta = convert(eta, float, "eta")
         if not (np.isfinite(eta) and eta > 0):
             raise ValidationError(f"eta must be > 0, got {eta!r}")

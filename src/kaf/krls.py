@@ -26,6 +26,37 @@ original KRLS) and the first sample, bordered onto the empty state.
 Steps are transactional: all floor checks precede the first write, so a
 raised error leaves the state bit-identical. `step` validates its input once
 and passes the checked vector to the dictionary's trusted `_ald`/`_grow`.
+
+`run` feeds a stream through the same recursion in blocks. The ALD test
+reads only the dictionary, never P or b (Engel, Mannor & Meir 2004), so one
+kernel matrix H and one product L = H W^T screen up to BLOCK samples'
+residuals d2 = k(u, u) - rowsum(L^2) at once (`dictionary.AldScreen`).
+Admission rule: a sample goes through `step` when its screened d2 is not
+below delta by more than the screen's roundoff bound, so `step` makes every
+decision that could go either way, and the samples before it are ones
+`step` would not admit. After an admission the screen gains W's new row,
+and the block goes on.
+
+Between admissions the samples are plain RLS on fixed features: the rows
+of L and their targets d, in order. The innovations form of block RLS
+(Sayed & Kailath 1994) applies them in one update. With
+S = I + L P L^T = R R^T (Cholesky, R lower triangular) and
+Y = R^-1 [L P, d - L b] = [X, nu]:
+
+    e~ = diag(R) nu            (the a priori errors)
+    P' = P - X^T X             (X^T X is formed exactly symmetric)
+    b' = b + X^T nu
+
+and the outputs are y = d - e~, then e = d - y, so e = d - y exactly. The
+per-sample denominators 1 + l^T P l are diag(R)^2.
+
+Failure rule: the samples up to the first non-finite or malformed one go in
+blocks; that one and any after it go through `step`, which raises where the
+step loop would. A block whose Cholesky fails, whose results are not
+finite, or whose diag(R)^2 are not all above BLOCK_DENOM_MIN, is re-stepped
+sample by sample from the state before it, so a floor violation raises from
+`step` at the step loop's sample with the state the step loop leaves. `n`
+counts the samples committed.
 """
 
 from __future__ import annotations
@@ -35,8 +66,8 @@ import math
 import numpy as np
 
 from .base import StepOutput, as_input, check_target, convert, scalar_field, snapshot_array
-from .dictionary import Dictionary
-from .exceptions import KafError, NumericalError, ValidationError
+from .dictionary import AldScreen, Dictionary
+from .exceptions import DimensionMismatchError, KafError, NumericalError, ValidationError
 from .kernels import KernelSpec, kernel_self
 
 DEGENERACY_FLOOR = 1e-12
@@ -44,6 +75,15 @@ DEGENERACY_FLOOR = 1e-12
 # Rows per block of `_downdate`: each block's outer-product temporary stays
 # small enough to be cache-resident (64 x 800 doubles = 400 KiB).
 ROW_BLOCK = 64
+
+# Samples `run` screens at once; it also caps the Cholesky factor R of a block
+# update at BLOCK x BLOCK, whose solve is a general (LU) one.
+BLOCK = 64
+
+# 1 + l^T P l >= 1 in exact arithmetic: a block update whose denominators
+# diag(R)^2 do not all exceed this has lost P's definiteness to roundoff, and
+# its samples go through `step`, which applies DEGENERACY_FLOOR one at a time.
+BLOCK_DENOM_MIN = 0.5
 
 
 def _downdate(P: np.ndarray, q: np.ndarray, c: float) -> None:
@@ -75,6 +115,8 @@ class KrlsAldReg:
 
     def __init__(self, spec: KernelSpec, lam: float, delta: float,
                  first_input, first_target):
+        if not isinstance(spec, KernelSpec):
+            raise ValidationError(f"kernel must be a KernelSpec, got {type(spec).__name__}")
         self._set_parameters(lam, delta)
         u = as_input(first_input)
         d = check_target(first_target)
@@ -135,6 +177,84 @@ class KrlsAldReg:
         self._alpha = None
         self.n += 1
         return StepOutput(y=y, e=e, grew=ald.admitted, dict_size=self.dict.size)
+
+    def run(self, U, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Process the samples (U[i], d[i]) in order, as `step` on each would,
+        and return arrays of their y, e and dict_size. U is an (n, dim) array,
+        or n scalars when dim = 1. The samples go in blocks (see the module
+        docstring) up to the first one that is malformed or non-finite; from
+        there on they go through `step`, which raises where the step loop
+        would. On a raise, `n` counts the samples committed."""
+        n = len(d)
+        if len(U) != n:
+            raise DimensionMismatchError(f"run got {len(U)} inputs for {n} targets")
+        y, e = np.empty(n), np.empty(n)
+        size = np.empty(n, dtype=int)
+
+        def step(i: int) -> bool:
+            out = self.step(U[i], d[i])
+            y[i], e[i], size[i] = out.y, out.e, out.dict_size
+            return out.grew
+
+        try:
+            X, t = np.asarray(U, dtype=np.float64), np.asarray(d, dtype=np.float64)
+        except (TypeError, ValueError):  # ragged or not numeric: all go through `step`
+            X = t = np.empty((0, 0))
+        if X.ndim == 1:
+            X = X[:, None]  # scalar inputs
+        stop = 0
+        if self.P is not None and X.shape == (n, self.dict.dim) and t.shape == (n,):
+            bad = np.flatnonzero(~(np.isfinite(X).all(axis=1) & np.isfinite(t)))
+            stop = int(bad[0]) if bad.size else n
+        for lo in range(0, stop, BLOCK):
+            hi = min(lo + BLOCK, stop)
+            screen = AldScreen(self.dict, X[lo:hi])
+            clear = screen.rejects(self.delta)
+            i = lo
+            while i < hi:
+                # Samples i..j-1 are ones `step` would not admit; j might be.
+                hit = np.flatnonzero(~clear[i - lo:])
+                j = i + int(hit[0]) if hit.size else hi
+                if j > i:
+                    errs = self._update_block(screen.L[i - lo:j - lo], t[i:j])
+                    if errs is None:
+                        for k in range(i, j):
+                            step(k)
+                    else:
+                        y[i:j] = t[i:j] - errs
+                        e[i:j] = t[i:j] - y[i:j]
+                        size[i:j] = self.dict.size
+                if j < hi and step(j):
+                    screen.extend()
+                    clear = screen.rejects(self.delta)
+                i = j + 1
+        for i in range(stop, n):
+            step(i)
+        return y, e, size
+
+    def _update_block(self, L: np.ndarray, d: np.ndarray) -> np.ndarray | None:
+        """One block RLS update for samples `step` would not admit, with the
+        rows of L as features and targets d: P and b as the steps would leave
+        them, up to roundoff. Returns the samples' a priori errors, or None,
+        with the state untouched, when a denominator is below BLOCK_DENOM_MIN
+        or a result is not finite."""
+        LP = L @ self.P
+        S = LP @ L.T
+        S.flat[::S.shape[0] + 1] += 1.0  # the diagonal
+        try:
+            R = np.linalg.cholesky(S)
+            Y = np.linalg.solve(R, np.column_stack((LP, d - L @ self.b)))
+        except np.linalg.LinAlgError:
+            return None
+        r = np.diagonal(R)
+        if not (np.isfinite(Y).all() and (r * r).min() > BLOCK_DENOM_MIN):
+            return None
+        X, nu = Y[:, :-1], Y[:, -1]
+        self.P -= X.T @ X  # numpy forms X^T X exactly symmetric
+        self.b += nu @ X
+        self._alpha = None
+        self.n += L.shape[0]
+        return r * nu
 
     def _gain(self, f: np.ndarray) -> tuple[np.ndarray, float]:
         """q = P f and the floor-checked denominator 1 + f^T P f, which is

@@ -346,6 +346,27 @@ class TestSweep:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 
+    @pytest.mark.parametrize("where", ["flag", "grid"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_sigma_on_a_polynomial_kernel_exits_1(self, command, where, tmp_path, capsys):
+        """A polynomial kernel has no width: a sigma sweep over it would write
+        identical rows, and --sigma would be dropped. Both exit 1 and write
+        nothing."""
+        poly = {"kind": "krls-ald-reg", "kernel": {"family": "polynomial", "degree": 2},
+                "lambda": 0.1, "delta": 0.01}
+        grid = {"sigma": [0.5, 1.0, 2.0]} if where == "grid" else {"delta": [0.01]}
+        cfg = self.sweep_config(tmp_path, grid, filter=poly)
+        flags = ["--sigma", "2"] if where == "flag" else []
+        assert main([command, "--config", write_config(tmp_path / "s.json", cfg)] + flags) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"type": "validation",
+                       "message": "a polynomial kernel does not read sigma, the Gaussian width"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+        # the same config without sigma runs
+        cfg["grid"] = {"delta": [0.01]}
+        assert main([command, "--config", write_config(tmp_path / "s.json", cfg)]) == 0
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["krls-batch", "klms-feature", "gram-psd",
                                        "inverse-consistency"])

@@ -272,9 +272,9 @@ class TestPoolMap:
 
 def test_import_kaf_loads_no_process_pool():
     """multiprocessing and concurrent.futures load only when a pool starts, so
-    `import kaf` does not pay for them."""
+    `import kaf` does not pay for them; and kaf is numpy-only: no scipy."""
     code = ("import kaf, sys; print(sorted(m for m in ('multiprocessing', "
-            "'concurrent.futures') if m in sys.modules))")
+            "'concurrent.futures', 'scipy') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kaf.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

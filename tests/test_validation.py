@@ -532,3 +532,16 @@ def test_malformed_config_exits_1_and_writes_nothing(command, broken):
         error = json.loads(stdout)["error"]
         assert error["type"] == "validation" and key in error["message"], error
         assert files == ["c.json"]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_kernel_must_be_a_kernel_spec(kind):
+    """A kernel object that is not a KernelSpec is refused by the filter's
+    constructor, whether built directly or through FilterConfig."""
+    with pytest.raises(ValidationError, match="^filter.kernel must be a KernelSpec, got dict$"):
+        FilterConfig(kind, kernel={"family": "gaussian"})
+    filt = {"klms": lambda spec: Klms(spec, 0.2, [0.0], 0.0),
+            "krls-ald-reg": lambda spec: KrlsAldReg(spec, 0.1, 0.01, [0.0], 0.0)}[kind]
+    for spec in ({"family": "gaussian"}, "gaussian", None):
+        with pytest.raises(ValidationError, match="^kernel must be a KernelSpec"):
+            filt(spec)
