@@ -8,10 +8,20 @@ themselves. Medians are taken over a window of
 steps around each requested size, which keeps the estimate robust against
 scheduler noise; a relative IQR above 50% in any bucket is flagged but not
 fatal.
+
+The timed loop runs in a child process on one BLAS thread
+(`python -m kaf.bench KIND MAX_SIZE WARMUP_SIZE` prints its steps as JSON).
+A multithreaded BLAS splits a matrix-vector product over threads only above
+a size threshold, which would bend the slope by the threads' speed-up
+rather than measure the filter's cost.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 
@@ -24,6 +34,7 @@ from .krls import KrlsAldReg
 from .linear import Lms
 
 BENCH_KINDS = ("krls-ald-reg", "klms", "lms")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -60,24 +71,22 @@ def _collect(kind: str, max_size: int, repeats: int):
         size_before = lambda i: filt.dict_size
         repeats = 1
     elif kind == "klms":
-        # 32-dimensional stream: the O(n L) kernel sum dominates fixed call
-        # overhead already at desk-scale expansion sizes.
+        # 128-dimensional stream: the O(n L) kernel sum dominates the fixed
+        # call overhead (15-25 us) already at desk-scale expansion sizes.
         rng = np.random.default_rng(0)
         spec = KernelSpec("gaussian", sigma=1.0)
-        U = rng.standard_normal((max_size + 2, 32))
+        U = rng.standard_normal((max_size + 2, 128))
         d = rng.standard_normal(max_size + 2)
         filt = Klms(spec, 0.01, U[0], d[0])
         size_before = lambda i: filt.n
         repeats = 1
-    elif kind == "lms":
+    else:  # "lms"
         rng = np.random.default_rng(0)
         U = rng.standard_normal((max_size + 2, 8))
         d = rng.standard_normal(max_size + 2)
         filt = Lms(8, 0.1)
         # repeat the constant-time step so bucket medians are populated
         size_before = lambda i: i
-    else:
-        raise ValidationError(f"bench supports {BENCH_KINDS}, got {kind!r}")
     sizes, times = [], []
     for i in range(1, U.shape[0]):
         for _ in range(repeats):
@@ -86,6 +95,21 @@ def _collect(kind: str, max_size: int, repeats: int):
             filt.step(U[i], d[i])
             times.append(time.perf_counter() - t0)
     return np.array(sizes), np.array(times)
+
+
+def _collect_one_thread(kind: str, max_size: int, warmup_size: int):
+    """A warm-up pass, then `_collect(kind, max_size, repeats=3)`, in a child
+    process whose BLAS uses one thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaf.bench", kind, str(max_size), str(warmup_size)],
+        env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"bench child exited {proc.returncode}: {proc.stderr.strip()}")
+    steps = json.loads(proc.stdout)
+    return np.array(steps["sizes"]), np.array(steps["seconds"])
 
 
 def run_bench(kind: str, target_sizes: list[int]) -> BenchResult:
@@ -97,11 +121,10 @@ def run_bench(kind: str, target_sizes: list[int]) -> BenchResult:
         raise ValidationError("sizes must be positive integers >= 2")
     if any(b <= a for a, b in zip(target_sizes, target_sizes[1:])):
         raise ValidationError("sizes must be strictly increasing")
+    if kind not in BENCH_KINDS:
+        raise ValidationError(f"bench supports {BENCH_KINDS}, got {kind!r}")
 
-    # Warm-up pass primes allocator and BLAS paths before anything is timed.
-    _collect(kind, min(32, target_sizes[0]), repeats=1)
-
-    sizes, times = _collect(kind, target_sizes[-1], repeats=3)
+    sizes, times = _collect_one_thread(kind, target_sizes[-1], min(32, target_sizes[0]))
     rows = []
     unstable = False
     for k in target_sizes:
@@ -118,3 +141,14 @@ def run_bench(kind: str, target_sizes: list[int]) -> BenchResult:
     logt = np.log([r.median_step_seconds for r in rows])
     slope = float(np.polyfit(logk, logt, 1)[0])
     return BenchResult(kind=kind, rows=rows, slope=slope, unstable=unstable)
+
+
+def _child(kind: str, max_size: str, warmup_size: str) -> None:
+    # Warm-up pass primes allocator and BLAS paths before anything is timed.
+    _collect(kind, int(warmup_size), repeats=1)
+    sizes, seconds = _collect(kind, int(max_size), repeats=3)
+    json.dump({"sizes": sizes.tolist(), "seconds": seconds.tolist()}, sys.stdout)
+
+
+if __name__ == "__main__":
+    _child(*sys.argv[1:])

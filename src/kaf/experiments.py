@@ -94,9 +94,13 @@ class StreamConfig:
 
 
 def _embed(x: np.ndarray, L: int, start: int, count: int) -> np.ndarray:
-    """Rows [x(n), x(n-1), ..., x(n-L+1)] for n = start .. start+count-1."""
+    """Rows [x(n), x(n-1), ..., x(n-L+1)] for n = start .. start+count-1.
+
+    A copy, not the window view: the view is read-only, and for L = 1 it is
+    already contiguous, so `np.ascontiguousarray` would hand it back as is.
+    """
     win = np.lib.stride_tricks.sliding_window_view(x, L)
-    return np.ascontiguousarray(win[start - L + 1: start - L + 1 + count, ::-1])
+    return win[start - L + 1: start - L + 1 + count, ::-1].copy()
 
 
 def generate(config: StreamConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,16 @@ error sequence is recoverable as coeffs / eta.
 The first recorded output is y(1) = 0 and e(1) = d(1), consistent with a
 zero initial weight vector. Memory grows linearly with the stream; an
 optional hard cap aborts with CapacityError instead of silently degrading.
+
+The Gaussian sum is taken from squared distances about the first center
+c_1: with q_i = ||c_i - c_1||^2, kept beside the centers, and w = u - c_1,
+
+    ||c_i - u||^2 = q_i + ||w||^2 - 2 (c_i . w - c_1 . w),
+
+one matrix-vector product over the centers and a few length-n passes, with
+no n x L difference array. Distances about c_1 rather than the origin keep
+the rounding error proportional to the spread of the data, not to its
+offset (see `_expansion`).
 """
 
 from __future__ import annotations
@@ -21,6 +31,10 @@ from .base import (StepOutput, append_row, as_input, check_target, convert, scal
                    snapshot_array)
 from .exceptions import CapacityError, ValidationError
 from .kernels import KernelSpec, kernel_vector
+
+
+def _norm2(w: np.ndarray) -> float:
+    return float(w @ w)
 
 
 class Klms:
@@ -43,8 +57,10 @@ class Klms:
         # Amortized-doubling buffers: every step appends one row.
         self._centers = np.empty((16, u.shape[0]))
         self._coeffs = np.empty(16)
+        self._q = np.empty(16)  # q_i = ||c_i - c_1||^2
         self._centers[0] = u
         self._coeffs[0] = eta * d
+        self._q[0] = 0.0
         self.n = 1
 
     @property
@@ -63,10 +79,36 @@ class Klms:
         view.flags.writeable = False
         return view
 
+    def _expansion(self, u: np.ndarray) -> tuple[float, float]:
+        """The expansion at validated u, and ||u - c_1||^2 (u's q if appended).
+
+        Gaussian: sq_i = q_i + ||w||^2 - 2 (c_i . w - c_1 . w) with w = u - c_1,
+        clamped at 0. Against ||c_i - u||^2 it is off by at most
+
+            4 (L + 2) eps (q_i + ||w||^2 + (||c_i|| + ||c_1||) ||w||),
+
+        eps = 2^-53, so each kernel value is off by at most that over sigma^2.
+        The polynomial kernel is (c_i . u + 1)^degree.
+        """
+        n = self.n
+        c1 = self._centers[0]
+        w = u - c1
+        ww = _norm2(w)
+        if self.spec.family != "gaussian":
+            h = kernel_vector(self.spec, self._centers[:n], u)
+        else:
+            h = self._centers[:n] @ w
+            h -= c1 @ w
+            h *= -2.0
+            h += self._q[:n]
+            h += ww
+            np.maximum(h, 0.0, out=h)
+            h /= -(self.spec.sigma * self.spec.sigma)
+            np.exp(h, out=h)
+        return float(h @ self._coeffs[:n]), ww
+
     def predict(self, u) -> float:
-        uu = as_input(u, dim=self.dim)
-        h = kernel_vector(self.spec, self._centers[: self.n], uu)
-        return float(h @ self._coeffs[: self.n])
+        return self._expansion(as_input(u, dim=self.dim))[0]
 
     def step(self, u, d) -> StepOutput:
         """Predict with the current expansion, then append a unit for this sample."""
@@ -77,12 +119,12 @@ class Klms:
                 f"expansion reached the configured cap of {self.max_terms} terms"
             )
         n = self.n
-        h = kernel_vector(self.spec, self._centers[:n], uu)
-        y = float(h @ self._coeffs[:n])
+        y, q = self._expansion(uu)
         e = dd - y
 
         self._centers = append_row(self._centers, n, uu)
         self._coeffs = append_row(self._coeffs, n, self.eta * e)
+        self._q = append_row(self._q, n, q)
         self.n = n + 1
         return StepOutput(y=y, e=e, grew=True, dict_size=self.n)
 
@@ -113,5 +155,7 @@ class Klms:
             raise ValidationError(f"snapshot holds {n} terms, above its cap of {obj.max_terms}")
         obj._centers = centers
         obj._coeffs = coeffs
+        # Row by row, as `step` computes each q: resumed steps match bit for bit.
+        obj._q = np.array([_norm2(c - centers[0]) for c in centers])
         obj.n = n
         return obj

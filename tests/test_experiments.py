@@ -64,6 +64,16 @@ class TestGenerate:
         assert np.array_equal(U1, U2) and np.array_equal(d1, d2)
         assert np.all(np.isfinite(U1)) and np.all(np.isfinite(d1))
 
+    @pytest.mark.parametrize("gen", kaf.experiments.GENERATORS)
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_streams_are_writable_arrays_of_their_own(self, gen, L):
+        U, d = generate(StreamConfig(gen, length=40, noise_std=0.0, seed=2, embed_L=L))
+        assert U.shape == (40, L) and U.flags.c_contiguous
+        assert U.flags.writeable and d.flags.writeable
+        assert not np.shares_memory(U, d)
+        U[30, 0] = np.nan
+        d[30] = np.nan
+
     def test_embedding_orders_most_recent_first(self):
         sc = StreamConfig("noisy_sinc", length=50, seed=1, embed_L=3)
         U, _ = generate(sc)

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kaf import KernelSpec, Klms
 from kaf.exceptions import CapacityError, DimensionMismatchError, ValidationError
-from kaf.kernels import kernel_eval
+from kaf.kernels import kernel_eval, kernel_matrix
 from kaf.oracle import feature_space_lms
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -123,6 +126,18 @@ class TestPredict:
                         for i in range(f.n))
             assert f.predict(u) == pytest.approx(brute, abs=1e-12)
 
+    def test_a_center_sees_itself_with_kernel_value_at_most_one(self):
+        """k(u, u) = 1; roundoff in the distance form must not push a term's
+        kernel value above 1 at far-offset inputs."""
+        rng = np.random.default_rng(8)
+        spec = KernelSpec("gaussian", sigma=0.01)
+        for _ in range(200):
+            c1 = 1e4 * rng.uniform(-1, 1, 3)
+            f = Klms(spec, 1.0, c1, 0.0)   # the first term's coefficient is 0
+            u = c1 + rng.standard_normal(3)
+            f.step(u, 1.0)                 # y = 0, so the new term's coefficient is 1
+            assert 0.0 < f.predict(u) <= 1.0
+
 
 class TestSnapshot:
     def test_round_trip(self):
@@ -142,6 +157,20 @@ class TestSnapshot:
         a = f.step([0.5, 0.5], 1.0)
         b = g.step([0.5, 0.5], 1.0)
         assert a.y == b.y and a.e == b.e
+
+    def test_offset_round_trip_resumes_bit_for_bit_after_the_buffers_grew(self):
+        rng = np.random.default_rng(7)
+        U = 1e4 + rng.standard_normal((60, 3))
+        d = rng.standard_normal(60)
+        f = Klms(GAUSS, 0.2, U[0], d[0])
+        for i in range(1, 40):
+            f.step(U[i], d[i])
+        g = Klms.from_snapshot(json.loads(json.dumps(f.to_snapshot())))
+        assert g.predict(U[0] + 0.5) == f.predict(U[0] + 0.5)
+        for i in range(40, 60):
+            a, b = f.step(U[i], d[i]), g.step(U[i], d[i])
+            assert a.y == b.y and a.e == b.e
+        assert np.array_equal(g.coeffs, f.coeffs)
 
     def test_round_trip_keeps_cap(self):
         rng = np.random.default_rng(6)
@@ -172,3 +201,49 @@ class TestSnapshot:
             snap[field] = value
             with pytest.raises(ValidationError):
                 Klms.from_snapshot(snap)
+
+
+EPS = 2.0 ** -53
+
+
+def distance_form_bound(centers, coeffs, u, sigma):
+    """Bound on |expansion - explicit-difference reference| at u.
+
+    Per term: the squared-distance bound in `Klms._expansion`'s docstring over
+    sigma^2, plus the rounding of either side's division, exp and sum.
+    """
+    L, n = centers.shape[1], centers.shape[0]
+    c1 = centers[0]
+    w = np.linalg.norm(u - c1)
+    q = np.sum((centers - c1) ** 2, axis=1)
+    sq_bound = 4 * (L + 2) * EPS * (q + w * w + (np.linalg.norm(centers, axis=1)
+                                                 + np.linalg.norm(c1)) * w)
+    return float(np.abs(coeffs) @ (sq_bound / sigma ** 2 + (L + 10 + 2 * n) * EPS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(L=st.integers(1, 8), steps=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       offset=st.floats(-1e4, 1e4), log_sigma=st.floats(-2, 2), log_spread=st.floats(-1, 1),
+       eta=st.floats(0.01, 1.0))
+def test_distance_form_matches_explicit_differences(L, steps, seed, offset, log_sigma,
+                                                     log_spread, eta):
+    """step and predict against kernel_matrix's explicit differences, within
+    the documented bound, on inputs spread over a few widths about an offset."""
+    rng = np.random.default_rng(seed)
+    sigma = 10.0 ** log_sigma
+    spec = KernelSpec("gaussian", sigma=sigma)
+    U = offset * rng.uniform(0.5, 1.0, L) + sigma * 10.0 ** log_spread * \
+        rng.standard_normal((steps + 2, L))
+    d = rng.standard_normal(steps + 2)
+    f = Klms(spec, eta, U[0], d[0])
+    errors = [d[0]]
+    for i in range(1, steps + 1):
+        centers, coeffs = f.centers.copy(), f.coeffs.copy()
+        ref = float(kernel_matrix(spec, centers, U[i][None, :])[:, 0] @ coeffs)
+        out = f.step(U[i], d[i])
+        assert abs(out.y - ref) <= distance_form_bound(centers, coeffs, U[i], sigma)
+        errors.append(out.e)
+    u = U[-1]
+    ref = float(kernel_matrix(spec, f.centers, u[None, :])[:, 0] @ f.coeffs)
+    assert abs(f.predict(u) - ref) <= distance_form_bound(f.centers, f.coeffs, u, sigma)
+    assert np.array_equal(f.coeffs, eta * np.asarray(errors))
