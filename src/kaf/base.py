@@ -130,13 +130,43 @@ def convert(value, kind: type, what: str):
         raise ValidationError(f"{what} is not a {kind.__name__}: {value!r}") from None
 
 
+# Square matrices grown in place stay exact-size, and so C-contiguous, up to
+# this size: numpy spends about a microsecond more per call on a strided
+# view, which at small K outweighs the copy that each growth then makes.
+EXACT_SIZE_MAX = 32
+
+
+def reserve(buf: np.ndarray, n: int, axis: int = 0) -> np.ndarray:
+    """`buf`, whose leading n entries along `axis` are in use, with room for
+    index n there: `buf` itself, or, when it is full, a buffer of twice the
+    size along `axis` holding the entries in use."""
+    if n < buf.shape[axis]:
+        return buf
+    shape = list(buf.shape)
+    shape[axis] = 2 * n
+    grown = np.empty(shape)
+    used = (slice(None),) * axis + (slice(n),)
+    grown[used] = buf[used]
+    return grown
+
+
+def reserve_square(buf: np.ndarray, n: int) -> np.ndarray:
+    """`buf`, whose leading (n, n) block is in use, with room for row and
+    column n: `buf` itself, or a new buffer holding that block and zeros,
+    exact-size while n < EXACT_SIZE_MAX and of twice the capacity beyond."""
+    if n < buf.shape[0]:
+        return buf
+    cap = n + 1 if n < EXACT_SIZE_MAX else 2 * n
+    grown = np.zeros((cap, cap))
+    grown[:n, :n] = buf[:n, :n]
+    return grown
+
+
 def append_row(buf: np.ndarray, n: int, value) -> np.ndarray:
     """Write `value` as row n of `buf`, which holds n rows, doubling its
     capacity first when it is full. Returns the buffer, new if it grew."""
     if n == buf.shape[0]:
-        grown = np.empty((2 * n,) + buf.shape[1:])
-        grown[:n] = buf
-        buf = grown
+        buf = reserve(buf, n)
     buf[n] = value
     return buf
 

@@ -5,8 +5,11 @@ lower-triangular K x K matrix with W G W^T = I for the Gram matrix
 G[i, j] = k(c_i, c_j). The whitened kernel vector l = W h(u), h_i = k(c_i, u),
 gives the squared ALD residual d2 = k(u, u) - l . l and is the feature the
 KRLS recursion regresses on. Admitting u appends the row [-a^T, 1] / sqrt(d2),
-a = W^T l = G^-1 h, to W; no existing row changes. G itself is not kept:
-`gram` recomputes it from the centers for verification and diagnostics.
+a = W^T l = G^-1 h, to W; no existing row changes. W lives in a buffer whose
+capacity doubles when full (`base.reserve_square`), so an admission copies
+no K x K array; the property `W` is a read-only (K, K) view. G itself is not
+kept: `gram` recomputes it from the centers for verification and
+diagnostics.
 
 W depends on the centers alone, so a snapshot stores only the centers and
 their checksum: `from_snapshot` rebuilds W by admitting the centers again in
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import append_row, as_input, snapshot_array
+from .base import append_row, as_input, reserve_square, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
 from .kernels import KernelSpec, gram as full_gram, kernel_matrix, kernel_self, kernel_vector
 
@@ -73,7 +76,7 @@ class Dictionary:
                 f"degenerate first center: k(u, u) = {k11!r} is not invertible"
             )
         self.spec = spec
-        self.W = np.array([[1.0 / math.sqrt(k11)]])
+        self._W = np.array([[1.0 / math.sqrt(k11)]])
         self._centers = np.empty((4, c.shape[0]))
         self._centers[0] = c
         self._size = 1
@@ -90,6 +93,13 @@ class Dictionary:
     def centers(self) -> np.ndarray:
         """Read-only (K, L) view of the admitted centers, in admission order."""
         view = self._centers[: self._size]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def W(self) -> np.ndarray:
+        """Read-only (K, K) view of the factor, in its capacity buffer."""
+        view = self._W[: self._size, : self._size]
         view.flags.writeable = False
         return view
 
@@ -117,7 +127,8 @@ class Dictionary:
     def _ald(self, uu: np.ndarray, delta: float) -> AldResult:
         """`ald_test` for a validated length-`dim` float64 vector and delta."""
         h = self.kernel_vector(uu)
-        l = self.W @ h
+        k = self._size
+        l = self._W[:k, :k] @ h
         d2_raw = float(kernel_self(self.spec, uu) - l @ l)
         # l . l is a sum of squares, so d2_raw is finite only if every l_i is.
         if not math.isfinite(d2_raw):
@@ -155,15 +166,15 @@ class Dictionary:
 
         # The new row whitens [h; k(u, u)]: it is orthogonal, under G, to the
         # old rows, and has unit norm because d2 is the Schur complement.
+        # W gains a row in its capacity buffer, whose entries above the
+        # diagonal are never written and stay 0.
         s = math.sqrt(ald.d2)
-        W = np.empty((k + 1, k + 1))
-        W[:k, :k] = self.W
-        W[:k, k] = 0.0
-        W[k, :k] = -(ald.l @ self.W) / s
+        W = reserve_square(self._W, k)
+        W[k, :k] = -(ald.l @ W[:k, :k]) / s
         W[k, k] = 1.0 / s
 
         self._centers = append_row(self._centers, k, uu)
-        self.W = W
+        self._W = W
         self._size = k + 1
 
     # -- serialization ----------------------------------------------------

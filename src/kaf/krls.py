@@ -5,23 +5,39 @@ problem (A^T A G + lambda I) alpha = A^T d, for the n x K sample-to-center
 expansion matrix A, is ridge regression on the whitened features l = W h(u),
 the rows of L = A G W^T. Model state after n samples, K = dictionary size:
 
-    P  (K, K)  (L^T L + lambda I)^-1, kept exactly symmetric
+    P  (K, K)  (L^T L + lambda I)^-1 = P_b - Y^T Y
     b  (K,)    the ridge solution P L^T d; y(u) = l(u) . b = h(u) . alpha
 
 plus the dictionary's centers and W. `alpha` = W^T b is computed when first
 read after a step and cached until the next one.
 
+P is kept as a base P_b, exactly symmetric, less the rank-m term Y^T Y of
+the m < PENDING rows of Y that P_b has not absorbed yet (Woodbury applied
+lazily, as blocked LAPACK codes delay rank-k updates). Every write to P
+stacks rows on Y; once PENDING or more rows are pending, the flush
+P_b -= Y^T Y absorbs them in one level-3 product, which numpy forms exactly
+symmetric. Reads go through both terms: q = P f = P_b f - Y^T (Y f). While
+K <= PENDING, where reading Y would cost more than the flush saves, every
+stack is flushed at once. The flushes fall at fixed pending counts, so
+reruns are bit-identical. P_b, Y and W live in capacity buffers that double
+when full, so neither growth nor a snapshot's replay copies a K x K array;
+the property `P` forms P_b - Y^T Y in a new array without changing the
+state.
+
 Both branches take q = P l and D = 1 + l^T q (>= 1 in exact arithmetic,
-floor-checked). An unchanged step is the Sherman-Morrison update of P and b
-along l, in place. A growth step appends the row [l^T, s], s = sqrt(d2), to
-L (earlier samples get a 0 in the new coordinate) and writes the bordered
-inverse in new arrays, with den = lambda D + d2 and a priori error e:
+floor-checked). An unchanged step is the Sherman-Morrison update along l:
+b += (e/D) q, and the row q/sqrt(D) joins Y. A growth step appends the row
+[l^T, s], s = sqrt(d2), to L (earlier samples get a 0 in the new
+coordinate) and borders the inverse, with den = lambda D + d2 and a priori
+error e:
 
     P' = [[P - (lambda/den) q q^T, -(s/den) q], [-(s/den) q^T, D/den]]
     b' = [b + (lambda e/den) q; s e/den]
 
-One formula serves every lambda >= 0 (lambda = 0 is Engel, Mannor & Meir's
-original KRLS) and the first sample, bordered onto the empty state.
+It writes only P_b's new row and column, -(s/den) q and D/den; the pending
+rows get a 0 in the new coordinate, and the row [sqrt(lambda/den) q^T, 0]
+joins Y. One formula serves every lambda >= 0 (lambda = 0 is Engel, Mannor
+& Meir's original KRLS) and the first sample, bordered onto the empty state.
 
 Steps are transactional: all floor checks precede the first write, so a
 raised error leaves the state bit-identical. `step` validates its input once
@@ -41,10 +57,10 @@ Between admissions the samples are plain RLS on fixed features: the rows
 of L and their targets d, in order. The innovations form of block RLS
 (Sayed & Kailath 1994) applies them in one update. With
 S = I + L P L^T = R R^T (Cholesky, R lower triangular) and
-Y = R^-1 [L P, d - L b] = [X, nu]:
+Z = R^-1 [L P, d - L b] = [X, nu]:
 
     e~ = diag(R) nu            (the a priori errors)
-    P' = P - X^T X             (X^T X is formed exactly symmetric)
+    P' = P - X^T X             (the rows of X join Y)
     b' = b + X^T nu
 
 and the outputs are y = d - e~, then e = d - y, so e = d - y exactly. The
@@ -65,16 +81,13 @@ import math
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target, convert, scalar_field, snapshot_array
+from .base import (StepOutput, as_input, check_target, convert, reserve, reserve_square,
+                   scalar_field, snapshot_array)
 from .dictionary import AldScreen, Dictionary
 from .exceptions import DimensionMismatchError, KafError, NumericalError, ValidationError
 from .kernels import KernelSpec, kernel_self
 
 DEGENERACY_FLOOR = 1e-12
-
-# Rows per block of `_downdate`: each block's outer-product temporary stays
-# small enough to be cache-resident (64 x 800 doubles = 400 KiB).
-ROW_BLOCK = 64
 
 # Samples `run` screens at once; it also caps the Cholesky factor R of a block
 # update at BLOCK x BLOCK, whose solve is a general (LU) one.
@@ -85,13 +98,12 @@ BLOCK = 64
 # its samples go through `step`, which applies DEGENERACY_FLOOR one at a time.
 BLOCK_DENOM_MIN = 0.5
 
-
-def _downdate(P: np.ndarray, q: np.ndarray, c: float) -> None:
-    """P -= c outer(q, q) in place, ROW_BLOCK rows at a time, with no K x K
-    temporary. Entry (i, j) is rounded as (q_i q_j) c, the same float as
-    entry (j, i), so a symmetric P stays exactly symmetric."""
-    for i in range(0, P.shape[0], ROW_BLOCK):
-        P[i:i + ROW_BLOCK] -= q[i:i + ROW_BLOCK, None] * q * c
+# Rows of Y pending before the flush P_b -= Y^T Y (see the module docstring).
+# Over PENDING steps, deferring costs about PENDING^2 K in reads of Y and
+# saves about PENDING K^2 in writes of P_b, so rows are deferred only while
+# K > PENDING. Measured at K = 500 and 1000, 32 and 64 step alike and 8 and
+# 16 slower; at K = 13 no row is deferred.
+PENDING = 32
 
 
 class KrlsAldReg:
@@ -121,8 +133,11 @@ class KrlsAldReg:
         u = as_input(first_input)
         d = check_target(first_target)
         self.dict = Dictionary(spec, u)
-        self.P, self.b = np.empty((0, 0)), np.empty(0)  # K = 0: border the empty state
-        self.P, self.b = self._border(np.empty(0), kernel_self(spec, u), d)
+        # K = 0: border the empty state. Y holds the pending rows and a
+        # block's, up to BLOCK, before the flush.
+        self._Pb, self._Y, self._m = np.empty((0, 0)), np.empty((PENDING + BLOCK, 1)), 0
+        self.b = np.empty(0)
+        self._border(*self._gain(np.empty(0)), kernel_self(spec, u), d)
         self._alpha = None
         self.n = 1
 
@@ -146,6 +161,16 @@ class KrlsAldReg:
         return self.dict.size
 
     @property
+    def P(self) -> np.ndarray | None:
+        """P = P_b - Y^T Y in a new array, exactly symmetric; None in a
+        predict-only state. Reading it changes no state."""
+        if self._Pb is None:
+            return None
+        k, m = self.dict.size, self._m
+        Y = self._Y[:m, :k]
+        return self._Pb[:k, :k] - Y.T @ Y
+
+    @property
     def alpha(self) -> np.ndarray:
         """Expansion coefficients W^T b; the model is sum_i alpha_i k(c_i, .)."""
         if self._alpha is None:
@@ -160,7 +185,7 @@ class KrlsAldReg:
     def step(self, u, d) -> StepOutput:
         """Process one sample: predict with the pre-update coefficients, then
         update along the branch selected by the ALD test."""
-        if self.P is None:
+        if self._Pb is None:
             raise KafError("snapshot was saved without resume_exact: this state supports "
                            "predict only; re-save with resume_exact=True or rebuild by replay")
         uu = as_input(u, dim=self.dict.dim)
@@ -203,7 +228,7 @@ class KrlsAldReg:
         if X.ndim == 1:
             X = X[:, None]  # scalar inputs
         stop = 0
-        if self.P is not None and X.shape == (n, self.dict.dim) and t.shape == (n,):
+        if self._Pb is not None and X.shape == (n, self.dict.dim) and t.shape == (n,):
             bad = np.flatnonzero(~(np.isfinite(X).all(axis=1) & np.isfinite(t)))
             stop = int(bad[0]) if bad.size else n
         for lo in range(0, stop, BLOCK):
@@ -238,19 +263,23 @@ class KrlsAldReg:
         them, up to roundoff. Returns the samples' a priori errors, or None,
         with the state untouched, when a denominator is below BLOCK_DENOM_MIN
         or a result is not finite."""
-        LP = L @ self.P
+        k, m = L.shape[1], self._m
+        LP = L @ self._Pb[:k, :k]
+        if m:
+            Y = self._Y[:m, :k]
+            LP -= (L @ Y.T) @ Y
         S = LP @ L.T
         S.flat[::S.shape[0] + 1] += 1.0  # the diagonal
         try:
             R = np.linalg.cholesky(S)
-            Y = np.linalg.solve(R, np.column_stack((LP, d - L @ self.b)))
+            Z = np.linalg.solve(R, np.column_stack((LP, d - L @ self.b)))
         except np.linalg.LinAlgError:
             return None
         r = np.diagonal(R)
-        if not (np.isfinite(Y).all() and (r * r).min() > BLOCK_DENOM_MIN):
+        if not (np.isfinite(Z).all() and (r * r).min() > BLOCK_DENOM_MIN):
             return None
-        X, nu = Y[:, :-1], Y[:, -1]
-        self.P -= X.T @ X  # numpy forms X^T X exactly symmetric
+        X, nu = Z[:, :-1], Z[:, -1]
+        self._stack(X)
         self.b += nu @ X
         self._alpha = None
         self.n += L.shape[0]
@@ -259,46 +288,69 @@ class KrlsAldReg:
     def _gain(self, f: np.ndarray) -> tuple[np.ndarray, float]:
         """q = P f and the floor-checked denominator 1 + f^T P f, which is
         >= 1 in exact arithmetic since P is positive definite."""
-        q = self.P @ f
+        k, m = f.shape[0], self._m
+        q = self._Pb[:k, :k] @ f
+        if m:
+            Y = self._Y[:m, :k]
+            q -= (Y @ f) @ Y
         denom = 1.0 + float(f @ q)
         if not DEGENERACY_FLOOR < denom < math.inf:
             raise NumericalError(f"degenerate rank-one update: 1 + f^T P f = {denom!r}")
         return q, denom
 
     def _update(self, f: np.ndarray, e: float) -> None:
-        """Sherman-Morrison step of P and b along f, in place after the check."""
+        """Sherman-Morrison step of P and b along f, after the check."""
         q, denom = self._gain(f)
         self.b += q * (e / denom)
-        _downdate(self.P, q, 1.0 / denom)
+        self._stack((q / math.sqrt(denom))[None])
 
-    def _border(self, l: np.ndarray, d2: float, e: float) -> tuple[np.ndarray, np.ndarray]:
-        """P and b extended by a coordinate for the feature [l; sqrt(d2)] with
-        a priori error e, in new arrays (see the module docstring)."""
-        k = l.shape[0]
-        q, D = self._gain(l)
+    def _stack(self, rows: np.ndarray) -> None:
+        """P -= rows^T rows, for at most BLOCK rows over the current K
+        coordinates: they join Y, which is flushed into P_b once PENDING or
+        more rows are pending. While K <= PENDING none are pending, and the
+        rows go into P_b at once."""
+        j, k = rows.shape
+        if k > PENDING:
+            m = self._m + j
+            self._Y[self._m:m, :k] = rows
+            if m < PENDING:
+                self._m = m
+                return
+            rows, self._m = self._Y[:m, :k], 0
+        self._Pb[:k, :k] -= rows.T @ rows  # numpy forms rows^T rows exactly symmetric
+
+    def _border(self, q: np.ndarray, D: float, d2: float, e: float) -> None:
+        """Extend P and b by a coordinate for the feature [l; sqrt(d2)], for
+        the gain q = P l and D = 1 + l^T q, with a priori error e (see the
+        module docstring). K grows from len(q) to len(q) + 1."""
+        k = q.shape[0]
         s = math.sqrt(d2)
         den = self.lam * D + d2
-        P = np.empty((k + 1, k + 1))
-        P[:k, :k] = self.P
-        _downdate(P[:k, :k], q, self.lam / den)
-        P[:k, k] = P[k, :k] = -(s / den) * q
-        P[k, k] = D / den
-        return P, np.append(self.b + (self.lam * e / den) * q, s * e / den)
+        self._Pb = Pb = reserve_square(self._Pb, k)
+        self._Y = Y = reserve(self._Y, k, axis=1)
+        Pb[:k, k] = Pb[k, :k] = -(s / den) * q
+        Pb[k, k] = D / den
+        Y[:self._m, k] = 0.0
+        self.b = np.append(self.b + (self.lam * e / den) * q, s * e / den)
+        self._stack(np.append(math.sqrt(self.lam / den) * q, 0.0)[None])
 
     def _grow(self, u: np.ndarray, e: float, ald) -> None:
-        """Border P and b for the new center; they are assigned only after the
-        dictionary has grown, since `Dictionary._grow` may refuse the sample."""
-        P, b = self._border(ald.l, ald.d2, e)
+        """Border P and b for the new center. The gain's floor check comes
+        first and the writes last, since `Dictionary._grow` may refuse the
+        sample."""
+        q, D = self._gain(ald.l)
         self.dict._grow(u, ald)
-        self.P, self.b = P, b
+        self._border(q, D, ald.d2, e)
 
     # -- serialization ----------------------------------------------------
 
     def to_snapshot(self, resume_exact: bool = False) -> dict:
-        """Model snapshot. With ``resume_exact`` P and b are embedded so
-        training can continue exactly; without it the snapshot supports
-        prediction only (or resume by replaying the stream). W is never
-        stored: the loader rebuilds it bit for bit from the centers."""
+        """Model snapshot. With ``resume_exact`` the state P_b ("P"), the
+        pending rows of Y ("P_pending", when there are any) and b are
+        embedded, so training continues bit for bit; without it the
+        snapshot supports prediction only (or resume by replaying the
+        stream). Taking it flushes nothing. W is never stored: the loader
+        rebuilds it bit for bit from the centers."""
         snap = {
             "algorithm": "krls-ald-reg",
             "lambda": self.lam,
@@ -308,8 +360,11 @@ class KrlsAldReg:
             "n": self.n,
         }
         if resume_exact:
+            k, m = self.dict.size, self._m
             snap["resume_exact"] = True
-            snap["P"] = self.P.tolist()
+            snap["P"] = self._Pb[:k, :k].tolist()
+            if m:
+                snap["P_pending"] = self._Y[:m, :k].tolist()
             snap["b"] = self.b.tolist()
         return snap
 
@@ -318,9 +373,11 @@ class KrlsAldReg:
         """Rebuild a filter, checking every field as the constructor would.
 
         The dictionary's W is rebuilt from the centers (see
-        `Dictionary.from_snapshot`); a stored "W" entry is ignored. Snapshots
-        of the former P/M/G^-1 state (with "M" or "gram_inv") are refused:
-        their P is a different matrix from this version's.
+        `Dictionary.from_snapshot`); a stored "W" entry is ignored. A
+        snapshot without "P_pending", as older ones are, has no pending
+        rows. Snapshots of the former P/M/G^-1 state (with "M" or
+        "gram_inv") are refused: their P is a different matrix from this
+        version's.
         """
         if snap.get("algorithm") != "krls-ald-reg":
             raise ValidationError(f"not a krls-ald-reg snapshot: {snap.get('algorithm')!r}")
@@ -338,12 +395,22 @@ class KrlsAldReg:
         obj.n = n
         obj._alpha = snapshot_array(snap, "alpha", (k,))
         if scalar_field(snap, "resume_exact", bool, False):
-            obj.P = snapshot_array(snap, "P", (k, k))
-            if not np.array_equal(obj.P, obj.P.T):
+            Pb = snapshot_array(snap, "P", (k, k))
+            if not np.array_equal(Pb, Pb.T):
                 raise ValidationError("snapshot 'P' is not symmetric")
+            Y = (snapshot_array(snap, "P_pending", (None, k)) if "P_pending" in snap
+                 else np.empty((0, k)))
+            m = Y.shape[0]
+            if m > (PENDING if k > PENDING else 0):
+                raise ValidationError(f"snapshot 'P_pending' has {m} rows; at most {PENDING} "
+                                      f"can be pending, and none at K <= {PENDING}")
+            cap = obj.dict._W.shape[0]  # P_b's capacity grows with W's
+            obj._Pb, obj._Y, obj._m = np.empty((cap, cap)), np.empty((PENDING + BLOCK, cap)), m
+            obj._Pb[:k, :k] = Pb
+            obj._Y[:m, :k] = Y
             obj.b = snapshot_array(snap, "b", (k,))
             obj._alpha = None
         else:
-            obj.P = None
-            obj.b = None
+            obj._Pb = obj._Y = obj.b = None
+            obj._m = 0
         return obj

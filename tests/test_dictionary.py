@@ -116,7 +116,7 @@ class TestAldTest:
         # white-box: a corrupted factor must surface as a NumericalError
         # carrying the condition diagnostic, not as silent NaN propagation
         d = Dictionary(GAUSS, [0.0])
-        d.W = np.array([[np.nan]])
+        d._W[0, 0] = np.nan
         with pytest.raises(NumericalError, match="cond"):
             d.ald_test([1.0], 0.1)
 

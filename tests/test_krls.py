@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kaf import (
     BatchProblem,
@@ -24,6 +25,7 @@ from kaf.exceptions import (
     NumericalError,
     ValidationError,
 )
+from kaf.krls import PENDING
 from kaf.verify import krls_batch_suite
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -49,6 +51,28 @@ def assert_state_equal(f, snap):
     assert np.array_equal(f.dict.W, W)
     assert np.array_equal(f.dict.centers, C)
     assert f.n == n
+
+
+def inject_P(f, P):
+    """White-box: give f the matrix P, as its P_b with no pending rows."""
+    k = f.dict_size
+    f._Pb[:k, :k] = P
+    f._m = 0
+
+
+def with_pending(m, lam=0.1, spaced=3.0, extra=8):
+    """A filter grown past PENDING centers, spaced 3 apart on a line (every
+    one admitted), then stepped on repeats of its centers (none admitted)
+    until m rows are pending in Y; with its centers."""
+    C = spaced * np.arange(PENDING + extra)[:, None]
+    f = KrlsAldReg(GAUSS, lam, 0.5, C[0], 1.0)
+    for c in C[1:]:
+        assert f.step(c, 1.0).grew
+    i = 0
+    while f._m != m:
+        assert not f.step(C[i % len(C)], 0.5).grew
+        i += 1
+    return f, C
 
 
 def whitened_features(f, A):
@@ -349,7 +373,7 @@ class TestTransactional:
         ald = f.dict.ald_test(u, f.delta)
         assert not ald.admitted
         # white-box P with l^T P l = -1 up to roundoff: denominator ~ 0
-        f.P = -np.outer(ald.l, ald.l) / (ald.l @ ald.l) ** 2
+        inject_P(f, -np.outer(ald.l, ald.l) / (ald.l @ ald.l) ** 2)
         snap = state_copy(f)
         with pytest.raises(NumericalError, match="rank-one"):
             f.step(u, 0.5)
@@ -367,32 +391,46 @@ class TestTransactional:
         ald = f.dict.ald_test(far, f.delta)
         assert ald.admitted
         # white-box P with l^T P l = -1 up to roundoff: D ~ 0
-        f.P = -np.outer(ald.l, ald.l) / (ald.l @ ald.l) ** 2
+        inject_P(f, -np.outer(ald.l, ald.l) / (ald.l @ ald.l) ** 2)
         snap = state_copy(f)
         with pytest.raises(NumericalError, match="rank-one"):
             f.step(far, 0.5)
         assert_state_equal(f, snap)
 
 
-def test_unchanged_step_allocates_less_than_one_matrix():
-    """The rank-one branch updates P in row blocks: one unchanged
-    step at K = 400 must not allocate a K x K temporary (1250 KiB)."""
-    k = 400
-    pts = np.zeros((k, 1))
-    pts[:, 0] = 3.0 * np.arange(k)  # kernel values ~exp(-9): all admitted
-    f = KrlsAldReg(GAUSS, 0.1, 0.5, pts[0], 1.0)
-    for u in pts[1:]:
-        assert f.step(u, 1.0).grew
-    assert f.dict_size == k
+def _peak_bytes(call):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        out = f.step(pts[7], 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not out.grew
-    assert peak < k * k * 8
+
+
+def test_unchanged_step_allocates_less_than_one_matrix():
+    """P's updates wait as rows of Y: at K = 400 (a 512 x 512 buffer), of
+    PENDING unchanged steps only the one whose row fills Y allocates a
+    K x K array (the flush's Y^T Y). A growth step between flushes writes
+    P_b's and W's new rows in place, with no (K+1) x (K+1) array."""
+    k = 400
+    pts = np.zeros((k + 2, 1))
+    pts[:, 0] = 3.0 * np.arange(k + 2)  # kernel values ~exp(-9): all admitted
+    f = KrlsAldReg(GAUSS, 0.1, 0.5, pts[0], 1.0)
+    for u in pts[1:k]:
+        assert f.step(u, 1.0).grew
+    assert f.dict_size == k
+    big = []
+    for i in range(PENDING):
+        out, peak = _peak_bytes(lambda: f.step(pts[i], 1.0))
+        assert not out.grew
+        if peak >= k * k * 8:
+            big.append(i)
+            assert f._m == 0  # this step flushed
+    assert len(big) == 1
+    assert f._m < PENDING - 1
+    out, peak = _peak_bytes(lambda: f.step(pts[k], 1.0))
+    assert out.grew and f._m > 0 and peak < k * k * 8
 
 
 @pytest.fixture(scope="module")
@@ -519,6 +557,25 @@ class TestSnapshot:
         g = KrlsAldReg.from_snapshot(dict(f.to_snapshot(resume_exact=True), W=W.tolist()))
         assert np.array_equal(g.dict.W, f.dict.W)
 
+    def test_snapshot_without_pending_rows_resumes(self):
+        """Older snapshots store P itself and b, with no "P_pending": P loads
+        as P_b with no rows pending, and the filter steps as the saved one,
+        with the same admissions and outputs to roundoff."""
+        f, C = with_pending(9)
+        snap = f.to_snapshot(resume_exact=True)
+        assert len(snap["P_pending"]) == 9
+        old = {key: value for key, value in snap.items() if key != "P_pending"}
+        old["P"] = f.P.tolist()
+        g = KrlsAldReg.from_snapshot(json.loads(json.dumps(old)))
+        assert g._m == 0 and np.array_equal(g.P, f.P) and np.array_equal(g.b, f.b)
+        rng = np.random.default_rng(3)
+        for i in range(3 * PENDING):
+            u = C[i % len(C)] if i % 3 else rng.uniform(-10, 150, 1)
+            a, b = f.step(u, 0.2), g.step(u, 0.2)
+            assert a.grew == b.grew
+            assert abs(a.y - b.y) <= 1e-12 * max(1.0, abs(a.y))
+        assert np.abs(g.P - f.P).max() <= 1e-12 * np.abs(f.P).max()
+
     @pytest.mark.parametrize("field, value", [
         ("lambda", -5.0),
         ("lambda", math.inf),
@@ -537,17 +594,38 @@ class TestSnapshot:
         ("M", "legacy"),          # any entry of the former P/M/G^-1 state
         ("gram_inv", "legacy"),
         ("centers_sha256", None),
+        ("P_pending", "nan"),     # the rows of Y that P_b has not absorbed
+        ("P_pending", "inf"),
+        ("P_pending", "narrow"),
+        ("P_pending", "flat"),
+        ("P_pending", "empty"),
+        ("P_pending", "too_many"),
+        ("P_pending", "at_small_k"),
     ])
     def test_corrupted_field_rejected(self, field, value):
-        U, d = stream_2d(40, 41)
-        f = KrlsAldReg(GAUSS, 0.1, 0.05, U[0], d[0])
-        for i in range(1, 40):
-            f.step(U[i], d[i])
+        if field == "P_pending" and value != "at_small_k":
+            f = with_pending(5)[0]
+        else:
+            U, d = stream_2d(40, 41)
+            f = KrlsAldReg(GAUSS, 0.1, 0.05, U[0], d[0])
+            for i in range(1, 40):
+                f.step(U[i], d[i])
         snap = f.to_snapshot(resume_exact=True)
         KrlsAldReg.from_snapshot(copy.deepcopy(snap))  # intact: loads
         arr = np.array(snap.get(field, 0.0))
         if value == "short":
             snap[field] = arr[:-1].tolist()
+        elif value == "narrow":
+            snap[field] = arr[:, :-1].tolist()
+        elif value == "flat":
+            snap[field] = arr.ravel().tolist()
+        elif value == "empty":
+            snap[field] = []
+        elif value == "too_many":
+            snap[field] = np.resize(arr, (PENDING + 1, arr.shape[1])).tolist()
+        elif value == "at_small_k":     # K <= PENDING: no row is ever pending
+            assert f.dict_size <= PENDING and field not in snap
+            snap[field] = np.full((1, f.dict_size), 1e-3).tolist()
         elif value in ("nan", "inf"):
             arr.flat[arr.size // 2] = float(value)
             snap[field] = arr.tolist()
@@ -570,3 +648,39 @@ def test_first_sample_becomes_first_center():
     for _ in range(50):
         f.step(rng.standard_normal(2), 0.1)
     assert f.dict_size == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(pending=st.sampled_from([0, 1, PENDING - 1]), doubled=st.booleans(),
+       lam=st.sampled_from([0.0, 1e-3, 0.1, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_snapshot_with_pending_rows_resumes_bit_for_bit(pending, doubled, lam, seed):
+    """A resume_exact snapshot taken with 0, 1 or PENDING - 1 rows pending,
+    at K = 40 or just after P_b's and W's buffers doubled (K = 65), stores
+    P_b and the pending rows as they are: the loaded filter steps and runs
+    bit for bit as the saved one, across later flushes and growth. Taking
+    the snapshot flushes nothing, so the saved filter's later outputs are
+    those of a deep copy that was never snapshotted."""
+    k = 65 if doubled else 40
+    f, C = with_pending(pending, lam=lam, extra=k - PENDING)
+    assert f.dict_size == k and f._m == pending
+    if doubled:
+        assert f._Pb.shape == f.dict._W.shape == (128, 128)
+    never = copy.deepcopy(f)
+    snap = json.loads(json.dumps(f.to_snapshot(resume_exact=True)))
+    assert ("P_pending" in snap) == (pending > 0)
+    g = KrlsAldReg.from_snapshot(snap)
+    filters = (f, g, never)
+    rng = np.random.default_rng(seed)
+    # repeats of the centers (unchanged steps) and new points (some grow)
+    U = np.where(rng.random((3 * PENDING, 1)) < 0.7, C[rng.integers(0, k, (3 * PENDING, 1))][..., 0],
+                 rng.uniform(-5, 3 * k + 5, (3 * PENDING, 1)))
+    d = np.sin(U[:, 0]) + 0.1 * rng.standard_normal(3 * PENDING)
+    for u, t in zip(U[:2 * PENDING], d[:2 * PENDING]):
+        outs = [h.step(u, t) for h in filters]
+        assert len({(o.y, o.e, o.grew) for o in outs}) == 1
+    runs = [h.run(U[2 * PENDING:], d[2 * PENDING:]) for h in filters]
+    for out in runs[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(runs[0], out))
+    for h in filters[1:]:
+        assert h._m == f._m
+        assert h.P.tobytes() == f.P.tobytes() and h.b.tobytes() == f.b.tobytes()

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kaf.experiments
-from kaf import FilterConfig, KernelSpec, KrlsAldReg, StreamConfig, generate, run_trial
+from kaf import FilterConfig, KernelSpec, KrlsAldReg, StreamConfig, generate, gram, run_trial
 from kaf.exceptions import DimensionMismatchError, NonFiniteInputError, NumericalError
 from kaf.dictionary import AldScreen
-from kaf.krls import BLOCK
+from kaf.krls import BLOCK, PENDING
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
 
@@ -21,6 +21,13 @@ def step_loop(f, U, d):
     outs = [f.step(u, t) for u, t in zip(U, d)]
     return (np.array([o.y for o in outs]), np.array([o.e for o in outs]),
             np.array([o.dict_size for o in outs], dtype=int))
+
+
+def inject_P(f, P):
+    """White-box: give f the matrix P, as its P_b with no pending rows."""
+    k = f.dict_size
+    f._Pb[:k, :k] = P
+    f._m = 0
 
 
 def rel(a, b):
@@ -99,6 +106,72 @@ def test_run_equals_the_step_loop(case):
     assert rel_function(g, f.alpha, g.alpha) <= tol
 
 
+@st.composite
+def hard_streams(draw):
+    """Streams long enough to take K past PENDING and cross several flushes
+    of Y, with repeated inputs, stretches of one constant input, and sigma,
+    lambda and delta each drawn over two to four decades."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(2 * PENDING, 3 * BLOCK + 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U = rng.uniform(-3, 3, (n, dim))
+    kind = draw(st.sampled_from(["fresh", "repeats", "constant"]))
+    if kind == "repeats":
+        pool = U[: draw(st.integers(1, n // 2))]
+        pick = rng.random(n) < 0.5
+        U[pick] = pool[rng.integers(0, len(pool), pick.sum())]
+    elif kind == "constant":  # each stretch repeats its first input
+        starts = np.sort(rng.choice(n, draw(st.integers(1, 8)), replace=False))
+        for a, b in zip(starts, list(starts[1:]) + [n]):
+            U[a:min(b, a + draw(st.integers(2, 40)))] = U[a]
+    d = np.sin(2 * U[:, 0]) * np.cos(U[:, -1]) + 0.1 * rng.standard_normal(n)
+    spec = KernelSpec("gaussian", sigma=10 ** draw(st.floats(-1.3, 1.0)))
+    lam = 10 ** draw(st.floats(-3.0, 1.0))
+    delta = 10 ** draw(st.floats(-4.0, -0.3))
+    return spec, lam, delta, U, d
+
+
+def batch_alpha(f, U, d, admitted):
+    """The ridge solution (A^T A G + lam I)^-1 A^T d for f's admission order,
+    by dense solves: an admitted sample is its center's unit row, a rejected
+    one the coefficients G^-1 h over the centers admitted before it."""
+    C = U[admitted]
+    G = gram(f.spec, C)
+    A = np.zeros((len(U), len(C)))
+    k = 0
+    for i, (u, grew) in enumerate(zip(U, admitted)):
+        if grew:
+            A[i, k] = 1.0
+            k += 1
+        else:
+            h = gram(f.spec, np.vstack((C[:k], u)))[-1, :k]
+            A[i, :k] = np.linalg.solve(G[:k, :k], h)
+    return np.linalg.solve(A.T @ A @ G + f.lam * np.eye(len(C)), A.T @ d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hard_streams())
+def test_invariants_across_flushes(case):
+    """Across flushes of Y: P is exactly symmetric after every step and after
+    `run`; `run` admits what the step loop admits; and both agree with the
+    batch ridge solution to 1e-8, in the norm of the model."""
+    spec, lam, delta, U, d = case
+    f = KrlsAldReg(spec, lam, delta, U[0], d[0])
+    g = copy.deepcopy(f)
+    admitted = [True]
+    for u, t in zip(U[1:], d[1:]):
+        admitted.append(f.step(u, t).grew)
+        P = f.P
+        assert np.array_equal(P, P.T)
+    _, _, size = g.run(U[1:], d[1:])
+    assert np.array_equal(g.P, g.P.T)
+    assert np.array_equal(np.diff(size, prepend=1) > 0, admitted[1:])
+    assert np.array_equal(f.dict.centers, g.dict.centers)
+    alpha = batch_alpha(f, U, d, np.array(admitted))
+    assert rel_function(f, f.alpha, alpha) <= 1e-8
+    assert rel_function(g, g.alpha, alpha) <= 1e-8
+
+
 @pytest.mark.parametrize("family", ["gaussian", "polynomial"])
 def test_run_matches_the_step_loop_across_blocks(family):
     """Several blocks, admissions inside blocks (the screen gains a center
@@ -173,7 +246,7 @@ class TestFailures:
         d = np.ones(BLOCK)
         l = f.dict.ald_test(C[3], f.delta).l
         # white-box P with l^T P l = -(1 - margin) along the member at sample 20 only
-        f.P = -(1 - margin) * np.outer(l, l) / (l @ l) ** 2
+        inject_P(f, -(1 - margin) * np.outer(l, l) / (l @ l) ** 2)
         g = copy.deepcopy(f)
         assert_same_failure(f, g, U, d)
         assert f.n == 4 + 20
