@@ -20,7 +20,6 @@ from .experiments import (
     FilterConfig,
     LearningCurve,
     StreamConfig,
-    average_curves,
     generate,
     run_trial,
     run_trials,
@@ -64,7 +63,6 @@ __all__ = [
     "StepOutput",
     "StreamConfig",
     "ValidationError",
-    "average_curves",
     "batch_krr",
     "batch_solve_lambda_gram",
     "batch_solve_regularized",

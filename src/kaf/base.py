@@ -32,8 +32,12 @@ class StepOutput:
 
 
 def as_input(u, dim: int | None = None) -> np.ndarray:
-    """Coerce `u` to a finite 1-D float64 vector, optionally checking length."""
-    v = np.asarray(u, dtype=np.float64)
+    """Coerce `u` to a finite 1-D float64 vector, optionally checking length;
+    a string, a None entry or a ragged nesting raises ValidationError."""
+    try:
+        v = np.asarray(u, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"input is not an array of numbers: {u!r:.40}") from None
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1:
@@ -48,8 +52,12 @@ def as_input(u, dim: int | None = None) -> np.ndarray:
 
 
 def as_points(points, dim: int | None = None) -> np.ndarray:
-    """Coerce a point set to a finite 2-D (n, L) float64 array."""
-    x = np.asarray(points, dtype=np.float64)
+    """Coerce a point set to a finite 2-D (n, L) float64 array, as `as_input`
+    coerces a vector."""
+    try:
+        x = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"point set is not an array of numbers: {points!r:.40}") from None
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] == 0:
@@ -68,10 +76,16 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
 def snapshot_array(snap: dict, key: str, shape: tuple) -> np.ndarray:
     """A finite, C-ordered float64 copy of snapshot field `key`.
 
-    `shape` gives the expected shape; a None entry accepts any length.
+    `shape` gives the expected shape; a None entry accepts any length. An
+    entry that is a bool or a string is refused, as `convert` refuses it
+    (numpy would read True as 1.0 and "0.5" as 0.5).
     """
     try:
-        x = np.array(snap[key], dtype=np.float64, order="C")
+        value = snap[key]
+        x = np.array(value, dtype=np.float64, order="C")
+        if not all(issubclass(t, numbers.Real) and t is not bool
+                   for t in set(map(type, np.array(value, dtype=object).flat))):
+            raise TypeError("an entry is not a number")
     except KeyError:
         raise ValidationError(f"snapshot lacks {key!r}") from None
     except (TypeError, ValueError) as exc:
@@ -172,7 +186,14 @@ def append_row(buf: np.ndarray, n: int, value) -> np.ndarray:
 
 
 def check_target(d) -> float:
-    d = float(d)
+    """`d` as a finite float: a list or array raises DimensionMismatchError,
+    anything else that is not a number ValidationError."""
+    try:
+        d = float(d)
+    except (TypeError, ValueError):
+        if isinstance(d, (list, tuple, np.ndarray)):
+            raise DimensionMismatchError(f"target is not a scalar: {d!r:.40}") from None
+        raise ValidationError(f"target is not a number: {d!r:.40}") from None
     if not math.isfinite(d):
         raise NonFiniteInputError("target value is not finite")
     return d

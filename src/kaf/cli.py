@@ -20,8 +20,9 @@ KAF_THREADS bounds the worker processes that run trials (`kaf run`) or grid
 points (`kaf sweep`) at once; runs are serial where the platform cannot fork.
 
 Outputs are deterministic given config + seed: CSV floats are printed with
-17 significant digits and per-step wall times are zeroed unless the config
-sets "record_timings": true (real timings differ between runs by nature).
+17 significant digits, and the curves' per-step wall times are zeros for
+every filter kind unless the config sets "record_timings": true, which also
+adds "mean_step_seconds" to the summary (real timings differ between runs).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .experiments import (
     FILTER_KEYS,
     FilterConfig,
     StreamConfig,
-    average_curves,
     pool_map,
     run_trials,
 )
@@ -170,16 +170,17 @@ def _dump_json(obj: dict) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _read_config(args)
     fc, sc, trials = cfg["filter"], cfg["stream"], cfg["trials"]
-    out_path, summary_path, timings = cfg["out"], cfg["summary_out"], cfg["record_timings"]
+    out_path, summary_path = cfg["out"], cfg["summary_out"]
 
-    curves = run_trials(fc, sc, trials, workers=_workers(), record_timings=timings)
+    curves = run_trials(fc, sc, trials, workers=_workers(),
+                        record_timings=cfg["record_timings"])
 
     with _OutputSet() as outputs:
         with outputs.open(out_path) as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(CSV_HEADER)
             for curve in curves:
-                curve.append_csv_rows(w, include_timings=timings)
+                curve.append_csv_rows(w)
         per_trial = [dict(seed=sc.seed + i, **c.summary()) for i, c in enumerate(curves)]
         summary = {
             "config": {"filter": fc.to_json(), "stream": sc.to_json(), "trials": trials},
@@ -188,9 +189,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             "mean_final_dict_size": sum(t["final_dict_size"] for t in per_trial) / trials,
             "csv": out_path,
         }
-        if timings:
-            summary["mean_step_seconds"] = float(
-                average_curves(curves).step_seconds.mean())
+        if any(c.step_seconds.any() for c in curves):  # timed trials
+            summary["mean_step_seconds"] = sum(
+                float(c.step_seconds.mean()) for c in curves) / trials
         with outputs.open(summary_path) as f:
             f.write(_dump_json(summary))
     print(f"wrote {out_path} ({trials} trial(s) x {len(curves[0])} steps) and {summary_path}")

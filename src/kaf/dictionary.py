@@ -18,9 +18,10 @@ order, the same float operations that grew it, so the factor is bit-identical.
 A Dictionary is a single-writer value: `grow` needs exclusive access, while
 `ald_test` and `kernel_vector` are read-only.
 
-The public `ald_test` and `grow` validate their input vector (and `delta`)
-and delegate to `_ald` and `_grow`, which take a vector already checked by
-the caller: `KrlsAldReg.step` validates once and calls those directly.
+The public `ald_test` and `grow` validate their input vector (and `delta`,
+by `check_delta`, as `KrlsAldReg` does) and delegate to `_ald` and `_grow`,
+which take a vector already checked by the caller: `KrlsAldReg.step`
+validates once and calls those directly.
 `AldScreen` is `_ald` for a block of checked inputs at once, up to a
 roundoff bound, for `KrlsAldReg.run`.
 """
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import append_row, as_input, reserve_square, snapshot_array
+from .base import append_row, as_input, convert, reserve_square, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
 from .kernels import KernelSpec, gram as full_gram, kernel_matrix, kernel_self, kernel_vector
 
@@ -42,6 +43,15 @@ GROWTH_FLOOR = 1e-12
 
 # Safety factor of `AldScreen`'s slack over its roundoff bound.
 SCREEN_SAFETY = 2.0
+
+
+def check_delta(delta) -> float:
+    """The ALD threshold, a float >= 0 by the field rule (inf admits no new
+    center); anything else raises ValidationError."""
+    delta = convert(delta, float, "delta")
+    if np.isnan(delta) or delta < 0:
+        raise ValidationError(f"delta must be a nonnegative real, got {delta!r}")
+    return delta
 
 
 class AldResult(NamedTuple):
@@ -119,10 +129,7 @@ class Dictionary:
         maintained factor produces non-finite results (ill-conditioned Gram
         matrix), reporting a condition-number diagnostic.
         """
-        uu = as_input(u, dim=self.dim)
-        if np.isnan(delta) or delta < 0:
-            raise ValidationError(f"delta must be a nonnegative real, got {delta!r}")
-        return self._ald(uu, delta)
+        return self._ald(as_input(u, dim=self.dim), check_delta(delta))
 
     def _ald(self, uu: np.ndarray, delta: float) -> AldResult:
         """`ald_test` for a validated length-`dim` float64 vector and delta."""

@@ -21,9 +21,7 @@ time-delay embedding [x(n), x(n-1), ..., x(n-L+1)]):
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import time
 from dataclasses import dataclass, replace
@@ -219,7 +217,8 @@ def _filter_keys(kind) -> tuple:
 
 @dataclass
 class LearningCurve:
-    """Per-iteration record of a single trial."""
+    """Per-iteration record of a single trial, as `kaf run` prints it; its
+    step_seconds are zeros unless the trial was timed (`run_trial`)."""
 
     n: np.ndarray
     y: np.ndarray
@@ -232,86 +231,45 @@ class LearningCurve:
     def __len__(self) -> int:
         return self.n.shape[0]
 
-    def steady_state_mse(self, window: int | None = None) -> float:
-        """Mean squared error over the trailing `window` records (default:
-        the final 10% of the stream)."""
-        if window is None:
-            window = max(1, round(0.1 * len(self)))
-        if not (1 <= window <= len(self)):
-            raise ValidationError(
-                f"window must be in [1, {len(self)}], got {window!r}"
-            )
-        return float(np.mean(self.e2[-window:]))
+    def steady_state_mse(self) -> float:
+        """Mean squared error over the final 10% of the records (at least one)."""
+        return float(np.mean(self.e2[-max(1, round(0.1 * len(self))):]))
 
-    def convergence_step(self, window: int = 100, rtol: float = 0.1) -> int | None:
-        """First step from which the trailing-`window` moving MSE stays within
-        `rtol` of the final steady-state MSE (one-sided: at most (1+rtol)x).
-        None when the curve never settles or is shorter than the window."""
-        if len(self) < window:
+    def convergence_step(self) -> int | None:
+        """First step from which the trailing 100-step moving MSE stays within
+        10% of the steady-state MSE (one-sided: at most 1.1x). None when the
+        curve never settles or is shorter than 100 steps."""
+        if len(self) < 100:
             return None
-        ss = self.steady_state_mse()
-        kernel = np.ones(window) / window
-        moving = np.convolve(self.e2, kernel, mode="valid")
-        ok = moving <= (1.0 + rtol) * ss
-        bad = np.nonzero(~ok)[0]
+        moving = np.convolve(self.e2, np.ones(100) / 100, mode="valid")
+        bad = np.flatnonzero(~(moving <= 1.1 * self.steady_state_mse()))
         first = (bad[-1] + 1) if bad.size else 0
-        if first >= moving.shape[0]:
-            return None
-        return int(self.n[first + window - 1])
+        return int(self.n[first + 99]) if first < moving.shape[0] else None
 
-    def summary(self, window: int | None = None) -> dict:
+    def summary(self) -> dict:
         return {
             "steps": len(self),
-            "steady_state_mse": self.steady_state_mse(window),
+            "steady_state_mse": self.steady_state_mse(),
             "final_dict_size": int(self.dict_size[-1]),
             "convergence_step": self.convergence_step(),
         }
 
-    def write_csv(self, fileobj: io.TextIOBase, include_timings: bool = False) -> None:
-        """Emit rows under the fixed header. Timings are zeroed unless
-        requested: wall-clock values would break byte-level reproducibility."""
-        w = csv.writer(fileobj, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        self.append_csv_rows(w, include_timings)
-
-    def append_csv_rows(self, writer, include_timings: bool = False) -> None:
+    def append_csv_rows(self, writer) -> None:
         """Write the rows to a `csv.writer`, CSV_ROWS at a time: each column
         of a block is formatted in one pass (floats as `fmt17` gives them), and
-        the text held at once stays small."""
+        the text held at once stays small. An all-zero `step_seconds` column,
+        as an untimed trial records, is written as one repeated string."""
         def floats(a):
             return ["%.17g" % v for v in a.tolist()]
 
+        timed = self.step_seconds.any()
         for lo in range(0, len(self), CSV_ROWS):
             rows = slice(lo, lo + CSV_ROWS)
-            seconds = (floats(self.step_seconds[rows]) if include_timings
-                       else itertools.repeat(fmt17(0.0)))
+            seconds = floats(self.step_seconds[rows]) if timed else itertools.repeat(fmt17(0.0))
             writer.writerows(zip(self.n[rows].astype(int).tolist(), floats(self.y[rows]),
                                  floats(self.d[rows]), floats(self.e[rows]),
                                  floats(self.e2[rows]),
                                  self.dict_size[rows].astype(int).tolist(), seconds))
-
-    @classmethod
-    def read_csv(cls, fileobj: io.TextIOBase) -> "LearningCurve":
-        rows = list(csv.reader(fileobj))
-        if not rows or rows[0] != CSV_HEADER:
-            raise ValidationError(f"learning-curve CSV must start with {CSV_HEADER}")
-        data = np.array([[float(v) for v in r] for r in rows[1:]])
-        return cls(n=data[:, 0].astype(int), y=data[:, 1], d=data[:, 2], e=data[:, 3],
-                   e2=data[:, 4], dict_size=data[:, 5].astype(int),
-                   step_seconds=data[:, 6])
-
-
-def average_curves(curves: list[LearningCurve]) -> LearningCurve:
-    """Pointwise mean across trials (the dict_size column becomes fractional)."""
-    if not curves:
-        raise ValidationError("cannot average zero curves")
-    if len({len(c) for c in curves}) != 1:
-        raise ValidationError("curves of unequal length cannot be averaged")
-    mean = lambda attr: np.mean([getattr(c, attr) for c in curves], axis=0)
-    return LearningCurve(
-        n=curves[0].n.copy(), y=mean("y"), d=mean("d"), e=mean("e"), e2=mean("e2"),
-        dict_size=mean("dict_size"), step_seconds=mean("step_seconds"),
-    )
 
 
 def build_filter(fc: FilterConfig, first_u: np.ndarray, first_d: float,
@@ -333,12 +291,13 @@ def run_trial(fc: FilterConfig, sc: StreamConfig,
 
     Kernel filters absorb the first sample at construction; that iteration is
     recorded as y = 0, e = d(1) (zero initial model). A filter with a bulk
-    `run` (KRLS) takes the rest of the stream in one call, and its
-    step_seconds are zeros, unless `record_timings` is set. Otherwise, and
-    for the other filters, this is the one place that times the steps of a
-    trial: each `step` call (and a kernel filter's construction) is timed
-    from outside with `perf_counter`. Filter errors are re-raised naming the
-    trial's seed and the failing 1-based step.
+    `run` (KRLS) takes the rest of the stream in one call unless
+    `record_timings` is set. Otherwise this is the one place that times a
+    trial's steps: each `step` call (and a kernel filter's construction),
+    from outside with `perf_counter`. For every kind, step_seconds are zeros
+    unless `record_timings` is set (wall-clock values are not reproducible).
+    Filter errors are re-raised naming the trial's seed and the failing
+    1-based step.
     """
     U, d = generate(sc)
     count = U.shape[0]
@@ -361,7 +320,6 @@ def run_trial(fc: FilterConfig, sc: StreamConfig,
             # filt.n counts the samples committed, the first one included
             raise type(exc)(f"trial with seed {sc.seed} failed at step {filt.n + 1}: "
                             f"{exc}") from exc
-        seconds[:] = 0.0
     else:
         for i in range(start, count):
             t0 = time.perf_counter()
@@ -372,6 +330,8 @@ def run_trial(fc: FilterConfig, sc: StreamConfig,
                                 f"{exc}") from exc
             seconds[i] = time.perf_counter() - t0
             y[i], e[i], dict_size[i] = out.y, out.e, out.dict_size
+    if not record_timings:
+        seconds[:] = 0.0
     return LearningCurve(n=np.arange(1, count + 1), y=y, d=d, e=e, e2=e * e,
                          dict_size=dict_size, step_seconds=seconds)
 

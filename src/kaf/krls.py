@@ -83,7 +83,7 @@ import numpy as np
 
 from .base import (StepOutput, as_input, check_target, convert, reserve, reserve_square,
                    scalar_field, snapshot_array)
-from .dictionary import AldScreen, Dictionary
+from .dictionary import AldScreen, Dictionary, check_delta
 from .exceptions import DimensionMismatchError, KafError, NumericalError, ValidationError
 from .kernels import KernelSpec, kernel_self
 
@@ -146,11 +146,8 @@ class KrlsAldReg:
         lam = convert(lam, float, "lambda")
         if not (np.isfinite(lam) and lam >= 0):
             raise ValidationError(f"lambda must be a finite real >= 0, got {lam!r}")
-        delta = convert(delta, float, "delta")
-        if np.isnan(delta) or delta < 0:
-            raise ValidationError(f"delta must be a nonnegative real, got {delta!r}")
         self.lam = lam
-        self.delta = delta
+        self.delta = check_delta(delta)
 
     @property
     def spec(self) -> KernelSpec:
@@ -210,9 +207,13 @@ class KrlsAldReg:
         docstring) up to the first one that is malformed or non-finite; from
         there on they go through `step`, which raises where the step loop
         would. On a raise, `n` counts the samples committed."""
-        n = len(d)
-        if len(U) != n:
-            raise DimensionMismatchError(f"run got {len(U)} inputs for {n} targets")
+        try:
+            n, m = len(d), len(U)
+        except TypeError:
+            raise DimensionMismatchError("run takes a sequence of inputs and one of targets, "
+                                         f"got {type(U).__name__}, {type(d).__name__}") from None
+        if m != n:
+            raise DimensionMismatchError(f"run got {m} inputs for {n} targets")
         y, e = np.empty(n), np.empty(n)
         size = np.empty(n, dtype=int)
 
@@ -401,9 +402,9 @@ class KrlsAldReg:
             Y = (snapshot_array(snap, "P_pending", (None, k)) if "P_pending" in snap
                  else np.empty((0, k)))
             m = Y.shape[0]
-            if m > (PENDING if k > PENDING else 0):
-                raise ValidationError(f"snapshot 'P_pending' has {m} rows; at most {PENDING} "
-                                      f"can be pending, and none at K <= {PENDING}")
+            if m > (PENDING - 1 if k > PENDING else 0):
+                raise ValidationError(f"snapshot 'P_pending' has {m} rows; at most "
+                                      f"{PENDING - 1} can be pending, and none at K <= {PENDING}")
             cap = obj.dict._W.shape[0]  # P_b's capacity grows with W's
             obj._Pb, obj._Y, obj._m = np.empty((cap, cap)), np.empty((PENDING + BLOCK, cap)), m
             obj._Pb[:k, :k] = Pb

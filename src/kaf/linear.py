@@ -14,6 +14,11 @@ import numpy as np
 from .base import StepOutput, as_input, check_target, convert, scalar_field, snapshot_array
 from .exceptions import NumericalError, ValidationError
 
+# RLS refuses a denominator forgetting + u'.aux.u at or below
+# DENOM_ROUNDOFF dim max|aux| u.u: an error E of up to DENOM_ROUNDOFF max|aux|
+# per entry of aux moves u'.aux.u by at most that, as (sum |u_i|)^2 <= dim u.u.
+DENOM_ROUNDOFF = 4 * np.finfo(float).eps
+
 
 class Lms:
     """omega <- omega + eta * e * u"""
@@ -94,10 +99,14 @@ class Rls:
         with np.errstate(over="ignore", invalid="ignore"):
             Pu = self.aux @ uu
             denom = self.forgetting + float(uu @ Pu)
-            if not (np.isfinite(denom) and denom > 0):  # denom >= forgetting for a PD aux
+            # denom >= forgetting for a PD aux; at or below the floor it is
+            # roundoff, as once an unexcited direction of aux has outgrown it
+            floor = DENOM_ROUNDOFF * self.dim * float(np.abs(self.aux).max()) * float(uu @ uu)
+            if not (np.isfinite(denom) and denom > floor):
                 raise NumericalError(f"RLS denominator forgetting + u'.aux.u is {denom!r}, not a "
-                                     "finite positive number: aux is not positive definite or "
-                                     "has overflowed")
+                                     f"finite number above its roundoff floor {floor!r}: aux is "
+                                     "not positive definite, has overflowed, or has grown "
+                                     "along a direction the inputs never excite")
             weights = self.weights + Pu / denom * e
             # outer(Pu, Pu) keeps aux exactly symmetric.
             aux = (self.aux - np.outer(Pu, Pu) / denom) / self.forgetting

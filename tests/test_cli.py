@@ -62,6 +62,17 @@ class TestRun:
         summary = json.loads((tmp_path / "curve.summary.json").read_text())
         assert summary["mean_step_seconds"] > 0
 
+    @pytest.mark.parametrize("kind", ["klms", "krls-ald-reg", "lms", "rls"])
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_mean_step_seconds_only_with_timings(self, kind, timed, tmp_path):
+        cfg = base_run_config(tmp_path, filter={"kind": kind}, record_timings=timed)
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        summary = json.loads((tmp_path / "curve.summary.json").read_text())
+        assert ("mean_step_seconds" in summary) == timed
+        if timed:
+            seconds = np.array([float(r[6]) for r in read_rows(cfg["out"])[1:]])
+            assert summary["mean_step_seconds"] == pytest.approx(seconds.mean(), rel=1e-12)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = base_run_config(tmp_path)
         cpath = write_config(tmp_path / "c.json", cfg)

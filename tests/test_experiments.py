@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import multiprocessing
@@ -12,8 +13,10 @@ import pytest
 
 import kaf
 from kaf import FilterConfig, KernelSpec, LearningCurve, StreamConfig
+from kaf.cli import main
 from kaf.exceptions import CapacityError, ValidationError
-from kaf.experiments import average_curves, generate, pool_map, run_trial, run_trials
+from kaf.experiments import (CSV_HEADER, FILTER_KINDS, generate, pool_map, run_trial,
+                             run_trials)
 
 
 class TestStreamConfig:
@@ -115,35 +118,61 @@ class TestLearningCurve:
                              dict_size=np.ones(n, dtype=int), step_seconds=z)
 
     def test_steady_state_zero_errors(self):
-        assert self.make(np.zeros(50)).steady_state_mse(10) == 0.0
+        assert self.make(np.zeros(50)).steady_state_mse() == 0.0
 
     def test_steady_state_constant_error(self):
-        assert self.make(np.full(50, 3.0)).steady_state_mse(10) == pytest.approx(9.0)
+        assert self.make(np.full(50, 3.0)).steady_state_mse() == pytest.approx(9.0)
 
     def test_steady_state_recomputation_from_columns(self):
+        """The steady state is the mean over the final 10% of the records."""
         rng = np.random.default_rng(0)
         curve = self.make(rng.standard_normal(200))
-        w = 20
-        recomputed = float(np.mean((curve.d[-w:] - curve.y[-w:]) ** 2))
-        assert curve.steady_state_mse(w) == pytest.approx(recomputed, abs=1e-12)
-
-    def test_window_validation(self):
-        with pytest.raises(ValidationError):
-            self.make(np.zeros(10)).steady_state_mse(11)
+        recomputed = float(np.mean((curve.d[-20:] - curve.y[-20:]) ** 2))
+        assert curve.steady_state_mse() == pytest.approx(recomputed, abs=1e-12)
+        assert self.make(np.full(4, 2.0)).steady_state_mse() == 4.0  # at least one record
 
     def test_convergence_step_detects_settling(self):
         e = np.concatenate([np.full(300, 2.0), np.full(700, 0.1)])
-        step = self.make(e).convergence_step(window=100)
+        step = self.make(e).convergence_step()
         assert step is not None and 300 < step <= 450
+        assert self.make(np.zeros(99)).convergence_step() is None  # shorter than the window
 
-    def test_csv_round_trip(self):
-        rng = np.random.default_rng(1)
-        curve = self.make(rng.standard_normal(30))
-        buf = io.StringIO()
-        curve.write_csv(buf, include_timings=True)
-        back = LearningCurve.read_csv(io.StringIO(buf.getvalue()))
-        np.testing.assert_allclose(back.e2, curve.e2, rtol=1e-16)
-        np.testing.assert_array_equal(back.n, curve.n)
+    def test_csv_round_trip(self, tmp_path):
+        """`kaf run` prints each trial's curve as `run_trial` records it:
+        every column of its CSV reads back bit for bit as the trial's arrays,
+        for every kind. With timings, the times differ from run to run, so
+        they are checked on the rows `append_csv_rows` writes for one curve."""
+        sc = StreamConfig("nonlinear_sysid", length=150, noise_std=0.1, seed=4, embed_L=2)
+
+        def columns(text):
+            rows = list(csv.reader(io.StringIO(text)))
+            assert rows[0] == CSV_HEADER
+            return dict(zip(CSV_HEADER, np.array(rows[1:], dtype=float).T))
+
+        def assert_reads_back(cols, curve, names=CSV_HEADER, rows=slice(None)):
+            for name in names:
+                want = getattr(curve, name).astype(float)
+                assert cols[name][rows].tobytes() == want.tobytes(), name
+
+        for kind in FILTER_KINDS:
+            fc = FilterConfig(kind)
+            timed = run_trial(fc, sc, record_timings=True)
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(CSV_HEADER)
+            timed.append_csv_rows(csv.writer(buf, lineterminator="\n"))
+            assert_reads_back(columns(buf.getvalue()), timed)
+            for record_timings in (False, True):
+                cfg = {"filter": fc.to_json(), "stream": sc.to_json(), "trials": 2,
+                       "out": str(tmp_path / "curve.csv"), "record_timings": record_timings}
+                (tmp_path / "c.json").write_text(json.dumps(cfg))
+                assert main(["run", "--config", str(tmp_path / "c.json")]) == 0
+                cols = columns((tmp_path / "curve.csv").read_text())
+                for i in range(2):
+                    curve = run_trial(fc, replace(sc, seed=sc.seed + i), record_timings)
+                    rows = slice(150 * i, 150 * (i + 1))
+                    assert_reads_back(cols, curve, CSV_HEADER[:-1] if record_timings
+                                      else CSV_HEADER, rows)
+                    assert (cols["step_seconds"][rows] > 0).all() == record_timings
 
 
 class TestRunTrial:
@@ -177,6 +206,14 @@ class TestRunTrial:
         for attr in ("y", "d", "e", "e2", "dict_size"):
             assert np.array_equal(getattr(a, attr), getattr(b, attr))
 
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_step_seconds_only_when_timed(self, kind):
+        """One timing rule for every kind: an untimed trial records zeros,
+        and a timed one a positive time for every step."""
+        sc = StreamConfig("nonlinear_sysid", length=300, seed=0, embed_L=3)
+        assert not run_trial(FilterConfig(kind), sc).step_seconds.any()
+        assert (run_trial(FilterConfig(kind), sc, record_timings=True).step_seconds > 0).all()
+
     def test_error_carries_step_index(self):
         sc = StreamConfig("noisy_sinc", length=20, seed=1)
         fc = FilterConfig("klms", eta=0.2, max_terms=5)
@@ -198,13 +235,6 @@ class TestTrialsAndAveraging:
                    for i in range(3)]
         for got, want in zip(curves, singles):
             assert np.array_equal(got.d, want.d)
-
-    def test_average_is_pointwise_mean(self):
-        sc = StreamConfig("noisy_sinc", length=80, noise_std=0.1, seed=20)
-        curves = run_trials(FilterConfig("klms", eta=0.2), sc, trials=4)
-        avg = average_curves(curves)
-        np.testing.assert_allclose(avg.e2, np.mean([c.e2 for c in curves], axis=0),
-                                   rtol=1e-15)
 
     def test_filter_config_validation_names_field(self):
         with pytest.raises(ValidationError, match="filter.lambda"):

@@ -1,6 +1,7 @@
 """`KrlsAldReg.run`, the bulk path, against the step loop it stands in for."""
 
 import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -223,6 +224,51 @@ def test_scalar_inputs_and_an_empty_stream():
     y, e, size = f.run(np.empty((0, 1)), [])
     assert y.shape == e.shape == size.shape == (0,)
     assert f.n == 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([4, PENDING + 8]), lam=st.sampled_from([0.0, 0.1]),
+       grows=st.booleans(), margin=st.floats(-1.0, 1e-13),
+       before=st.lists(st.integers(-3, 30), max_size=40), seed=st.integers(0, 2 ** 32 - 1))
+def test_injected_floor_violation_is_transactional(k, lam, grows, margin, before, seed):
+    """Centers 10 apart, so every l is a coordinate vector to roundoff, and a
+    P_b injected with l^T P l = margin - 1 along one sample's l: its
+    denominator 1 + l^T P l is at or below the 1e-12 floor, on the unchanged
+    branch (a member) or the growth branch (a point 1.5 from a center). The
+    samples before it (members of other centers, and new far points that
+    grow) leave that denominator where it is. `step` raises NumericalError
+    at that sample and leaves every state array bit-identical; `run` raises
+    the same error there, with the same n, dictionary and, to roundoff (its
+    unchanged stretches go in blocks), P and b."""
+    C = 10.0 * np.arange(k)[:, None]
+    f = KrlsAldReg(GAUSS, lam, 0.5, C[0], 1.0)
+    for c in C[1:]:
+        assert f.step(c, 1.0).grew
+    rng = np.random.default_rng(seed)
+    j = int(rng.integers(k))
+    bad = C[j] + (1.5 if grows else 0.0)
+    l = f.dict.ald_test(bad, f.delta).l
+    P = f.P
+    inject_P(f, P - (1.0 - margin + l @ P @ l) * np.outer(l, l) / (l @ l) ** 2)
+    # before the bad sample: members of the other centers, or (i < 0) new
+    # points far from every center
+    others = [i for i in range(k) if i != j]
+    U = [C[others[i % len(others)]] if i >= 0 else [10.0 * (k - i)] for i in before]
+    U = np.array(U + [bad, C[j]], dtype=float).reshape(-1, 1)
+    d = rng.standard_normal(len(U))
+    g = copy.deepcopy(f)
+    for i in range(len(before)):
+        f.step(U[i], d[i])
+    state = pickle.dumps(f)
+    with pytest.raises(NumericalError, match="rank-one") as want:
+        f.step(U[len(before)], d[len(before)])
+    assert pickle.dumps(f) == state
+    with pytest.raises(NumericalError) as got:
+        g.run(U, d)
+    assert str(got.value) == str(want.value)
+    assert g.n == f.n == k + len(before)
+    assert np.array_equal(g.dict.centers, f.dict.centers) and np.array_equal(g.dict.W, f.dict.W)
+    assert rel(g.P, f.P) <= 1e-12 and rel(g.b, f.b) <= 1e-12
 
 
 class TestFailures:

@@ -2,9 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kaf import KernelSpec, Klms, Lms, Rls
 from kaf.exceptions import DimensionMismatchError, NumericalError, ValidationError
+from kaf.linear import DENOM_ROUNDOFF
 
 
 class TestLms:
@@ -111,6 +113,62 @@ class TestRls:
         assert error is not None and np.isfinite(aux).all()
         assert re.search(r"denominator forgetting \+ u'.aux.u is|overflow", str(error))
         assert np.array_equal(f.weights, weights) and np.array_equal(f.aux, aux)
+
+    @pytest.mark.parametrize("forgetting, steps", [(0.9, 719), (0.99, 20000)])
+    def test_collinear_stream_refuses_at_the_roundoff_floor(self, forgetting, steps):
+        """On [x, x], the unexcited direction of aux grows by 1/forgetting a
+        step until the computed denominator is roundoff: the step refuses
+        once it is at or below its floor, before roundoff turns it negative
+        (step 720 at forgetting 0.9, where no floor applied), with nothing
+        written."""
+        rng = np.random.default_rng(0)
+        f = Rls(2, 0.1, forgetting=forgetting)
+        for i in range(steps):
+            x = rng.standard_normal()
+            before = f.to_snapshot()
+            try:
+                f.step([x, x], 2 * x)
+            except NumericalError as exc:
+                assert re.search(r"denominator forgetting \+ u'.aux.u is [0-9.e+-]+, not a "
+                                 r"finite number above its roundoff floor", str(exc))
+                assert f.to_snapshot() == before and np.linalg.eigvalsh(f.aux).min() > 0
+                break
+        else:
+            pytest.fail(f"no refusal in {steps} steps")
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("forgetting", [0.9, 0.99, 1.0])
+    def test_excited_stream_never_refuses(self, dim, forgetting):
+        """Inputs that excite every direction keep the denominator far above
+        its roundoff floor: 5000 steps, none refused."""
+        rng = np.random.default_rng(dim)
+        f = Rls(dim, 0.1, forgetting=forgetting)
+        for u, d in zip(rng.standard_normal((5000, dim)), rng.standard_normal(5000)):
+            f.step(u, d)
+        assert np.isfinite(f.weights).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 4), forgetting=st.sampled_from([0.9, 0.99, 1.0]),
+           steps=st.integers(0, 20), below=st.floats(1.0, 1e12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_injected_aux_below_the_floor_is_transactional(self, dim, forgetting, steps,
+                                                          below, seed):
+        """An aux injected along a drawn u, so that forgetting + u'.aux.u is
+        `below` times its roundoff floor under 0: the step raises
+        NumericalError and leaves weights and aux bit-identical."""
+        rng = np.random.default_rng(seed)
+        f = Rls(dim, 0.1, forgetting=forgetting)
+        for _ in range(steps):
+            f.step(rng.standard_normal(dim), float(rng.standard_normal()))
+        u = rng.standard_normal(dim)
+        a = f.aux @ u
+        s = u @ a
+        floor = DENOM_ROUNDOFF * dim * np.abs(f.aux).max() * (u @ u)
+        # u'.aux.u - c s^2 = -forgetting - below * floor
+        f.aux = f.aux - (forgetting + s + below * floor) / (s * s) * np.outer(a, a)
+        snap = f.to_snapshot()
+        with pytest.raises(NumericalError, match=r"denominator forgetting \+ u'.aux.u is"):
+            f.step(u, 1.0)
+        assert f.to_snapshot() == snap
 
     def test_overflowing_update_raises_and_leaves_state(self):
         """A positive definite aux of 1e300 I gives a finite denominator, but

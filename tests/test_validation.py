@@ -3,10 +3,12 @@
 Filters check an input vector and a target once per `step`/`predict` and
 pass the checked vector inward; `Dictionary.ald_test`/`grow` check theirs
 and delegate to the trusted `_ald`/`_grow`. These tests pin that contract:
-bad inputs raise the typed error and leave the state bit-identical, the
-trusted paths compute exactly what the public ones do, and one KRLS step
-validates once. Snapshot loaders turn malformed scalar fields into
-ValidationError, and a resume_exact KRLS snapshot resumes bit for bit.
+bad inputs, targets and `run` arguments raise the typed `KafError` and
+leave the state bit-identical, the trusted paths compute exactly what the
+public ones do, and one KRLS step validates once. Snapshot loaders turn
+malformed scalar fields, and any one drawn corruption of a field, into
+ValidationError or NumericalError, and an intact snapshot resumes bit for
+bit.
 Config readers share one field rule and one key check: `FilterConfig`
 refuses exactly what the filters' constructors refuse, a config and a
 snapshot take the same hyperparameter values, and a malformed config exits
@@ -14,6 +16,7 @@ snapshot take the same hyperparameter values, and a malformed config exits
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -42,6 +45,7 @@ from kaf.exceptions import (
 )
 from kaf.experiments import FILTER_KEYS, GENERATORS, KERNEL_KINDS, StreamConfig, build_filter
 from kaf.kernels import kernel_self
+from kaf.krls import PENDING
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
 DIM = 2
@@ -104,6 +108,9 @@ bad_inputs = st.one_of(
     non_finite_vectors().map(lambda u: (u, NonFiniteInputError)),
     wrong_length.map(lambda u: (u, DimensionMismatchError)),
     two_d.map(lambda u: (u, DimensionMismatchError)),
+    # not an array of numbers
+    st.sampled_from(["ab", [0.1, None], [[0.1], [0.2, 0.3]], {}]).map(
+        lambda u: (u, ValidationError)),
 )
 
 
@@ -147,6 +154,42 @@ class TestBadInputLeavesState:
         with pytest.raises(error):
             dct.grow(u, ald)
         assert pickle.dumps(dct) == before
+
+
+@pytest.mark.parametrize("kind", sorted(FILTERS))
+@pytest.mark.parametrize("target, error", [
+    (None, ValidationError), ("a", ValidationError), ([1.0, 2.0], DimensionMismatchError),
+    (np.zeros(2), DimensionMismatchError), ([[1.0], [2.0, 3.0]], DimensionMismatchError)])
+def test_step_refuses_malformed_target(kind, target, error):
+    f = FILTERS[kind]
+    before = pickle.dumps(f)
+    with pytest.raises(error):
+        f.step([0.1, 0.2], target)
+    assert pickle.dumps(f) == before
+
+
+@pytest.mark.parametrize("U, d, error", [
+    (np.zeros((3, DIM)), 5.0, DimensionMismatchError),
+    (5.0, [1.0], DimensionMismatchError),
+    (None, None, DimensionMismatchError),
+    ("ab", "ab", ValidationError),
+])
+def test_krls_run_refuses_what_it_cannot_size(U, d, error):
+    f = FILTERS["krls"]
+    before = pickle.dumps(f)
+    with pytest.raises(error):
+        f.run(U, d)
+    assert pickle.dumps(f) == before
+
+
+@pytest.mark.parametrize("delta", ["0.1", True, None, -1.0, math.nan, [0.1]])
+def test_ald_test_reads_delta_by_the_constructors_rule(delta):
+    """`Dictionary.ald_test` refuses exactly the deltas `KrlsAldReg` does."""
+    dct = grown_dictionary()
+    with pytest.raises(ValidationError, match="delta"):
+        dct.ald_test(FAR, delta)
+    with pytest.raises(ValidationError, match="delta"):
+        KrlsAldReg(GAUSS, 0.1, delta, FAR, 1.0)
 
 
 class TestTrustedPaths:
@@ -294,6 +337,115 @@ def test_malformed_scalar_field_rejected(kind, field, value):
         snap[field] = value
     with pytest.raises(ValidationError):
         LOADERS[kind].from_snapshot(snap)
+
+
+def _krls_with_pending(m):
+    """KRLS grown to K = PENDING + 8 centers spaced 3 apart on a line, then
+    stepped on repeats of its centers until m rows of Y are pending."""
+    C = 3.0 * np.arange(PENDING + 8)[:, None]
+    f = KrlsAldReg(GAUSS, 0.1, 0.5, C[0], 1.0)
+    for c in C[1:]:
+        f.step(c, 1.0)
+    i = 0
+    while f._m != m:
+        f.step(C[i % len(C)], 0.5)
+        i += 1
+    return f
+
+
+# Each filter a snapshot is drawn from, and the snapshot it saves.
+SNAPSHOT_FILTERS = {
+    "krls": (FILTERS["krls"], False),
+    "krls-exact-small-k": (FILTERS["krls"], True),
+    **{f"krls-exact-{m}-pending": (_krls_with_pending(m), True) for m in (0, 1, PENDING - 1)},
+    "klms": (FILTERS["klms"], False),
+    "lms": (FILTERS["lms"], False),
+    "rls": (FILTERS["rls"], False),
+}
+# Keys whose absence is a valid snapshot: the field's default applies.
+OPTIONAL_KEYS = {"resume_exact", "P_pending", "max_terms", "forgetting"}
+
+
+def _saved(name: str) -> dict:
+    f, exact = SNAPSHOT_FILTERS[name]
+    return json.loads(json.dumps(f.to_snapshot(resume_exact=True) if exact else f.to_snapshot()))
+
+
+@st.composite
+def corruptions(draw):
+    """A filter of SNAPSHOT_FILTERS and one corruption of one field of its
+    snapshot: a non-finite entry, a wrong shape, the key dropped, a bool or
+    string in place of a number, an asymmetric P or aux, an edited checksum,
+    or one pending row of Y more than can be pending."""
+    name = draw(st.sampled_from(sorted(SNAPSHOT_FILTERS)))
+    snap = _saved(name)
+    kinds = ["non_finite", "shape", "drop", "wrong_type"]
+    kinds += ["asymmetric"] * ("P" in snap or "aux" in snap)
+    kinds += ["checksum"] * ("centers_sha256" in snap)
+    kinds += ["pending_too_many"] * SNAPSHOT_FILTERS[name][1]
+    kind = draw(st.sampled_from(kinds))
+    key = {"asymmetric": "P" if "P" in snap else "aux", "checksum": "centers_sha256",
+           "pending_too_many": "P_pending"}.get(kind)
+    if key is None:
+        key = draw(st.sampled_from(sorted(set(snap) - OPTIONAL_KEYS if kind == "drop"
+                                          else snap)))
+    value, new, index = snap.get(key), None, 0
+    if kind == "non_finite":
+        new = draw(st.sampled_from([math.nan, -math.inf]))
+    elif kind == "wrong_type":
+        new = draw(st.sampled_from(["true", 1] if isinstance(value, bool) else [True, "0.5"]))
+    if isinstance(value, (list, str)) and kind in ("non_finite", "wrong_type", "checksum"):
+        index = draw(st.integers(0, np.array(value, dtype=object).size - 1 if
+                                 isinstance(value, list) else len(value) - 1))
+    return name, kind, key, new, index
+
+
+def _corrupt(snap: dict, kind: str, key: str, new, index: int) -> dict:
+    """`snap` with the drawn corruption of field `key` (see `corruptions`)."""
+    value = snap.get(key)
+    if kind == "drop":
+        del snap[key]
+    elif kind == "shape":   # one axis too many
+        snap[key] = (np.array(value, dtype=object)[..., None].tolist()
+                     if isinstance(value, list) else [value])
+    elif kind == "asymmetric":   # one entry one ulp off
+        snap[key][0][1] = float(np.nextafter(value[0][1], np.inf))
+    elif kind == "checksum":     # one hex digit edited
+        snap[key] = value[:index] + ("1" if value[index] == "0" else "0") + value[index + 1:]
+    elif kind == "pending_too_many":
+        k = len(snap["P"])
+        limit = PENDING - 1 if k > PENDING else 0
+        rows = np.array(value if value else [[1e-3] * k])
+        snap[key] = np.resize(rows, (limit + 1, k)).tolist()
+    elif isinstance(value, list):   # one entry of the array
+        entries = np.array(value, dtype=object)
+        entries.flat[index] = new
+        snap[key] = entries.tolist()
+    elif isinstance(value, dict):   # the kernel's width
+        value["sigma"] = new
+    else:
+        snap[key] = new
+    return snap
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corruptions())
+def test_corrupted_snapshot_is_refused_and_intact_one_resumes(corruption):
+    """A snapshot with one corrupted field is refused with ValidationError or
+    NumericalError, and nothing else; the intact one loads and steps (or,
+    saved without resume_exact, predicts) bit for bit as the saved filter."""
+    name = corruption[0]
+    f = copy.deepcopy(SNAPSHOT_FILTERS[name][0])
+    with pytest.raises((ValidationError, NumericalError)):
+        type(f).from_snapshot(_corrupt(_saved(name), *corruption[1:]))
+    g = type(f).from_snapshot(_saved(name))
+    dim = f.dim if hasattr(f, "dim") else f.dict.dim
+    for u in np.random.default_rng(0).uniform(-2, 2, (5, dim)):
+        if name == "krls":   # predict only
+            assert bits(f.predict(u)) == bits(g.predict(u))
+        else:
+            a, b = f.step(u, 0.3), g.step(u, 0.3)
+            assert (bits(a.y), bits(a.e), a.grew) == (bits(b.y), bits(b.e), b.grew)
 
 
 @pytest.mark.parametrize("value, kind, want", [
