@@ -1,24 +1,29 @@
-"""Shared per-step record, input validation, and float formatting helpers.
+"""Shared per-step record, the one reader of outside numbers, and buffer and
+float formatting helpers.
 
-Validation happens once at public API boundaries; internal code assumes
-finite, correctly shaped float64 data. Filters do not time themselves: a
-caller that wants per-step cost times its own `step` calls, as
-`experiments.run_trial` and `bench.run_bench` do.
+Every number from outside is read by `convert`'s rule: a real number that
+is not a bool, with nothing parsed from a string. `convert` reads a scalar
+field or hyperparameter; `as_floats` reads the entries of anything else, for
+`as_input`, `as_points`, `check_target` and `snapshot_array` to check shape
+and finiteness. Validation happens once at public API boundaries; internal
+code assumes finite, correctly shaped float64 data. Filters do not time
+themselves: a caller that wants per-step cost times its own `step` calls.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import DimensionMismatchError, NonFiniteInputError, ValidationError
 
+_FLOAT64 = np.dtype(np.float64)
 
-@dataclass(frozen=True)
-class StepOutput:
+
+class StepOutput(NamedTuple):
     """One filter iteration: prediction, a-priori error, and bookkeeping.
 
     `e` is always the a-priori error d - y, with y computed from the
@@ -31,13 +36,31 @@ class StepOutput:
     dict_size: int
 
 
-def as_input(u, dim: int | None = None) -> np.ndarray:
-    """Coerce `u` to a finite 1-D float64 vector, optionally checking length;
-    a string, a None entry or a ragged nesting raises ValidationError."""
+def as_floats(x, what: str) -> np.ndarray:
+    """`x` as a float64 array, each entry read by `convert`'s rule. A float64
+    ndarray is returned as it is, another int, uint or float one converted,
+    and any other dtype refused. A list, object array or scalar pays a scan
+    of its entries' types (numpy would read True as 1.0 and "0.5" as 0.5).
+    A refusal, a ragged nesting included, raises ValidationError naming `what`."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
+    kind = x.dtype.kind if isinstance(x, np.ndarray) else "O"
+    if kind in "iuf":
+        return np.asarray(x, dtype=np.float64)
     try:
-        v = np.asarray(u, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError(f"input is not an array of numbers: {u!r:.40}") from None
+        if kind == "O" and all(issubclass(t, numbers.Real) and t is not bool
+                               for t in set(map(type, np.array(x, dtype=object).flat))):
+            return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{what} is not a real number or an array of them: {x!r:.40}")
+
+
+def as_input(u, dim: int | None = None) -> np.ndarray:
+    """`u` read by `as_floats` as a finite 1-D vector (a scalar is a vector of
+    length 1), optionally of length `dim`; the caller's float64 vector itself
+    when it is one."""
+    v = as_floats(u, "input")
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1:
@@ -52,12 +75,9 @@ def as_input(u, dim: int | None = None) -> np.ndarray:
 
 
 def as_points(points, dim: int | None = None) -> np.ndarray:
-    """Coerce a point set to a finite 2-D (n, L) float64 array, as `as_input`
-    coerces a vector."""
-    try:
-        x = np.asarray(points, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError(f"point set is not an array of numbers: {points!r:.40}") from None
+    """`points` read by `as_floats` as a finite 2-D (n, L) array, n >= 1 (a
+    vector is n points of dimension 1)."""
+    x = as_floats(points, "point set")
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] == 0:
@@ -74,22 +94,14 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
 
 
 def snapshot_array(snap: dict, key: str, shape: tuple) -> np.ndarray:
-    """A finite, C-ordered float64 copy of snapshot field `key`.
+    """A finite, C-ordered float64 copy of snapshot field `key`, read by
+    `as_floats` as a step input is.
 
-    `shape` gives the expected shape; a None entry accepts any length. An
-    entry that is a bool or a string is refused, as `convert` refuses it
-    (numpy would read True as 1.0 and "0.5" as 0.5).
+    `shape` gives the expected shape; a None entry accepts any length.
     """
-    try:
-        value = snap[key]
-        x = np.array(value, dtype=np.float64, order="C")
-        if not all(issubclass(t, numbers.Real) and t is not bool
-                   for t in set(map(type, np.array(value, dtype=object).flat))):
-            raise TypeError("an entry is not a number")
-    except KeyError:
-        raise ValidationError(f"snapshot lacks {key!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"snapshot {key!r} is not a numeric array: {exc}") from None
+    if key not in snap:
+        raise ValidationError(f"snapshot lacks {key!r}")
+    x = np.array(as_floats(snap[key], f"snapshot {key!r}"), order="C")
     if x.ndim != len(shape) or any(w is not None and n != w for n, w in zip(x.shape, shape)):
         want = tuple("*" if w is None else w for w in shape)
         raise ValidationError(f"snapshot {key!r} has shape {x.shape}, expected {want}")
@@ -186,14 +198,14 @@ def append_row(buf: np.ndarray, n: int, value) -> np.ndarray:
 
 
 def check_target(d) -> float:
-    """`d` as a finite float: a list or array raises DimensionMismatchError,
-    anything else that is not a number ValidationError."""
-    try:
-        d = float(d)
-    except (TypeError, ValueError):
-        if isinstance(d, (list, tuple, np.ndarray)):
-            raise DimensionMismatchError(f"target is not a scalar: {d!r:.40}") from None
-        raise ValidationError(f"target is not a number: {d!r:.40}") from None
+    """`d` as a finite float, read by `as_floats` (a float, numpy's float64 included, at once):
+    a list, tuple or array of ndim >= 1 raises DimensionMismatchError, anything else not a
+    real number ValidationError, and NaN or inf NonFiniteInputError."""
+    if not isinstance(d, float):
+        if isinstance(d, (list, tuple)) or np.ndim(d):
+            raise DimensionMismatchError(f"target is not a scalar: {d!r:.40}")
+        d = as_floats(d, "target")
+    d = float(d)
     if not math.isfinite(d):
         raise NonFiniteInputError("target value is not finite")
     return d

@@ -58,18 +58,19 @@ def _forced_growth_samples(count: int) -> np.ndarray:
     return 3.0 * np.arange(count, dtype=np.float64)[:, None]
 
 
-def _collect(kind: str, max_size: int, repeats: int):
+def _collect(kind: str, max_size: int):
     """Run one stream past max_size, returning (size_before_step, seconds) pairs.
 
-    `repeats` applies to LMS only, whose size axis is the step index.
+    LMS steps each sample three times, so that the buckets of its size axis,
+    the step index, hold enough steps for a median.
     """
+    repeats = 1
     if kind == "krls-ald-reg":
         spec = KernelSpec("gaussian", sigma=1.0)
         U = _forced_growth_samples(max_size + 2)
         d = np.ones(U.shape[0])
         filt = KrlsAldReg(spec, lam=0.1, delta=0.5, first_input=U[0], first_target=1.0)
         size_before = lambda i: filt.dict_size
-        repeats = 1
     elif kind == "klms":
         # 128-dimensional stream: the O(n L) kernel sum dominates the fixed
         # call overhead (15-25 us) already at desk-scale expansion sizes.
@@ -79,14 +80,13 @@ def _collect(kind: str, max_size: int, repeats: int):
         d = rng.standard_normal(max_size + 2)
         filt = Klms(spec, 0.01, U[0], d[0])
         size_before = lambda i: filt.n
-        repeats = 1
     else:  # "lms"
         rng = np.random.default_rng(0)
         U = rng.standard_normal((max_size + 2, 8))
         d = rng.standard_normal(max_size + 2)
         filt = Lms(8, 0.1)
-        # repeat the constant-time step so bucket medians are populated
         size_before = lambda i: i
+        repeats = 3
     sizes, times = [], []
     for i in range(1, U.shape[0]):
         for _ in range(repeats):
@@ -98,8 +98,8 @@ def _collect(kind: str, max_size: int, repeats: int):
 
 
 def _collect_one_thread(kind: str, max_size: int, warmup_size: int):
-    """A warm-up pass, then `_collect(kind, max_size, repeats=3)`, in a child
-    process whose BLAS uses one thread."""
+    """A warm-up pass, then `_collect(kind, max_size)`, in a child process
+    whose BLAS uses one thread."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -145,8 +145,8 @@ def run_bench(kind: str, target_sizes: list[int]) -> BenchResult:
 
 def _child(kind: str, max_size: str, warmup_size: str) -> None:
     # Warm-up pass primes allocator and BLAS paths before anything is timed.
-    _collect(kind, int(warmup_size), repeats=1)
-    sizes, seconds = _collect(kind, int(max_size), repeats=3)
+    _collect(kind, int(warmup_size))
+    sizes, seconds = _collect(kind, int(max_size))
     json.dump({"sizes": sizes.tolist(), "seconds": seconds.tolist()}, sys.stdout)
 
 

@@ -36,13 +36,22 @@ import numpy as np
 
 from .base import append_row, as_input, convert, reserve_square, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
-from .kernels import KernelSpec, gram as full_gram, kernel_matrix, kernel_self, kernel_vector
+from .kernels import KernelSpec, kernel_block, kernel_diag, kernel_self, kernel_vector
 
 # Residuals below this cannot be admitted: the new row of W divides by sqrt(d2).
 GROWTH_FLOOR = 1e-12
 
 # Safety factor of `AldScreen`'s slack over its roundoff bound.
 SCREEN_SAFETY = 2.0
+
+
+def check_lambda(lam) -> float:
+    """The ridge regularizer lambda, a finite float >= 0 by the field rule;
+    anything else raises ValidationError."""
+    lam = convert(lam, float, "lambda")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"lambda must be a finite real >= 0, got {lam!r}")
+    return lam
 
 
 def check_delta(delta) -> float:
@@ -116,7 +125,7 @@ class Dictionary:
     @property
     def gram(self) -> np.ndarray:
         """G[i, j] = k(c_i, c_j), recomputed from the centers on every access."""
-        return full_gram(self.spec, self._centers[: self._size])
+        return kernel_block(self.spec, self.centers, self.centers)
 
     def kernel_vector(self, u: np.ndarray) -> np.ndarray:
         """h_i = k(c_i, u) against every stored center."""
@@ -251,11 +260,11 @@ class AldScreen:
     def __init__(self, dic: Dictionary, U: np.ndarray):
         self._dic = dic
         self._U = U
-        self._H = kernel_matrix(dic.spec, U, dic.centers)
+        self._H = kernel_block(dic.spec, U, dic.centers)
         self.L = self._H @ dic.W.T
-        self._k_uu = _self_kernels(dic.spec, U)
+        self._k_uu = kernel_diag(dic.spec, U)
         self.d2 = self._k_uu - np.einsum("ij,ij->i", self.L, self.L)
-        self._k_cc = float(_self_kernels(dic.spec, dic.centers).max())
+        self._k_cc = float(kernel_diag(dic.spec, dic.centers).max())
         self._lw = np.abs(self.L) @ np.abs(dic.W).sum(axis=1)
         self._p = dic.spec.degree if dic.spec.family == "polynomial" else 1
 
@@ -269,20 +278,12 @@ class AldScreen:
     def extend(self) -> None:
         """Add the center the dictionary admitted last, and W's new row."""
         c, w = self._dic.centers[-1:], self._dic.W[-1]
-        self._H = np.column_stack((self._H, kernel_matrix(self._dic.spec, self._U, c)))
+        self._H = np.column_stack((self._H, kernel_block(self._dic.spec, self._U, c)))
         l = self._H @ w
         self.L = np.column_stack((self.L, l))
         self.d2 -= l * l
-        self._k_cc = max(self._k_cc, float(_self_kernels(self._dic.spec, c)[0]))
+        self._k_cc = max(self._k_cc, float(kernel_diag(self._dic.spec, c)[0]))
         self._lw += np.abs(l) * np.abs(w).sum()
-
-
-def _self_kernels(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """k(x, x) for each row of a validated X, as `kernel_self` gives it up to
-    roundoff (exactly, for the Gaussian)."""
-    if spec.family == "gaussian":
-        return np.ones(X.shape[0])
-    return (np.einsum("ij,ij->i", X, X) + 1.0) ** spec.degree
 
 
 def _checksum(centers: np.ndarray) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import as_input, as_points, check_object, convert
-from .exceptions import DimensionMismatchError, ValidationError
+from .exceptions import ValidationError
 
 FAMILIES = ("gaussian", "polynomial")
 
@@ -80,6 +80,14 @@ def kernel_self(spec: KernelSpec, u: np.ndarray) -> float:
     return float((np.dot(u, u) + 1.0) ** spec.degree)
 
 
+def kernel_diag(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """k(x, x) for every row x of X, as `kernel_self` gives it up to roundoff
+    (exactly, for the Gaussian). Hot path: X assumed validated."""
+    if spec.family == "gaussian":
+        return np.ones(X.shape[0])
+    return (np.einsum("ij,ij->i", X, X) + 1.0) ** spec.degree
+
+
 def kernel_vector(spec: KernelSpec, centers: np.ndarray, u: np.ndarray) -> np.ndarray:
     """k(c_i, u) for every row c_i of `centers`. Hot path: inputs assumed validated."""
     if spec.family == "gaussian":
@@ -89,23 +97,27 @@ def kernel_vector(spec: KernelSpec, centers: np.ndarray, u: np.ndarray) -> np.nd
     return (centers @ u + 1.0) ** spec.degree
 
 
-def kernel_matrix(spec: KernelSpec, x, z) -> np.ndarray:
-    """Cross-kernel matrix K[i, j] = k(x_i, z_j)."""
-    xx = as_points(x)
-    zz = as_points(z, dim=xx.shape[1])
+def kernel_block(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """K[i, j] = k(x_i, z_j) for the rows of X and Z. Hot path: inputs assumed validated."""
     if spec.family == "gaussian":
         # Explicit differences keep K(x, x) exactly symmetric, which the
         # expanded ||x||^2 + ||z||^2 - 2 x.z form does not guarantee.
-        diff = xx[:, None, :] - zz[None, :, :]
+        diff = X[:, None, :] - Z[None, :, :]
         sq = np.einsum("ijk,ijk->ij", diff, diff)
         return np.exp(-sq / (spec.sigma * spec.sigma))
-    return (xx @ zz.T + 1.0) ** spec.degree
+    return (X @ Z.T + 1.0) ** spec.degree
+
+
+def kernel_matrix(spec: KernelSpec, x, z) -> np.ndarray:
+    """Cross-kernel matrix K[i, j] = k(x_i, z_j)."""
+    xx = as_points(x)
+    return kernel_block(spec, xx, as_points(z, dim=xx.shape[1]))
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
     """Symmetric Gram matrix of a point set (PSD up to eigenvalue roundoff)."""
     pts = as_points(points)
-    return kernel_matrix(spec, pts, pts)
+    return kernel_block(spec, pts, pts)
 
 
 def expansion_inner_product(spec: KernelSpec, h, g) -> float:
@@ -113,20 +125,12 @@ def expansion_inner_product(spec: KernelSpec, h, g) -> float:
 
     For h(.) = sum_i a_i k(c_i, .) and g(.) = sum_j b_j k(e_j, .) this is
     sum_ij a_i b_j k(c_i, e_j): symmetric, bilinear, and nonnegative on the
-    diagonal up to roundoff.
+    diagonal up to roundoff. The coefficients are read as `as_input` reads a
+    vector, one per center.
     """
-    a, ca = h
-    b, cb = g
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    (a, ca), (b, cb) = h, g
     ca = as_points(ca)
     cb = as_points(cb, dim=ca.shape[1])
-    if a.ndim != 1 or a.shape[0] != ca.shape[0]:
-        raise DimensionMismatchError(
-            f"expansion has {ca.shape[0]} centers but {a.shape} coefficients"
-        )
-    if b.ndim != 1 or b.shape[0] != cb.shape[0]:
-        raise DimensionMismatchError(
-            f"expansion has {cb.shape[0]} centers but {b.shape} coefficients"
-        )
-    return float(a @ kernel_matrix(spec, ca, cb) @ b)
+    a = as_input(a, dim=ca.shape[0])
+    b = as_input(b, dim=cb.shape[0])
+    return float(a @ kernel_block(spec, ca, cb) @ b)

@@ -66,13 +66,13 @@ Z = R^-1 [L P, d - L b] = [X, nu]:
 and the outputs are y = d - e~, then e = d - y, so e = d - y exactly. The
 per-sample denominators 1 + l^T P l are diag(R)^2.
 
-Failure rule: the samples up to the first non-finite or malformed one go in
-blocks; that one and any after it go through `step`, which raises where the
-step loop would. A block whose Cholesky fails, whose results are not
-finite, or whose diag(R)^2 are not all above BLOCK_DENOM_MIN, is re-stepped
-sample by sample from the state before it, so a floor violation raises from
-`step` at the step loop's sample with the state the step loop leaves. `n`
-counts the samples committed.
+Failure rule: the samples up to the first non-finite one go in blocks; that
+one and those after it, or all of a stream that is not an (n, dim) array of
+real numbers, go through `step`, which raises where the step loop would. A
+block whose Cholesky fails, whose results are not finite, or whose diag(R)^2
+are not all above BLOCK_DENOM_MIN, is re-stepped sample by sample from the
+state before it, so a floor violation raises from `step` at the step loop's
+sample with the state the step loop leaves. `n` counts the samples committed.
 """
 
 from __future__ import annotations
@@ -81,9 +81,9 @@ import math
 
 import numpy as np
 
-from .base import (StepOutput, as_input, check_target, convert, reserve, reserve_square,
+from .base import (StepOutput, as_floats, as_input, check_target, reserve, reserve_square,
                    scalar_field, snapshot_array)
-from .dictionary import AldScreen, Dictionary, check_delta
+from .dictionary import AldScreen, Dictionary, check_delta, check_lambda
 from .exceptions import DimensionMismatchError, KafError, NumericalError, ValidationError
 from .kernels import KernelSpec, kernel_self
 
@@ -129,25 +129,16 @@ class KrlsAldReg:
                  first_input, first_target):
         if not isinstance(spec, KernelSpec):
             raise ValidationError(f"kernel must be a KernelSpec, got {type(spec).__name__}")
-        self._set_parameters(lam, delta)
-        u = as_input(first_input)
+        self.lam, self.delta = check_lambda(lam), check_delta(delta)
+        self.dict = Dictionary(spec, first_input)
         d = check_target(first_target)
-        self.dict = Dictionary(spec, u)
         # K = 0: border the empty state. Y holds the pending rows and a
         # block's, up to BLOCK, before the flush.
         self._Pb, self._Y, self._m = np.empty((0, 0)), np.empty((PENDING + BLOCK, 1)), 0
         self.b = np.empty(0)
-        self._border(*self._gain(np.empty(0)), kernel_self(spec, u), d)
+        self._border(*self._gain(np.empty(0)), kernel_self(spec, self.dict.centers[0]), d)
         self._alpha = None
         self.n = 1
-
-    def _set_parameters(self, lam, delta) -> None:
-        """Validate and set lambda and delta."""
-        lam = convert(lam, float, "lambda")
-        if not (np.isfinite(lam) and lam >= 0):
-            raise ValidationError(f"lambda must be a finite real >= 0, got {lam!r}")
-        self.lam = lam
-        self.delta = check_delta(delta)
 
     @property
     def spec(self) -> KernelSpec:
@@ -204,9 +195,9 @@ class KrlsAldReg:
         """Process the samples (U[i], d[i]) in order, as `step` on each would,
         and return arrays of their y, e and dict_size. U is an (n, dim) array,
         or n scalars when dim = 1. The samples go in blocks (see the module
-        docstring) up to the first one that is malformed or non-finite; from
-        there on they go through `step`, which raises where the step loop
-        would. On a raise, `n` counts the samples committed."""
+        docstring) up to the first non-finite one, and from there on, or for a
+        stream that is not an (n, dim) array of real numbers, through `step`,
+        which raises where the step loop would. On a raise, `n` counts the samples committed."""
         try:
             n, m = len(d), len(U)
         except TypeError:
@@ -223,8 +214,8 @@ class KrlsAldReg:
             return out.grew
 
         try:
-            X, t = np.asarray(U, dtype=np.float64), np.asarray(d, dtype=np.float64)
-        except (TypeError, ValueError):  # ragged or not numeric: all go through `step`
+            X, t = as_floats(U, "inputs"), as_floats(d, "targets")
+        except ValidationError:  # ragged or not numbers: all go through `step`
             X = t = np.empty((0, 0))
         if X.ndim == 1:
             X = X[:, None]  # scalar inputs
@@ -387,7 +378,8 @@ class KrlsAldReg:
             raise ValidationError(f"snapshot stores {legacy} of the former P/M/G^-1 state, "
                                   f"which this version cannot resume; replay the stream")
         obj = object.__new__(cls)
-        obj._set_parameters(scalar_field(snap, "lambda"), scalar_field(snap, "delta"))
+        obj.lam = check_lambda(scalar_field(snap, "lambda"))
+        obj.delta = check_delta(scalar_field(snap, "delta"))
         n = scalar_field(snap, "n", int)
         obj.dict = Dictionary.from_snapshot(snap)
         k = obj.dict.size

@@ -12,19 +12,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import as_points
-from .dictionary import GROWTH_FLOOR
-from .exceptions import (
-    NearSingularGrowthError,
-    NumericalError,
-    ValidationError,
-)
+from .base import as_input, as_points, convert
+from .dictionary import GROWTH_FLOOR, check_delta, check_lambda
+from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
 from .kernels import KernelSpec, gram, kernel_vector
 
 
 @dataclass(frozen=True)
 class BatchProblem:
-    """A finite stream plus filter hyperparameters, for batch solving."""
+    """A finite stream plus filter hyperparameters, for batch solving: the
+    inputs, targets, lambda and delta are read and refused as `KrlsAldReg`
+    reads them."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -34,19 +32,10 @@ class BatchProblem:
 
     def __post_init__(self):
         inputs = as_points(self.inputs)
-        targets = np.asarray(self.targets, dtype=np.float64)
-        if targets.ndim != 1 or targets.shape[0] != inputs.shape[0]:
-            raise ValidationError(
-                f"targets shape {targets.shape} does not match {inputs.shape[0]} inputs"
-            )
-        if not np.all(np.isfinite(targets)):
-            raise ValidationError("targets contain non-finite entries")
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValidationError(f"lambda must be a nonnegative real, got {self.lam!r}")
-        if np.isnan(self.delta) or self.delta < 0:
-            raise ValidationError(f"delta must be a nonnegative real, got {self.delta!r}")
         object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "targets", as_input(self.targets, dim=inputs.shape[0]))
+        object.__setattr__(self, "lam", check_lambda(self.lam))
+        object.__setattr__(self, "delta", check_delta(self.delta))
 
 
 @dataclass
@@ -146,9 +135,8 @@ def batch_krr(inputs, targets, spec: KernelSpec, lam: float) -> np.ndarray:
     limit with all-distinct inputs (the expansion matrix is the identity).
     """
     x = as_points(inputs)
-    d = np.asarray(targets, dtype=np.float64)
-    if d.shape != (x.shape[0],):
-        raise ValidationError(f"targets shape {d.shape} does not match {x.shape[0]} inputs")
+    d = as_input(targets, dim=x.shape[0])
+    lam = convert(lam, float, "lambda")
     if not (np.isfinite(lam) and lam > 0):
         raise ValidationError(f"lambda must be > 0, got {lam!r}")
     K = gram(spec, x)
@@ -193,6 +181,7 @@ def polynomial_feature_map(points, degree: int) -> np.ndarray:
     """
     x = as_points(points)
     n, L = x.shape
+    degree = convert(degree, int, "degree")
     if degree == 1:
         return np.hstack([np.ones((n, 1)), x])
     if degree == 2:
@@ -212,7 +201,8 @@ def feature_space_lms(inputs, targets, eta: float, degree: int) -> np.ndarray:
     kernel evaluates exactly the feature-space inner product.
     """
     phi = polynomial_feature_map(inputs, degree)
-    d = np.asarray(targets, dtype=np.float64)
+    d = as_input(targets, dim=phi.shape[0])
+    eta = convert(eta, float, "eta")
     w = np.zeros(phi.shape[1])
     preds = np.empty(phi.shape[0])
     for i in range(phi.shape[0]):

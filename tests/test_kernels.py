@@ -161,6 +161,15 @@ class TestExpansionInnerProduct:
         with pytest.raises(DimensionMismatchError):
             expansion_inner_product(GAUSS, ([1.0, 2.0], [[0.0]]), ([1.0], [[1.0]]))
 
+    @pytest.mark.parametrize("coeff, error", [
+        (math.nan, NonFiniteInputError), ("1", ValidationError), (True, ValidationError)])
+    def test_coefficients_are_read_as_inputs(self, coeff, error):
+        """A coefficient is a finite real number, as an input entry is."""
+        for h, g in ((([coeff], [[0.0]]), ([1.0], [[1.0]])),
+                     (([1.0], [[0.0]]), ([coeff], [[1.0]]))):
+            with pytest.raises(error):
+                expansion_inner_product(GAUSS, h, g)
+
 
 class TestKernelSpec:
     def test_json_round_trip(self):

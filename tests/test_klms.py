@@ -221,7 +221,7 @@ def distance_form_bound(centers, coeffs, u, sigma):
     return float(np.abs(coeffs) @ (sq_bound / sigma ** 2 + (L + 10 + 2 * n) * EPS))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(L=st.integers(1, 8), steps=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
        offset=st.floats(-1e4, 1e4), log_sigma=st.floats(-2, 2), log_spread=st.floats(-1, 1),
        eta=st.floats(0.01, 1.0))

@@ -650,7 +650,7 @@ def test_first_sample_becomes_first_center():
     assert f.dict_size == 1
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(pending=st.sampled_from([0, 1, PENDING - 1]), doubled=st.booleans(),
        lam=st.sampled_from([0.0, 1e-3, 0.1, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
 def test_snapshot_with_pending_rows_resumes_bit_for_bit(pending, doubled, lam, seed):

@@ -87,7 +87,7 @@ def rel_function(f, alpha, alpha_ref):
     return norm(alpha - alpha_ref) / max(norm(alpha_ref), 1.0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(streams())
 def test_run_equals_the_step_loop(case):
     """The same admissions, e = d - y exactly, and y and the model to 1e-12
@@ -150,7 +150,7 @@ def batch_alpha(f, U, d, admitted):
     return np.linalg.solve(A.T @ A @ G + f.lam * np.eye(len(C)), A.T @ d)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(hard_streams())
 def test_invariants_across_flushes(case):
     """Across flushes of Y: P is exactly symmetric after every step and after
@@ -190,7 +190,7 @@ def test_run_matches_the_step_loop_across_blocks(family):
     assert np.array_equal(e, d[1:] - y)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.sampled_from(["gaussian", "polynomial"]), st.integers(1, 3),
        st.integers(0, 2 ** 32 - 1))
 def test_screen_rejects_no_sample_step_admits(family, dim, seed):
@@ -226,7 +226,7 @@ def test_scalar_inputs_and_an_empty_stream():
     assert f.n == 40
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(k=st.sampled_from([4, PENDING + 8]), lam=st.sampled_from([0.0, 0.1]),
        grows=st.booleans(), margin=st.floats(-1.0, 1e-13),
        before=st.lists(st.integers(-3, 30), max_size=40), seed=st.integers(0, 2 ** 32 - 1))

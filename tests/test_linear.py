@@ -147,7 +147,7 @@ class TestRls:
             f.step(u, d)
         assert np.isfinite(f.weights).all()
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(dim=st.integers(1, 4), forgetting=st.sampled_from([0.9, 0.99, 1.0]),
            steps=st.integers(0, 20), below=st.floats(1.0, 1e12), seed=st.integers(0, 2 ** 32 - 1))
     def test_injected_aux_below_the_floor_is_transactional(self, dim, forgetting, steps,

@@ -10,7 +10,7 @@ from kaf import (
     gram,
 )
 from kaf.exceptions import NumericalError, ValidationError
-from kaf.oracle import _solve, gradient_residual, objective
+from kaf.oracle import _solve, feature_space_lms, gradient_residual, objective
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
 
@@ -80,6 +80,15 @@ class TestBatchSolveRegularized:
         with pytest.raises(ValidationError):
             BatchProblem([[0.0]], [1.0], GAUSS, -0.1, 0.1)
 
+    @pytest.mark.parametrize("targets, lam, delta", [
+        ([1.0, 2.0], True, 0.1), ([1.0, 2.0], "0.1", 0.1), ([1.0, 2.0], 0.1, True),
+        ([1.0, 2.0], 0.1, "0.1"), (["0.5", 2.0], 0.1, 0.1), ([True, 2.0], 0.1, 0.1)])
+    def test_reads_by_the_filters_rule(self, targets, lam, delta):
+        """The oracle refuses, with ValidationError, what KrlsAldReg refuses:
+        a bool or string lambda or delta, and a target that is not a number."""
+        with pytest.raises(ValidationError):
+            BatchProblem([[0.0], [1.0]], targets, GAUSS, lam, delta)
+
 
 class TestBatchKrr:
     def test_single_point(self):
@@ -98,6 +107,19 @@ class TestBatchKrr:
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValidationError):
             batch_krr([[0.0]], [1.0], GAUSS, 0.0)
+
+    @pytest.mark.parametrize("targets, lam", [
+        ([1.0, 2.0], "0.1"), ([1.0, 2.0], True), ([1.0, np.nan], 0.1), (["0.5", 2.0], 0.1)])
+    def test_refuses_what_is_not_a_number(self, targets, lam):
+        with pytest.raises(ValidationError):
+            batch_krr([[0.0], [1.0]], targets, GAUSS, lam)
+
+
+@pytest.mark.parametrize("targets, eta, degree", [
+    (["0.5", 2.0], 0.1, 2), ([1.0, 2.0], "0.1", 2), ([1.0, 2.0], 0.1, True)])
+def test_feature_space_lms_refuses_what_is_not_a_number(targets, eta, degree):
+    with pytest.raises(ValidationError):
+        feature_space_lms([[0.0], [1.0]], targets, eta, degree)
 
 
 class TestStationarity:

@@ -30,12 +30,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import kaf.base
 import kaf.kernels
 from kaf import (Dictionary, FilterConfig, KernelSpec, Klms, KrlsAldReg, Lms, Rls,
                  kernel_eval)
-from kaf.base import convert
+from kaf.base import as_floats, as_input, check_target, convert
 from kaf.cli import main
 from kaf.exceptions import (
     DimensionMismatchError,
@@ -49,9 +50,7 @@ from kaf.krls import PENDING
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
 DIM = 2
-# derandomize: every run draws the same examples, so a failure reproduces
-# from the commit alone.
-PROPS = settings(max_examples=30, deadline=None, derandomize=True)
+PROPS = settings(max_examples=30)
 
 
 def stream(n, seed):
@@ -108,14 +107,23 @@ bad_inputs = st.one_of(
     non_finite_vectors().map(lambda u: (u, NonFiniteInputError)),
     wrong_length.map(lambda u: (u, DimensionMismatchError)),
     two_d.map(lambda u: (u, DimensionMismatchError)),
-    # not an array of numbers
-    st.sampled_from(["ab", [0.1, None], [[0.1], [0.2, 0.3]], {}]).map(
-        lambda u: (u, ValidationError)),
+    # not real numbers: each entry is read by the field rule, so a string, a
+    # bool or a complex number is refused whatever numpy would make of it
+    st.sampled_from(["ab", [0.1, None], [[0.1], [0.2, 0.3]], {}, "1.5", ["0.1", 0.2], b"1",
+                     True, [True, 0.5], np.array([True, False]), np.array(["0.1"]),
+                     np.array([1 + 2j, 0])]).map(lambda u: (u, ValidationError)),
 )
 
 
 def bits(x: float) -> bytes:
     return struct.pack("<d", x)
+
+
+def refuse(error, call, *args):
+    """`call(*args)` raises `error` itself, not a subclass of it."""
+    with pytest.raises(error) as info:
+        call(*args)
+    assert type(info.value) is error, info.value
 
 
 class TestBadInputLeavesState:
@@ -125,10 +133,8 @@ class TestBadInputLeavesState:
         f = FILTERS[kind]
         u, error = bad
         before = pickle.dumps(f)
-        with pytest.raises(error):
-            f.step(u, target)
-        with pytest.raises(error):
-            f.predict(u)
+        refuse(error, f.step, u, target)
+        refuse(error, f.predict, u)
         assert pickle.dumps(f) == before
 
     @PROPS
@@ -149,22 +155,21 @@ class TestBadInputLeavesState:
         ald = dct.ald_test(FAR, 0.05)
         assert ald.admitted
         before = pickle.dumps(dct)
-        with pytest.raises(error):
-            dct.ald_test(u, 0.05)
-        with pytest.raises(error):
-            dct.grow(u, ald)
+        refuse(error, dct.ald_test, u, 0.05)
+        refuse(error, dct.grow, u, ald)
         assert pickle.dumps(dct) == before
 
 
 @pytest.mark.parametrize("kind", sorted(FILTERS))
 @pytest.mark.parametrize("target, error", [
     (None, ValidationError), ("a", ValidationError), ([1.0, 2.0], DimensionMismatchError),
-    (np.zeros(2), DimensionMismatchError), ([[1.0], [2.0, 3.0]], DimensionMismatchError)])
+    (np.zeros(2), DimensionMismatchError), ([[1.0], [2.0, 3.0]], DimensionMismatchError),
+    ("0.5", ValidationError), (b"0.5", ValidationError), (True, ValidationError),
+    (np.bool_(True), ValidationError), (np.complex128(1), ValidationError)])
 def test_step_refuses_malformed_target(kind, target, error):
     f = FILTERS[kind]
     before = pickle.dumps(f)
-    with pytest.raises(error):
-        f.step([0.1, 0.2], target)
+    refuse(error, f.step, [0.1, 0.2], target)
     assert pickle.dumps(f) == before
 
 
@@ -173,6 +178,9 @@ def test_step_refuses_malformed_target(kind, target, error):
     (5.0, [1.0], DimensionMismatchError),
     (None, None, DimensionMismatchError),
     ("ab", "ab", ValidationError),
+    ([["0.9", "1.1"]] * 3, [1.0, 2.0, 3.0], ValidationError),
+    (np.ones((3, DIM), dtype=bool), [1.0, 2.0, 3.0], ValidationError),
+    (np.ones((3, DIM)), [True, False, True], ValidationError),
 ])
 def test_krls_run_refuses_what_it_cannot_size(U, d, error):
     f = FILTERS["krls"]
@@ -235,6 +243,32 @@ class TestTrustedPaths:
                 assert bits(getattr(inner, name)) == bits(getattr(public, name))
             for name in ("l", "h"):
                 assert getattr(inner, name).tobytes() == getattr(public, name).tobytes()
+
+
+real_numbers = st.one_of(
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.int32, np.uint8]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)),
+    st.lists(st.floats() | st.integers(-2 ** 70, 2 ** 70), max_size=5),
+    st.lists(st.lists(st.floats(), min_size=2, max_size=2), max_size=3),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.floats(), st.integers(-2 ** 70, 2 ** 70))
+
+
+@settings(PROPS, max_examples=300)
+@given(x=real_numbers)
+def test_real_numbers_read_to_the_bits_numpy_gives(x):
+    """Every real array, list or scalar is read to the float64 bits that
+    np.asarray(x, dtype=float64) gives it: the one reader changes what is
+    refused, not what an accepted number reads as."""
+    want = np.asarray(x, dtype=np.float64)
+    got = as_floats(x, "x")
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if want.ndim <= 1 and np.isfinite(want).all():
+        assert as_input(x).tobytes() == want.reshape(-1).tobytes()
+        if want.ndim == 0:
+            assert bits(check_target(x)) == bits(float(want))
 
 
 def test_krls_step_validates_once(monkeypatch):
@@ -428,7 +462,7 @@ def _corrupt(snap: dict, kind: str, key: str, new, index: int) -> dict:
     return snap
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(corruptions())
 def test_corrupted_snapshot_is_refused_and_intact_one_resumes(corruption):
     """A snapshot with one corrupted field is refused with ValidationError or
