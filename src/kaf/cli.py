@@ -16,8 +16,9 @@ paths strings. A filter kind takes only the settings it reads
 (`experiments.FILTER_KEYS`), from the file, a flag or a grid alike: any
 other exits 1 before anything runs. Exit codes: 0 success, 1 validation
 error (a malformed command line included), 2 numerical failure, 3 I/O error.
-KAF_THREADS bounds the worker processes that run trials (`kaf run`) or grid
-points (`kaf sweep`) at once; runs are serial where the platform cannot fork.
+KAF_THREADS bounds the worker processes that run trials (`kaf run`, where
+each worker also formats its trial's CSV rows) or grid points (`kaf sweep`)
+at once; runs are serial where the platform cannot fork.
 
 Outputs are deterministic given config + seed: CSV floats are printed with
 17 significant digits, and the curves' per-step wall times are zeros for
@@ -33,6 +34,7 @@ import functools
 import itertools
 import json
 import os
+import shutil
 import sys
 import time
 from dataclasses import replace
@@ -46,6 +48,7 @@ from .experiments import (
     FilterConfig,
     StreamConfig,
     pool_map,
+    run_trial,
     run_trials,
 )
 from .verify import SUITES, run_suite
@@ -132,18 +135,30 @@ class _OutputSet:
 
     Used as a context manager: a clean exit renames every temp file into
     place; an exception, including one raised by a rename, deletes the temp
-    files that remain and propagates.
+    files that remain and propagates. Part files are deleted on every exit.
     """
 
     def __init__(self):
         self._pending: list[tuple[str, str]] = []
+        self._parts: list[str] = []
 
     def open(self, path: str):
-        if os.path.isdir(path):  # refused before a rename could put any output in place
-            raise IsADirectoryError(f"output path {path} is a directory")
-        tmp = f"{path}.tmp.{os.getpid()}"
+        tmp = f"{self._checked(path)}.tmp.{os.getpid()}"
         self._pending.append((tmp, path))
         return open(tmp, "w", newline="")
+
+    def parts(self, path: str, count: int) -> list[str]:
+        """`count` paths beside `path` for pieces of it, which another process
+        may write; registered before they exist."""
+        stem = f"{self._checked(path)}.tmp.{os.getpid()}.part"
+        self._parts += [f"{stem}{i}" for i in range(count)]
+        return self._parts[-count:]
+
+    @staticmethod
+    def _checked(path: str) -> str:
+        if os.path.isdir(path):  # refused before a rename could put any output in place
+            raise IsADirectoryError(f"output path {path} is a directory")
+        return path
 
     def __enter__(self) -> "_OutputSet":
         return self
@@ -155,33 +170,52 @@ class _OutputSet:
                     os.replace(tmp, path)
                 self._pending.clear()
         finally:
-            for tmp, _ in self._pending:
+            for tmp in [tmp for tmp, _ in self._pending] + self._parts:
                 try:
                     os.unlink(tmp)
                 except OSError:
                     pass
             self._pending.clear()
+            self._parts.clear()
 
 
 def _dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _trial_part(fc: FilterConfig, record_timings: bool,
+                job: tuple[StreamConfig, str]) -> tuple[dict, float | None]:
+    """Run the trial of `job`, a (stream config, part file path) pair, and
+    write its CSV rows to the part file. Returns the trial's summary and, if
+    it was timed, its mean step time: all that goes back to the parent from
+    a worker."""
+    sc, path = job
+    curve = run_trial(fc, sc, record_timings)
+    with open(path, "w", newline="") as f:
+        f.writelines(curve.csv_blocks())
+    seconds = curve.step_seconds
+    return curve.summary(), (float(seconds.mean()) if seconds.any() else None)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _read_config(args)
     fc, sc, trials = cfg["filter"], cfg["stream"], cfg["trials"]
     out_path, summary_path = cfg["out"], cfg["summary_out"]
-
-    curves = run_trials(fc, sc, trials, workers=_workers(),
-                        record_timings=cfg["record_timings"])
+    workers = _workers()
+    streams = [replace(sc, seed=sc.seed + i) for i in range(trials)]
 
     with _OutputSet() as outputs:
+        # Each trial's rows are formatted by the process that ran it, into a
+        # part file; the parent joins the parts in seed order.
+        parts = outputs.parts(out_path, trials)
+        results = pool_map(functools.partial(_trial_part, fc, cfg["record_timings"]),
+                           list(zip(streams, parts)), workers)
         with outputs.open(out_path) as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(CSV_HEADER)
-            for curve in curves:
-                curve.append_csv_rows(w)
-        per_trial = [dict(seed=sc.seed + i, **c.summary()) for i, c in enumerate(curves)]
+            f.write(",".join(CSV_HEADER) + "\n")
+            for part in parts:
+                with open(part, newline="") as p:
+                    shutil.copyfileobj(p, f)
+        per_trial = [dict(seed=s.seed, **summary) for s, (summary, _) in zip(streams, results)]
         summary = {
             "config": {"filter": fc.to_json(), "stream": sc.to_json(), "trials": trials},
             "trials": per_trial,
@@ -189,12 +223,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             "mean_final_dict_size": sum(t["final_dict_size"] for t in per_trial) / trials,
             "csv": out_path,
         }
-        if any(c.step_seconds.any() for c in curves):  # timed trials
-            summary["mean_step_seconds"] = sum(
-                float(c.step_seconds.mean()) for c in curves) / trials
+        step_means = [mean for _, mean in results if mean is not None]
+        if step_means:  # timed trials
+            summary["mean_step_seconds"] = sum(step_means) / trials
         with outputs.open(summary_path) as f:
             f.write(_dump_json(summary))
-    print(f"wrote {out_path} ({trials} trial(s) x {len(curves[0])} steps) and {summary_path}")
+    print(f"wrote {out_path} ({trials} trial(s) x {per_trial[0]['steps']} steps) "
+          f"and {summary_path}")
     return 0
 
 
@@ -319,6 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone (`kaf verify ... | head -1`): what is left
+        # to print, the interpreter's final flush included, goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+
+
+def _dispatch(argv: list[str] | None) -> int:
+    try:
         args = build_parser().parse_args(argv)
         return {"run": cmd_run, "sweep": cmd_sweep,
                 "verify": cmd_verify, "bench": cmd_bench}[args.command](args)
@@ -328,6 +375,8 @@ def main(argv: list[str] | None = None) -> int:
     except KafError as exc:
         print(_dump_json({"error": {"type": "numerical", "message": str(exc)}}), end="")
         return 2
+    except BrokenPipeError:
+        raise  # no JSON can reach a closed stdout
     except OSError as exc:
         print(_dump_json({"error": {"type": "io", "message": str(exc)}}), end="")
         return 3

@@ -83,8 +83,9 @@ class AldResult(NamedTuple):
 class Dictionary:
     """Ordered center set with an incrementally grown inverse Cholesky factor.
 
-    State: the centers and `W` (W G W^T = I, lower triangular). `gram` is
-    computed on demand.
+    State: the centers, `W` (W G W^T = I, lower triangular) and the row sums
+    of |W|, which `AldScreen` reads; W's rows never change, so each sum is
+    taken once, when its row is appended. `gram` is computed on demand.
     """
 
     def __init__(self, spec: KernelSpec, first_center):
@@ -96,6 +97,7 @@ class Dictionary:
             )
         self.spec = spec
         self._W = np.array([[1.0 / math.sqrt(k11)]])
+        self._row_l1 = self._W[0].copy()  # sum_j |W_ij| of each row i
         self._centers = np.empty((4, c.shape[0]))
         self._centers[0] = c
         self._size = 1
@@ -190,6 +192,7 @@ class Dictionary:
         W[k, k] = 1.0 / s
 
         self._centers = append_row(self._centers, k, uu)
+        self._row_l1 = append_row(self._row_l1, k, np.abs(W[k, :k + 1]).sum())
         self._W = W
         self._size = k + 1
 
@@ -246,7 +249,7 @@ class AldScreen:
 
     - n = K + p (dim + 8) + 1 counts the rounding steps, for p the
       polynomial degree (1 for the Gaussian);
-    - r_i is the i-th row sum of |W|;
+    - r_i is the i-th row sum of |W|, which the dictionary keeps with W;
     - h_max = sqrt(k(u, u) max_j k(c_j, c_j)) bounds |h| (Cauchy-Schwarz).
 
     The slack is SCREEN_SAFETY times the sum of the two bounds, so a row
@@ -265,7 +268,7 @@ class AldScreen:
         self._k_uu = kernel_diag(dic.spec, U)
         self.d2 = self._k_uu - np.einsum("ij,ij->i", self.L, self.L)
         self._k_cc = float(kernel_diag(dic.spec, dic.centers).max())
-        self._lw = np.abs(self.L) @ np.abs(dic.W).sum(axis=1)
+        self._lw = np.abs(self.L) @ dic._row_l1[:dic.size]
         self._p = dic.spec.degree if dic.spec.family == "polynomial" else 1
 
     def rejects(self, delta: float) -> np.ndarray:
@@ -283,7 +286,7 @@ class AldScreen:
         self.L = np.column_stack((self.L, l))
         self.d2 -= l * l
         self._k_cc = max(self._k_cc, float(kernel_diag(self._dic.spec, c)[0]))
-        self._lw += np.abs(l) * np.abs(w).sum()
+        self._lw += np.abs(l) * self._dic._row_l1[self._dic.size - 1]
 
 
 def _checksum(centers: np.ndarray) -> str:

@@ -1,10 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kaf
 from kaf.cli import main
 from kaf.exceptions import ValidationError
 from kaf.experiments import StreamConfig, generate
@@ -196,8 +199,8 @@ class TestRun:
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "io"
 
     def test_late_write_failure_leaves_no_partial_output(self, tmp_path, capsys):
-        # the CSV is written first; the summary's directory does not exist,
-        # or the summary path names a directory
+        # the trials' part files and the CSV are written first; the summary's
+        # directory does not exist, or the summary path names a directory
         (tmp_path / "sdir").mkdir()
         for summary in (tmp_path / "missing" / "s.json", tmp_path / "sdir"):
             cfg = base_run_config(tmp_path, summary_out=str(summary))
@@ -237,6 +240,7 @@ class TestRun:
         assert err["type"] == "numerical"
         assert err["message"].startswith("trial with seed 3 failed at step 6: ")
         assert not os.path.exists(cfg["out"])
+        assert not list(tmp_path.glob("*.tmp.*"))  # the trials' part files included
 
 
 class TestUsage:
@@ -389,6 +393,24 @@ class TestVerify:
     def test_unknown_suite_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="unknown verify suite"):
             run_suite("bogus")
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_3_without_a_traceback(self, unbuffered):
+        """`kaf verify ... | head -1` once the reader has gone: whether a print
+        or the final flush meets the closed pipe, kaf exits 3, the I/O error
+        code, and writes nothing to stderr."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(kaf.__file__))}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "kaf.cli", "verify", "--suite",
+                                   "gram-psd"], stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=300)
+        finally:
+            os.close(write_end)
+        assert proc.stderr.decode() == ""
+        assert proc.returncode == 3
 
 
 class TestBench:

@@ -13,9 +13,10 @@ import pytest
 
 import kaf
 from kaf import FilterConfig, KernelSpec, LearningCurve, StreamConfig
-from kaf.cli import main
+from kaf.base import fmt17
+from kaf.cli import _trial_part, main
 from kaf.exceptions import CapacityError, ValidationError
-from kaf.experiments import (CSV_HEADER, FILTER_KINDS, generate, pool_map, run_trial,
+from kaf.experiments import (CSV_HEADER, CSV_ROWS, FILTER_KINDS, generate, pool_map, run_trial,
                              run_trials)
 
 
@@ -174,6 +175,27 @@ class TestLearningCurve:
                                       else CSV_HEADER, rows)
                     assert (cols["step_seconds"][rows] > 0).all() == record_timings
 
+
+    @pytest.mark.parametrize("record_timings", [False, True])
+    def test_adapter_and_part_file_give_the_same_bytes(self, record_timings, tmp_path):
+        """`append_csv_rows` through a `csv.writer` and the part file a `kaf run`
+        worker writes hold the same bytes, `csv_blocks`', timed or not; an
+        untimed step prints as 0, as `fmt17(0.0)` does."""
+        fc = FilterConfig("krls-ald-reg")
+        sc = StreamConfig("noisy_sinc", length=2 * CSV_ROWS + 100, noise_std=0.1, seed=3)
+        buf = io.StringIO()
+        run_trial(fc, sc, record_timings).append_csv_rows(csv.writer(buf, lineterminator="\n"))
+        part = tmp_path / "part"
+        summary, step_mean = _trial_part(fc, record_timings, (sc, str(part)))
+        text = part.read_bytes().decode()
+        if record_timings:  # times differ between the two runs
+            text, adapted = ([row.rsplit(",", 1)[0] for row in t.splitlines()]
+                             for t in (text, buf.getvalue()))
+            assert text == adapted and step_mean > 0
+        else:
+            assert text == buf.getvalue() and step_mean is None
+            assert {row.rsplit(",", 1)[1] for row in text.splitlines()} == {fmt17(0.0)}
+        assert summary == run_trial(fc, sc, record_timings).summary()
 
 class TestRunTrial:
     def test_curve_has_one_row_per_sample(self):

@@ -271,6 +271,82 @@ def test_injected_floor_violation_is_transactional(k, lam, grows, margin, before
     assert rel(g.P, f.P) <= 1e-12 and rel(g.b, f.b) <= 1e-12
 
 
+def spaced_filter(k, lam=0.1):
+    """A filter whose k 1-D centers lie 2 apart (k(c_i, c_j) <= e^-2), with
+    random targets: a well-conditioned dictionary of any size."""
+    rng = np.random.default_rng(k)
+    C = 2.0 * np.arange(k)[:, None]
+    f = KrlsAldReg(GAUSS, lam, 1e-3, C[0], rng.standard_normal())
+    for c in C[1:]:
+        assert f.step(c, rng.standard_normal()).grew
+    return f
+
+
+@pytest.mark.parametrize("k, rows", [(13, BLOCK), (BLOCK - 1, BLOCK), (13, 5), (BLOCK, BLOCK),
+                                     (PENDING + 8, 20), (PENDING + 8, BLOCK)])
+def test_block_update_on_both_sides_of_the_bordering_rule(k, rows, monkeypatch):
+    """`_update_block` factors S bordered by B = [L P, d - L b] when
+    K + 1 <= rows, and by the identity otherwise (one Cholesky either way);
+    both leave P and b, and return the a priori errors, as the step loop's
+    rank-one updates along the same rows do, with rows pending or not."""
+    f = spaced_filter(k)
+    rng = np.random.default_rng(rows)
+    L = 0.3 * rng.standard_normal((rows, k))
+    d = rng.standard_normal(rows)
+    g = copy.deepcopy(f)
+    want = []
+    for l, t in zip(L, d):
+        want.append(t - l @ g.b)
+        g._update(l, want[-1])
+    borders = []
+    cholesky = np.linalg.cholesky
+
+    def spy(M):
+        borders.append(M[rows:, :rows].copy())
+        return cholesky(M)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    errs = f._update_block(L, d)
+    wide = k + 1 <= rows
+    assert len(borders) == 1
+    assert borders[0].shape == ((k + 1, rows) if wide else (rows, rows))
+    assert np.array_equal(borders[0], np.eye(rows)) != wide
+    assert rel(errs, np.array(want)) <= 1e-12
+    assert rel(f.P, g.P) <= 1e-12 and rel(f.b, g.b) <= 1e-12
+    assert np.array_equal(f.P, f.P.T)
+    assert f.n == g.n + rows
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160])
+def test_huge_targets_match_the_step_loop(scale):
+    """Targets near 1e160 make c = |B|_F^2 + 1 overflow. F's lower-left block
+    Z^T does not depend on c, so a block either gives the step loop's numbers
+    or falls back to `step`; it never returns wrong ones."""
+    U, d = generate(StreamConfig("noisy_sinc", length=4 * BLOCK, noise_std=0.1, seed=2))
+    d = scale * d
+    f = KrlsAldReg(GAUSS, 0.1, 0.01, U[0], d[0])
+    g = copy.deepcopy(f)
+    y, e, size = f.run(U[1:], d[1:])
+    y_ref, e_ref, size_ref = step_loop(g, U[1:], d[1:])
+    assert np.array_equal(size, size_ref)
+    assert rel(y, y_ref) <= 1e-12 and rel(e, e_ref) <= 1e-12
+    assert rel(f.b, g.b) <= 1e-12 and rel(f.P, g.P) <= 1e-12
+
+
+def test_dictionary_keeps_the_row_sums_of_abs_w():
+    """The row sums of |W| the screen reads are W's, to roundoff, and a
+    snapshot's replay rebuilds them bit for bit."""
+    U, d = generate(StreamConfig("nonlinear_sysid", length=400, seed=6, embed_L=3))
+    f = KrlsAldReg(GAUSS, 0.1, 0.01, U[0], d[0])
+    f.run(U[1:], d[1:])
+    k = f.dict_size
+    assert k > PENDING
+    sums = f.dict._row_l1[:k]
+    assert rel(sums, np.abs(f.dict.W).sum(axis=1)) <= 1e-15
+    resumed = KrlsAldReg.from_snapshot(f.to_snapshot(resume_exact=True))
+    assert np.array_equal(resumed.dict._row_l1[:k], sums)
+
+
 class TestFailures:
     @pytest.fixture
     def spaced(self):
@@ -299,6 +375,19 @@ class TestFailures:
         assert np.array_equal(f.P, g.P) and np.array_equal(f.b, g.b)
         with pytest.raises(NumericalError, match="rank-one"):
             f.step(U[20], d[20])
+
+    def test_short_block_not_positive_definite(self, spaced):
+        """A block of fewer rows than K + 1, bordered by the identity, whose S
+        is singular (1 + l^T P l = 0 at its second sample): its Cholesky
+        fails, and `step` raises at that sample with the step loop's state."""
+        f, C = spaced
+        U, d = C[[0, 3, 1]], np.ones(3)
+        l = f.dict.ald_test(C[3], f.delta).l
+        inject_P(f, -np.outer(l, l) / (l @ l) ** 2)
+        g = copy.deepcopy(f)
+        assert_same_failure(f, g, U, d)
+        assert f.n == 4 + 1
+        assert np.array_equal(f.P, g.P) and np.array_equal(f.b, g.b)
 
     def test_nan_mid_block(self):
         U, d = generate(StreamConfig("noisy_sinc", length=100, noise_std=0.1, seed=8))
