@@ -110,12 +110,17 @@ def snapshot_array(snap: dict, key: str, shape: tuple) -> np.ndarray:
     return x
 
 
+def as_object(obj, what: str) -> dict:
+    """`obj` when it is a JSON object; anything else raises ValidationError naming `what`."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be an object, got {type(obj).__name__}")
+    return obj
+
+
 def check_object(obj, keys, what: str, required=()) -> dict:
     """`obj` when it is a JSON object with every `required` key and no key
     outside `keys`; anything else raises ValidationError naming `what`."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{what} must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - set(keys)
+    unknown = set(as_object(obj, what)) - set(keys)
     if unknown:
         raise ValidationError(f"unknown {what} keys: {sorted(unknown)}")
     for key in required:

@@ -5,11 +5,11 @@ lower-triangular K x K matrix with W G W^T = I for the Gram matrix
 G[i, j] = k(c_i, c_j). The whitened kernel vector l = W h(u), h_i = k(c_i, u),
 gives the squared ALD residual d2 = k(u, u) - l . l and is the feature the
 KRLS recursion regresses on. Admitting u appends the row [-a^T, 1] / sqrt(d2),
-a = W^T l = G^-1 h, to W; no existing row changes. W lives in a buffer whose
-capacity doubles when full (`base.reserve_square`), so an admission copies
-no K x K array; the property `W` is a read-only (K, K) view. G itself is not
-kept: `gram` recomputes it from the centers for verification and
-diagnostics.
+a = W^T l = G^-1 h, to W; no existing row changes. `_grow` admits the first
+center too, from the empty factor. W lives in a buffer whose capacity doubles
+when full (`base.reserve_square`), so an admission copies no K x K array; the
+property `W` is a read-only (K, K) view. G itself is not kept: `gram`
+recomputes it from the centers for verification and diagnostics.
 
 W depends on the centers alone, so a snapshot stores only the centers and
 their checksum: `from_snapshot` rebuilds W by admitting the centers again in
@@ -34,9 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import append_row, as_input, convert, reserve_square, snapshot_array
+from .base import append_row, as_input, as_object, convert, reserve_square, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
-from .kernels import KernelSpec, kernel_block, kernel_diag, kernel_self, kernel_vector
+from .kernels import KernelSpec, check_spec, kernel_block, kernel_diag, kernel_self, kernel_vector
 
 # Residuals below this cannot be admitted: the new row of W divides by sqrt(d2).
 GROWTH_FLOOR = 1e-12
@@ -89,18 +89,18 @@ class Dictionary:
     """
 
     def __init__(self, spec: KernelSpec, first_center):
+        self.spec = check_spec(spec)
         c = as_input(first_center)
         k11 = kernel_self(spec, c)
         if not math.isfinite(k11) or k11 <= GROWTH_FLOOR:
             raise ValidationError(
                 f"degenerate first center: k(u, u) = {k11!r} is not invertible"
             )
-        self.spec = spec
-        self._W = np.array([[1.0 / math.sqrt(k11)]])
-        self._row_l1 = self._W[0].copy()  # sum_j |W_ij| of each row i
+        self._W = np.empty((0, 0))
+        self._row_l1 = np.empty(4)  # sum_j |W_ij| of each row i
         self._centers = np.empty((4, c.shape[0]))
-        self._centers[0] = c
-        self._size = 1
+        self._size = 0
+        self._grow(c, self._ald(c, 0.0))
 
     @property
     def size(self) -> int:
@@ -169,7 +169,7 @@ class Dictionary:
 
     def _grow(self, uu: np.ndarray, ald: AldResult) -> None:
         """`grow` for a validated length-`dim` float64 vector."""
-        if not ald.admitted:
+        if not (isinstance(ald, AldResult) and ald.admitted):
             raise ValidationError("grow requires an admitted ALD result")
         k = self._size
         if ald.l.shape[0] != k:
@@ -220,7 +220,7 @@ class Dictionary:
         NearSingularGrowthError. Stored "W", "gram" and "gram_inv" entries are
         ignored: they follow from the checked centers.
         """
-        spec = KernelSpec.from_json(snap.get("kernel"))
+        spec = KernelSpec.from_json(as_object(snap, "snapshot").get("kernel"))
         centers = snapshot_array(snap, "centers", (None, None))
         if centers.shape[0] == 0:
             raise ValidationError("snapshot centers must be a nonempty list of vectors")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .base import check_object, convert
+from .base import as_object, check_object, convert
 from .exceptions import KafError, ValidationError
 from .kernels import KernelSpec
 from .klms import Klms
@@ -201,9 +201,7 @@ class FilterConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "FilterConfig":
         # The kind says which other keys the object takes.
-        if not isinstance(obj, dict):
-            raise ValidationError(f"filter config must be an object, got {type(obj).__name__}")
-        if "kind" not in obj:
+        if "kind" not in as_object(obj, "filter config"):
             raise ValidationError("filter config lacks 'kind'")
         check_object(obj, ("kind",) + _filter_keys(obj["kind"]), "filter config")
         fields = {FIELD_NAMES.get(key, key): value for key, value in obj.items()}
@@ -339,15 +337,14 @@ def run_trial(fc: FilterConfig, sc: StreamConfig,
 
 
 def run_trials(fc: FilterConfig, sc: StreamConfig, trials: int,
-               workers: int | None = None,
-               record_timings: bool = False) -> list[LearningCurve]:
-    """Independent trials over seeds sc.seed .. sc.seed + trials - 1, run by
-    `pool_map` on up to `workers` processes, results in seed order."""
+               workers: int | None = None) -> list[LearningCurve]:
+    """Independent untimed trials over seeds sc.seed .. sc.seed + trials - 1,
+    run by `pool_map` on up to `workers` processes, results in seed order."""
+    trials = convert(trials, int, "trials")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials!r}")
     configs = [replace(sc, seed=sc.seed + i) for i in range(trials)]
-    return pool_map(functools.partial(run_trial, fc, record_timings=record_timings),
-                    configs, workers)
+    return pool_map(functools.partial(run_trial, fc), configs, workers)
 
 
 def pool_map(fn, items: list, workers: int | None = None) -> list:

@@ -60,8 +60,16 @@ class KernelSpec:
                                   required=("family",)))
 
 
+def check_spec(spec) -> KernelSpec:
+    """`spec` when it is a KernelSpec, else ValidationError: every public kernel argument's check."""
+    if not isinstance(spec, KernelSpec):
+        raise ValidationError(f"kernel must be a KernelSpec, got {type(spec).__name__}")
+    return spec
+
+
 def kernel_eval(spec: KernelSpec, u, v) -> float:
     """Evaluate k(u, v). Symmetric in its arguments; Gaussian values lie in (0, 1]."""
+    check_spec(spec)
     uu = as_input(u)
     vv = as_input(v, dim=uu.shape[0])
     if spec.family == "gaussian":
@@ -110,14 +118,14 @@ def kernel_block(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def kernel_matrix(spec: KernelSpec, x, z) -> np.ndarray:
     """Cross-kernel matrix K[i, j] = k(x_i, z_j)."""
+    check_spec(spec)
     xx = as_points(x)
     return kernel_block(spec, xx, as_points(z, dim=xx.shape[1]))
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
     """Symmetric Gram matrix of a point set (PSD up to eigenvalue roundoff)."""
-    pts = as_points(points)
-    return kernel_block(spec, pts, pts)
+    return kernel_matrix(spec, points, points)
 
 
 def expansion_inner_product(spec: KernelSpec, h, g) -> float:
@@ -129,8 +137,5 @@ def expansion_inner_product(spec: KernelSpec, h, g) -> float:
     vector, one per center.
     """
     (a, ca), (b, cb) = h, g
-    ca = as_points(ca)
-    cb = as_points(cb, dim=ca.shape[1])
-    a = as_input(a, dim=ca.shape[0])
-    b = as_input(b, dim=cb.shape[0])
-    return float(a @ kernel_block(spec, ca, cb) @ b)
+    K = kernel_matrix(spec, ca, cb)
+    return float(as_input(a, dim=K.shape[0]) @ K @ as_input(b, dim=K.shape[1]))

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (StepOutput, append_row, as_input, check_target, convert, scalar_field,
-                   snapshot_array)
+from .base import (StepOutput, append_row, as_input, as_object, check_target, convert,
+                   scalar_field, snapshot_array)
 from .exceptions import CapacityError, ValidationError
-from .kernels import KernelSpec, kernel_vector
+from .kernels import KernelSpec, check_spec, kernel_vector
 
 
 def _norm2(w: np.ndarray) -> float:
@@ -40,8 +40,7 @@ def _norm2(w: np.ndarray) -> float:
 class Klms:
     def __init__(self, spec: KernelSpec, eta: float, first_input, first_target,
                  *, max_terms: int | None = None):
-        if not isinstance(spec, KernelSpec):
-            raise ValidationError(f"kernel must be a KernelSpec, got {type(spec).__name__}")
+        check_spec(spec)
         eta = convert(eta, float, "eta")
         if not (np.isfinite(eta) and eta > 0):
             raise ValidationError(f"eta must be > 0, got {eta!r}")
@@ -142,7 +141,7 @@ class Klms:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Klms":
-        if snap.get("algorithm") != "klms":
+        if as_object(snap, "snapshot").get("algorithm") != "klms":
             raise ValidationError(f"not a klms snapshot: {snap.get('algorithm')!r}")
         centers = snapshot_array(snap, "centers", (None, None))
         n = centers.shape[0]

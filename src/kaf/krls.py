@@ -9,7 +9,7 @@ the rows of L = A G W^T. Model state after n samples, K = dictionary size:
     b  (K,)    the ridge solution P L^T d; y(u) = l(u) . b = h(u) . alpha
 
 plus the dictionary's centers and W. `alpha` = W^T b is computed when first
-read after a step and cached until the next one.
+read and cached until `_stack`, which every write to P and b goes through.
 
 P is kept as a base P_b, exactly symmetric, less the rank-m term Y^T Y of
 the m < PENDING rows of Y that P_b has not absorbed yet (Woodbury applied
@@ -24,12 +24,12 @@ when full, so neither growth nor a snapshot's replay copies a K x K array;
 the property `P` forms P_b - Y^T Y in a new array without changing the
 state.
 
-Both branches take q = P l and D = 1 + l^T q (>= 1 in exact arithmetic,
-floor-checked). An unchanged step is the Sherman-Morrison update along l:
-b += (e/D) q, and the row q/sqrt(D) joins Y. A growth step appends the row
-[l^T, s], s = sqrt(d2), to L (earlier samples get a 0 in the new
-coordinate) and borders the inverse, with den = lambda D + d2 and a priori
-error e:
+A step takes q = P l and D = 1 + l^T q (>= 1 in exact arithmetic,
+floor-checked) once, then takes one of two branches. An unchanged step is
+the Sherman-Morrison update along l: b += (e/D) q, and the row q/sqrt(D)
+joins Y. A growth step appends the row [l^T, s], s = sqrt(d2), to L
+(earlier samples get a 0 in the new coordinate) and borders the inverse,
+with den = lambda D + d2 and a priori error e:
 
     P' = [[P - (lambda/den) q q^T, -(s/den) q], [-(s/den) q^T, D/den]]
     b' = [b + (lambda e/den) q; s e/den]
@@ -66,16 +66,14 @@ Z = R^-1 [L P, d - L b] = [X, nu]:
 and the outputs are y = d - e~, then e = d - y, so e = d - y exactly. The
 per-sample denominators 1 + l^T P l are diag(R)^2. R and Z come from one
 Cholesky factorization F F^T of S bordered so that the Schur complement is
-at least I, since S >= I. For a block of j rows and B = [L P, d - L b]:
+at least I, since S >= I. For a block of j rows, B = [L P, d - L b] and the
+border E = B while K + 1 <= j, E = I beyond (see BLOCK):
 
-    M = [[S, B], [B^T, c I]], c = |B|_F^2 + 1    F = [[R, 0], [Z^T, T]]
-    M = [[S, I], [I, 2 I]]                       F = [[R, 0], [R^-T, T]]
+    M = [[S, E], [E^T, c I]], c = |E|_F^2 + 1    F = [[R, 0], [(R^-1 E)^T, T]]
 
-The first is a (j + K + 1)-square factorization; the second is 2j-square,
-and then Z = (R^-T)^T B takes one product. The update uses the first while
-K + 1 <= j, and the second beyond (see BLOCK). Z^T is F's lower-left block
-whatever c is, so a c that overflows (targets beyond about 1e154) leaves Z
-as it is, or makes the Cholesky fail and the block go through `step`.
+so Z = R^-1 B is F's lower-left block, transposed, or that times B. R^-1 E
+does not depend on c, so a c that overflows (targets beyond about 1e154)
+leaves Z as it is, or makes the Cholesky fail and the block go through `step`.
 
 Failure rule: the samples up to the first non-finite one go in blocks; that
 one and those after it, or all of a stream that is not an (n, dim) array of
@@ -92,11 +90,11 @@ import math
 
 import numpy as np
 
-from .base import (StepOutput, as_floats, as_input, check_target, reserve, reserve_square,
-                   scalar_field, snapshot_array)
+from .base import (StepOutput, as_floats, as_input, as_object, check_target, convert, reserve,
+                   reserve_square, scalar_field, snapshot_array)
 from .dictionary import AldScreen, Dictionary, check_delta, check_lambda
 from .exceptions import DimensionMismatchError, KafError, NumericalError, ValidationError
-from .kernels import KernelSpec, kernel_self
+from .kernels import KernelSpec, check_spec, kernel_self
 
 DEGENERACY_FLOOR = 1e-12
 
@@ -144,8 +142,7 @@ class KrlsAldReg:
 
     def __init__(self, spec: KernelSpec, lam: float, delta: float,
                  first_input, first_target):
-        if not isinstance(spec, KernelSpec):
-            raise ValidationError(f"kernel must be a KernelSpec, got {type(spec).__name__}")
+        check_spec(spec)
         self.lam, self.delta = check_lambda(lam), check_delta(delta)
         self.dict = Dictionary(spec, first_input)
         d = check_target(first_target)
@@ -154,7 +151,6 @@ class KrlsAldReg:
         self._Pb, self._Y, self._m = np.empty((0, 0)), np.empty((PENDING + BLOCK, 1)), 0
         self.b = np.empty(0)
         self._border(*self._gain(np.empty(0)), kernel_self(spec, self.dict.centers[0]), d)
-        self._alpha = None
         self.n = 1
 
     @property
@@ -190,9 +186,7 @@ class KrlsAldReg:
     def step(self, u, d) -> StepOutput:
         """Process one sample: predict with the pre-update coefficients, then
         update along the branch selected by the ALD test."""
-        if self._Pb is None:
-            raise KafError("snapshot was saved without resume_exact: this state supports "
-                           "predict only; re-save with resume_exact=True or rebuild by replay")
+        self._check_trainable()
         uu = as_input(u, dim=self.dict.dim)
         dd = check_target(d)
 
@@ -200,11 +194,12 @@ class KrlsAldReg:
         y = float(ald.l @ self.b)
         e = dd - y
 
+        q, D = self._gain(ald.l)
         if ald.admitted:
-            self._grow(uu, e, ald)
+            self.dict._grow(uu, ald)
+            self._border(q, D, ald.d2, e)
         else:
-            self._update(ald.l, e)
-        self._alpha = None
+            self._update(q, D, e)
         self.n += 1
         return StepOutput(y=y, e=e, grew=ald.admitted, dict_size=self.dict.size)
 
@@ -222,6 +217,7 @@ class KrlsAldReg:
                                          f"got {type(U).__name__}, {type(d).__name__}") from None
         if m != n:
             raise DimensionMismatchError(f"run got {m} inputs for {n} targets")
+        self._check_trainable()
         y, e = np.empty(n), np.empty(n)
         size = np.empty(n, dtype=int)
 
@@ -237,7 +233,7 @@ class KrlsAldReg:
         if X.ndim == 1:
             X = X[:, None]  # scalar inputs
         stop = 0
-        if self._Pb is not None and X.shape == (n, self.dict.dim) and t.shape == (n,):
+        if X.shape == (n, self.dict.dim) and t.shape == (n,):
             bad = np.flatnonzero(~(np.isfinite(X).all(axis=1) & np.isfinite(t)))
             stop = int(bad[0]) if bad.size else n
         for lo in range(0, stop, BLOCK):
@@ -278,32 +274,27 @@ class KrlsAldReg:
             Y = self._Y[:m, :k]
             LP -= (L @ Y.T) @ Y
         B = np.column_stack((LP, d - L @ self.b))
-        # One Cholesky factor F of a bordered M whose leading block is S (see
-        # the module docstring); np.linalg.cholesky reads M's lower triangle.
-        wide = k + 1 <= j
-        n = j + (k + 1 if wide else j)
+        # One Cholesky factor F of M = [[S, E], [E^T, c I]] (see the module
+        # docstring); np.linalg.cholesky reads M's lower triangle.
+        E = B if k + 1 <= j else np.eye(j)
+        n = j + E.shape[1]
         M = np.zeros((n, n))
         M[:j, :j] = LP @ L.T
+        M[j:, :j] = E.T
         diagonal = M.reshape(-1)[::n + 1]
         diagonal[:j] += 1.0
-        if wide:
-            M[j:, :j] = B.T
-            diagonal[j:] = np.einsum("ij,ij->", B, B) + 1.0
-        else:
-            M[j:, :j] = np.eye(j)
-            diagonal[j:] = 2.0
+        diagonal[j:] = np.einsum("ij,ij->", E, E) + 1.0
         try:
             F = np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             return None
         r = np.diagonal(F)[:j]
-        Z = F[j:, :j].T if wide else F[j:, :j].T @ B
+        Z = F[j:, :j].T if E is B else F[j:, :j].T @ B
         if not (np.isfinite(Z).all() and (r * r).min() > BLOCK_DENOM_MIN):
             return None
         X, nu = Z[:, :-1], Z[:, -1]
         self._stack(X)
         self.b += nu @ X
-        self._alpha = None
         self.n += j
         return r * nu
 
@@ -320,17 +311,17 @@ class KrlsAldReg:
             raise NumericalError(f"degenerate rank-one update: 1 + f^T P f = {denom!r}")
         return q, denom
 
-    def _update(self, f: np.ndarray, e: float) -> None:
-        """Sherman-Morrison step of P and b along f, after the check."""
-        q, denom = self._gain(f)
-        self.b += q * (e / denom)
-        self._stack((q / math.sqrt(denom))[None])
+    def _update(self, q: np.ndarray, D: float, e: float) -> None:
+        """Sherman-Morrison step of P and b for the gain q, D that `_gain` checked."""
+        self.b += q * (e / D)
+        self._stack((q / math.sqrt(D))[None])
 
     def _stack(self, rows: np.ndarray) -> None:
         """P -= rows^T rows, for at most BLOCK rows over the current K
         coordinates: they join Y, which is flushed into P_b once PENDING or
         more rows are pending. While K <= PENDING none are pending, and the
-        rows go into P_b at once."""
+        rows go into P_b at once. It drops the cached alpha."""
+        self._alpha = None
         j, k = rows.shape
         if k > PENDING:
             m = self._m + j
@@ -356,23 +347,21 @@ class KrlsAldReg:
         self.b = np.append(self.b + (self.lam * e / den) * q, s * e / den)
         self._stack(np.append(math.sqrt(self.lam / den) * q, 0.0)[None])
 
-    def _grow(self, u: np.ndarray, e: float, ald) -> None:
-        """Border P and b for the new center. The gain's floor check comes
-        first and the writes last, since `Dictionary._grow` may refuse the
-        sample."""
-        q, D = self._gain(ald.l)
-        self.dict._grow(u, ald)
-        self._border(q, D, ald.d2, e)
+    def _check_trainable(self) -> None:
+        """Refuse the predict-only state, loaded without resume_exact: no P_b or b."""
+        if self._Pb is None:
+            raise KafError("snapshot was saved without resume_exact: this state supports "
+                           "predict only; re-save with resume_exact=True or rebuild by replay")
 
     # -- serialization ----------------------------------------------------
 
     def to_snapshot(self, resume_exact: bool = False) -> dict:
         """Model snapshot. With ``resume_exact`` the state P_b ("P"), the
         pending rows of Y ("P_pending", when there are any) and b are
-        embedded, so training continues bit for bit; without it the
-        snapshot supports prediction only (or resume by replaying the
-        stream). Taking it flushes nothing. W is never stored: the loader
-        rebuilds it bit for bit from the centers."""
+        embedded, so training continues bit for bit; without it the snapshot,
+        and a filter loaded from it, support prediction only (or resume by
+        replaying the stream). Taking it flushes nothing. W is never stored:
+        the loader rebuilds it bit for bit from the centers."""
         snap = {
             "algorithm": "krls-ald-reg",
             "lambda": self.lam,
@@ -381,7 +370,8 @@ class KrlsAldReg:
             "alpha": self.alpha.tolist(),
             "n": self.n,
         }
-        if resume_exact:
+        if convert(resume_exact, bool, "resume_exact"):
+            self._check_trainable()
             k, m = self.dict.size, self._m
             snap["resume_exact"] = True
             snap["P"] = self._Pb[:k, :k].tolist()
@@ -401,7 +391,7 @@ class KrlsAldReg:
         "gram_inv") are refused: their P is a different matrix from this
         version's.
         """
-        if snap.get("algorithm") != "krls-ald-reg":
+        if as_object(snap, "snapshot").get("algorithm") != "krls-ald-reg":
             raise ValidationError(f"not a krls-ald-reg snapshot: {snap.get('algorithm')!r}")
         legacy = sorted({"M", "gram_inv"} & snap.keys())
         if legacy:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import StepOutput, as_input, check_target, convert, scalar_field, snapshot_array
+from .base import (StepOutput, as_input, as_object, check_target, convert, scalar_field,
+                   snapshot_array)
 from .exceptions import NumericalError, ValidationError
 
 # RLS refuses a denominator forgetting + u'.aux.u at or below
@@ -53,7 +54,7 @@ class Lms:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Lms":
-        if snap.get("algorithm") != "lms":
+        if as_object(snap, "snapshot").get("algorithm") != "lms":
             raise ValidationError(f"not an lms snapshot: {snap.get('algorithm')!r}")
         weights = snapshot_array(snap, "weights", (None,))
         obj = cls(weights.shape[0], scalar_field(snap, "eta"))
@@ -127,7 +128,7 @@ class Rls:
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Rls":
-        if snap.get("algorithm") != "rls":
+        if as_object(snap, "snapshot").get("algorithm") != "rls":
             raise ValidationError(f"not an rls snapshot: {snap.get('algorithm')!r}")
         weights = snapshot_array(snap, "weights", (None,))
         dim = weights.shape[0]

@@ -15,14 +15,14 @@ import numpy as np
 from .base import as_input, as_points, convert
 from .dictionary import GROWTH_FLOOR, check_delta, check_lambda
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
-from .kernels import KernelSpec, gram, kernel_vector
+from .kernels import KernelSpec, check_spec, gram, kernel_vector
 
 
 @dataclass(frozen=True)
 class BatchProblem:
     """A finite stream plus filter hyperparameters, for batch solving: the
-    inputs, targets, lambda and delta are read and refused as `KrlsAldReg`
-    reads them."""
+    kernel, inputs, targets, lambda and delta are read and refused as
+    `KrlsAldReg` reads them."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -31,6 +31,7 @@ class BatchProblem:
     delta: float
 
     def __post_init__(self):
+        check_spec(self.spec)
         inputs = as_points(self.inputs)
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", as_input(self.targets, dim=inputs.shape[0]))
@@ -134,6 +135,7 @@ def batch_krr(inputs, targets, spec: KernelSpec, lam: float) -> np.ndarray:
     This is what the sparsified batch solution reduces to in the delta -> 0
     limit with all-distinct inputs (the expansion matrix is the identity).
     """
+    check_spec(spec)
     x = as_points(inputs)
     d = as_input(targets, dim=x.shape[0])
     lam = convert(lam, float, "lambda")

@@ -12,7 +12,7 @@ import kaf.experiments
 from kaf import FilterConfig, KernelSpec, KrlsAldReg, StreamConfig, generate, gram, run_trial
 from kaf.exceptions import DimensionMismatchError, NonFiniteInputError, NumericalError
 from kaf.dictionary import AldScreen
-from kaf.krls import BLOCK, PENDING
+from kaf.krls import BLOCK, BLOCK_DENOM_MIN, PENDING
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
 
@@ -297,7 +297,7 @@ def test_block_update_on_both_sides_of_the_bordering_rule(k, rows, monkeypatch):
     want = []
     for l, t in zip(L, d):
         want.append(t - l @ g.b)
-        g._update(l, want[-1])
+        g._update(*g._gain(l), want[-1])
     borders = []
     cholesky = np.linalg.cholesky
 
@@ -389,6 +389,35 @@ class TestFailures:
         assert f.n == 4 + 1
         assert np.array_equal(f.P, g.P) and np.array_equal(f.b, g.b)
 
+    @pytest.mark.parametrize("picks", [[3, 0, 1], [3, 0, 1, 2, 0, 1]],
+                             ids=["identity-border", "b-border"])
+    def test_small_denominator_refuses_the_block(self, spaced, picks, monkeypatch):
+        """P_b indefinite, yet S and the bordered M still factor: the first
+        denominator diag(R)^2 = 1 + l^T P l = 0.45 is below BLOCK_DENOM_MIN,
+        so the block is refused and its samples go through `step`, whose
+        floor passes them. Outputs and state are the step loop's, bit for bit."""
+        f, C = spaced
+        U, d = C[picks], np.ones(len(picks))
+        l = f.dict.ald_test(C[3], f.delta).l
+        inject_P(f, -0.55 * np.outer(l, l) / (l @ l) ** 2)
+        g = copy.deepcopy(f)
+        denominators = []
+        cholesky = np.linalg.cholesky
+
+        def spy(M):
+            F = cholesky(M)
+            denominators.append(np.diagonal(F)[:len(picks)] ** 2)
+            return F
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        y, e, size = f.run(U, d)
+        assert len(denominators) == 1
+        assert 0 < denominators[0].min() < BLOCK_DENOM_MIN
+        y_ref, e_ref, size_ref = step_loop(g, U, d)
+        assert np.array_equal(y, y_ref) and np.array_equal(e, e_ref)
+        assert np.array_equal(size, size_ref) and f.n == g.n
+        assert np.array_equal(f.P, g.P) and np.array_equal(f.b, g.b)
+
     def test_nan_mid_block(self):
         U, d = generate(StreamConfig("noisy_sinc", length=100, noise_std=0.1, seed=8))
         U = U.copy()
@@ -431,6 +460,7 @@ class TestFailures:
     def test_predict_only_state_refuses(self):
         f = KrlsAldReg(GAUSS, 0.1, 0.01, [0.0], 0.5)
         g = KrlsAldReg.from_snapshot(f.to_snapshot())
+        assert g.P is None
         assert_same_failure(g, copy.deepcopy(g), np.zeros((3, 1)), np.zeros(3))
 
 
