@@ -217,7 +217,8 @@ class KrlsAldReg:
                                          f"got {type(U).__name__}, {type(d).__name__}") from None
         if m != n:
             raise DimensionMismatchError(f"run got {m} inputs for {n} targets")
-        self._check_trainable()
+        if n:  # as the first `step` would; an empty stream runs no step
+            self._check_trainable()
         y, e = np.empty(n), np.empty(n)
         size = np.empty(n, dtype=int)
 

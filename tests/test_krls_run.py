@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import kaf.experiments
 from kaf import FilterConfig, KernelSpec, KrlsAldReg, StreamConfig, generate, gram, run_trial
-from kaf.exceptions import DimensionMismatchError, NonFiniteInputError, NumericalError
+from kaf.exceptions import DimensionMismatchError, KafError, NonFiniteInputError, NumericalError
 from kaf.dictionary import AldScreen
 from kaf.krls import BLOCK, BLOCK_DENOM_MIN, PENDING
 
@@ -462,6 +462,10 @@ class TestFailures:
         g = KrlsAldReg.from_snapshot(f.to_snapshot())
         assert g.P is None
         assert_same_failure(g, copy.deepcopy(g), np.zeros((3, 1)), np.zeros(3))
+        with pytest.raises(KafError, match="^snapshot was saved without resume_exact"):
+            g.to_snapshot(resume_exact=True)
+        y, e, size = g.run(np.empty((0, 1)), [])  # as the step loop, which runs no step
+        assert y.shape == e.shape == size.shape == (0,) and g.n == 1
 
 
 def test_p_symmetric_and_snapshot_resumes_like_the_step_loop():

@@ -23,7 +23,7 @@ def runs(parent, change):
     ([100, 101, 99, 100], [100, 102, 98, 101], 2, "within bound"),   # one tie
     ([100, 101, 99, 100], [80, 82, 81, 79], 0, "worse than bound"),
     ([100, 101, 99, 100], [110, 120, 115, 112], 4, "better in every run"),
-    ([50, 150, 100, 100], [60, 140, 95, 105], 2, "unresolved"),     # IQR/median 0.25
+    ([100, 100, 60, 100, 100], [100] * 5, 1, "unresolved"),     # IQR 0, range/median 0.4
 ])
 def test_summary_counts_wins_and_judges_against_the_bound(parent, change, wins, verdict):
     got = perfpairs.summarize(METRIC, runs(parent, change))
@@ -35,8 +35,3 @@ def test_summary_counts_wins_and_judges_against_the_bound(parent, change, wins, 
 def test_lower_is_better_flips_wins():
     got = perfpairs.summarize(dict(METRIC, better="lower"), runs([10, 10], [9, 11]))
     assert got["change_wins"] == 1 and got["change_over_parent"] == 1.0
-
-
-def test_seed_range():
-    assert perfpairs.seed_range("301-304") == [301, 302, 303, 304]
-    assert perfpairs.seed_range("929") == [929]

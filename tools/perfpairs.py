@@ -1,14 +1,13 @@
 """Paired perfbench runs of a parent and a change checkout, summarized as a BENCH_*.json.
 
-    python3 tools/perfpairs.py PARENT CHANGE --out BENCH_N.json \
-        [--seeds 301-310] [--held-out 929] [--workloads a,b]
+    python3 tools/perfpairs.py PARENT CHANGE --out BENCH_N.json
 
 PARENT and CHANGE are kaf checkouts (each with src/ and perfbench/). For
-every workload and seed the script runs `perfbench/run.py --seconds S
+every workload and each of SEEDS the script runs `perfbench/run.py --seconds S
 --trace 0` once in each checkout, back to back, alternating which side goes
 first (the parent on even pairs). S and the workloads, metrics, units and
-bounds come from CHANGE's BENCHMARK.json. After the pairs, the held-out seed
-runs once per side, parent first. Each run's `machine:` line and final JSON
+bounds come from CHANGE's BENCHMARK.json. After the pairs, HELD_OUT runs
+once per side, parent first. Each run's `machine:` line and final JSON
 line are parsed; a run that exits non-zero or prints no JSON line stops the
 script.
 
@@ -19,10 +18,11 @@ ties count for neither side), the per-run values in seed order, and a
 verdict. The verdict is "worse than bound" when the change's median is worse
 than the parent's by more than the bound, else "better in every run" when
 every change run beats every parent run, else "unresolved" when the parent's
-quartile spread, over its median, is wider than the bound, else "within
-bound". It also holds the seeds, the held-out seed's values, whether every
-check passed, the failed operations per side, and the machine block of the
-first run.
+spread (its highest run less its lowest, over its median, also recorded as
+parent_spread) is wider than the bound, else "within bound". It also holds
+the seeds, the held-out seed's values, whether every check passed, the
+failed operations per side, and the machine block of the first run (the
+parent's, first seed, first workload).
 """
 
 import argparse
@@ -34,11 +34,8 @@ import sys
 import numpy as np
 
 SIDES = ("parent", "change")
-
-
-def seed_range(text: str) -> list:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+SEEDS = list(range(301, 311))
+HELD_OUT = 929
 
 
 def perfbench(root: str, workload: str, seed: int, seconds: float) -> dict:
@@ -79,7 +76,7 @@ def summarize(metric: dict, runs: dict) -> dict:
     wins = sum(better(c, p) for p, c in zip(values["parent"], values["change"]))
     ratio = change["median"] / parent["median"]
     worse_by = (1 - ratio) if higher else (ratio - 1)
-    spread = (parent["q3"] - parent["q1"]) / parent["median"]
+    spread = (max(values["parent"]) - min(values["parent"])) / parent["median"]
     if worse_by > bound:
         verdict = "worse than bound"
     elif all(better(c, p) for c in values["change"] for p in values["parent"]):
@@ -90,7 +87,8 @@ def summarize(metric: dict, runs: dict) -> dict:
         verdict = "within bound"
     return {"unit": metric["unit"], "better": metric["better"], "bound": bound,
             "parent": parent, "change": change, "change_over_parent": ratio,
-            "parent_iqr": parent["q3"] - parent["q1"], "change_wins": wins,
+            "parent_iqr": parent["q3"] - parent["q1"], "parent_spread": spread,
+            "change_wins": wins,
             "verdict": verdict, "parent_values": values["parent"],
             "change_values": values["change"]}
 
@@ -100,33 +98,30 @@ def main(argv=None) -> int:
     p.add_argument("parent")
     p.add_argument("change")
     p.add_argument("--out", required=True)
-    p.add_argument("--seeds", type=seed_range, default=seed_range("301-310"))
-    p.add_argument("--held-out", type=int, default=929)
-    p.add_argument("--workloads", help="comma-separated; default: every BENCHMARK.json workload")
     args = p.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         bench = json.load(f)
     seconds = bench["run_seconds"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    workloads = [w["name"] for w in bench["workloads"]]
     roots = {"parent": args.parent, "change": args.change}
     machine = None
     report = {"method": f"tools/perfpairs.py: perfbench/run.py --seconds {seconds} --trace 0 "
                         "in the parent and change checkouts, back to back per seed, parent "
                         "first on even pairs; held-out seed once per side afterwards, parent "
                         "first. Medians and quartiles are numpy's linear percentiles over the "
-                        "pairs; change_wins counts pairs the change read better.",
+                        "pairs; change_wins counts pairs the change read better; parent_spread "
+                        "is the parent's highest run less its lowest, over its median.",
               "parent": revision(args.parent), "workloads": {}}
     for workload in workloads:
         runs = {side: [] for side in SIDES}
-        for i, seed in enumerate(args.seeds):
+        for i, seed in enumerate(SEEDS):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 print(f"perfpairs: {workload} seed {seed} {side}", file=sys.stderr, flush=True)
                 runs[side].append(perfbench(roots[side], workload, seed, seconds))
-        machine = machine or runs["change"][0]["machine"]
+        machine = machine or runs["parent"][0]["machine"]
         report["workloads"][workload] = {
-            "seeds": args.seeds, "pairs": len(args.seeds),
+            "seeds": SEEDS, "pairs": len(SEEDS),
             "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
             "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
             "attempted_ops": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
@@ -134,9 +129,9 @@ def main(argv=None) -> int:
         }
     held = {}
     for workload in workloads:
-        print(f"perfpairs: {workload} held-out seed {args.held_out}", file=sys.stderr, flush=True)
-        out = {side: perfbench(roots[side], workload, args.held_out, seconds) for side in SIDES}
-        held[f"{workload}.{args.held_out}"] = {
+        print(f"perfpairs: {workload} held-out seed {HELD_OUT}", file=sys.stderr, flush=True)
+        out = {side: perfbench(roots[side], workload, HELD_OUT, seconds) for side in SIDES}
+        held[f"{workload}.{HELD_OUT}"] = {
             **{m["name"]: {side: out[side]["metrics"][m["name"]]["value"] for side in SIDES}
                for m in bench["end_to_end"]},
             "correct": all(out[side]["correct"] for side in SIDES),
