@@ -165,10 +165,9 @@ class Dictionary:
         Refuses near-singular extensions (d2 below GROWTH_FLOOR) before any
         mutation, so a raised error leaves the dictionary untouched.
         """
-        uu = as_input(u, dim=self.dim)
         if not isinstance(ald, AldResult):
             raise ValidationError("grow requires an admitted ALD result")
-        self._grow(uu, ald)
+        self._grow(as_input(u, dim=self.dim), ald)
 
     def _grow(self, uu: np.ndarray, ald: AldResult) -> None:
         """`grow` for a validated length-`dim` float64 vector."""

@@ -40,7 +40,7 @@ def _norm2(w: np.ndarray) -> float:
 class Klms:
     def __init__(self, spec: KernelSpec, eta: float, first_input, first_target,
                  *, max_terms: int | None = None):
-        check_spec(spec)
+        self.spec = check_spec(spec)
         eta = convert(eta, float, "eta")
         if not (np.isfinite(eta) and eta > 0):
             raise ValidationError(f"eta must be > 0, got {eta!r}")
@@ -50,7 +50,6 @@ class Klms:
                 raise ValidationError(f"max_terms must be >= 1, got {max_terms!r}")
         u = as_input(first_input)
         d = check_target(first_target)
-        self.spec = spec
         self.eta = eta
         self.max_terms = max_terms
         # Amortized-doubling buffers: every step appends one row.
