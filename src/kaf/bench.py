@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import KafError, ValidationError
 from .kernels import KernelSpec
 from .klms import Klms
 from .krls import KrlsAldReg
@@ -107,7 +107,8 @@ def _collect_one_thread(kind: str, max_size: int, warmup_size: int):
         [sys.executable, "-m", "kaf.bench", kind, str(max_size), str(warmup_size)],
         env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"bench child exited {proc.returncode}: {proc.stderr.strip()}")
+        last = (proc.stderr.strip().splitlines() or ["no stderr"])[-1]
+        raise KafError(f"bench child exited {proc.returncode}: {last}")
     steps = json.loads(proc.stdout)
     return np.array(steps["sizes"]), np.array(steps["seconds"])
 

@@ -75,7 +75,6 @@ class AldResult(NamedTuple):
 
     l: np.ndarray
     d2: float
-    h: np.ndarray
     admitted: bool
     d2_raw: float
 
@@ -156,7 +155,7 @@ class Dictionary:
                 f"ill-conditioned (cond ~ {cond:.3e}, size {self._size})"
             )
         d2 = max(d2_raw, 0.0)
-        return AldResult(l=l, d2=d2, h=h, admitted=d2 > delta, d2_raw=d2_raw)
+        return AldResult(l=l, d2=d2, admitted=d2 > delta, d2_raw=d2_raw)
 
     def grow(self, u, ald: AldResult) -> None:
         """Admit u as a new center, appending a row to W.

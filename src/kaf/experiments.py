@@ -109,47 +109,54 @@ def generate(config: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
     """Produce the (inputs, targets) pair for a stream config.
 
     Returns exactly `length` samples; the raw driving sequence is drawn long
-    enough that every emitted input has a full embedding window.
+    enough that every emitted input has a full embedding window. A `length`
+    whose draws numpy cannot allocate raises ValidationError.
     """
     rng = np.random.default_rng(config.seed)
     N, L = config.length, config.embed_L
 
-    if config.generator == "nonlinear_sysid":
-        start = max(L - 1, 2)
-        x = rng.standard_normal(N + start)
-        idx = np.arange(start, start + N)
-        clean = np.tanh(0.5 * x[idx] + 0.3 * x[idx - 1] * x[idx - 2])
-        U = _embed(x, L, start, N)
-    elif config.generator == "noisy_sinc":
-        start = L - 1
-        x = rng.uniform(-3.0, 3.0, N + start)
-        clean = np.sinc(x[start: start + N])
-        U = _embed(x, L, start, N)
-    elif config.generator == "mackey_glass_like":
-        tau, washout = 17, 100
-        need = N + L + 1
-        size = tau + 1 + washout + need
-        x = np.empty(size)
-        # seeded history covers x[0..tau]: the first recursion step reads both
-        x[: tau + 1] = 1.2 + 0.05 * rng.standard_normal(tau + 1)
-        for t in range(tau, size - 1):
-            lagged = x[t - tau]
-            x[t + 1] = x[t] + 0.2 * lagged / (1.0 + lagged ** 10) - 0.1 * x[t]
-        x = x[tau + 1 + washout:]
-        start = L - 1
-        idx = np.arange(start, start + N)
-        clean = x[idx + 1]
-        U = _embed(x, L, start, N)
-    else:  # linear_plant
-        w = rng.standard_normal(L)
-        start = L - 1
-        x = rng.standard_normal(N + start)
-        U = _embed(x, L, start, N)
-        clean = U @ w
+    try:
+        if config.generator == "nonlinear_sysid":
+            start = max(L - 1, 2)
+            x = rng.standard_normal(N + start)
+            idx = np.arange(start, start + N)
+            clean = np.tanh(0.5 * x[idx] + 0.3 * x[idx - 1] * x[idx - 2])
+            U = _embed(x, L, start, N)
+        elif config.generator == "noisy_sinc":
+            start = L - 1
+            x = rng.uniform(-3.0, 3.0, N + start)
+            clean = np.sinc(x[start: start + N])
+            U = _embed(x, L, start, N)
+        elif config.generator == "mackey_glass_like":
+            tau, washout = 17, 100
+            need = N + L + 1
+            size = tau + 1 + washout + need
+            x = np.empty(size)
+            # seeded history covers x[0..tau]: the first recursion step reads both
+            x[: tau + 1] = 1.2 + 0.05 * rng.standard_normal(tau + 1)
+            for t in range(tau, size - 1):
+                lagged = x[t - tau]
+                x[t + 1] = x[t] + 0.2 * lagged / (1.0 + lagged ** 10) - 0.1 * x[t]
+            x = x[tau + 1 + washout:]
+            start = L - 1
+            idx = np.arange(start, start + N)
+            clean = x[idx + 1]
+            U = _embed(x, L, start, N)
+        else:  # linear_plant
+            w = rng.standard_normal(L)
+            start = L - 1
+            x = rng.standard_normal(N + start)
+            U = _embed(x, L, start, N)
+            clean = U @ w
 
-    d = clean
-    if config.noise_std > 0:
-        d = clean + config.noise_std * rng.standard_normal(N)
+        d = clean
+        if config.noise_std > 0:
+            d = clean + config.noise_std * rng.standard_normal(N)
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses a draw it cannot allocate (`length` 10**30) before it
+        # allocates anything
+        raise ValidationError(
+            f"stream.length {N} is too long to generate: {exc}") from exc
     return U, d
 
 

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import kaf
+import kaf.verify
 from kaf.cli import main
+from kaf.dictionary import Dictionary
 from kaf.exceptions import ValidationError
 from kaf.experiments import StreamConfig, generate
-from kaf.verify import run_suite
+from kaf.verify import SUITES, run_suite
 
 
 def write_config(path, cfg):
@@ -242,6 +244,20 @@ class TestRun:
         assert not os.path.exists(cfg["out"])
         assert not list(tmp_path.glob("*.tmp.*"))  # the trials' part files included
 
+    @pytest.mark.parametrize("length", [10 ** 30, 2 ** 62])
+    def test_unallocatable_stream_exits_1(self, length, tmp_path, monkeypatch, capfd):
+        """numpy refuses these lengths' draws before it allocates anything;
+        nothing reaches stderr, from kaf or from its worker processes."""
+        monkeypatch.setenv("KAF_THREADS", "2")
+        cfg = base_run_config(tmp_path, stream={"generator": "noisy_sinc", "length": length})
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        out, err = capfd.readouterr()
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["type"] == "validation"
+        assert error["message"].startswith(f"stream.length {length} is too long to generate: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
 
 class TestUsage:
     @pytest.mark.parametrize("argv, message", [
@@ -323,6 +339,14 @@ class TestSweep:
         assert "ValidationError" in rows[1][-1] and rows[1][1] == ""
         assert rows[2][-1] == "" and float(rows[2][1]) > 0
 
+    def test_unallocatable_stream_recorded_as_a_failed_point(self, tmp_path):
+        cfg = self.sweep_config(tmp_path, {"delta": [0.01, 0.1]})
+        cfg["stream"]["length"] = 10 ** 30
+        assert main(["sweep", "--config", write_config(tmp_path / "s.json", cfg)]) == 0
+        rows = read_rows(cfg["out"])
+        assert len(rows) == 3
+        assert all(r[-1].startswith("ValidationError: stream.length ") for r in rows[1:])
+
     @pytest.mark.parametrize("trials", [0, -2])
     def test_trials_below_one_exit_1_before_any_point(self, trials, tmp_path, capsys):
         cfg = self.sweep_config(tmp_path, {"delta": [0.01, 0.1]}, trials=trials)
@@ -383,12 +407,54 @@ class TestSweep:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["krls-batch", "klms-feature", "gram-psd",
-                                       "inverse-consistency"])
+    @pytest.mark.parametrize("suite", SUITES)
     def test_suites_pass(self, suite, capsys):
         assert main(["verify", "--suite", suite]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "max_deviation" in out
+
+    @staticmethod
+    def drifted_oracle(monkeypatch, drift):
+        """Has the suites' batch oracle hand its solution to `drift` first."""
+        solve = kaf.verify.batch_solve_regularized
+
+        def drifted(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            drift(sol)
+            return sol
+        monkeypatch.setattr(kaf.verify, "batch_solve_regularized", drifted)
+
+    def fails_at(self, suite, capsys):
+        assert main(["verify", "--suite", suite]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"suite={suite} ") and out.splitlines()[0].endswith(" FAIL")
+        return json.loads(out[out.index("{"):])["first_failure"]
+
+    def test_krls_batch_fails_at_a_drifted_prefix_solution(self, monkeypatch, capsys):
+        def drift(sol):  # sample 150 is step 151
+            sol.step_alphas[150] = sol.step_alphas[150] * (1 + 1e-6)
+        self.drifted_oracle(monkeypatch, drift)
+        failure = self.fails_at("krls-batch", capsys)
+        assert failure["step"] == 151 and failure["deviation"] > 1e-8
+
+    def test_inverse_consistency_fails_at_a_drifted_expansion_row(self, monkeypatch, capsys):
+        def drift(sol):  # L = A G W^T takes A's row 200 from step 201 on
+            sol.A[200, 0] += 1.0
+        self.drifted_oracle(monkeypatch, drift)
+        failure = self.fails_at("inverse-consistency", capsys)
+        assert failure["step"] == 201 and failure["p_identity_residual_per_k"] > 1e-6
+
+    def test_inverse_consistency_fails_at_a_drifted_gram(self, monkeypatch, capsys):
+        """The Gram matrix of the first ten centers drifts: the identity
+        residual fails at the step that admits the tenth center."""
+        admitted = []  # the first nonzero of A's column 9 is the tenth center's 1
+        self.drifted_oracle(monkeypatch, lambda sol: admitted.append(
+            int(np.flatnonzero(sol.A[:, 9])[0]) + 1))
+        gram = Dictionary.gram.fget
+        monkeypatch.setattr(Dictionary, "gram", property(
+            lambda d: gram(d) + 1e-4 * np.eye(d.size) if d.size == 10 else gram(d)))
+        failure = self.fails_at("inverse-consistency", capsys)
+        assert failure["step"] == admitted[0] and failure["gram_identity_residual"] > 1e-8
 
     def test_unknown_suite_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="unknown verify suite"):
@@ -423,6 +489,17 @@ class TestBench:
         assert len(rows) == 4
         report = json.loads(capsys.readouterr().out.splitlines()[0])
         assert np.isfinite(report["slope"])
+
+    def test_failed_child_exits_2(self, capfd):
+        """The child's np.arange refuses 1e30 steps before allocating any;
+        its traceback stays in the captured stderr."""
+        assert main(["bench", "--filter", "krls-ald-reg",
+                     "--sizes", "3,1000000000000000000000000000000"]) == 2
+        out, err = capfd.readouterr()
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["type"] == "numerical"
+        assert error["message"].startswith("bench child exited 1: ValueError: ")
 
     def test_sizes_must_increase(self, capsys):
         assert main(["bench", "--filter", "lms", "--sizes", "32,16"]) == 1

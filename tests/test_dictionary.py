@@ -47,7 +47,7 @@ class TestAldTest:
         d = Dictionary(GAUSS, [0.0])
         res = d.ald_test([2.0], 0.1)
         e4 = math.exp(-4.0)
-        np.testing.assert_allclose(res.h, [e4], rtol=1e-15)
+        np.testing.assert_allclose(d.kernel_vector(np.array([2.0])), [e4], rtol=1e-15)
         np.testing.assert_allclose(coefficients(d, res), [e4], rtol=1e-15)
         assert res.d2 == pytest.approx(1.0 - math.exp(-8.0), rel=1e-12)
         assert res.admitted
@@ -58,7 +58,7 @@ class TestAldTest:
         spec = KernelSpec("polynomial", degree=1)
         d = Dictionary(spec, [1.0])
         res = d.ald_test([3.0], 0.0)
-        np.testing.assert_allclose(res.h, [4.0])
+        np.testing.assert_allclose(d.kernel_vector(np.array([3.0])), [4.0])
         np.testing.assert_allclose(coefficients(d, res), [2.0])
         assert res.d2 == pytest.approx(2.0, abs=1e-12)
 

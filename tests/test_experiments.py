@@ -69,6 +69,13 @@ class TestGenerate:
         assert np.all(np.isfinite(U1)) and np.all(np.isfinite(d1))
 
     @pytest.mark.parametrize("gen", kaf.experiments.GENERATORS)
+    @pytest.mark.parametrize("length", [10 ** 30, 2 ** 62])
+    def test_unallocatable_length_is_a_validation_error(self, gen, length):
+        """numpy refuses these lengths' draws before it allocates anything."""
+        with pytest.raises(ValidationError, match=f"^stream.length {length} is too long"):
+            generate(StreamConfig(gen, length=length, noise_std=0.1, seed=1, embed_L=2))
+
+    @pytest.mark.parametrize("gen", kaf.experiments.GENERATORS)
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_streams_are_writable_arrays_of_their_own(self, gen, L):
         U, d = generate(StreamConfig(gen, length=40, noise_std=0.0, seed=2, embed_L=L))

@@ -15,7 +15,6 @@ from kaf import (
     batch_solve_regularized,
     expansion_inner_product,
     generate,
-    gram,
     kernel_eval,
 )
 from kaf.exceptions import (
@@ -26,7 +25,7 @@ from kaf.exceptions import (
     ValidationError,
 )
 from kaf.krls import PENDING
-from kaf.verify import krls_batch_suite
+from kaf.verify import _krls_run
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
 
@@ -224,21 +223,6 @@ class TestRecursiveEqualsBatch:
             assert dev <= 1e-8
         assert grew >= 20 and unchanged >= 20
 
-    def test_krr_limit(self):
-        """delta = 0 with distinct inputs: every sample admitted, the batch
-        expansion matrix is the identity, and alpha is kernel ridge regression."""
-        rng = np.random.default_rng(5)
-        U = rng.uniform(-5, 5, (100, 2))
-        d = np.sin(U[:, 0]) * np.cos(U[:, 1]) + 0.1 * rng.standard_normal(100)
-        lam = 0.1
-        f = KrlsAldReg(GAUSS, lam, 0.0, U[0], d[0])
-        for i in range(1, 100):
-            assert f.step(U[i], d[i]).grew
-        assert f.dict_size == 100
-        ref = np.linalg.solve(gram(GAUSS, U) + lam * np.eye(100), d)
-        dev = np.linalg.norm(f.alpha - ref, np.inf) / np.linalg.norm(ref, np.inf)
-        assert dev <= 1e-8
-
     def test_unregularized_mode_matches_batch(self):
         U, d = stream_2d(80, 13, scale=4.0)  # spread points keep the Gram tame
         sol = batch_solve_regularized(
@@ -254,8 +238,9 @@ class TestRecursiveEqualsBatch:
     def test_small_lambda_and_delta_match_batch_at_every_prefix(self):
         """Small lambda and delta on the verify stream (seed 5): within 1e-8
         of the dense solve at every prefix."""
-        res = krls_batch_suite(samples=300, lam=1e-3, delta=1e-3, seed=5)
-        assert res.passed and res.max_deviation <= 1e-8, res.first_failure
+        _, _, devs, diverged = _krls_run(300, lam=1e-3, delta=1e-3, seed=5, prefixes=True)
+        assert diverged is None and len(devs["alpha"]) == 299
+        assert max(devs["alpha"].values()) <= 1e-8
 
     def test_small_delta_sysid_matches_batch(self):
         """delta = 1e-4 grows an ill-conditioned dictionary (K = 174,

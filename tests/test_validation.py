@@ -242,8 +242,7 @@ class TestTrustedPaths:
             assert inner.admitted == public.admitted
             for name in ("d2", "d2_raw"):
                 assert bits(getattr(inner, name)) == bits(getattr(public, name))
-            for name in ("l", "h"):
-                assert getattr(inner, name).tobytes() == getattr(public, name).tobytes()
+            assert inner.l.tobytes() == public.l.tobytes()
 
 
 real_numbers = st.one_of(
