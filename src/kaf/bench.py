@@ -2,12 +2,13 @@
 
 KRLS is driven by a forced-growth stream (widely spaced centers, so every
 sample is admitted and the Gram matrix stays near the identity); KLMS and
-the linear baselines are driven by a plain random stream. One loop times
-every `step` call from outside with `perf_counter`; the filters do not time
-themselves. Medians are taken over a window of
-steps around each requested size, which keeps the estimate robust against
-scheduler noise; a relative IQR above 50% in any bucket is flagged but not
-fatal.
+the linear baselines are driven by a plain random stream. The one step
+loop, `experiments.step_loop`, times every `step` call from outside with
+`perf_counter`; the filters do not time themselves. The size before step i
+is i for every kind, the forced-growth filter's dictionary size checked
+against it. Medians are taken over a window of steps around each requested
+size, which keeps the estimate robust against scheduler noise; a relative
+IQR above 50% in any bucket is flagged but not fatal.
 
 The timed loop runs in a child process on one BLAS thread
 (`python -m kaf.bench KIND MAX_SIZE WARMUP_SIZE` prints its steps as JSON).
@@ -22,12 +23,12 @@ import json
 import os
 import subprocess
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import KafError, ValidationError
+from .experiments import step_loop
 from .kernels import KernelSpec
 from .klms import Klms
 from .krls import KrlsAldReg
@@ -35,6 +36,8 @@ from .linear import Lms
 
 BENCH_KINDS = ("krls-ald-reg", "klms", "lms")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The largest size whose stream, at most 3 (size + 2) samples, numpy can index.
+MAX_SIZE = np.iinfo(np.intp).max // 3 - 2
 
 
 @dataclass(frozen=True)
@@ -59,42 +62,37 @@ def _forced_growth_samples(count: int) -> np.ndarray:
 
 
 def _collect(kind: str, max_size: int):
-    """Run one stream past max_size, returning (size_before_step, seconds) pairs.
+    """Run one stream past max_size through `step_loop`, returning each
+    step's size before it and its seconds.
 
-    LMS steps each sample three times, so that the buckets of its size axis,
-    the step index, hold enough steps for a median.
+    The size before step i is i for every kind: the forced-growth stream
+    admits one center per step (checked here, since the index stands in for
+    the measured size), KLMS adds one term per step, and LMS's axis is the
+    index. LMS steps each sample three times, so that the buckets of its
+    size axis hold enough steps for a median.
     """
-    repeats = 1
+    rng = np.random.default_rng(0)
+    spec = KernelSpec("gaussian", sigma=1.0)
+    repeats = 3 if kind == "lms" else 1
     if kind == "krls-ald-reg":
-        spec = KernelSpec("gaussian", sigma=1.0)
         U = _forced_growth_samples(max_size + 2)
         d = np.ones(U.shape[0])
         filt = KrlsAldReg(spec, lam=0.1, delta=0.5, first_input=U[0], first_target=1.0)
-        size_before = lambda i: filt.dict_size
     elif kind == "klms":
         # 128-dimensional stream: the O(n L) kernel sum dominates the fixed
         # call overhead (15-25 us) already at desk-scale expansion sizes.
-        rng = np.random.default_rng(0)
-        spec = KernelSpec("gaussian", sigma=1.0)
         U = rng.standard_normal((max_size + 2, 128))
         d = rng.standard_normal(max_size + 2)
         filt = Klms(spec, 0.01, U[0], d[0])
-        size_before = lambda i: filt.n
     else:  # "lms"
-        rng = np.random.default_rng(0)
-        U = rng.standard_normal((max_size + 2, 8))
-        d = rng.standard_normal(max_size + 2)
+        U = np.repeat(rng.standard_normal((max_size + 2, 8)), repeats, axis=0)
+        d = np.repeat(rng.standard_normal(max_size + 2), repeats)
         filt = Lms(8, 0.1)
-        size_before = lambda i: i
-        repeats = 3
-    sizes, times = [], []
-    for i in range(1, U.shape[0]):
-        for _ in range(repeats):
-            sizes.append(size_before(i))
-            t0 = time.perf_counter()
-            filt.step(U[i], d[i])
-            times.append(time.perf_counter() - t0)
-    return np.array(sizes), np.array(times)
+    dict_size, seconds = step_loop(filt, U, d, start=repeats)[2:]
+    # a KRLS dictionary grows from one center by at most one a step
+    if kind == "krls-ald-reg" and dict_size[-1] != U.shape[0]:
+        raise KafError(f"forced-growth stream grew to {dict_size[-1]} centers in {U.shape[0]} samples")
+    return np.arange(repeats, U.shape[0]) // repeats, seconds[repeats:]
 
 
 def _collect_one_thread(kind: str, max_size: int, warmup_size: int):
@@ -116,12 +114,15 @@ def _collect_one_thread(kind: str, max_size: int, warmup_size: int):
 def run_bench(kind: str, target_sizes: list[int]) -> BenchResult:
     """Measure median per-step time at each target size and fit the log-log slope.
 
-    `target_sizes` must be strictly increasing positive integers.
+    `target_sizes` must be strictly increasing integers from 2 to MAX_SIZE;
+    they are checked before the child starts.
     """
     if not target_sizes or any(s < 2 for s in target_sizes):
         raise ValidationError("sizes must be positive integers >= 2")
     if any(b <= a for a, b in zip(target_sizes, target_sizes[1:])):
         raise ValidationError("sizes must be strictly increasing")
+    if target_sizes[-1] > MAX_SIZE:
+        raise ValidationError(f"sizes must be at most {MAX_SIZE}, got {target_sizes[-1]}")
     if kind not in BENCH_KINDS:
         raise ValidationError(f"bench supports {BENCH_KINDS}, got {kind!r}")
 

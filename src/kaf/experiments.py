@@ -1,4 +1,8 @@
-"""Synthetic streams, learning-curve records, and the trial runner.
+"""Synthetic streams, learning-curve records, the step loop and the trial runner.
+
+`step_loop` is the one loop that feeds a filter a stream sample by sample and
+times its `step` calls; `run_trial`, `kaf bench` and the klms-feature verify
+suite all go through it.
 
 Every generator is fully determined by (config, seed). Random draws happen
 in a fixed order (plant parameters, then the driving sequence, then the
@@ -292,6 +296,29 @@ def build_filter(fc: FilterConfig, first_u: np.ndarray, first_d: float,
     return Rls(embed_L, fc.lam, fc.forgetting)
 
 
+def step_loop(filt, U: np.ndarray, d: np.ndarray, start: int = 0):
+    """Feed samples start, start + 1, ... of (U, d) to `filt.step` one at a
+    time, timing each call from outside with `perf_counter`: the one timed
+    step loop, which `run_trial`, `kaf bench` and the klms-feature suite
+    drive their filters through.
+
+    Returns the arrays y, e, dict_size and seconds over the whole stream,
+    zeros before `start`. A KafError leaves as its own type, its message
+    prefixed "failed at step N: " with the 1-based step N.
+    """
+    count = U.shape[0]
+    (y, e, seconds), dict_size = np.zeros((3, count)), np.zeros(count, dtype=int)
+    for i in range(start, count):
+        t0 = time.perf_counter()
+        try:
+            out = filt.step(U[i], d[i])
+        except KafError as exc:
+            raise type(exc)(f"failed at step {i + 1}: {exc}") from exc
+        seconds[i] = time.perf_counter() - t0
+        y[i], e[i], dict_size[i] = out.y, out.e, out.dict_size
+    return y, e, dict_size, seconds
+
+
 def run_trial(fc: FilterConfig, sc: StreamConfig,
               record_timings: bool = False) -> LearningCurve:
     """Feed one generated stream through one filter, recording every step.
@@ -299,44 +326,32 @@ def run_trial(fc: FilterConfig, sc: StreamConfig,
     Kernel filters absorb the first sample at construction; that iteration is
     recorded as y = 0, e = d(1) (zero initial model). A filter with a bulk
     `run` (KRLS) takes the rest of the stream in one call unless
-    `record_timings` is set. Otherwise this is the one place that times a
-    trial's steps: each `step` call (and a kernel filter's construction),
-    from outside with `perf_counter`. For every kind, step_seconds are zeros
-    unless `record_timings` is set (wall-clock values are not reproducible).
-    Filter errors are re-raised naming the trial's seed and the failing
-    1-based step.
+    `record_timings` is set; every other trial goes through `step_loop`,
+    which times each `step` call (a kernel filter's construction is timed
+    here). For every kind, step_seconds are zeros unless `record_timings` is
+    set (wall-clock values are not reproducible). Filter errors are re-raised
+    naming the trial's seed and the failing 1-based step.
     """
     U, d = generate(sc)
     count = U.shape[0]
-    y = np.zeros(count)
-    e = np.empty(count)
-    dict_size = np.empty(count, dtype=int)
-    seconds = np.empty(count)
     t0 = time.perf_counter()
     filt = build_filter(fc, U[0], d[0], sc.embed_L)
-    start = 0
-    if fc.kind in KERNEL_KINDS:
-        seconds[0] = time.perf_counter() - t0
-        e[0] = d[0]
-        dict_size[0] = 1
-        start = 1
-    if not record_timings and hasattr(filt, "run"):
-        try:
-            y[start:], e[start:], dict_size[start:] = filt.run(U[start:], d[start:])
-        except KafError as exc:
-            # filt.n counts the samples committed, the first one included
-            raise type(exc)(f"trial with seed {sc.seed} failed at step {filt.n + 1}: "
-                            f"{exc}") from exc
-    else:
-        for i in range(start, count):
-            t0 = time.perf_counter()
+    built = time.perf_counter() - t0
+    start = int(fc.kind in KERNEL_KINDS)  # a kernel filter has absorbed sample 0
+    try:
+        if record_timings or not hasattr(filt, "run"):
+            y, e, dict_size, seconds = step_loop(filt, U, d, start)
+        else:
+            (y, e, seconds), dict_size = np.zeros((3, count)), np.zeros(count, dtype=int)
             try:
-                out = filt.step(U[i], d[i])
+                y[start:], e[start:], dict_size[start:] = filt.run(U[start:], d[start:])
             except KafError as exc:
-                raise type(exc)(f"trial with seed {sc.seed} failed at step {i + 1}: "
-                                f"{exc}") from exc
-            seconds[i] = time.perf_counter() - t0
-            y[i], e[i], dict_size[i] = out.y, out.e, out.dict_size
+                # filt.n counts the samples committed, the first one included
+                raise type(exc)(f"failed at step {filt.n + 1}: {exc}") from exc
+    except KafError as exc:  # "failed at step N: ..." either way
+        raise type(exc)(f"trial with seed {sc.seed} {exc}") from exc
+    if start:
+        e[0], dict_size[0], seconds[0] = d[0], 1, built
     if not record_timings:
         seconds[:] = 0.0
     return LearningCurve(n=np.arange(1, count + 1), y=y, d=d, e=e, e2=e * e,

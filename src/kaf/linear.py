@@ -1,10 +1,14 @@
 """Linear LMS and RLS baselines for the nonlinear comparisons.
 
 Both expose the same predict-then-update loop as the kernel filters: the
-recorded output always uses the pre-update weights. Textbook update rules
-are used (stochastic gradient for LMS, rank-one inverse-correlation update
-for RLS); RLS initializes its inverse-correlation matrix as (1/eps) I with
-eps playing the same role as the kernel filter's ridge parameter.
+recorded output always uses the pre-update weights. They share one private
+linear model, `_LinearModel`: the dimension rule, the weights, `predict` and
+`step` up to the checked input with its a-priori output and error. Each
+class keeps its own hyperparameter checks, `_update` and snapshot. Textbook
+update rules are used (stochastic gradient for LMS, rank-one
+inverse-correlation update for RLS); RLS initializes its inverse-correlation
+matrix as (1/eps) I with eps playing the same role as the kernel filter's
+ridge parameter.
 """
 
 from __future__ import annotations
@@ -21,17 +25,14 @@ from .exceptions import NumericalError, ValidationError
 DENOM_ROUNDOFF = 4 * np.finfo(float).eps
 
 
-class Lms:
-    """omega <- omega + eta * e * u"""
+class _LinearModel:
+    """The linear model `Lms` and `Rls` share: the weights, their dimension
+    rule, `predict`, and a step up to its a-priori output and error."""
 
-    def __init__(self, dim: int, eta: float):
+    def __init__(self, dim: int):
         dim = convert(dim, int, "dim")
         if dim < 1:
             raise ValidationError(f"dim must be >= 1, got {dim!r}")
-        eta = convert(eta, float, "eta")
-        if not (np.isfinite(eta) and eta >= 0):
-            raise ValidationError(f"eta must be a nonnegative real, got {eta!r}")
-        self.eta = eta
         self.weights = np.zeros(dim)
 
     @property
@@ -42,12 +43,28 @@ class Lms:
         return float(as_input(u, dim=self.dim) @ self.weights)
 
     def step(self, u, d) -> StepOutput:
-        uu = as_input(u, dim=self.dim)
-        dd = check_target(d)
+        """Check the sample, predict with the current weights, then update
+        them by the class's `_update` rule on the checked input and the
+        a-priori error e = d - y."""
+        uu, dd = as_input(u, dim=self.dim), check_target(d)
         y = float(self.weights @ uu)
         e = dd - y
-        self.weights = self.weights + self.eta * e * uu
+        self._update(uu, e)
         return StepOutput(y=y, e=e, grew=False, dict_size=0)
+
+
+class Lms(_LinearModel):
+    """omega <- omega + eta * e * u"""
+
+    def __init__(self, dim: int, eta: float):
+        super().__init__(dim)
+        eta = convert(eta, float, "eta")
+        if not (np.isfinite(eta) and eta >= 0):
+            raise ValidationError(f"eta must be a nonnegative real, got {eta!r}")
+        self.eta = eta
+
+    def _update(self, uu: np.ndarray, e: float) -> None:
+        self.weights = self.weights + self.eta * e * uu
 
     def to_snapshot(self) -> dict:
         return {"algorithm": "lms", "eta": self.eta, "weights": self.weights.tolist()}
@@ -62,7 +79,7 @@ class Lms:
         return obj
 
 
-class Rls:
+class Rls(_LinearModel):
     """Exponentially windowed recursive least squares (forgetting 1 = growing window).
 
     With forgetting = 1 the weights after n samples equal the ridge solution
@@ -71,9 +88,7 @@ class Rls:
     """
 
     def __init__(self, dim: int, lam: float, forgetting: float = 1.0):
-        dim = convert(dim, int, "dim")
-        if dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {dim!r}")
+        super().__init__(dim)
         lam = convert(lam, float, "lambda")
         if not (np.isfinite(lam) and lam > 0 and np.isfinite(1.0 / lam)):  # aux = I / lam
             raise ValidationError(f"lambda must be > 0 with 1/lambda finite, got {lam!r}")
@@ -82,21 +97,9 @@ class Rls:
             raise ValidationError(f"forgetting must be in (0, 1], got {forgetting!r}")
         self.lam = lam
         self.forgetting = forgetting
-        self.weights = np.zeros(dim)
-        self.aux = np.eye(dim) / lam
+        self.aux = np.eye(self.dim) / lam
 
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
-
-    def predict(self, u) -> float:
-        return float(as_input(u, dim=self.dim) @ self.weights)
-
-    def step(self, u, d) -> StepOutput:
-        uu = as_input(u, dim=self.dim)
-        dd = check_target(d)
-        y = float(self.weights @ uu)
-        e = dd - y
+    def _update(self, uu: np.ndarray, e: float) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             Pu = self.aux @ uu
             denom = self.forgetting + float(uu @ Pu)
@@ -115,7 +118,6 @@ class Rls:
             raise NumericalError("RLS update overflowed: with forgetting < 1, aux grows "
                                  "without bound along a direction the inputs never excite")
         self.weights, self.aux = weights, aux
-        return StepOutput(y=y, e=e, grew=False, dict_size=0)
 
     def to_snapshot(self) -> dict:
         return {

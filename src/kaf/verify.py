@@ -1,7 +1,8 @@
 """End-to-end equivalence suites: the real recursions against batch oracles.
 
 Each suite is a fixed recipe run on the full implementation (no mocking) at
-desk scale, the two KRLS ones through one loop, `_krls_run`. `_verdict` turns
+desk scale, the two KRLS ones through one loop, `_krls_run`, and
+klms-feature through the trial runner's `step_loop`. `_verdict` turns
 its deviations into a result; the CLI `verify` command prints that.
 """
 
@@ -12,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ValidationError
+from .experiments import step_loop
 from .kernels import KernelSpec, gram
 from .klms import Klms
 from .krls import KrlsAldReg
@@ -120,8 +122,8 @@ def klms_feature_suite() -> VerifyResult:
     d = np.sin(U[:, 0]) + U[:, -1] ** 2 + 0.05 * rng.standard_normal(200)
     ref = feature_space_lms(U, d, 0.1, 2)
     filt = Klms(KernelSpec("polynomial", degree=2), 0.1, U[0], d[0])
-    preds = [0.0] + [filt.step(U[i], d[i]).y for i in range(1, 200)]
-    devs = dict(enumerate(np.abs(np.array(preds) - ref).tolist(), start=1))
+    preds = step_loop(filt, U, d, start=1)[0]  # 0 at sample 0, absorbed at construction
+    devs = dict(enumerate(np.abs(preds - ref).tolist(), start=1))
     return _verdict("klms-feature", "step", [("deviation", 1e-10, devs)], {"terms": filt.n})
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import kaf
+import kaf.bench
 import kaf.verify
 from kaf.cli import main
 from kaf.dictionary import Dictionary
@@ -456,6 +457,24 @@ class TestVerify:
         failure = self.fails_at("inverse-consistency", capsys)
         assert failure["step"] == admitted[0] and failure["gram_identity_residual"] > 1e-8
 
+    @pytest.mark.parametrize("part", ["A row", "centers"])
+    def test_krls_batch_fails_where_the_dictionary_diverges(self, part, monkeypatch, capsys):
+        """The oracle's A row 20 takes its last center at sample 20 (step
+        21), or its tenth center moves: the suite fails at that step as a
+        divergence."""
+        steps = []
+
+        def drift(sol):
+            if part == "A row":
+                sol.A[20, -1] = 1.0
+                steps.append(21)
+            else:  # the first nonzero of A's column 9 is the tenth center's 1
+                sol.centers[9] += 1.0
+                steps.append(int(np.flatnonzero(sol.A[:, 9])[0]) + 1)
+        self.drifted_oracle(monkeypatch, drift)
+        failure = self.fails_at("krls-batch", capsys)
+        assert failure == {"step": steps[0], "reason": "dictionary diverged from the oracle"}
+
     def test_unknown_suite_is_a_validation_error(self):
         with pytest.raises(ValidationError, match="unknown verify suite"):
             run_suite("bogus")
@@ -490,16 +509,33 @@ class TestBench:
         report = json.loads(capsys.readouterr().out.splitlines()[0])
         assert np.isfinite(report["slope"])
 
-    def test_failed_child_exits_2(self, capfd):
-        """The child's np.arange refuses 1e30 steps before allocating any;
-        its traceback stays in the captured stderr."""
-        assert main(["bench", "--filter", "krls-ald-reg",
-                     "--sizes", "3,1000000000000000000000000000000"]) == 2
+    def test_failed_child_exits_2(self, tmp_path, monkeypatch, capfd):
+        """A child that cannot run, here a program in place of the Python
+        interpreter that exits 1: its last stderr line names the failure."""
+        child = tmp_path / "child"
+        child.write_text("#!/bin/sh\necho 'ValueError: no child' >&2\nexit 1\n")
+        child.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(child))
+        assert main(["bench", "--filter", "krls-ald-reg", "--sizes", "3,10"]) == 2
         out, err = capfd.readouterr()
         assert err == ""
         error = json.loads(out)["error"]
         assert error["type"] == "numerical"
-        assert error["message"].startswith("bench child exited 1: ValueError: ")
+        assert error["message"] == "bench child exited 1: ValueError: no child"
+
+    def test_unindexable_size_refused_before_the_child(self, monkeypatch, capfd):
+        """A size whose stream numpy cannot index is a validation error: exit
+        1 with empty stderr, and no child started."""
+        def no_child(*args, **kwargs):
+            raise AssertionError("a child was started")
+
+        monkeypatch.setattr(kaf.bench.subprocess, "run", no_child)
+        assert main(["bench", "--filter", "krls-ald-reg", "--sizes", f"3,{10 ** 30}"]) == 1
+        out, err = capfd.readouterr()
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["type"] == "validation"
+        assert error["message"].startswith("sizes must be at most ")
 
     def test_sizes_must_increase(self, capsys):
         assert main(["bench", "--filter", "lms", "--sizes", "32,16"]) == 1

@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import kaf.base
@@ -48,6 +48,7 @@ from kaf.exceptions import (
 from kaf.experiments import FILTER_KEYS, GENERATORS, KERNEL_KINDS, StreamConfig, build_filter
 from kaf.kernels import kernel_self
 from kaf.krls import PENDING
+from kaf.oracle import polynomial_feature_map
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
 DIM = 2
@@ -636,6 +637,11 @@ WRONG = {
     dict: ["x", [{}], None, True, 3],
     list: ["0.1", 0.1, {"v": 0.1}, None, True, ["a"], [0.1, None], [[0.1]], [False]],
 }
+# The keys a level cannot do without (MISSING deletes one), and values of the
+# right type that a field's range refuses.
+MISSING = object()
+REQUIRED = {"filter": ("kind",), "stream": ("generator", "length"), "kernel": ("family",)}
+OUT_OF_RANGE = {"noise_std": [-1.0]}
 BASE_FILTERS = {
     "klms": {"eta": 0.2, "max_terms": 100},
     "krls-ald-reg": {"lambda": 0.1, "delta": 0.01},
@@ -690,8 +696,9 @@ def test_small_config_runs(kind):
 
 @st.composite
 def broken_configs(draw):
-    """A small valid config with one field set to a value of the wrong type,
-    or one unknown key added, at any level."""
+    """A small valid config with one field set to a value of the wrong type
+    or out of its range, one required key deleted, or one unknown key added,
+    at any level."""
     level = draw(st.sampled_from(sorted(CONFIG_FIELDS)))
     kind = draw(st.sampled_from(KERNEL_KINDS if level == "kernel" else sorted(BASE_FILTERS)))
     fields = CONFIG_FIELDS[level]
@@ -701,18 +708,27 @@ def broken_configs(draw):
     if key == "bogus":
         value = 1
     else:                   # a null max_terms means no cap
-        value = draw(st.sampled_from([v for v in WRONG[fields[key]]
-                                      if not (key == "max_terms" and v is None)]))
+        value = draw(st.sampled_from(
+            [v for v in WRONG[fields[key]] if not (key == "max_terms" and v is None)]
+            + OUT_OF_RANGE.get(key, []) + ([MISSING] if key in REQUIRED.get(level, ()) else [])))
     return kind, level, key, value
 
 
 @PROPS
 @given(command=st.sampled_from(["run", "sweep"]), broken=broken_configs())
+@example(command="run", broken=("lms", "filter", "kind", MISSING))
+@example(command="run", broken=("rls", "stream", "generator", MISSING))
+@example(command="run", broken=("lms", "stream", "length", MISSING))
+@example(command="run", broken=("klms", "kernel", "family", MISSING))
+@example(command="run", broken=("rls", "stream", "noise_std", -1.0))
 def test_malformed_config_exits_1_and_writes_nothing(command, broken):
     kind, level, key, value = broken
     with tempfile.TemporaryDirectory() as directory:
         cfg = _small_config(directory, kind)
-        _level(cfg, level)[key] = value
+        if value is MISSING:
+            del _level(cfg, level)[key]
+        else:
+            _level(cfg, level)[key] = value
         code, stdout, files = _run_cli(command, cfg, directory)
         assert code == 1, stdout
         error = json.loads(stdout)["error"]
@@ -762,13 +778,27 @@ BOUNDARIES = {
     "to_snapshot(resume_exact='yes')": (
         lambda: KrlsAldReg(GAUSS, 0.1, 0.01, [0.0], 0.5).to_snapshot(resume_exact="yes"),
         "^resume_exact is not a bool"),
+    "run_trials(trials=0)": (
+        lambda: run_trials(FilterConfig("lms"), StreamConfig("noisy_sinc", length=10), 0),
+        "^trials must be >= 1, got 0$"),
+    "Rls(dim=0)": (lambda: Rls(0, 0.1), "^dim must be >= 1, got 0$"),
+    **{f"{type(obj).__name__}.from_snapshot(centers of shape (0, 2))":
+       (lambda obj=obj: type(obj).from_snapshot({**obj.to_snapshot(), "centers": np.zeros((0, 2))}),
+        "^snapshot centers must be a nonempty list of vectors$")
+       for obj in (Dictionary(GAUSS, [0.0, 0.0]), Klms(GAUSS, 0.2, [0.0, 0.0], 0.5))},
+    "gram(points holding a NaN)": (lambda: gram(GAUSS, [[0.0], [np.nan]]),
+                                   "^point set contains non-finite entries$"),
+    "polynomial_feature_map(degree=3)": (
+        lambda: polynomial_feature_map([[1.0]], 3),
+        "^explicit feature map implemented for degree <= 2, got 3$"),
 }
 
 
 @pytest.mark.parametrize("call, match", BOUNDARIES.values(), ids=BOUNDARIES.keys())
 def test_every_public_boundary_raises_a_kaf_error(call, match):
     """What enters at a public boundary is checked there, so a malformed
-    snapshot, ALD result, trial count or flag raises a ValidationError naming
-    it, never an AttributeError or TypeError from inside."""
+    snapshot, ALD result, trial count, dimension, point set, feature-map
+    degree or flag raises a ValidationError naming it, never an
+    AttributeError or TypeError from inside."""
     with pytest.raises(ValidationError, match=match):
         call()
