@@ -72,21 +72,29 @@ def _collect(kind: str, max_size: int):
     size axis hold enough steps for a median.
     """
     rng = np.random.default_rng(0)
-    spec = KernelSpec("gaussian", sigma=1.0)
     repeats = 3 if kind == "lms" else 1
+    try:
+        if kind == "krls-ald-reg":
+            U = _forced_growth_samples(max_size + 2)
+            d = np.ones(U.shape[0])
+        elif kind == "klms":
+            # 128-dimensional stream: the O(n L) kernel sum dominates the fixed
+            # call overhead (15-25 us) already at desk-scale expansion sizes.
+            U = rng.standard_normal((max_size + 2, 128))
+            d = rng.standard_normal(max_size + 2)
+        else:  # "lms"
+            U = np.repeat(rng.standard_normal((max_size + 2, 8)), repeats, axis=0)
+            d = np.repeat(rng.standard_normal(max_size + 2), repeats)
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses an array it cannot allocate before it allocates anything
+        raise ValidationError(
+            f"sizes: a stream past size {max_size} is too large to allocate: {exc}") from exc
+    spec = KernelSpec("gaussian", sigma=1.0)
     if kind == "krls-ald-reg":
-        U = _forced_growth_samples(max_size + 2)
-        d = np.ones(U.shape[0])
         filt = KrlsAldReg(spec, lam=0.1, delta=0.5, first_input=U[0], first_target=1.0)
     elif kind == "klms":
-        # 128-dimensional stream: the O(n L) kernel sum dominates the fixed
-        # call overhead (15-25 us) already at desk-scale expansion sizes.
-        U = rng.standard_normal((max_size + 2, 128))
-        d = rng.standard_normal(max_size + 2)
         filt = Klms(spec, 0.01, U[0], d[0])
-    else:  # "lms"
-        U = np.repeat(rng.standard_normal((max_size + 2, 8)), repeats, axis=0)
-        d = np.repeat(rng.standard_normal(max_size + 2), repeats)
+    else:
         filt = Lms(8, 0.1)
     dict_size, seconds = step_loop(filt, U, d, start=repeats)[2:]
     # a KRLS dictionary grows from one center by at most one a step
@@ -108,6 +116,8 @@ def _collect_one_thread(kind: str, max_size: int, warmup_size: int):
         last = (proc.stderr.strip().splitlines() or ["no stderr"])[-1]
         raise KafError(f"bench child exited {proc.returncode}: {last}")
     steps = json.loads(proc.stdout)
+    if "refused" in steps:
+        raise ValidationError(steps["refused"])
     return np.array(steps["sizes"]), np.array(steps["seconds"])
 
 
@@ -115,7 +125,8 @@ def run_bench(kind: str, target_sizes: list[int]) -> BenchResult:
     """Measure median per-step time at each target size and fit the log-log slope.
 
     `target_sizes` must be strictly increasing integers from 2 to MAX_SIZE;
-    they are checked before the child starts.
+    they are checked before the child starts. A size whose stream numpy
+    cannot allocate is refused by the child, also with ValidationError.
     """
     if not target_sizes or any(s < 2 for s in target_sizes):
         raise ValidationError("sizes must be positive integers >= 2")
@@ -148,7 +159,11 @@ def run_bench(kind: str, target_sizes: list[int]) -> BenchResult:
 def _child(kind: str, max_size: str, warmup_size: str) -> None:
     # Warm-up pass primes allocator and BLAS paths before anything is timed.
     _collect(kind, int(warmup_size))
-    sizes, seconds = _collect(kind, int(max_size))
+    try:
+        sizes, seconds = _collect(kind, int(max_size))
+    except ValidationError as exc:  # a stream it cannot allocate
+        json.dump({"refused": str(exc)}, sys.stdout)
+        return
     json.dump({"sizes": sizes.tolist(), "seconds": seconds.tolist()}, sys.stdout)
 
 

@@ -13,14 +13,21 @@ zero initial weight vector. Memory grows linearly with the stream; an
 optional hard cap aborts with CapacityError instead of silently degrading.
 
 The Gaussian sum is taken from squared distances about the first center
-c_1: with q_i = ||c_i - c_1||^2, kept beside the centers, and w = u - c_1,
+c_1. A buffer D of shape (L + 2, capacity) holds one column per term,
 
-    ||c_i - u||^2 = q_i + ||w||^2 - 2 (c_i . w - c_1 . w),
+    D[:, i] = [c_i - c_1; q_i; 1],    q_i = ||c_i - c_1||^2,
 
-one matrix-vector product over the centers and a few length-n passes, with
+and with w = u - c_1 the vector v = [w (2/sigma^2); -1/sigma^2; -||w||^2/sigma^2]
+gives every exponent in one matrix-vector product:
+
+    (v^T D)_i = -(q_i + ||w||^2 - 2 (c_i - c_1) . w) / sigma^2
+              = -||c_i - u||^2 / sigma^2.
+
+A clamp at 0, an in-place exp and the dot with the coefficients follow, with
 no n x L difference array. Distances about c_1 rather than the origin keep
 the rounding error proportional to the spread of the data, not to its
-offset (see `_expansion`).
+offset, and the first term (c_1 - c_1 = 0, q_1 = 0) is exactly
+-||w||^2/sigma^2 (see `_expansion`).
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (StepOutput, append_row, as_input, as_object, check_target, convert,
-                   scalar_field, snapshot_array)
+                   reserve, scalar_field, snapshot_array)
 from .exceptions import CapacityError, ValidationError
 from .kernels import KernelSpec, check_spec, kernel_vector
 
@@ -52,13 +59,13 @@ class Klms:
         d = check_target(first_target)
         self.eta = eta
         self.max_terms = max_terms
-        # Amortized-doubling buffers: every step appends one row.
+        # Amortized-doubling buffers: every step appends a row (a column of D).
         self._centers = np.empty((16, u.shape[0]))
         self._coeffs = np.empty(16)
-        self._q = np.empty(16)  # q_i = ||c_i - c_1||^2
+        self._D = np.zeros((u.shape[0] + 2, 16))  # columns [c_i - c_1; q_i; 1]
         self._centers[0] = u
         self._coeffs[0] = eta * d
-        self._q[0] = 0.0
+        self._D[-1, 0] = 1.0
         self.n = 1
 
     @property
@@ -77,33 +84,34 @@ class Klms:
         view.flags.writeable = False
         return view
 
-    def _expansion(self, u: np.ndarray) -> tuple[float, float]:
-        """The expansion at validated u, and ||u - c_1||^2 (u's q if appended).
+    def _expansion(self, u: np.ndarray) -> tuple[float, np.ndarray, float]:
+        """The expansion at validated u, with w = u - c_1 and ||w||^2 (u's
+        column of D if appended).
 
-        Gaussian: sq_i = q_i + ||w||^2 - 2 (c_i . w - c_1 . w) with w = u - c_1,
-        clamped at 0. Against ||c_i - u||^2 it is off by at most
+        Gaussian: h = v^T D[:, :n], clamped at 0. Against -||c_i - u||^2/sigma^2,
+        h_i is off by at most
 
-            4 (L + 2) eps (q_i + ||w||^2 + (||c_i|| + ||c_1||) ||w||),
+            2 (L + 5) eps (q_i + ||w||^2 + ||c_i - c_1|| ||w||) / sigma^2,
 
-        eps = 2^-53, so each kernel value is off by at most that over sigma^2.
+        eps = 2^-53, besides a relative 2 eps of the whole exponent from
+        rounding 1/sigma^2; the ||w||^2 term carries v's separate rounding
+        of ||w||^2/sigma^2. A kernel value moves by at most as much.
         The polynomial kernel is (c_i . u + 1)^degree.
         """
         n = self.n
-        c1 = self._centers[0]
-        w = u - c1
+        w = u - self._centers[0]
         ww = _norm2(w)
         if self.spec.family != "gaussian":
             h = kernel_vector(self.spec, self._centers[:n], u)
         else:
-            h = self._centers[:n] @ w
-            h -= c1 @ w
-            h *= -2.0
-            h += self._q[:n]
-            h += ww
-            np.maximum(h, 0.0, out=h)
-            h /= -(self.spec.sigma * self.spec.sigma)
+            s2 = self.spec.sigma * self.spec.sigma
+            v = np.empty(w.shape[0] + 2)
+            np.multiply(w, 2.0 / s2, out=v[:-2])
+            v[-2:] = -1.0 / s2, -ww / s2
+            h = v @ self._D[:, :n]
+            np.minimum(h, 0.0, out=h)
             np.exp(h, out=h)
-        return float(h @ self._coeffs[:n]), ww
+        return float(h @ self._coeffs[:n]), w, ww
 
     def predict(self, u) -> float:
         return self._expansion(as_input(u, dim=self.dim))[0]
@@ -117,12 +125,15 @@ class Klms:
                 f"expansion reached the configured cap of {self.max_terms} terms"
             )
         n = self.n
-        y, q = self._expansion(uu)
+        y, w, ww = self._expansion(uu)
         e = dd - y
 
         self._centers = append_row(self._centers, n, uu)
         self._coeffs = append_row(self._coeffs, n, self.eta * e)
-        self._q = append_row(self._q, n, q)
+        self._D = reserve(self._D, n, axis=1)
+        self._D[:-2, n] = w
+        self._D[-2, n] = ww
+        self._D[-1, n] = 1.0
         self.n = n + 1
         return StepOutput(y=y, e=e, grew=True, dict_size=self.n)
 
@@ -153,7 +164,13 @@ class Klms:
             raise ValidationError(f"snapshot holds {n} terms, above its cap of {obj.max_terms}")
         obj._centers = centers
         obj._coeffs = coeffs
-        # Row by row, as `step` computes each q: resumed steps match bit for bit.
-        obj._q = np.array([_norm2(c - centers[0]) for c in centers])
+        # Each column as `step` computes it, in a C-ordered buffer as `step`
+        # grows it (BLAS sums in the layout's order): resumed steps match bit
+        # for bit.
+        ws = [c - centers[0] for c in centers]
+        obj._D = np.empty((centers.shape[1] + 2, n))
+        obj._D[:-2] = np.transpose(ws)
+        obj._D[-2] = [_norm2(w) for w in ws]
+        obj._D[-1] = 1.0
         obj.n = n
         return obj

@@ -537,6 +537,18 @@ class TestBench:
         assert error["type"] == "validation"
         assert error["message"].startswith("sizes must be at most ")
 
+    @pytest.mark.parametrize("kind", ["lms", "krls-ald-reg"])
+    def test_unallocatable_size_is_a_validation_error(self, kind, capfd):
+        """A size numpy can index but no machine can allocate (a stream above
+        1 PiB, refused before anything is allocated) is refused by the child
+        and reported as a validation error naming `sizes`: exit 1."""
+        assert main(["bench", "--filter", kind, "--sizes", f"3,{10 ** 15}"]) == 1
+        out, err = capfd.readouterr()
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["type"] == "validation"
+        assert error["message"].startswith(f"sizes: a stream past size {10 ** 15} is too large")
+
     def test_sizes_must_increase(self, capsys):
         assert main(["bench", "--filter", "lms", "--sizes", "32,16"]) == 1
         capsys.readouterr()

@@ -172,6 +172,28 @@ class TestSnapshot:
             assert a.y == b.y and a.e == b.e
         assert np.array_equal(g.coeffs, f.coeffs)
 
+    @pytest.mark.parametrize("spec", [KernelSpec("gaussian", sigma=0.8),
+                                      KernelSpec("polynomial", degree=2)])
+    def test_resume_at_45_terms_across_the_next_doubling(self, spec):
+        """A snapshot at 45 terms loads into buffers of exactly 45 columns,
+        which double on the next step; the uninterrupted filter's double at
+        64. Stepped past both, the two agree bit for bit. The polynomial sum
+        reads the centers, not the Gaussian's shifted-center buffer."""
+        rng = np.random.default_rng(12)
+        U = 0.5 * rng.standard_normal((130, 3))
+        d = rng.standard_normal(130)
+        f = Klms(spec, 0.01, U[0], d[0])
+        for i in range(1, 45):
+            f.step(U[i], d[i])
+        g = Klms.from_snapshot(json.loads(json.dumps(f.to_snapshot())))
+        assert g.n == 45
+        for i in range(45, 130):
+            a, b = f.step(U[i], d[i]), g.step(U[i], d[i])
+            assert np.isfinite(a.y) and a.y == b.y and a.e == b.e
+        assert np.array_equal(g.coeffs, f.coeffs)
+        probe = 0.5 * rng.standard_normal(3)
+        assert g.predict(probe) == f.predict(probe)
+
     def test_round_trip_keeps_cap(self):
         rng = np.random.default_rng(6)
         f = Klms(GAUSS, 0.2, rng.standard_normal(2), 0.3, max_terms=10)
@@ -209,16 +231,15 @@ EPS = 2.0 ** -53
 def distance_form_bound(centers, coeffs, u, sigma):
     """Bound on |expansion - explicit-difference reference| at u.
 
-    Per term: the squared-distance bound in `Klms._expansion`'s docstring over
-    sigma^2, plus the rounding of either side's division, exp and sum.
+    Per term: the exponent bound in `Klms._expansion`'s docstring, plus the
+    rounding of either side's 1/sigma^2 scale, exp and sum.
     """
     L, n = centers.shape[1], centers.shape[0]
     c1 = centers[0]
     w = np.linalg.norm(u - c1)
-    q = np.sum((centers - c1) ** 2, axis=1)
-    sq_bound = 4 * (L + 2) * EPS * (q + w * w + (np.linalg.norm(centers, axis=1)
-                                                 + np.linalg.norm(c1)) * w)
-    return float(np.abs(coeffs) @ (sq_bound / sigma ** 2 + (L + 10 + 2 * n) * EPS))
+    dist = np.linalg.norm(centers - c1, axis=1)
+    exponent_bound = 2 * (L + 5) * EPS * (dist * dist + w * w + dist * w) / sigma ** 2
+    return float(np.abs(coeffs) @ (exponent_bound + (L + 10 + 2 * n) * EPS))
 
 
 @settings(max_examples=150)
