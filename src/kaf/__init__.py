@@ -37,7 +37,6 @@ from .linear import Lms, Rls
 from .oracle import (
     BatchProblem,
     batch_krr,
-    batch_solve_lambda_gram,
     batch_solve_regularized,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "StreamConfig",
     "ValidationError",
     "batch_krr",
-    "batch_solve_lambda_gram",
     "batch_solve_regularized",
     "expansion_inner_product",
     "generate",

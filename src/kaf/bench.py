@@ -1,18 +1,24 @@
 """Per-iteration cost measurement: median step time versus model size.
 
-KRLS is driven by a forced-growth stream (widely spaced centers, so every
-sample is admitted and the Gram matrix stays near the identity); KLMS and
-the linear baselines are driven by a plain random stream. The one step
-loop, `experiments.step_loop`, times every `step` call from outside with
-`perf_counter`; the filters do not time themselves. The size before step i
-is i for every kind, the forced-growth filter's dictionary size checked
-against it. Medians are taken over a window of steps around each requested
-size, which keeps the estimate robust against scheduler noise; a relative
-IQR above 50% in any bucket is flagged but not fatal.
+Each kernel filter has one fixed recipe, `RECIPES`, of the model sizes
+where its median step time is read:
+
+- KRLS, driven by a forced-growth stream (widely spaced centers, so every
+  sample is admitted and the Gram matrix stays near the identity), at
+  K = 500 to 2000, where its O(K^2) step shows a slope near 2.
+- KLMS, driven by a plain 128-dimensional random stream, at 500 to 8000
+  terms, where its O(n) step shows a slope near 1.
+
+The one step loop, `experiments.step_loop`, times every `step` call from
+outside with `perf_counter`; the filters do not time themselves. The size
+before step i is i for both kinds, the forced-growth filter's dictionary
+size checked against it. Medians are taken over a window of steps around
+each recipe size, which keeps the estimate robust against scheduler noise;
+a relative IQR above 50% in any bucket is flagged but not fatal.
 
 The timed loop runs in a child process on one BLAS thread
-(`python -m kaf.bench KIND MAX_SIZE WARMUP_SIZE` prints its steps as JSON).
-A multithreaded BLAS splits a matrix-vector product over threads only above
+(`python -m kaf.bench KIND` prints its step times as JSON). A
+multithreaded BLAS splits a matrix-vector product over threads only above
 a size threshold, which would bend the slope by the threads' speed-up
 rather than measure the filter's cost.
 """
@@ -32,12 +38,15 @@ from .experiments import step_loop
 from .kernels import KernelSpec
 from .klms import Klms
 from .krls import KrlsAldReg
-from .linear import Lms
 
-BENCH_KINDS = ("krls-ald-reg", "klms", "lms")
+# The sizes each kind's step time is read at (README gives their grounds).
+RECIPES = {
+    "krls-ald-reg": (500, 707, 1000, 1414, 2000),
+    "klms": (500, 1000, 2000, 4000, 8000),
+}
+BENCH_KINDS = tuple(RECIPES)
+WARMUP_SIZE = 32  # the untimed pass that primes allocator and BLAS paths
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# The largest size whose stream, at most 3 (size + 2) samples, numpy can index.
-MAX_SIZE = np.iinfo(np.intp).max // 3 - 2
 
 
 @dataclass(frozen=True)
@@ -61,91 +70,58 @@ def _forced_growth_samples(count: int) -> np.ndarray:
     return 3.0 * np.arange(count, dtype=np.float64)[:, None]
 
 
-def _collect(kind: str, max_size: int):
-    """Run one stream past max_size through `step_loop`, returning each
-    step's size before it and its seconds.
+def _collect(kind: str, max_size: int) -> np.ndarray:
+    """Run one stream past max_size through `step_loop` and return each
+    step's seconds, indexed by the size before it (entry 0, the sample the
+    constructor absorbs, is 0).
 
-    The size before step i is i for every kind: the forced-growth stream
-    admits one center per step (checked here, since the index stands in for
-    the measured size), KLMS adds one term per step, and LMS's axis is the
-    index. LMS steps each sample three times, so that the buckets of its
-    size axis hold enough steps for a median.
+    The forced-growth stream admits one center per step (checked here, since
+    the index stands in for the measured size); KLMS adds one term per step.
     """
-    rng = np.random.default_rng(0)
-    repeats = 3 if kind == "lms" else 1
-    try:
-        if kind == "krls-ald-reg":
-            U = _forced_growth_samples(max_size + 2)
-            d = np.ones(U.shape[0])
-        elif kind == "klms":
-            # 128-dimensional stream: the O(n L) kernel sum dominates the fixed
-            # call overhead (15-25 us) already at desk-scale expansion sizes.
-            U = rng.standard_normal((max_size + 2, 128))
-            d = rng.standard_normal(max_size + 2)
-        else:  # "lms"
-            U = np.repeat(rng.standard_normal((max_size + 2, 8)), repeats, axis=0)
-            d = np.repeat(rng.standard_normal(max_size + 2), repeats)
-    except (ValueError, MemoryError) as exc:
-        # numpy refuses an array it cannot allocate before it allocates anything
-        raise ValidationError(
-            f"sizes: a stream past size {max_size} is too large to allocate: {exc}") from exc
     spec = KernelSpec("gaussian", sigma=1.0)
     if kind == "krls-ald-reg":
+        U = _forced_growth_samples(max_size + 2)
+        d = np.ones(U.shape[0])
         filt = KrlsAldReg(spec, lam=0.1, delta=0.5, first_input=U[0], first_target=1.0)
-    elif kind == "klms":
+    else:  # "klms"
+        # 128-dimensional stream: the O(n L) kernel sum dominates the fixed
+        # call overhead (15-25 us) already at desk-scale expansion sizes.
+        rng = np.random.default_rng(0)
+        U = rng.standard_normal((max_size + 2, 128))
+        d = rng.standard_normal(max_size + 2)
         filt = Klms(spec, 0.01, U[0], d[0])
-    else:
-        filt = Lms(8, 0.1)
-    dict_size, seconds = step_loop(filt, U, d, start=repeats)[2:]
+    dict_size, seconds = step_loop(filt, U, d, start=1)[2:]
     # a KRLS dictionary grows from one center by at most one a step
     if kind == "krls-ald-reg" and dict_size[-1] != U.shape[0]:
         raise KafError(f"forced-growth stream grew to {dict_size[-1]} centers in {U.shape[0]} samples")
-    return np.arange(repeats, U.shape[0]) // repeats, seconds[repeats:]
+    return seconds
 
 
-def _collect_one_thread(kind: str, max_size: int, warmup_size: int):
-    """A warm-up pass, then `_collect(kind, max_size)`, in a child process
-    whose BLAS uses one thread."""
+def _collect_one_thread(kind: str) -> np.ndarray:
+    """`_child(kind)`'s step seconds, from a child process whose BLAS uses
+    one thread."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "kaf.bench", kind, str(max_size), str(warmup_size)],
-        env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "kaf.bench", kind],
+                          env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         last = (proc.stderr.strip().splitlines() or ["no stderr"])[-1]
         raise KafError(f"bench child exited {proc.returncode}: {last}")
-    steps = json.loads(proc.stdout)
-    if "refused" in steps:
-        raise ValidationError(steps["refused"])
-    return np.array(steps["sizes"]), np.array(steps["seconds"])
+    return np.array(json.loads(proc.stdout))
 
 
-def run_bench(kind: str, target_sizes: list[int]) -> BenchResult:
-    """Measure median per-step time at each target size and fit the log-log slope.
-
-    `target_sizes` must be strictly increasing integers from 2 to MAX_SIZE;
-    they are checked before the child starts. A size whose stream numpy
-    cannot allocate is refused by the child, also with ValidationError.
-    """
-    if not target_sizes or any(s < 2 for s in target_sizes):
-        raise ValidationError("sizes must be positive integers >= 2")
-    if any(b <= a for a, b in zip(target_sizes, target_sizes[1:])):
-        raise ValidationError("sizes must be strictly increasing")
-    if target_sizes[-1] > MAX_SIZE:
-        raise ValidationError(f"sizes must be at most {MAX_SIZE}, got {target_sizes[-1]}")
-    if kind not in BENCH_KINDS:
+def run_bench(kind: str) -> BenchResult:
+    """Measure the median step time at each of `kind`'s RECIPES sizes and
+    fit the log-log slope."""
+    if kind not in RECIPES:
         raise ValidationError(f"bench supports {BENCH_KINDS}, got {kind!r}")
-
-    sizes, times = _collect_one_thread(kind, target_sizes[-1], min(32, target_sizes[0]))
+    times = _collect_one_thread(kind)
     rows = []
     unstable = False
-    for k in target_sizes:
+    for k in RECIPES[kind]:
         half = max(4, k // 10)
-        sel = times[(sizes >= k - half) & (sizes <= k + half)]
-        if sel.size == 0:
-            raise ValidationError(f"no steps recorded near size {k}")
-        q25, med, q75 = np.percentile(sel, [25, 50, 75])
+        q25, med, q75 = np.percentile(times[k - half:k + half + 1], [25, 50, 75])
         rel_iqr = float((q75 - q25) / med) if med > 0 else np.inf
         unstable = unstable or rel_iqr > 0.5
         rows.append(BenchRow(size=k, median_step_seconds=float(med), rel_iqr=rel_iqr))
@@ -156,15 +132,9 @@ def run_bench(kind: str, target_sizes: list[int]) -> BenchResult:
     return BenchResult(kind=kind, rows=rows, slope=slope, unstable=unstable)
 
 
-def _child(kind: str, max_size: str, warmup_size: str) -> None:
-    # Warm-up pass primes allocator and BLAS paths before anything is timed.
-    _collect(kind, int(warmup_size))
-    try:
-        sizes, seconds = _collect(kind, int(max_size))
-    except ValidationError as exc:  # a stream it cannot allocate
-        json.dump({"refused": str(exc)}, sys.stdout)
-        return
-    json.dump({"sizes": sizes.tolist(), "seconds": seconds.tolist()}, sys.stdout)
+def _child(kind: str) -> None:
+    _collect(kind, WARMUP_SIZE)
+    json.dump(_collect(kind, RECIPES[kind][-1]).tolist(), sys.stdout)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ run     feed a generated stream through a filter; write learning-curve CSV
 sweep   grid over the delta / lambda / sigma / eta the filter kind reads; one
         summary row per point
 verify  run an oracle-equivalence suite; exit 0 iff within tolerance
-bench   median per-step time versus model size plus fitted log-log slope
+bench   median step time at a kernel filter's fixed sizes; log-log slope
 
 Configuration comes from a JSON file with flag overrides; precedence is
 flags > file > defaults. Each config object is read once: unknown keys are
@@ -183,6 +183,14 @@ def _dump_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    """Write `header` and then `rows` to the CSV file `path`, atomically."""
+    with _OutputSet() as outputs, outputs.open(path) as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _trial_part(fc: FilterConfig, record_timings: bool,
                 job: tuple[StreamConfig, str]) -> tuple[dict, float | None]:
     """Run the trial of `job`, a (stream config, part file path) pair, and
@@ -260,15 +268,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     point_fn = functools.partial(_sweep_point, cfg["filter"], cfg["stream"], cfg["trials"])
     rows = pool_map(point_fn, points, _workers())
 
-    with _OutputSet() as outputs, outputs.open(out_path) as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(list(grid) + ["steady_state_mse", "final_dict_size",
-                                 "total_seconds", "error"])
-        for row in rows:  # deterministic: submission order, not completion
-            w.writerow([fmt17(row[k]) for k in grid]
-                       + [fmt17(row["steady_state_mse"]) if row["error"] == "" else "",
-                          fmt17(row["final_dict_size"]) if row["error"] == "" else "",
-                          fmt17(row["total_seconds"]), row["error"]])
+    # deterministic: submission order, not completion
+    _write_csv(out_path, list(grid) + ["steady_state_mse", "final_dict_size",
+                                       "total_seconds", "error"],
+               ([fmt17(row[k]) for k in grid]
+                + [fmt17(row["steady_state_mse"]) if row["error"] == "" else "",
+                   fmt17(row["final_dict_size"]) if row["error"] == "" else "",
+                   fmt17(row["total_seconds"]), row["error"]] for row in rows))
     failures = sum(1 for r in rows if r["error"])
     print(f"wrote {out_path} ({len(rows)} grid points, {failures} failed)")
     return 0
@@ -288,14 +294,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    res = run_bench(args.filter, args.sizes)
+    res = run_bench(args.filter)
     if args.out:
-        with _OutputSet() as outputs, outputs.open(args.out) as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["size", "median_step_seconds", "rel_iqr"])
-            for row in res.rows:
-                w.writerow([row.size, fmt17(row.median_step_seconds),
-                            fmt17(row.rel_iqr)])
+        _write_csv(args.out, ["size", "median_step_seconds", "rel_iqr"],
+                   ([row.size, fmt17(row.median_step_seconds), fmt17(row.rel_iqr)]
+                    for row in res.rows))
     print(json.dumps({"filter": res.kind, "slope": res.slope,
                       "unstable_timings": res.unstable}, sort_keys=True))
     if res.unstable:
@@ -310,14 +313,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated list of integers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,10 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="oracle-equivalence suites")
     v.add_argument("--suite", required=True, choices=SUITES)
 
-    b = sub.add_parser("bench", help="per-iteration cost scaling")
+    b = sub.add_parser("bench", help="per-iteration cost scaling over a fixed recipe")
     b.add_argument("--filter", required=True, choices=BENCH_KINDS)
-    b.add_argument("--sizes", required=True, type=_int_list,
-                   help="comma-separated increasing sizes, e.g. 50,100,200")
     b.add_argument("--out", default=None, help="optional CSV output path")
     return p
 

@@ -59,14 +59,12 @@ class Klms:
         d = check_target(first_target)
         self.eta = eta
         self.max_terms = max_terms
-        # Amortized-doubling buffers: every step appends a row (a column of D).
+        # Amortized-doubling buffers: every term is a row (a column of D).
         self._centers = np.empty((16, u.shape[0]))
         self._coeffs = np.empty(16)
-        self._D = np.zeros((u.shape[0] + 2, 16))  # columns [c_i - c_1; q_i; 1]
-        self._centers[0] = u
-        self._coeffs[0] = eta * d
-        self._D[-1, 0] = 1.0
-        self.n = 1
+        self._D = np.empty((u.shape[0] + 2, 16))  # columns [c_i - c_1; q_i; 1]
+        self.n = 0
+        self._append(u, eta * d, np.zeros(u.shape[0]), 0.0)
 
     @property
     def dim(self) -> int:
@@ -124,18 +122,23 @@ class Klms:
             raise CapacityError(
                 f"expansion reached the configured cap of {self.max_terms} terms"
             )
-        n = self.n
         y, w, ww = self._expansion(uu)
         e = dd - y
+        self._append(uu, self.eta * e, w, ww)
+        return StepOutput(y=y, e=e, grew=True, dict_size=self.n)
 
-        self._centers = append_row(self._centers, n, uu)
-        self._coeffs = append_row(self._coeffs, n, self.eta * e)
+    def _append(self, u: np.ndarray, c: float, w: np.ndarray, ww: float) -> None:
+        """Append the term c k(u, .), with w = u - c_1 and ww = ||w||^2: its
+        center, its coefficient and its column of D, the one path every term
+        is written through."""
+        n = self.n
+        self._centers = append_row(self._centers, n, u)
+        self._coeffs = append_row(self._coeffs, n, c)
         self._D = reserve(self._D, n, axis=1)
         self._D[:-2, n] = w
         self._D[-2, n] = ww
         self._D[-1, n] = 1.0
         self.n = n + 1
-        return StepOutput(y=y, e=e, grew=True, dict_size=self.n)
 
     def to_snapshot(self) -> dict:
         snap = {
@@ -162,15 +165,11 @@ class Klms:
                   centers[0], 0.0, max_terms=snap.get("max_terms"))
         if obj.max_terms is not None and n > obj.max_terms:
             raise ValidationError(f"snapshot holds {n} terms, above its cap of {obj.max_terms}")
-        obj._centers = centers
-        obj._coeffs = coeffs
-        # Each column as `step` computes it, in a C-ordered buffer as `step`
-        # grows it (BLAS sums in the layout's order): resumed steps match bit
-        # for bit.
-        ws = [c - centers[0] for c in centers]
-        obj._D = np.empty((centers.shape[1] + 2, n))
-        obj._D[:-2] = np.transpose(ws)
-        obj._D[-2] = [_norm2(w) for w in ws]
-        obj._D[-1] = 1.0
-        obj.n = n
+        # Replay the terms in order through `_append`, each column as `step`
+        # computes it: the buffers match the saved filter's, and resumed
+        # steps match bit for bit.
+        obj.n = 0
+        for u, c in zip(centers, coeffs):
+            w = u - centers[0]
+            obj._append(u, c, w, _norm2(w))
         return obj

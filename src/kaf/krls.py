@@ -390,7 +390,8 @@ class KrlsAldReg:
         snapshot without "P_pending", as older ones are, has no pending
         rows. Snapshots of the former P/M/G^-1 state (with "M" or
         "gram_inv") are refused: their P is a different matrix from this
-        version's.
+        version's. With resume_exact, P = P_b - Y^T Y must be positive
+        definite: one Cholesky factorization checks it.
         """
         if as_object(snap, "snapshot").get("algorithm") != "krls-ald-reg":
             raise ValidationError(f"not a krls-ald-reg snapshot: {snap.get('algorithm')!r}")
@@ -422,6 +423,11 @@ class KrlsAldReg:
             obj._Pb, obj._Y, obj._m = np.empty((cap, cap)), np.empty((PENDING + BLOCK, cap)), m
             obj._Pb[:k, :k] = Pb
             obj._Y[:m, :k] = Y
+            try:  # a P that is not positive definite loads but could not train
+                np.linalg.cholesky(obj.P)
+            except np.linalg.LinAlgError:
+                raise ValidationError("snapshot P = 'P' - 'P_pending'^T 'P_pending' "
+                                      "is not positive definite") from None
             obj.b = snapshot_array(snap, "b", (k,))
             obj._alpha = None
         else:

@@ -140,4 +140,8 @@ class Rls(_LinearModel):
         obj.aux = snapshot_array(snap, "aux", (dim, dim))
         if not np.array_equal(obj.aux, obj.aux.T):  # a saved aux is exactly symmetric
             raise ValidationError("snapshot 'aux' is not symmetric")
+        try:  # an aux that is not positive definite loads but could not train
+            np.linalg.cholesky(obj.aux)
+        except np.linalg.LinAlgError:
+            raise ValidationError("snapshot 'aux' is not positive definite") from None
         return obj

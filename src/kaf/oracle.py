@@ -145,19 +145,6 @@ def batch_krr(inputs, targets, spec: KernelSpec, lam: float) -> np.ndarray:
     return _solve(K + lam * np.eye(x.shape[0]), d, lam)
 
 
-def batch_solve_lambda_gram(problem: BatchProblem) -> np.ndarray:
-    """Diagnostic variant with the ridge entering through the RKHS metric:
-    solves (A^T A G + lam G) alpha = A^T d.
-
-    This documents the gap between penalizing the coefficient vector in the
-    Euclidean metric (the contract used by the recursion) and in the kernel
-    metric; the two coincide only when G acts as the identity on alpha.
-    """
-    sol = batch_solve_regularized(problem)
-    system = sol.A.T @ sol.A @ sol.gram + problem.lam * sol.gram
-    return _solve(system, sol.A.T @ problem.targets, problem.lam)
-
-
 def objective(A: np.ndarray, G: np.ndarray, targets: np.ndarray, lam: float,
               alpha: np.ndarray) -> float:
     """Regularized squared-error cost ||A G alpha - d||^2 + lam alpha^T G alpha."""

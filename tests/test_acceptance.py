@@ -99,12 +99,12 @@ def test_gram_psd():
 
 
 def test_cost_scaling():
-    # A forced-growth KRLS step makes three K^2 matrix-vector products and no
-    # K^2 write. Only from K ~ 500 on do they outweigh its fixed call cost
-    # (~70 us) and stream from memory rather than cache; over sizes 50-800
-    # the log-log slope reads about 1.
-    krls = run_bench("krls-ald-reg", [500, 707, 1000, 1414, 2000])
-    klms = run_bench("klms", [500, 1000, 2000, 4000, 8000])
+    # The recipes of `kaf.bench.RECIPES`. A forced-growth KRLS step makes
+    # three K^2 matrix-vector products and no K^2 write. Only from K ~ 500 on
+    # do they outweigh its fixed call cost (~70 us) and stream from memory
+    # rather than cache; over sizes 50-800 the log-log slope reads about 1.
+    krls = run_bench("krls-ald-reg")
+    klms = run_bench("klms")
     ok = 1.5 <= krls.slope <= 2.5 and 0.7 <= klms.slope <= 1.3
     report("cost-scaling", ok,
            f"KRLS log-log slope {krls.slope:.2f} in [1.5, 2.5]; "

@@ -9,6 +9,7 @@ import pytest
 
 import kaf
 import kaf.bench
+import kaf.cli
 import kaf.verify
 from kaf.cli import main
 from kaf.dictionary import Dictionary
@@ -266,9 +267,11 @@ class TestUsage:
          "argument --seed: invalid int value: 'abc'"),
         (["run"], "the following arguments are required: --config"),
         (["verify", "--suite", "bogus"], "argument --suite: invalid choice: 'bogus'"),
-        (["bench", "--filter", "lms", "--sizes", "10,abc", "--out", "b.csv"],
-         "argument --sizes: not a comma-separated list of integers: '10,abc'"),
-    ], ids=["bad-flag-value", "missing-config", "unknown-suite", "bad-sizes"])
+        (["bench", "--filter", "lms", "--out", "b.csv"],
+         "argument --filter: invalid choice: 'lms'"),
+        (["bench", "--filter", "klms", "--sizes", "500,1000", "--out", "b.csv"],
+         "unrecognized arguments: --sizes 500,1000"),
+    ], ids=["bad-flag-value", "missing-config", "unknown-suite", "bench-lms", "bench-sizes"])
     def test_usage_error_exits_1(self, argv, message, tmp_path, monkeypatch, capsys):
         """A malformed command line is a validation error, not argparse's
         exit 2, which the contract gives to numerical failures."""
@@ -499,15 +502,28 @@ class TestVerify:
 
 
 class TestBench:
+    def test_recipes(self, monkeypatch):
+        """Each recipe's sizes strictly increase from above the warm-up size,
+        and every kind is a `--filter` choice that reaches `run_bench`."""
+        for kind, sizes in kaf.bench.RECIPES.items():
+            assert all(a < b for a, b in zip(sizes, sizes[1:])), kind
+            assert sizes[0] > kaf.bench.WARMUP_SIZE, kind
+        kinds = []
+        monkeypatch.setattr(kaf.cli, "run_bench", lambda kind: kinds.append(kind)
+                            or kaf.bench.BenchResult(kind, [], 2.0, False))
+        for kind in kaf.bench.RECIPES:
+            assert main(["bench", "--filter", kind]) == 0
+        assert kinds == list(kaf.bench.RECIPES)
+
     def test_emits_csv_and_slope(self, tmp_path, capsys):
         out = str(tmp_path / "bench.csv")
-        assert main(["bench", "--filter", "lms", "--sizes", "8,16,32",
-                     "--out", out]) == 0
+        assert main(["bench", "--filter", "krls-ald-reg", "--out", out]) == 0
         rows = read_rows(out)
         assert rows[0] == ["size", "median_step_seconds", "rel_iqr"]
-        assert len(rows) == 4
+        assert [int(r[0]) for r in rows[1:]] == list(kaf.bench.RECIPES["krls-ald-reg"])
         report = json.loads(capsys.readouterr().out.splitlines()[0])
-        assert np.isfinite(report["slope"])
+        assert sorted(report) == ["filter", "slope", "unstable_timings"]
+        assert report["filter"] == "krls-ald-reg" and np.isfinite(report["slope"])
 
     def test_failed_child_exits_2(self, tmp_path, monkeypatch, capfd):
         """A child that cannot run, here a program in place of the Python
@@ -516,45 +532,9 @@ class TestBench:
         child.write_text("#!/bin/sh\necho 'ValueError: no child' >&2\nexit 1\n")
         child.chmod(0o755)
         monkeypatch.setattr(sys, "executable", str(child))
-        assert main(["bench", "--filter", "krls-ald-reg", "--sizes", "3,10"]) == 2
+        assert main(["bench", "--filter", "krls-ald-reg"]) == 2
         out, err = capfd.readouterr()
         assert err == ""
         error = json.loads(out)["error"]
         assert error["type"] == "numerical"
         assert error["message"] == "bench child exited 1: ValueError: no child"
-
-    def test_unindexable_size_refused_before_the_child(self, monkeypatch, capfd):
-        """A size whose stream numpy cannot index is a validation error: exit
-        1 with empty stderr, and no child started."""
-        def no_child(*args, **kwargs):
-            raise AssertionError("a child was started")
-
-        monkeypatch.setattr(kaf.bench.subprocess, "run", no_child)
-        assert main(["bench", "--filter", "krls-ald-reg", "--sizes", f"3,{10 ** 30}"]) == 1
-        out, err = capfd.readouterr()
-        assert err == ""
-        error = json.loads(out)["error"]
-        assert error["type"] == "validation"
-        assert error["message"].startswith("sizes must be at most ")
-
-    @pytest.mark.parametrize("kind", ["lms", "krls-ald-reg"])
-    def test_unallocatable_size_is_a_validation_error(self, kind, capfd):
-        """A size numpy can index but no machine can allocate (a stream above
-        1 PiB, refused before anything is allocated) is refused by the child
-        and reported as a validation error naming `sizes`: exit 1."""
-        assert main(["bench", "--filter", kind, "--sizes", f"3,{10 ** 15}"]) == 1
-        out, err = capfd.readouterr()
-        assert err == ""
-        error = json.loads(out)["error"]
-        assert error["type"] == "validation"
-        assert error["message"].startswith(f"sizes: a stream past size {10 ** 15} is too large")
-
-    def test_sizes_must_increase(self, capsys):
-        assert main(["bench", "--filter", "lms", "--sizes", "32,16"]) == 1
-        capsys.readouterr()
-
-    def test_lms_step_time_flat_in_size(self, capsys):
-        # no dictionary: per-step cost does not scale with the size axis
-        assert main(["bench", "--filter", "lms", "--sizes", "50,100,200,400"]) == 0
-        report = json.loads(capsys.readouterr().out.splitlines()[0])
-        assert abs(report["slope"]) <= 0.5

@@ -186,9 +186,10 @@ class TestRls:
         """At forgetting 1, an aux that is not positive definite gives a
         denominator forgetting + u'.aux.u of 0 or below, and an aux whose
         quadratic form overflows one of inf: the step names it, with no numpy
-        warning, and writes nothing."""
-        snap = dict(Rls(2, 0.1).to_snapshot(), aux=aux)
-        f = Rls.from_snapshot(snap)
+        warning, and writes nothing. (The loader refuses the first two.)"""
+        f = Rls(2, 0.1)
+        f.aux = np.array(aux)
+        snap = f.to_snapshot()
         with pytest.raises(NumericalError, match=r"denominator forgetting \+ u'.aux.u is"):
             f.step(u, 1.0)
         assert f.to_snapshot() == snap
@@ -201,6 +202,15 @@ class TestRls:
             Rls.from_snapshot(dict(snap, aux=[[1.0, 0.5], [0.5 + 1e-16, 1.0]]))
         with pytest.raises(ValidationError, match="'aux' is not symmetric"):
             Rls.from_snapshot(dict(snap, aux=[[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_snapshot_refuses_indefinite_aux(self):
+        """An aux that is symmetric but not positive definite, which would
+        load and then train until a denominator fell below its floor, is
+        refused by the one Cholesky factorization the loader runs."""
+        snap = Rls(2, 0.3).to_snapshot()
+        for aux in ([[-1.0, 0.0], [0.0, -1.0]], [[1.0, 2.0], [2.0, 1.0]]):
+            with pytest.raises(ValidationError, match="'aux' is not positive definite"):
+                Rls.from_snapshot(dict(snap, aux=aux))
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):

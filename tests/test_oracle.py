@@ -5,7 +5,6 @@ from kaf import (
     BatchProblem,
     KernelSpec,
     batch_krr,
-    batch_solve_lambda_gram,
     batch_solve_regularized,
     gram,
 )
@@ -139,24 +138,6 @@ class TestStationarity:
             perturbed = sol.alpha + 1e-3 * direction
             assert objective(sol.A, sol.gram, prob.targets, prob.lam,
                              perturbed) >= base
-
-
-class TestLambdaGramVariant:
-    def test_differs_from_euclidean_penalty(self):
-        """Putting the ridge through the kernel metric gives a different
-        solution whenever the Gram matrix is not the identity."""
-        prob = random_problem(n=30, seed=8)
-        euclid = batch_solve_regularized(prob).alpha
-        metric = batch_solve_lambda_gram(prob)
-        assert metric.shape == euclid.shape
-        assert np.all(np.isfinite(metric))
-        assert np.linalg.norm(metric - euclid) > 1e-6
-
-    def test_coincides_when_gram_is_identity(self):
-        # two widely separated centers: Gram ~ I, so the penalties agree
-        prob = BatchProblem([[0.0], [100.0]], [1.0, -1.0], GAUSS, 0.5, 0.1)
-        np.testing.assert_allclose(batch_solve_lambda_gram(prob),
-                                   batch_solve_regularized(prob).alpha, atol=1e-10)
 
 
 def test_singular_system_raises():

@@ -410,16 +410,18 @@ def _saved(name: str) -> dict:
 def corruptions(draw):
     """A filter of SNAPSHOT_FILTERS and one corruption of one field of its
     snapshot: a non-finite entry, a wrong shape, the key dropped, a bool or
-    string in place of a number, an asymmetric P or aux, an edited checksum,
-    or one pending row of Y more than can be pending."""
+    string in place of a number, an asymmetric P or aux, one eigen-direction
+    of P = P_b - Y^T Y (or of aux) negated, an edited checksum, or one pending
+    row of Y more than can be pending."""
     name = draw(st.sampled_from(sorted(SNAPSHOT_FILTERS)))
     snap = _saved(name)
     kinds = ["non_finite", "shape", "drop", "wrong_type"]
-    kinds += ["asymmetric"] * ("P" in snap or "aux" in snap)
+    kinds += ["asymmetric", "indefinite"] * ("P" in snap or "aux" in snap)
     kinds += ["checksum"] * ("centers_sha256" in snap)
     kinds += ["pending_too_many"] * SNAPSHOT_FILTERS[name][1]
     kind = draw(st.sampled_from(kinds))
-    key = {"asymmetric": "P" if "P" in snap else "aux", "checksum": "centers_sha256",
+    inverse = "P" if "P" in snap else "aux"
+    key = {"asymmetric": inverse, "indefinite": inverse, "checksum": "centers_sha256",
            "pending_too_many": "P_pending"}.get(kind)
     if key is None:
         key = draw(st.sampled_from(sorted(set(snap) - OPTIONAL_KEYS if kind == "drop"
@@ -445,6 +447,11 @@ def _corrupt(snap: dict, kind: str, key: str, new, index: int) -> dict:
                      if isinstance(value, list) else [value])
     elif kind == "asymmetric":   # one entry one ulp off
         snap[key][0][1] = float(np.nextafter(value[0][1], np.inf))
+    elif kind == "indefinite":   # P's top eigen-direction negated, P_b kept exactly symmetric
+        Pb = np.array(value)
+        Y = np.array(snap.get("P_pending", np.empty((0, len(Pb)))))
+        lam, V = np.linalg.eigh(Pb - Y.T @ Y)
+        snap[key] = (Pb - 2 * lam[-1] * np.outer(V[:, -1], V[:, -1])).tolist()
     elif kind == "checksum":     # one hex digit edited
         snap[key] = value[:index] + ("1" if value[index] == "0" else "0") + value[index + 1:]
     elif kind == "pending_too_many":
