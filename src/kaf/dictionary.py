@@ -11,6 +11,13 @@ when full (`base.reserve_square`), so an admission copies no K x K array; the
 property `W` is a read-only (K, K) view. G itself is not kept: `gram`
 recomputes it from the centers for verification and diagnostics.
 
+The centers are stored coordinate-major, one per column of an (L, capacity)
+buffer that doubles along its columns when full (`base.reserve`, axis 1). A
+Gaussian kernel vector then reads one contiguous row per coordinate, and
+`kernel_vector` passes the buffer's used columns to `kernels.kernel_vector`
+directly. The property `centers` is their read-only (K, L) transpose, and a
+snapshot and its checksum see the same (K, L) values and bytes as before.
+
 W depends on the centers alone, so a snapshot stores only the centers and
 their checksum: `from_snapshot` rebuilds W by admitting the centers again in
 order, the same float operations that grew it, so the factor is bit-identical.
@@ -28,13 +35,12 @@ roundoff bound, for `KrlsAldReg.run`.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .base import append_row, as_input, as_object, convert, reserve_square, snapshot_array
+from .base import append_row, as_input, as_object, convert, reserve, reserve_square, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
 from .kernels import KernelSpec, check_spec, kernel_block, kernel_diag, kernel_self, kernel_vector
 
@@ -97,7 +103,7 @@ class Dictionary:
             )
         self._W = np.empty((0, 0))
         self._row_l1 = np.empty(4)  # sum_j |W_ij| of each row i
-        self._centers = np.empty((4, c.shape[0]))
+        self._centers = np.empty((c.shape[0], 4))  # (L, capacity): a center per column
         self._size = 0
         self._grow(c, self._ald(c, 0.0))
 
@@ -107,12 +113,13 @@ class Dictionary:
 
     @property
     def dim(self) -> int:
-        return self._centers.shape[1]
+        return self._centers.shape[0]
 
     @property
     def centers(self) -> np.ndarray:
-        """Read-only (K, L) view of the admitted centers, in admission order."""
-        view = self._centers[: self._size]
+        """Read-only (K, L) view of the admitted centers, in admission order:
+        the transpose of the buffer's used columns."""
+        view = self._centers[:, : self._size].T
         view.flags.writeable = False
         return view
 
@@ -130,7 +137,7 @@ class Dictionary:
 
     def kernel_vector(self, u: np.ndarray) -> np.ndarray:
         """h_i = k(c_i, u) against every stored center."""
-        return kernel_vector(self.spec, self._centers[: self._size], u)
+        return kernel_vector(self.spec, self._centers[:, : self._size].T, u)
 
     def ald_test(self, u, delta: float) -> AldResult:
         """Test whether u's feature vector is within residual `delta` of the span.
@@ -192,7 +199,8 @@ class Dictionary:
         W[k, :k] = -(ald.l @ W[:k, :k]) / s
         W[k, k] = 1.0 / s
 
-        self._centers = append_row(self._centers, k, uu)
+        self._centers = reserve(self._centers, k, axis=1)
+        self._centers[:, k] = uu
         self._row_l1 = append_row(self._row_l1, k, np.abs(W[k, :k + 1]).sum())
         self._W = W
         self._size = k + 1
@@ -200,12 +208,12 @@ class Dictionary:
     # -- serialization ----------------------------------------------------
 
     def centers_checksum(self) -> str:
-        return _checksum(self._centers[: self._size])
+        return _checksum(self.centers)
 
     def to_snapshot(self) -> dict:
         return {
             "kernel": self.spec.to_json(),
-            "centers": self._centers[: self._size].tolist(),
+            "centers": self.centers.tolist(),
             "centers_sha256": self.centers_checksum(),
         }
 
@@ -258,14 +266,21 @@ class AldScreen:
 
     `extend` follows the dictionary's growth by one center. W's old rows do
     not change, so L gains the column of W's new row and d2 drops by its
-    square: the same bound, with K one larger.
+    square: the same bound, with K one larger. H and L sit in buffers with
+    room for one admission per input, so `extend` writes one column of each
+    and copies neither; `L` is the view of the columns in use.
     """
 
     def __init__(self, dic: Dictionary, U: np.ndarray):
         self._dic = dic
         self._U = U
-        self._H = kernel_block(dic.spec, U, dic.centers)
-        self.L = self._H @ dic.W.T
+        m, k = U.shape[0], dic.size
+        H = kernel_block(dic.spec, U, dic.centers)
+        self._H = np.empty((m, k + m))
+        self._H[:, :k] = H
+        self._L = np.empty((m, k + m))
+        self.L = self._L[:, :k]
+        np.matmul(H, dic.W.T, out=self.L)
         self._k_uu = kernel_diag(dic.spec, U)
         self.d2 = self._k_uu - np.einsum("ij,ij->i", self.L, self.L)
         self._k_cc = float(kernel_diag(dic.spec, dic.centers).max())
@@ -281,17 +296,20 @@ class AldScreen:
 
     def extend(self) -> None:
         """Add the center the dictionary admitted last, and W's new row."""
+        k = self._dic.size
         c, w = self._dic.centers[-1:], self._dic.W[-1]
-        self._H = np.column_stack((self._H, kernel_block(self._dic.spec, self._U, c)))
-        l = self._H @ w
-        self.L = np.column_stack((self.L, l))
+        self._H[:, k - 1:k] = kernel_block(self._dic.spec, self._U, c)
+        l = self._H[:, :k] @ w
+        self._L[:, k - 1] = l
+        self.L = self._L[:, :k]
         self.d2 -= l * l
         self._k_cc = max(self._k_cc, float(kernel_diag(self._dic.spec, c)[0]))
-        self._lw += np.abs(l) * self._dic._row_l1[self._dic.size - 1]
+        self._lw += np.abs(l) * self._dic._row_l1[k - 1]
 
 
 def _checksum(centers: np.ndarray) -> str:
-    """SHA-256 of a (K, L) center array's shape and float64 bytes."""
+    """SHA-256 of a (K, L) center array's shape and float64 bytes, in C order."""
+    import hashlib  # only snapshots hash: `import kaf` does not load it
     c = np.ascontiguousarray(centers)
     digest = hashlib.sha256()
     digest.update(repr(c.shape).encode())

@@ -8,6 +8,20 @@ Two kernel families are supported:
 Note the Gaussian width enters as sigma^2, not the also-common 2*sigma^2
 convention; callers using the latter should pass sigma * sqrt(2).
 
+Every Gaussian value is formed one way: the squared coordinate differences
+s_j = (u_j - v_j)^2 are summed in index order, ((s_0 + s_1) + s_2) + ...,
+whatever the CPU's SIMD width, then divided by -sigma^2 and passed to `exp`.
+`kernel_vector` squares an (L, K) array of differences in place and adds
+its rows; `kernel_block` adds one (m, n) array of squares per coordinate.
+Neither pairs the terms any other way, so, bit for bit,
+
+    kernel_vector(spec, C, u) == kernel_block(spec, u[None], C)[0]
+
+for any memory layout of C, `kernel_eval(spec, u, v)` (which is
+`kernel_block`'s 1 x 1 entry) equals the matching entry of both, and `gram`
+is exactly symmetric. KLMS's shifted-center expansion (`Klms._expansion`)
+is the one other Gaussian formula, with its own error bound.
+
 All evaluation is pure and stateless, safe for unsynchronized concurrent use.
 """
 
@@ -68,14 +82,12 @@ def check_spec(spec) -> KernelSpec:
 
 
 def kernel_eval(spec: KernelSpec, u, v) -> float:
-    """Evaluate k(u, v). Symmetric in its arguments; Gaussian values lie in (0, 1]."""
+    """Evaluate k(u, v): `kernel_block`'s 1 x 1 entry. Symmetric in its
+    arguments; Gaussian values lie in (0, 1]."""
     check_spec(spec)
     uu = as_input(u)
     vv = as_input(v, dim=uu.shape[0])
-    if spec.family == "gaussian":
-        diff = uu - vv
-        return float(np.exp(-np.dot(diff, diff) / (spec.sigma * spec.sigma)))
-    return float((np.dot(uu, vv) + 1.0) ** spec.degree)
+    return float(kernel_block(spec, uu[None], vv[None])[0, 0])
 
 
 def kernel_self(spec: KernelSpec, u: np.ndarray) -> float:
@@ -97,11 +109,17 @@ def kernel_diag(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
 
 
 def kernel_vector(spec: KernelSpec, centers: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """k(c_i, u) for every row c_i of `centers`. Hot path: inputs assumed validated."""
+    """k(c_i, u) for every row c_i of the (K, L) `centers`, bit-identical to
+    `kernel_block(spec, u[None], centers)[0]` for the Gaussian. Fastest when
+    the rows of `centers.T` are contiguous, as `Dictionary.centers`' are.
+    Hot path: inputs assumed validated."""
     if spec.family == "gaussian":
-        diff = centers - u
-        # x / -s^2 is the float -x / s^2, one pass fewer
-        return np.exp(np.einsum("ij,ij->i", diff, diff) / -(spec.sigma * spec.sigma))
+        sq = centers.T - u[:, None]  # (L, K): one contiguous row per coordinate
+        sq *= sq
+        acc = sq[0] if sq.shape[0] else np.zeros(sq.shape[1])  # L = 0: distance 0
+        for j in range(1, sq.shape[0]):
+            acc += sq[j]
+        return _gaussian(spec, acc)
     return (centers @ u + 1.0) ** spec.degree
 
 
@@ -109,11 +127,27 @@ def kernel_block(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """K[i, j] = k(x_i, z_j) for the rows of X and Z. Hot path: inputs assumed validated."""
     if spec.family == "gaussian":
         # Explicit differences keep K(x, x) exactly symmetric, which the
-        # expanded ||x||^2 + ||z||^2 - 2 x.z form does not guarantee.
-        diff = X[:, None, :] - Z[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
-        return np.exp(-sq / (spec.sigma * spec.sigma))
+        # expanded ||x||^2 + ||z||^2 - 2 x.z form does not guarantee. One
+        # (m, n) difference per coordinate, never an (m, n, L) array.
+        if X.shape[1] == 0:  # L = 0: distance 0
+            return np.ones((X.shape[0], Z.shape[0]))
+        acc = X[:, :1] - Z[:, 0]
+        acc *= acc
+        if X.shape[1] > 1:
+            sq = np.empty_like(acc)
+            for j in range(1, X.shape[1]):
+                np.subtract(X[:, j, None], Z[:, j], out=sq)
+                sq *= sq
+                acc += sq
+        return _gaussian(spec, acc)
     return (X @ Z.T + 1.0) ** spec.degree
+
+
+def _gaussian(spec: KernelSpec, sq: np.ndarray) -> np.ndarray:
+    """exp(-sq / sigma^2), in place in the squared distances `sq`."""
+    # x / -s^2 is the float -x / s^2, one pass fewer
+    sq /= -(spec.sigma * spec.sigma)
+    return np.exp(sq, out=sq)
 
 
 def kernel_matrix(spec: KernelSpec, x, z) -> np.ndarray:

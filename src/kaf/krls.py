@@ -144,13 +144,14 @@ class KrlsAldReg:
                  first_input, first_target):
         check_spec(spec)
         self.lam, self.delta = check_lambda(lam), check_delta(delta)
-        self.dict = Dictionary(spec, first_input)
+        u = as_input(first_input)
+        self.dict = Dictionary(spec, u)
         d = check_target(first_target)
         # K = 0: border the empty state. Y holds the pending rows and a
         # block's, up to BLOCK, before the flush.
         self._Pb, self._Y, self._m = np.empty((0, 0)), np.empty((PENDING + BLOCK, 1)), 0
         self.b = np.empty(0)
-        self._border(*self._gain(np.empty(0)), kernel_self(spec, self.dict.centers[0]), d)
+        self._border(*self._gain(np.empty(0)), kernel_self(spec, u), d)
         self.n = 1
 
     @property

@@ -189,6 +189,18 @@ class TestGrow:
 
 
 class TestSnapshot:
+    def test_checksum_is_pinned(self):
+        """The checksum hashes the (K, L) centers in C order, whatever the
+        buffer's layout: snapshots written by earlier versions still load."""
+        pts = [[0.0, 1.0, -0.5], [2.0, -1.0, 0.25], [0.5, 3.0, 1.0],
+               [-1.5, 0.0, 2.0], [1.0, 1.0, 1.0]]
+        d = grown_dictionary(GAUSS, pts, 0.1)
+        snap = d.to_snapshot()
+        assert snap["centers"] == pts
+        assert snap["centers_sha256"] == (
+            "d62397ca400e5ce0840f4098fe9af46aa7036410f5420a0966f3b80b1282ff69")
+        np.testing.assert_array_equal(Dictionary.from_snapshot(snap).centers, pts)
+
     def test_round_trip_recompute(self):
         rng = np.random.default_rng(6)
         d = grown_dictionary(GAUSS, rng.uniform(-2, 2, (40, 2)), 0.05)
@@ -228,7 +240,7 @@ class TestSnapshot:
         a matching one the replay cannot admit the copy: NumericalError."""
         d = grown_dictionary(GAUSS, [[0.0], [2.0]], 0.1)
         snap = d.to_snapshot()
-        d._centers[1] = d._centers[0]
+        d._centers[:, 1] = d._centers[:, 0]  # the buffer holds a center per column
         snap["centers"] = d.centers.tolist()
         with pytest.raises(ValidationError, match="checksum"):
             Dictionary.from_snapshot(snap)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kaf import KernelSpec, expansion_inner_product, gram, kernel_eval, kernel_matrix
+from kaf import Dictionary, KernelSpec, expansion_inner_product, gram, kernel_eval, kernel_matrix
 from kaf.exceptions import DimensionMismatchError, NonFiniteInputError, ValidationError
+from kaf.kernels import kernel_block, kernel_vector
 from kaf.oracle import polynomial_feature_map
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -24,6 +26,13 @@ class TestEval:
 
     def test_polynomial(self):
         assert kernel_eval(KernelSpec("polynomial", degree=2), [1.0, 0.0], [1.0, 1.0]) == 4.0
+
+    def test_zero_length_vectors(self):
+        """Vectors of length 0 are at distance 0: every Gaussian value is 1."""
+        assert kernel_eval(GAUSS, [], []) == 1.0
+        np.testing.assert_array_equal(gram(GAUSS, [[], []]), np.ones((2, 2)))
+        np.testing.assert_array_equal(kernel_vector(GAUSS, np.empty((3, 0)), np.empty(0)),
+                                      np.ones(3))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -116,6 +125,44 @@ class TestGram:
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatchError):
             gram(GAUSS, np.empty((0, 2)))
+
+
+@st.composite
+def center_sets(draw):
+    """A Gaussian width, a query u and a (K, L) center set, L = 1..8, held in
+    C order, in F order or as a dictionary's own (transposed buffer) view."""
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    spec = KernelSpec("gaussian", sigma=draw(st.floats(0.3, 5.0)))
+    C = rng.standard_normal((draw(st.integers(1, 40)), dim)) * scale
+    layout = draw(st.sampled_from(["C", "F", "dictionary"]))
+    if layout == "F":
+        C = np.asfortranarray(C)
+    elif layout == "dictionary":
+        d = Dictionary(spec, C[0])
+        for c in C[1:]:
+            res = d.ald_test(c, 1e-6)
+            if res.admitted:
+                d.grow(c, res)
+        C = d.centers
+    return spec, rng.standard_normal(dim) * scale, C
+
+
+@settings(max_examples=300, deadline=None)
+@given(center_sets())
+def test_one_gaussian_summation_order(case):
+    """kernel_vector, kernel_block, gram and kernel_eval sum the squared
+    coordinate differences in one order, so they agree bit for bit."""
+    spec, u, C = case
+    h = kernel_vector(spec, C, u)
+    assert h.tobytes() == kernel_block(spec, u[None], C)[0].tobytes()
+    G = gram(spec, C)
+    assert np.array_equal(G, G.T)
+    for i in range(C.shape[0]):
+        assert kernel_eval(spec, C[i], u) == h[i]
+        assert kernel_eval(spec, u, C[i]) == h[i]
+        assert kernel_eval(spec, C[i], C[0]) == G[i, 0]
 
 
 class TestExpansionInnerProduct:
