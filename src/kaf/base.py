@@ -69,7 +69,9 @@ def as_input(u, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"incompatible vectors: expected length {dim}, got {v.shape[0]}"
         )
-    if not np.isfinite(v).all():
+    # v . v is finite only if every entry is: one BLAS call (np.vdot, unlike np.dot,
+    # warns of no overflow), and the exact test when an entry past 1.3e154 overflows it.
+    if not (math.isfinite(np.vdot(v, v)) or np.isfinite(v).all()):
         raise NonFiniteInputError("input vector contains non-finite entries")
     return v
 

@@ -20,7 +20,9 @@ KAF_THREADS bounds the worker processes that run trials (`kaf run`, where
 each worker also formats its trial's CSV rows) or grid points (`kaf sweep`)
 at once; runs are serial where the platform cannot fork.
 
-Outputs are deterministic given config + seed: CSV floats are printed with
+Outputs are deterministic given config, seed and BLAS thread count, and
+identical for every KAF_THREADS; a KRLS run at embed_L >= 2 can differ in
+the last digits between BLAS thread counts. CSV floats are printed with
 17 significant digits, and the curves' per-step wall times are zeros for
 every filter kind unless the config sets "record_timings": true, which also
 adds "mean_step_seconds" to the summary (real timings differ between runs).

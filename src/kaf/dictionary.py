@@ -13,10 +13,10 @@ recomputes it from the centers for verification and diagnostics.
 
 The centers are stored coordinate-major, one per column of an (L, capacity)
 buffer that doubles along its columns when full (`base.reserve`, axis 1). A
-Gaussian kernel vector then reads one contiguous row per coordinate, and
-`kernel_vector` passes the buffer's used columns to `kernels.kernel_vector`
-directly. The property `centers` is their read-only (K, L) transpose, and a
-snapshot and its checksum see the same (K, L) values and bytes as before.
+kernel vector then reads one contiguous row per coordinate: `kernel_vector`
+passes the used columns to `kernels._kernel_rows`, so h is bit for bit
+`kernels.kernel_vector`'s. The property `centers` is their read-only (K, L)
+transpose; a snapshot and its checksum see the same values and bytes.
 
 W depends on the centers alone, so a snapshot stores only the centers and
 their checksum: `from_snapshot` rebuilds W by admitting the centers again in
@@ -42,7 +42,7 @@ import numpy as np
 
 from .base import append_row, as_input, as_object, convert, reserve, reserve_square, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
-from .kernels import KernelSpec, check_spec, kernel_block, kernel_diag, kernel_self, kernel_vector
+from .kernels import KernelSpec, _kernel_rows, check_spec, kernel_block, kernel_diag, kernel_self
 
 # Residuals below this cannot be admitted: the new row of W divides by sqrt(d2).
 GROWTH_FLOOR = 1e-12
@@ -136,8 +136,9 @@ class Dictionary:
         return kernel_block(self.spec, self.centers, self.centers)
 
     def kernel_vector(self, u: np.ndarray) -> np.ndarray:
-        """h_i = k(c_i, u) against every stored center."""
-        return kernel_vector(self.spec, self._centers[:, : self._size].T, u)
+        """h_i = k(c_i, u) against every stored center, bit-identical to
+        `kernels.kernel_vector(spec, centers, u)`."""
+        return _kernel_rows(self.spec, self._centers[:, : self._size], u)
 
     def ald_test(self, u, delta: float) -> AldResult:
         """Test whether u's feature vector is within residual `delta` of the span.
@@ -162,7 +163,7 @@ class Dictionary:
                 f"ill-conditioned (cond ~ {cond:.3e}, size {self._size})"
             )
         d2 = max(d2_raw, 0.0)
-        return AldResult(l=l, d2=d2, admitted=d2 > delta, d2_raw=d2_raw)
+        return AldResult(l, d2, d2 > delta, d2_raw)
 
     def grow(self, u, ald: AldResult) -> None:
         """Admit u as a new center, appending a row to W.

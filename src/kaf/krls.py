@@ -202,7 +202,7 @@ class KrlsAldReg:
         else:
             self._update(q, D, e)
         self.n += 1
-        return StepOutput(y=y, e=e, grew=ald.admitted, dict_size=self.dict.size)
+        return StepOutput(y, e, ald.admitted, self.dict._size)
 
     def run(self, U, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Process the samples (U[i], d[i]) in order, as `step` on each would,

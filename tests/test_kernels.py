@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kaf import Dictionary, KernelSpec, expansion_inner_product, gram, kernel_eval, kernel_matrix
 from kaf.exceptions import DimensionMismatchError, NonFiniteInputError, ValidationError
-from kaf.kernels import kernel_block, kernel_vector
+from kaf.kernels import kernel_block, kernel_diag, kernel_self, kernel_vector
 from kaf.oracle import polynomial_feature_map
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -129,40 +129,82 @@ class TestGram:
 
 @st.composite
 def center_sets(draw):
-    """A Gaussian width, a query u and a (K, L) center set, L = 1..8, held in
-    C order, in F order or as a dictionary's own (transposed buffer) view."""
-    dim = draw(st.integers(1, 8))
+    """A Gaussian kernel or a polynomial one of degree 1..6, a query u and a
+    (K, L) center set, L = 0..8, held in C order, in F order or as a
+    dictionary's own (transposed buffer) view; the dictionary, or None."""
+    dim = draw(st.integers(0, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
-    spec = KernelSpec("gaussian", sigma=draw(st.floats(0.3, 5.0)))
+    spec = draw(st.one_of(st.floats(0.3, 5.0).map(lambda s: KernelSpec("gaussian", sigma=s)),
+                          st.integers(1, 6).map(lambda p: KernelSpec("polynomial", degree=p))))
     C = rng.standard_normal((draw(st.integers(1, 40)), dim)) * scale
     layout = draw(st.sampled_from(["C", "F", "dictionary"]))
+    d = None
     if layout == "F":
         C = np.asfortranarray(C)
     elif layout == "dictionary":
-        d = Dictionary(spec, C[0])
-        for c in C[1:]:
-            res = d.ald_test(c, 1e-6)
-            if res.admitted:
-                d.grow(c, res)
+        d = grown(spec, C)
         C = d.centers
-    return spec, rng.standard_normal(dim) * scale, C
+    return spec, rng.standard_normal(dim) * scale, C, d
+
+
+def grown(spec, points, check=lambda d: None):
+    """A dictionary that has tested every point at delta = 1e-6 and admitted
+    those it could, with `check(d)` called before each test."""
+    d = Dictionary(spec, points[0])
+    for c in points[1:]:
+        check(d)
+        res = d.ald_test(c, 1e-6)
+        if res.admitted:
+            d.grow(c, res)
+    return d
+
+
+def assert_one_row(spec, C, u, d=None):
+    """h = kernel_vector(spec, C, u) is bit for bit kernel_block's row, and
+    `d.kernel_vector(u)` for the dictionary d holding C."""
+    h = kernel_vector(spec, C, u)
+    assert h.tobytes() == kernel_block(spec, u[None], C)[0].tobytes()
+    if d is not None:
+        assert d.kernel_vector(u).tobytes() == h.tobytes()
+    return h
 
 
 @settings(max_examples=300, deadline=None)
 @given(center_sets())
-def test_one_gaussian_summation_order(case):
-    """kernel_vector, kernel_block, gram and kernel_eval sum the squared
-    coordinate differences in one order, so they agree bit for bit."""
-    spec, u, C = case
-    h = kernel_vector(spec, C, u)
-    assert h.tobytes() == kernel_block(spec, u[None], C)[0].tobytes()
+def test_one_summation_order(case):
+    """kernel_vector, kernel_block, gram, kernel_eval, kernel_self and
+    kernel_diag sum the per-coordinate terms in one order and raise the
+    polynomial base to its degree one way, so they agree bit for bit."""
+    spec, u, C, d = case
+    h = assert_one_row(spec, C, u, d)
     G = gram(spec, C)
     assert np.array_equal(G, G.T)
+    diag = kernel_diag(spec, C)
     for i in range(C.shape[0]):
         assert kernel_eval(spec, C[i], u) == h[i]
         assert kernel_eval(spec, u, C[i]) == h[i]
         assert kernel_eval(spec, C[i], C[0]) == G[i, 0]
+        assert kernel_self(spec, C[i]) == diag[i] == G[i, i]
+
+
+@pytest.mark.parametrize("spec, dim, k_min", [
+    (GAUSS, 0, 1), (GAUSS, 1, 9), (GAUSS, 3, 9),
+    (KernelSpec("polynomial", degree=2), 3, 9), (KernelSpec("polynomial", degree=6), 1, 7)])
+def test_dictionary_kernel_vector_reads_the_block_row(spec, dim, k_min):
+    """`Dictionary.kernel_vector` reads its (L, capacity) center rows, and h
+    is bit for bit the public kernel_vector and kernel_block's row at every
+    size: past the buffer's doublings at K = 4 and 8, and at L = 0."""
+    rng = np.random.default_rng(dim)
+    queries = rng.uniform(-4, 4, (5, dim))
+
+    def check(d):
+        for u in queries:
+            assert_one_row(spec, d.centers, u, d)
+
+    d = grown(spec, rng.uniform(-4, 4, (60, dim)), check)
+    check(d)
+    assert d.size >= k_min
 
 
 class TestExpansionInnerProduct:

@@ -272,6 +272,33 @@ def test_real_numbers_read_to_the_bits_numpy_gives(x):
             assert bits(check_target(x)) == bits(float(want))
 
 
+TINY = 2.2250738585072014e-308   # the smallest normal float64
+HUGE = 1.7976931348623157e308    # the largest finite float64
+entries = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(1e154, HUGE).flatmap(lambda x: st.sampled_from([x, -x])),  # x * x overflows
+    st.floats(-TINY, TINY),                                            # subnormals and zeros
+    st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@settings(PROPS, max_examples=300)
+@given(u=st.lists(entries, max_size=8), step=st.sampled_from([1, -1, 2]))
+@example(u=[HUGE, -1e154], step=1)
+def test_as_input_accepts_exactly_the_finite_vectors(u, step):
+    """`as_input`'s finiteness test, one product u . u with an exact
+    fallback, accepts exactly the vectors np.isfinite accepts, those whose
+    squares overflow included, and refuses the rest with the one error."""
+    x = np.array(u, dtype=np.float64)[::step]
+    if np.isfinite(x).all():
+        assert as_input(x) is x
+        assert as_input(x.tolist()).tobytes() == x.tobytes()
+    else:
+        for arg in (x, x.tolist()):
+            with pytest.raises(NonFiniteInputError,
+                               match="^input vector contains non-finite entries$"):
+                as_input(arg)
+
+
 def test_krls_step_validates_once(monkeypatch):
     """One `as_input` call per step on either branch, and no `kernel_eval`:
     k(u, u) comes from `kernel_self` on the already checked vector."""
