@@ -8,7 +8,6 @@ experiment streams, and a deterministic CLI harness.
 from .base import StepOutput
 from .dictionary import AldResult, Dictionary
 from .exceptions import (
-    CapacityError,
     DimensionMismatchError,
     KafError,
     NearSingularGrowthError,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AldResult",
     "BatchProblem",
-    "CapacityError",
     "Dictionary",
     "DimensionMismatchError",
     "FilterConfig",

@@ -195,15 +195,6 @@ def reserve_square(buf: np.ndarray, n: int) -> np.ndarray:
     return grown
 
 
-def append_row(buf: np.ndarray, n: int, value) -> np.ndarray:
-    """Write `value` as row n of `buf`, which holds n rows, doubling its
-    capacity first when it is full. Returns the buffer, new if it grew."""
-    if n == buf.shape[0]:
-        buf = reserve(buf, n)
-    buf[n] = value
-    return buf
-
-
 def check_target(d) -> float:
     """`d` as a finite float, read by `as_floats` (a float, numpy's float64 included, at once):
     a list, tuple or array of ndim >= 1 raises DimensionMismatchError, anything else not a

@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import append_row, as_input, as_object, convert, reserve, reserve_square, snapshot_array
+from .base import as_input, as_object, convert, reserve, reserve_square, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
 from .kernels import KernelSpec, _kernel_rows, check_spec, kernel_block, kernel_diag, kernel_self
 
@@ -143,9 +143,9 @@ class Dictionary:
     def ald_test(self, u, delta: float) -> AldResult:
         """Test whether u's feature vector is within residual `delta` of the span.
 
-        Does not mutate the dictionary. Raises NumericalError when the
-        maintained factor produces non-finite results (ill-conditioned Gram
-        matrix), reporting a condition-number diagnostic.
+        Does not mutate the dictionary. Raises NumericalError when the result
+        is not finite: naming the input's kernel values when they overflow (a
+        polynomial kernel), else the Gram matrix's condition number.
         """
         return self._ald(as_input(u, dim=self.dim), check_delta(delta))
 
@@ -154,9 +154,14 @@ class Dictionary:
         h = self.kernel_vector(uu)
         k = self._size
         l = self._W[:k, :k] @ h
-        d2_raw = float(kernel_self(self.spec, uu) - l @ l)
+        k_uu = kernel_self(self.spec, uu)
+        d2_raw = float(k_uu - l @ l)
         # l . l is a sum of squares, so d2_raw is finite only if every l_i is.
         if not math.isfinite(d2_raw):
+            if not (math.isfinite(k_uu) and np.isfinite(h).all()):  # a polynomial overflow
+                raise NumericalError(
+                    f"ALD test produced non-finite values: the input's kernel values are not "
+                    f"finite (k(u, u) = {k_uu!r}, max |k(c_i, u)| = {float(np.abs(h).max())!r})")
             cond = float(np.linalg.cond(self.gram))
             raise NumericalError(
                 f"ALD test produced non-finite values; Gram matrix is "
@@ -202,20 +207,18 @@ class Dictionary:
 
         self._centers = reserve(self._centers, k, axis=1)
         self._centers[:, k] = uu
-        self._row_l1 = append_row(self._row_l1, k, np.abs(W[k, :k + 1]).sum())
+        self._row_l1 = reserve(self._row_l1, k)
+        self._row_l1[k] = np.abs(W[k, :k + 1]).sum()
         self._W = W
         self._size = k + 1
 
     # -- serialization ----------------------------------------------------
 
-    def centers_checksum(self) -> str:
-        return _checksum(self.centers)
-
     def to_snapshot(self) -> dict:
         return {
             "kernel": self.spec.to_json(),
             "centers": self.centers.tolist(),
-            "centers_sha256": self.centers_checksum(),
+            "centers_sha256": _checksum(self.centers),
         }
 
     @classmethod

@@ -27,7 +27,3 @@ class NumericalError(KafError, ArithmeticError):
 
 class NearSingularGrowthError(NumericalError):
     """Dictionary growth refused: ALD residual below the numerical floor."""
-
-
-class CapacityError(KafError):
-    """A configured hard size cap was reached."""

@@ -43,7 +43,7 @@ GENERATORS = ("nonlinear_sysid", "noisy_sinc", "mackey_glass_like", "linear_plan
 # config object, flags and grid points may set, and those `FilterConfig.to_json`
 # writes. The filter's constructor checks the fields behind them.
 FILTER_KEYS = {
-    "klms": ("kernel", "eta", "max_terms"),
+    "klms": ("kernel", "eta"),
     "krls-ald-reg": ("kernel", "lambda", "delta"),
     "lms": ("eta",),
     "rls": ("lambda", "forgetting"),
@@ -170,11 +170,11 @@ class FilterConfig:
 
     A kind reads only the fields behind its `FILTER_KEYS` entry and keeps the
     values its filter's constructor, their one rule, stored for them
-    (`eta=np.float32(0.25)` reads as 0.25, `max_terms=5.0` as 5). Defaults
-    (documented, not derived): eta=0.2, delta=0.01, lam=0.1, and a Gaussian
-    kernel with sigma=1. `lam` is >= 0 for `krls-ald-reg` (0 is the original,
-    ridge-free KRLS) and > 0 for `rls`; `max_terms` is KLMS's term cap, an
-    integer >= 1 or None.
+    (`eta=np.float32(0.25)` reads as 0.25). Defaults (documented, not
+    derived): eta=0.2, delta=0.01, lam=0.1, and a Gaussian kernel with
+    sigma=1. `lam` is >= 0 for `krls-ald-reg` (0 is the original, ridge-free
+    KRLS) and > 0 for `rls`. No field takes None: `kernel` is None only for a
+    kind that does not read it.
     """
 
     kind: str
@@ -183,7 +183,6 @@ class FilterConfig:
     delta: float = 0.01
     eta: float = 0.2
     forgetting: float = 1.0
-    max_terms: int | None = None
 
     def __post_init__(self):
         """The kind is checked here; the fields it reads by the filter's
@@ -205,8 +204,7 @@ class FilterConfig:
         obj = {"kind": self.kind}
         for key in FILTER_KEYS[self.kind]:
             value = getattr(self, FIELD_NAMES.get(key, key))
-            if value is not None:
-                obj[key] = value.to_json() if key == "kernel" else value
+            obj[key] = value.to_json() if key == "kernel" else value
         return obj
 
     @classmethod
@@ -290,7 +288,7 @@ def build_filter(fc: FilterConfig, first_u: np.ndarray, first_d: float,
     if fc.kind == "krls-ald-reg":
         return KrlsAldReg(fc.kernel, fc.lam, fc.delta, first_u, first_d)
     if fc.kind == "klms":
-        return Klms(fc.kernel, fc.eta, first_u, first_d, max_terms=fc.max_terms)
+        return Klms(fc.kernel, fc.eta, first_u, first_d)
     if fc.kind == "lms":
         return Lms(embed_L, fc.eta)
     return Rls(embed_L, fc.lam, fc.forgetting)

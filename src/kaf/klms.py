@@ -9,8 +9,9 @@ pre-multiplied by eta so prediction is a single kernel-weighted sum; the raw
 error sequence is recoverable as coeffs / eta.
 
 The first recorded output is y(1) = 0 and e(1) = d(1), consistent with a
-zero initial weight vector. Memory grows linearly with the stream; an
-optional hard cap aborts with CapacityError instead of silently degrading.
+zero initial weight vector. Memory grows linearly with the stream: KLMS
+never sparsifies, so there is no term cap. A step whose new coefficient is
+not finite (a divergent eta) raises NumericalError before any write.
 
 The Gaussian sum is taken from squared distances about the first center
 c_1. A buffer D of shape (L + 2, capacity) holds one column per term,
@@ -32,33 +33,25 @@ offset, and the first term (c_1 - c_1 = 0, q_1 = 0) is exactly
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .base import (StepOutput, append_row, as_input, as_object, check_target, convert,
-                   reserve, scalar_field, snapshot_array)
-from .exceptions import CapacityError, ValidationError
+from .base import (StepOutput, as_input, as_object, check_target, convert, reserve,
+                   scalar_field, snapshot_array)
+from .exceptions import NumericalError, ValidationError
 from .kernels import KernelSpec, check_spec, kernel_vector
 
 
-def _norm2(w: np.ndarray) -> float:
-    return float(w @ w)
-
-
 class Klms:
-    def __init__(self, spec: KernelSpec, eta: float, first_input, first_target,
-                 *, max_terms: int | None = None):
+    def __init__(self, spec: KernelSpec, eta: float, first_input, first_target):
         self.spec = check_spec(spec)
         eta = convert(eta, float, "eta")
         if not (np.isfinite(eta) and eta > 0):
             raise ValidationError(f"eta must be > 0, got {eta!r}")
-        if max_terms is not None:
-            max_terms = convert(max_terms, int, "max_terms")
-            if max_terms < 1:
-                raise ValidationError(f"max_terms must be >= 1, got {max_terms!r}")
         u = as_input(first_input)
         d = check_target(first_target)
         self.eta = eta
-        self.max_terms = max_terms
         # Amortized-doubling buffers: every term is a row (a column of D).
         self._centers = np.empty((16, u.shape[0]))
         self._coeffs = np.empty(16)
@@ -98,7 +91,7 @@ class Klms:
         """
         n = self.n
         w = u - self._centers[0]
-        ww = _norm2(w)
+        ww = float(w @ w)
         if self.spec.family != "gaussian":
             h = kernel_vector(self.spec, self._centers[:n], u)
         else:
@@ -109,7 +102,8 @@ class Klms:
             h = v @ self._D[:, :n]
             np.minimum(h, 0.0, out=h)
             np.exp(h, out=h)
-        return float(h @ self._coeffs[:n]), w, ww
+        # np.vdot, unlike @, warns of no overflow: `_append` refuses a diverged y
+        return float(np.vdot(h, self._coeffs[:n])), w, ww
 
     def predict(self, u) -> float:
         return self._expansion(as_input(u, dim=self.dim))[0]
@@ -118,10 +112,6 @@ class Klms:
         """Predict with the current expansion, then append a unit for this sample."""
         uu = as_input(u, dim=self.dim)
         dd = check_target(d)
-        if self.max_terms is not None and self.n >= self.max_terms:
-            raise CapacityError(
-                f"expansion reached the configured cap of {self.max_terms} terms"
-            )
         y, w, ww = self._expansion(uu)
         e = dd - y
         self._append(uu, self.eta * e, w, ww)
@@ -130,10 +120,16 @@ class Klms:
     def _append(self, u: np.ndarray, c: float, w: np.ndarray, ww: float) -> None:
         """Append the term c k(u, .), with w = u - c_1 and ww = ||w||^2: its
         center, its coefficient and its column of D, the one path every term
-        is written through."""
+        is written through. A c that is not finite raises NumericalError
+        before any write."""
+        if not math.isfinite(c):
+            raise NumericalError(f"KLMS coefficient eta * e = {c!r} is not finite: "
+                                 "the expansion has diverged (eta too large)")
         n = self.n
-        self._centers = append_row(self._centers, n, u)
-        self._coeffs = append_row(self._coeffs, n, c)
+        self._centers = reserve(self._centers, n)
+        self._centers[n] = u
+        self._coeffs = reserve(self._coeffs, n)
+        self._coeffs[n] = c
         self._D = reserve(self._D, n, axis=1)
         self._D[:-2, n] = w
         self._D[-2, n] = ww
@@ -141,19 +137,18 @@ class Klms:
         self.n = n + 1
 
     def to_snapshot(self) -> dict:
-        snap = {
+        return {
             "algorithm": "klms",
             "kernel": self.spec.to_json(),
             "eta": self.eta,
             "centers": self._centers[: self.n].tolist(),
             "coeffs": self._coeffs[: self.n].tolist(),
         }
-        if self.max_terms is not None:
-            snap["max_terms"] = self.max_terms
-        return snap
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "Klms":
+        """Rebuild from the kernel, eta, centers and coefficients; any other
+        key, such as the term cap older snapshots carry, is ignored."""
         if as_object(snap, "snapshot").get("algorithm") != "klms":
             raise ValidationError(f"not a klms snapshot: {snap.get('algorithm')!r}")
         centers = snapshot_array(snap, "centers", (None, None))
@@ -162,14 +157,12 @@ class Klms:
             raise ValidationError("snapshot centers must be a nonempty list of vectors")
         coeffs = snapshot_array(snap, "coeffs", (n,))
         obj = cls(KernelSpec.from_json(snap.get("kernel")), scalar_field(snap, "eta"),
-                  centers[0], 0.0, max_terms=snap.get("max_terms"))
-        if obj.max_terms is not None and n > obj.max_terms:
-            raise ValidationError(f"snapshot holds {n} terms, above its cap of {obj.max_terms}")
+                  centers[0], 0.0)
         # Replay the terms in order through `_append`, each column as `step`
         # computes it: the buffers match the saved filter's, and resumed
         # steps match bit for bit.
         obj.n = 0
         for u, c in zip(centers, coeffs):
             w = u - centers[0]
-            obj._append(u, c, w, _norm2(w))
+            obj._append(u, c, w, float(w @ w))
         return obj

@@ -8,7 +8,8 @@ class keeps its own hyperparameter checks, `_update` and snapshot. Textbook
 update rules are used (stochastic gradient for LMS, rank-one
 inverse-correlation update for RLS); RLS initializes its inverse-correlation
 matrix as (1/eps) I with eps playing the same role as the kernel filter's
-ridge parameter.
+ridge parameter. Either refuses an update that overflows, a divergent LMS
+eta included, with NumericalError and leaves its state as it was.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class _LinearModel:
         them by the class's `_update` rule on the checked input and the
         a-priori error e = d - y."""
         uu, dd = as_input(u, dim=self.dim), check_target(d)
-        y = float(self.weights @ uu)
+        y = float(np.vdot(self.weights, uu))  # no overflow warning: `_update` refuses it
         e = dd - y
         self._update(uu, e)
         return StepOutput(y=y, e=e, grew=False, dict_size=0)
@@ -64,7 +65,12 @@ class Lms(_LinearModel):
         self.eta = eta
 
     def _update(self, uu: np.ndarray, e: float) -> None:
-        self.weights = self.weights + self.eta * e * uu
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = self.weights + self.eta * e * uu
+        if not np.isfinite(weights).all():
+            raise NumericalError("LMS update overflowed: the weights have diverged "
+                                 "(eta too large for the input power)")
+        self.weights = weights
 
     def to_snapshot(self) -> dict:
         return {"algorithm": "lms", "eta": self.eta, "weights": self.weights.tolist()}

@@ -102,7 +102,8 @@ def test_cost_scaling():
     # The recipes of `kaf.bench.RECIPES`. A forced-growth KRLS step makes
     # three K^2 matrix-vector products and no K^2 write. Only from K ~ 500 on
     # do they outweigh its fixed call cost (~70 us) and stream from memory
-    # rather than cache; over sizes 50-800 the log-log slope reads about 1.
+    # rather than cache, so its recipe reads K = 500-2000; KLMS's reads
+    # 500-8000 terms of a 128-dimensional stream.
     krls = run_bench("krls-ald-reg")
     klms = run_bench("klms")
     ok = 1.5 <= krls.slope <= 2.5 and 0.7 <= klms.slope <= 1.3

@@ -169,8 +169,9 @@ class TestRun:
         ("run", "lms", {}, ["--sigma", "2"], "unknown filter config keys: ['sigma']"),
         ("run", "rls", {}, ["--sigma", "2"], "unknown filter config keys: ['sigma']"),
         ("run", "klms", {}, ["--delta", "0.5"], "unknown filter config keys: ['delta']"),
+        ("run", "klms", {"max_terms": 5}, [], "unknown filter config keys: ['max_terms']"),
     ], ids=["config-key", "config-kernel", "lambda-flag", "eta-flag", "sigma-flag-lms",
-            "sigma-flag-rls", "delta-flag-klms"])
+            "sigma-flag-rls", "delta-flag-klms", "klms-term-cap"])
     def test_setting_the_kind_does_not_read_exits_1(self, command, kind, extra, argv,
                                                      message, tmp_path, capsys):
         """A filter kind takes only the settings it reads, from a config file
@@ -237,14 +238,30 @@ class TestRun:
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_worker_error_keeps_type_seed_and_step(self, tmp_path, monkeypatch, capsys):
+        """A divergent eta: of the two trials, seed 3's overflows first."""
         monkeypatch.setenv("KAF_THREADS", "2")
-        cfg = base_run_config(tmp_path, filter={"kind": "klms", "eta": 0.2, "max_terms": 5})
+        cfg = base_run_config(tmp_path, filter={"kind": "klms", "eta": 50.0},
+                              stream={"generator": "nonlinear_sysid", "length": 400,
+                                      "noise_std": 0.1, "seed": 3})
         assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "numerical"
-        assert err["message"].startswith("trial with seed 3 failed at step 6: ")
+        assert err["message"].startswith("trial with seed 3 failed at step 272: ")
         assert not os.path.exists(cfg["out"])
         assert not list(tmp_path.glob("*.tmp.*"))  # the trials' part files included
+
+    @pytest.mark.parametrize("kind, step", [("lms", 426), ("klms", 1986)])
+    def test_divergent_step_exits_2_and_writes_nothing(self, kind, step, tmp_path, capsys):
+        """eta = 10 on the L = 3 system-identification stream overflows LMS's
+        weights and KLMS's coefficients: no CSV holding NaN, no summary."""
+        cfg = base_run_config(tmp_path, filter={"kind": kind, "eta": 10.0}, trials=1,
+                              stream={"generator": "nonlinear_sysid", "length": 3000,
+                                      "noise_std": 0.1, "seed": 1, "embed_L": 3})
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "numerical"
+        assert err["message"].startswith(f"trial with seed 1 failed at step {step}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     @pytest.mark.parametrize("length", [10 ** 30, 2 ** 62])
     def test_unallocatable_stream_exits_1(self, length, tmp_path, monkeypatch, capfd):
@@ -342,6 +359,17 @@ class TestSweep:
         assert len(rows) == 3
         assert "ValidationError" in rows[1][-1] and rows[1][1] == ""
         assert rows[2][-1] == "" and float(rows[2][1]) > 0
+
+    def test_divergent_point_recorded_sweep_continues(self, tmp_path):
+        cfg = self.sweep_config(tmp_path, {"eta": [0.2, 50.0]}, filter={"kind": "klms"},
+                                stream={"generator": "nonlinear_sysid", "length": 400,
+                                        "noise_std": 0.1, "seed": 3})
+        assert main(["sweep", "--config", write_config(tmp_path / "s.json", cfg)]) == 0
+        rows = read_rows(cfg["out"])
+        assert len(rows) == 3
+        assert rows[1][-1] == "" and float(rows[1][1]) > 0
+        assert rows[2][-1].startswith("NumericalError: trial with seed 3 failed at step 272: ")
+        assert rows[2][1] == rows[2][2] == ""
 
     def test_unallocatable_stream_recorded_as_a_failed_point(self, tmp_path):
         cfg = self.sweep_config(tmp_path, {"delta": [0.01, 0.1]})
@@ -515,12 +543,17 @@ class TestBench:
             assert main(["bench", "--filter", kind]) == 0
         assert kinds == list(kaf.bench.RECIPES)
 
-    def test_emits_csv_and_slope(self, tmp_path, capsys):
+    def test_emits_csv_and_slope(self, tmp_path, monkeypatch, capsys):
+        """Synthetic step times in place of the child's, one per size up to
+        the recipe's last plus one (test_cost_scaling times the real child)."""
+        sizes = kaf.bench.RECIPES["krls-ald-reg"]
+        monkeypatch.setattr(kaf.bench, "_collect_one_thread",
+                            lambda kind: np.arange(sizes[-1] + 2) ** 2 / 1e9)
         out = str(tmp_path / "bench.csv")
         assert main(["bench", "--filter", "krls-ald-reg", "--out", out]) == 0
         rows = read_rows(out)
         assert rows[0] == ["size", "median_step_seconds", "rel_iqr"]
-        assert [int(r[0]) for r in rows[1:]] == list(kaf.bench.RECIPES["krls-ald-reg"])
+        assert [int(r[0]) for r in rows[1:]] == list(sizes)
         report = json.loads(capsys.readouterr().out.splitlines()[0])
         assert sorted(report) == ["filter", "slope", "unstable_timings"]
         assert report["filter"] == "krls-ald-reg" and np.isfinite(report["slope"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kaf import Dictionary, KernelSpec, gram
+from kaf import Dictionary, KernelSpec, KrlsAldReg, gram
 from kaf.dictionary import GROWTH_FLOOR
 from kaf.exceptions import (
     DimensionMismatchError,
@@ -119,6 +119,32 @@ class TestAldTest:
         d._W[0, 0] = np.nan
         with pytest.raises(NumericalError, match="cond"):
             d.ald_test([1.0], 0.1)
+
+    def test_overflowing_polynomial_first_center_refused(self):
+        """k(u, u) = (1e400 + 1)^2 overflows to inf: no first center. (numpy's
+        overflow warnings from the kernel are not under test.)"""
+        poly = KernelSpec("polynomial", degree=2)
+        for build in (lambda: Dictionary(poly, [1e200]),
+                      lambda: KrlsAldReg(poly, 0.1, 0.01, [1e200], 1.0)):
+            with np.errstate(over="ignore"), pytest.raises(
+                    ValidationError, match=r"degenerate first center: k\(u, u\) = inf"):
+                build()
+
+    def test_overflowing_polynomial_kernel_value_is_named(self):
+        """After the center [1.0], the input [1e200] overflows k(u, u) and
+        k(c, u): the error names them, not the well-conditioned 1 x 1 Gram
+        matrix, and the filter is as it was."""
+        poly = KernelSpec("polynomial", degree=2)
+        d = Dictionary(poly, [1.0])
+        f = KrlsAldReg(poly, 0.1, 0.01, [1.0], 1.0)
+        snap = f.to_snapshot(resume_exact=True)
+        for step in (lambda: d.ald_test([1e200], 0.01), lambda: f.step([1e200], 1.0)):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    NumericalError, match=r"kernel values are not finite \(k\(u, u\) = inf, "
+                                          r"max \|k\(c_i, u\)\| = inf\)") as exc:
+                step()
+            assert "cond" not in str(exc.value)
+        assert f.to_snapshot(resume_exact=True) == snap
 
 
 class TestGrow:
@@ -244,6 +270,6 @@ class TestSnapshot:
         snap["centers"] = d.centers.tolist()
         with pytest.raises(ValidationError, match="checksum"):
             Dictionary.from_snapshot(snap)
-        snap["centers_sha256"] = d.centers_checksum()
+        snap["centers_sha256"] = d.to_snapshot()["centers_sha256"]
         with pytest.raises(NumericalError, match="near-singular"):
             Dictionary.from_snapshot(snap)

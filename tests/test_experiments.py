@@ -15,7 +15,7 @@ import kaf
 from kaf import FilterConfig, KernelSpec, LearningCurve, StreamConfig
 from kaf.base import fmt17
 from kaf.cli import _trial_part, main
-from kaf.exceptions import CapacityError, ValidationError
+from kaf.exceptions import NumericalError, ValidationError
 from kaf.experiments import (CSV_HEADER, CSV_ROWS, FILTER_KINDS, generate, pool_map, run_trial,
                              run_trials)
 
@@ -244,12 +244,13 @@ class TestRunTrial:
         assert (run_trial(FilterConfig(kind), sc, record_timings=True).step_seconds > 0).all()
 
     def test_error_carries_step_index(self):
-        sc = StreamConfig("noisy_sinc", length=20, seed=1)
-        fc = FilterConfig("klms", eta=0.2, max_terms=5)
-        with pytest.raises(Exception, match="step 6"):
+        """A divergent eta: the first step whose coefficient overflows."""
+        sc = StreamConfig("nonlinear_sysid", length=400, noise_std=0.1, seed=1)
+        fc = FilterConfig("klms", eta=50.0)
+        with pytest.raises(NumericalError, match="step 263:"):
             run_trial(fc, sc)
         # through the trial pool the message names the failing seed as well
-        with pytest.raises(CapacityError, match=r"seed 7 failed at step 6:"):
+        with pytest.raises(NumericalError, match=r"seed 7 failed at step 275:"):
             run_trials(fc, replace(sc, seed=7), trials=2, workers=2)
 
 
@@ -289,11 +290,11 @@ class TestTrialsAndAveraging:
 
     def test_filter_config_keeps_the_constructors_values(self):
         """The config stores what the filter's constructor converted, so its
-        JSON holds plain numbers: the float 0.25 and the int 5."""
-        fc = FilterConfig("klms", eta=np.float32(0.25), max_terms=5.0)
-        assert type(fc.eta) is float and type(fc.max_terms) is int
+        JSON holds plain floats: 0.25 and 1.0."""
+        fc = FilterConfig("rls", lam=np.float32(0.25), forgetting=np.int64(1))
+        assert type(fc.lam) is float and type(fc.forgetting) is float
         text = json.dumps(fc.to_json(), sort_keys=True)
-        assert '"eta": 0.25' in text and '"max_terms": 5}' in text
+        assert '"forgetting": 1.0' in text and '"lambda": 0.25' in text
 
     @pytest.mark.parametrize("kind, key", [("lms", "lambda"), ("lms", "kernel"),
                                            ("rls", "delta"), ("klms", "lambda"),
@@ -305,10 +306,12 @@ class TestTrialsAndAveraging:
 
     @pytest.mark.parametrize("value", ["5", [3], 2.5, True, 0])
     def test_filter_config_max_terms_checked_as_klms(self, value):
-        """A config takes the max_terms a KLMS snapshot takes, by the int rule."""
-        with pytest.raises(ValidationError, match="max_terms"):
-            FilterConfig.from_json({"kind": "klms", "max_terms": value})
-        assert FilterConfig.from_json({"kind": "klms", "max_terms": 5}).max_terms == 5
+        """KLMS has no term cap: a klms config refuses max_terms whatever its
+        value, 5 included, as a key the kind does not read."""
+        for v in (value, 5):
+            with pytest.raises(ValidationError,
+                               match=r"unknown filter config keys: \['max_terms'\]"):
+                FilterConfig.from_json({"kind": "klms", "max_terms": v})
 
 
 def _first_finishes_last(i):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kaf import KernelSpec, Klms
-from kaf.exceptions import CapacityError, DimensionMismatchError, ValidationError
+from kaf.exceptions import DimensionMismatchError, NumericalError, ValidationError
 from kaf.kernels import kernel_eval, kernel_matrix
 from kaf.oracle import feature_space_lms
 
@@ -88,13 +88,18 @@ class TestStep:
             runs.append(f.coeffs.copy())
         assert np.array_equal(runs[0], runs[1])
 
-    def test_capacity_cap_aborts(self):
-        f = Klms(GAUSS, 0.2, [0.0], 1.0, max_terms=3)
-        f.step([1.0], 0.5)
-        f.step([2.0], 0.5)
-        with pytest.raises(CapacityError):
-            f.step([3.0], 0.5)
-        assert f.n == 3  # state unchanged by the refused step
+    def test_divergent_step_refused_before_any_write(self):
+        """eta * e overflows to inf: the step raises NumericalError and the
+        filter, its buffers included, is as it was."""
+        f = Klms(GAUSS, 10.0, [0.0], 0.5)
+        f.step([1.0], 0.25)
+        before = f.to_snapshot()
+        with pytest.raises(NumericalError, match="not finite"):
+            f.step([0.5], 1e308)
+        assert f.to_snapshot() == before and f.n == 2
+        assert f.step([0.5], 0.25).dict_size == 3  # and it still steps
+        with pytest.raises(NumericalError, match="not finite"):
+            Klms(GAUSS, 10.0, [0.0], 1e308)  # the first term is checked alike
 
     def test_dimension_mismatch_transactional(self):
         f = Klms(GAUSS, 0.2, [0.0, 0.0], 1.0)
@@ -194,21 +199,21 @@ class TestSnapshot:
         probe = 0.5 * rng.standard_normal(3)
         assert g.predict(probe) == f.predict(probe)
 
-    def test_round_trip_keeps_cap(self):
+    def test_snapshot_with_a_term_cap_loads_ignoring_it(self):
+        """Older snapshots carry a "max_terms" cap; it is ignored, even below
+        the number of terms, and the filter resumes bit for bit, uncapped."""
         rng = np.random.default_rng(6)
-        f = Klms(GAUSS, 0.2, rng.standard_normal(2), 0.3, max_terms=10)
+        f = Klms(GAUSS, 0.2, rng.standard_normal(2), 0.3)
         for _ in range(5):
             f.step(rng.standard_normal(2), float(rng.standard_normal()))
-        g = Klms.from_snapshot(f.to_snapshot())
-        assert g.max_terms == 10
-        for _ in range(4):
-            g.step(rng.standard_normal(2), 0.1)
-        with pytest.raises(CapacityError):
-            g.step(rng.standard_normal(2), 0.1)
-        over = g.to_snapshot()
-        over["max_terms"] = 9
-        with pytest.raises(ValidationError):
-            Klms.from_snapshot(over)
+        snap = json.loads(json.dumps({**f.to_snapshot(), "max_terms": 3}))
+        g = Klms.from_snapshot(snap)
+        assert g.to_snapshot() == f.to_snapshot()
+        for _ in range(20):
+            u, d = rng.standard_normal(2), float(rng.standard_normal())
+            a, b = f.step(u, d), g.step(u, d)
+            assert (a.y, a.e, a.dict_size) == (b.y, b.e, b.dict_size)
+        assert g.n == 26 and np.array_equal(g.coeffs, f.coeffs)
 
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):

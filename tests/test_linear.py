@@ -46,6 +46,16 @@ class TestLms:
         with pytest.raises(DimensionMismatchError):
             f.step([1.0], 0.0)
 
+    def test_divergent_step_refused_before_any_write(self):
+        """eta * e * u overflows: NumericalError, with no numpy warning, and
+        the weights are as they were."""
+        f = Lms(2, 10.0)
+        f.step([1.0, -1.0], 0.5)
+        snap = f.to_snapshot()
+        with pytest.raises(NumericalError, match="overflow"):
+            f.step([1.0, 0.0], 1e308)
+        assert f.to_snapshot() == snap
+
     def test_snapshot_round_trip(self):
         f = Lms(2, 0.1)
         f.step([1.0, -1.0], 0.5)

@@ -347,7 +347,7 @@ def test_resume_exact_json_round_trip_is_bitwise(seed, dim, sigma, lam, delta, s
 def _snapshot(kind):
     if kind == "rls-config":   # a filter config, read by FilterConfig.from_json
         return FilterConfig("rls", lam=0.1).to_json()
-    if kind == "klms":      # one term, so no cap value is refused for being below it
+    if kind == "klms":
         return Klms(GAUSS, 0.2, [0.0] * DIM, 1.0).to_snapshot()
     f = trained(kind)
     return f.to_snapshot(resume_exact=True) if kind == "krls" else f.to_snapshot()
@@ -358,11 +358,6 @@ LOADERS = {"krls": KrlsAldReg, "klms": Klms, "lms": Lms, "rls": Rls,
 
 
 @pytest.mark.parametrize("kind, field, value", [
-    ("klms", "max_terms", "5"),
-    ("klms", "max_terms", [3]),
-    ("klms", "max_terms", 2.5),
-    ("klms", "max_terms", True),
-    ("klms", "max_terms", 0),
     ("klms", "eta", None),
     ("klms", "eta", "x"),
     ("klms", "eta", "missing"),
@@ -425,7 +420,7 @@ SNAPSHOT_FILTERS = {
     "rls": (FILTERS["rls"], False),
 }
 # Keys whose absence is a valid snapshot: the field's default applies.
-OPTIONAL_KEYS = {"resume_exact", "P_pending", "max_terms", "forgetting"}
+OPTIONAL_KEYS = {"resume_exact", "P_pending", "forgetting"}
 
 
 def _saved(name: str) -> dict:
@@ -548,15 +543,12 @@ def _mostly(lo, hi, edges):
        lam=_mostly(-0.2, 2, [0.0, -0.1, math.inf, math.nan, 1e300]),
        delta=_mostly(-0.05, 1, [0.0, -1e-9, math.inf, math.nan]),
        eta=_mostly(-0.2, 2, [0.0, -0.1, math.inf, math.nan]),
-       forgetting=_mostly(0.5, 1.2, [0.0, -0.1, 1.0, 1.0 + 1e-12, math.nan]),
-       max_terms=st.sampled_from([None, None, 1, 7, 5.0, np.int64(5), 0, -2, 2.5, True,
-                                  "5"]))
-def test_filter_config_is_the_constructors_rule(kind, kernel, lam, delta, eta, forgetting,
-                                                max_terms):
+       forgetting=_mostly(0.5, 1.2, [0.0, -0.1, 1.0, 1.0 + 1e-12, math.nan]))
+def test_filter_config_is_the_constructors_rule(kind, kernel, lam, delta, eta, forgetting):
     """FilterConfig refuses a setting exactly when building its filter on a
     real sample does: the constructor is the one rule."""
     fields = dict(kind=kind, kernel=kernel, lam=lam, delta=delta, eta=eta,
-                  forgetting=forgetting, max_terms=max_terms)
+                  forgetting=forgetting)
     U, d = stream(2, 3)
     try:
         build_filter(SimpleNamespace(**fields), U[0], d[0], DIM)
@@ -616,8 +608,6 @@ def stream_configs(draw):
 def _as_drawn(value):
     """`value`, or the same number as a numpy scalar or as an int or float of
     the other Python type where that is exact: what a caller might pass."""
-    if value is None:
-        return st.just(value)
     forms = [value, np.float64(value), np.float32(value) if np.float32(value) == value else value]
     if float(value).is_integer() and abs(value) < 2 ** 53:
         forms += [int(value), float(value), np.int64(value)]
@@ -632,8 +622,7 @@ def filter_configs(draw):
     kind = draw(st.sampled_from(sorted(FILTER_KEYS)))
     values = {"kernel": kernel_specs, "delta": st.floats(0, 1e6), "eta": st.floats(1e-6, 1e3),
               "lambda": st.floats(0 if kind == "krls-ald-reg" else 1e-6, 1e6),
-              "forgetting": st.floats(1e-3, 1.0),
-              "max_terms": st.none() | st.integers(1, 10 ** 9)}
+              "forgetting": st.floats(1e-3, 1.0)}
     fields = {}
     for key in FILTER_KEYS[kind]:
         value = draw(values[key])
@@ -657,7 +646,7 @@ CONFIG_FIELDS = {
     "config": {"filter": dict, "stream": dict, "trials": int, "out": str,
                "summary_out": str, "record_timings": bool, "grid": dict},
     "filter": {"kind": str, "kernel": dict, "lambda": float, "delta": float,
-               "eta": float, "forgetting": float, "max_terms": int},
+               "eta": float, "forgetting": float},
     "stream": {"generator": str, "length": int, "noise_std": float, "seed": int,
                "embed_L": int},
     "kernel": {"family": str, "sigma": float, "degree": int},
@@ -677,7 +666,7 @@ MISSING = object()
 REQUIRED = {"filter": ("kind",), "stream": ("generator", "length"), "kernel": ("family",)}
 OUT_OF_RANGE = {"noise_std": [-1.0]}
 BASE_FILTERS = {
-    "klms": {"eta": 0.2, "max_terms": 100},
+    "klms": {"eta": 0.2},
     "krls-ald-reg": {"lambda": 0.1, "delta": 0.01},
     "lms": {"eta": 0.05},
     "rls": {"lambda": 0.1, "forgetting": 0.99},
@@ -741,10 +730,9 @@ def broken_configs(draw):
     key = draw(st.sampled_from(sorted(fields) + ["bogus"]))
     if key == "bogus":
         value = 1
-    else:                   # a null max_terms means no cap
+    else:
         value = draw(st.sampled_from(
-            [v for v in WRONG[fields[key]] if not (key == "max_terms" and v is None)]
-            + OUT_OF_RANGE.get(key, []) + ([MISSING] if key in REQUIRED.get(level, ()) else [])))
+            WRONG[fields[key]] + OUT_OF_RANGE.get(key, []) + ([MISSING] if key in REQUIRED.get(level, ()) else [])))
     return kind, level, key, value
 
 
