@@ -25,7 +25,6 @@ from .experiments import (
 )
 from .kernels import (
     KernelSpec,
-    expansion_inner_product,
     gram,
     kernel_eval,
     kernel_matrix,
@@ -62,7 +61,6 @@ __all__ = [
     "ValidationError",
     "batch_krr",
     "batch_solve_regularized",
-    "expansion_inner_product",
     "generate",
     "gram",
     "kernel_eval",

@@ -12,9 +12,10 @@ where its median step time is read:
 The one step loop, `experiments.step_loop`, times every `step` call from
 outside with `perf_counter`; the filters do not time themselves. The size
 before step i is i for both kinds, the forced-growth filter's dictionary
-size checked against it. Medians are taken over a window of steps around
-each recipe size, which keeps the estimate robust against scheduler noise;
-a relative IQR above 50% in any bucket is flagged but not fatal.
+size checked against it. Medians are taken over a window of steps on
+both sides of each recipe size (`_half_width`), which keeps the estimate
+robust against scheduler noise; a relative IQR above 50% in any bucket is
+flagged but not fatal.
 
 The timed loop runs in a child process on one BLAS thread
 (`python -m kaf.bench KIND` prints its step times as JSON). A
@@ -45,7 +46,6 @@ RECIPES = {
     "klms": (500, 1000, 2000, 4000, 8000),
 }
 BENCH_KINDS = tuple(RECIPES)
-WARMUP_SIZE = 32  # the untimed pass that primes allocator and BLAS paths
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -64,10 +64,9 @@ class BenchResult:
     unstable: bool  # any bucket with relative IQR > 50%
 
 
-def _forced_growth_samples(count: int) -> np.ndarray:
-    # 3-unit spacing with sigma=1: neighbor kernels ~ exp(-9), so the ALD
-    # residual is ~1 every step and every sample is admitted.
-    return 3.0 * np.arange(count, dtype=np.float64)[:, None]
+def _half_width(k: int) -> int:
+    """Steps on each side of size k in the window its median is read over."""
+    return max(4, k // 10)
 
 
 def _collect(kind: str, max_size: int) -> np.ndarray:
@@ -80,7 +79,9 @@ def _collect(kind: str, max_size: int) -> np.ndarray:
     """
     spec = KernelSpec("gaussian", sigma=1.0)
     if kind == "krls-ald-reg":
-        U = _forced_growth_samples(max_size + 2)
+        # 3-unit spacing with sigma=1: neighbor kernels ~ exp(-9), so the ALD
+        # residual is ~1 every step and every sample is admitted.
+        U = 3.0 * np.arange(max_size + 2, dtype=np.float64)[:, None]
         d = np.ones(U.shape[0])
         filt = KrlsAldReg(spec, lam=0.1, delta=0.5, first_input=U[0], first_target=1.0)
     else:  # "klms"
@@ -120,7 +121,7 @@ def run_bench(kind: str) -> BenchResult:
     rows = []
     unstable = False
     for k in RECIPES[kind]:
-        half = max(4, k // 10)
+        half = _half_width(k)
         q25, med, q75 = np.percentile(times[k - half:k + half + 1], [25, 50, 75])
         rel_iqr = float((q75 - q25) / med) if med > 0 else np.inf
         unstable = unstable or rel_iqr > 0.5
@@ -133,8 +134,9 @@ def run_bench(kind: str) -> BenchResult:
 
 
 def _child(kind: str) -> None:
-    _collect(kind, WARMUP_SIZE)
-    json.dump(_collect(kind, RECIPES[kind][-1]).tolist(), sys.stdout)
+    """Print the step seconds of one stream that reaches past every window."""
+    json.dump(_collect(kind, max(k + _half_width(k) for k in RECIPES[kind])).tolist(),
+              sys.stdout)
 
 
 if __name__ == "__main__":

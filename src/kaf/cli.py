@@ -16,6 +16,9 @@ paths strings. A filter kind takes only the settings it reads
 (`experiments.FILTER_KEYS`), from the file, a flag or a grid alike: any
 other exits 1 before anything runs. Exit codes: 0 success, 1 validation
 error (a malformed command line included), 2 numerical failure, 3 I/O error.
+A numerical failure includes a trial whose squared error or steady-state
+MSE is not finite, and a mean MSE over trials that overflows: `kaf run`
+exits 2 and writes nothing, and `kaf sweep` records it in the point's row.
 KAF_THREADS bounds the worker processes that run trials (`kaf run`, where
 each worker also formats its trial's CSV rows) or grid points (`kaf sweep`)
 at once; runs are serial where the platform cannot fork.
@@ -35,6 +38,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import os
 import shutil
 import sys
@@ -43,7 +47,7 @@ from dataclasses import replace
 
 from .base import check_object, convert, fmt17, scalar_field
 from .bench import BENCH_KINDS, run_bench
-from .exceptions import KafError, ValidationError
+from .exceptions import KafError, NumericalError, ValidationError
 from .experiments import (
     CSV_HEADER,
     FILTER_KEYS,
@@ -207,6 +211,16 @@ def _trial_part(fc: FilterConfig, record_timings: bool,
     return curve.summary(), (float(seconds.mean()) if seconds.any() else None)
 
 
+def _mean_mse(mses: list[float]) -> float:
+    """The trials' mean steady-state MSE, or NumericalError when it is not
+    finite: a sum of finite MSEs can overflow."""
+    mean = sum(mses) / len(mses)
+    if not math.isfinite(mean):
+        raise NumericalError(f"the mean steady-state MSE of {len(mses)} trials, {mean!r}, "
+                             "is not finite")
+    return mean
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _read_config(args)
     fc, sc, trials = cfg["filter"], cfg["stream"], cfg["trials"]
@@ -229,7 +243,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         summary = {
             "config": {"filter": fc.to_json(), "stream": sc.to_json(), "trials": trials},
             "trials": per_trial,
-            "mean_steady_state_mse": sum(t["steady_state_mse"] for t in per_trial) / trials,
+            "mean_steady_state_mse": _mean_mse([t["steady_state_mse"] for t in per_trial]),
             "mean_final_dict_size": sum(t["final_dict_size"] for t in per_trial) / trials,
             "csv": out_path,
         }
@@ -249,7 +263,7 @@ def _sweep_point(base: FilterConfig, sc: StreamConfig, trials: int,
     t0 = time.perf_counter()
     try:
         curves = run_trials(_set_hyperparameters(base, point), sc, trials)
-        row["steady_state_mse"] = sum(c.steady_state_mse() for c in curves) / trials
+        row["steady_state_mse"] = _mean_mse([c.steady_state_mse() for c in curves])
         row["final_dict_size"] = sum(int(c.dict_size[-1]) for c in curves) / trials
         row["error"] = ""
     except KafError as exc:

@@ -42,7 +42,8 @@ import numpy as np
 
 from .base import as_input, as_object, convert, reserve, reserve_square, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
-from .kernels import KernelSpec, _kernel_rows, check_spec, kernel_block, kernel_diag, kernel_self
+from .kernels import (KernelSpec, _kernel_rows, _overflow_quiet, check_spec, kernel_block,
+                      kernel_diag, kernel_self)
 
 # Residuals below this cannot be admitted: the new row of W divides by sqrt(d2).
 GROWTH_FLOOR = 1e-12
@@ -152,16 +153,17 @@ class Dictionary:
     def _ald(self, uu: np.ndarray, delta: float) -> AldResult:
         """`ald_test` for a validated length-`dim` float64 vector and delta."""
         h = self.kernel_vector(uu)
+        k_uu = kernel_self(self.spec, uu)
+        # Gaussian values lie in (0, 1]; a polynomial one can overflow
+        if self.spec.family != "gaussian" and not (math.isfinite(k_uu) and np.isfinite(h).all()):
+            raise NumericalError(
+                f"ALD test produced non-finite values: the input's kernel values are not "
+                f"finite (k(u, u) = {k_uu!r}, max |k(c_i, u)| = {float(np.abs(h).max())!r})")
         k = self._size
         l = self._W[:k, :k] @ h
-        k_uu = kernel_self(self.spec, uu)
         d2_raw = float(k_uu - l @ l)
         # l . l is a sum of squares, so d2_raw is finite only if every l_i is.
         if not math.isfinite(d2_raw):
-            if not (math.isfinite(k_uu) and np.isfinite(h).all()):  # a polynomial overflow
-                raise NumericalError(
-                    f"ALD test produced non-finite values: the input's kernel values are not "
-                    f"finite (k(u, u) = {k_uu!r}, max |k(c_i, u)| = {float(np.abs(h).max())!r})")
             cond = float(np.linalg.cond(self.gram))
             raise NumericalError(
                 f"ALD test produced non-finite values; Gram matrix is "
@@ -267,6 +269,9 @@ class AldScreen:
 
     The slack is SCREEN_SAFETY times the sum of the two bounds, so a row
     with d2 < delta - slack is one that `_ald` does not admit (`rejects`).
+    A polynomial kernel value past the float range makes its row's d2 or
+    slack inf or NaN without a numpy warning; `rejects` does not clear that
+    row, and `_ald` refuses it.
 
     `extend` follows the dictionary's growth by one center. W's old rows do
     not change, so L gains the column of W's new row and d2 drops by its
@@ -284,31 +289,34 @@ class AldScreen:
         self._H[:, :k] = H
         self._L = np.empty((m, k + m))
         self.L = self._L[:, :k]
-        np.matmul(H, dic.W.T, out=self.L)
         self._k_uu = kernel_diag(dic.spec, U)
-        self.d2 = self._k_uu - np.einsum("ij,ij->i", self.L, self.L)
+        with _overflow_quiet(dic.spec):
+            np.matmul(H, dic.W.T, out=self.L)
+            self.d2 = self._k_uu - np.einsum("ij,ij->i", self.L, self.L)
+            self._lw = np.abs(self.L) @ dic._row_l1[:dic.size]
         self._k_cc = float(kernel_diag(dic.spec, dic.centers).max())
-        self._lw = np.abs(self.L) @ dic._row_l1[:dic.size]
         self._p = dic.spec.degree if dic.spec.family == "polynomial" else 1
 
     def rejects(self, delta: float) -> np.ndarray:
         """Mask of the rows that `_ald` does not admit at threshold delta."""
         n = self.L.shape[1] + self._p * (self._U.shape[1] + 8) + 1
-        h_max = np.sqrt(self._k_uu * self._k_cc)
-        slack = (4 * SCREEN_SAFETY * np.finfo(float).eps * n) * (self._k_uu + h_max * self._lw)
-        return self.d2 < delta - slack
+        with _overflow_quiet(self._dic.spec):
+            h_max = np.sqrt(self._k_uu * self._k_cc)
+            slack = (4 * SCREEN_SAFETY * np.finfo(float).eps * n) * (self._k_uu + h_max * self._lw)
+            return self.d2 < delta - slack
 
     def extend(self) -> None:
         """Add the center the dictionary admitted last, and W's new row."""
         k = self._dic.size
         c, w = self._dic.centers[-1:], self._dic.W[-1]
         self._H[:, k - 1:k] = kernel_block(self._dic.spec, self._U, c)
-        l = self._H[:, :k] @ w
+        with _overflow_quiet(self._dic.spec):
+            l = self._H[:, :k] @ w
+            self.d2 -= l * l
+            self._lw += np.abs(l) * self._dic._row_l1[k - 1]
         self._L[:, k - 1] = l
         self.L = self._L[:, :k]
-        self.d2 -= l * l
         self._k_cc = max(self._k_cc, float(kernel_diag(self._dic.spec, c)[0]))
-        self._lw += np.abs(l) * self._dic._row_l1[k - 1]
 
 
 def _checksum(centers: np.ndarray) -> str:

@@ -26,13 +26,14 @@ time-delay embedding [x(n), x(n-1), ..., x(n-L+1)]):
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .base import as_object, check_object, convert
-from .exceptions import KafError, ValidationError
+from .exceptions import KafError, NumericalError, ValidationError
 from .kernels import KernelSpec
 from .klms import Klms
 from .krls import KrlsAldReg
@@ -328,7 +329,9 @@ def run_trial(fc: FilterConfig, sc: StreamConfig,
     which times each `step` call (a kernel filter's construction is timed
     here). For every kind, step_seconds are zeros unless `record_timings` is
     set (wall-clock values are not reproducible). Filter errors are re-raised
-    naming the trial's seed and the failing 1-based step.
+    naming the trial's seed and the failing 1-based step. A squared error
+    e^2 that is not finite raises NumericalError naming them too, and a
+    steady-state MSE that is not finite one naming the seed.
     """
     U, d = generate(sc)
     count = U.shape[0]
@@ -346,14 +349,24 @@ def run_trial(fc: FilterConfig, sc: StreamConfig,
             except KafError as exc:
                 # filt.n counts the samples committed, the first one included
                 raise type(exc)(f"failed at step {filt.n + 1}: {exc}") from exc
+        if start:
+            e[0], dict_size[0], seconds[0] = d[0], 1, built
+        if not record_timings:
+            seconds[:] = 0.0
+        # A finite e can square, and finite squares can sum, past the float range.
+        with np.errstate(over="ignore"):
+            curve = LearningCurve(n=np.arange(1, count + 1), y=y, d=d, e=e, e2=e * e,
+                                  dict_size=dict_size, step_seconds=seconds)
+            mse = curve.steady_state_mse()
+        if not np.isfinite(curve.e2).all():
+            i = int(np.argmin(np.isfinite(curve.e2)))
+            raise NumericalError(f"failed at step {i + 1}: the squared error of "
+                                 f"e = {float(e[i])!r} is not finite")
+        if not math.isfinite(mse):
+            raise NumericalError(f"has a steady-state MSE of {mse!r}, which is not finite")
     except KafError as exc:  # "failed at step N: ..." either way
         raise type(exc)(f"trial with seed {sc.seed} {exc}") from exc
-    if start:
-        e[0], dict_size[0], seconds[0] = d[0], 1, built
-    if not record_timings:
-        seconds[:] = 0.0
-    return LearningCurve(n=np.arange(1, count + 1), y=y, d=d, e=e, e2=e * e,
-                         dict_size=dict_size, step_seconds=seconds)
+    return curve
 
 
 def run_trials(fc: FilterConfig, sc: StreamConfig, trials: int,

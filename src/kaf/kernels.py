@@ -1,4 +1,4 @@
-"""Mercer kernels: evaluation, Gram matrices, and expansion inner products.
+"""Mercer kernels: evaluation and Gram matrices.
 
 Two kernel families are supported:
 
@@ -28,6 +28,7 @@ All evaluation is pure and stateless, safe for unsynchronized concurrent use.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +129,27 @@ def kernel_block(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def _kernel_rows(spec: KernelSpec, rows: np.ndarray, u) -> np.ndarray:
     """k(c, u) in the module docstring's one order, from coordinate rows:
-    rows[j], the j-th coordinates of the points c, broadcasts against u[j]."""
+    rows[j], the j-th coordinates of the points c, broadcasts against u[j].
+
+    A polynomial value past the float range is inf, or NaN where infinite
+    terms cancel, without a numpy warning: its callers refuse it."""
+    if spec.family == "gaussian":
+        return _rows(spec, rows, u)
+    with _overflow_quiet(spec):
+        return _rows(spec, rows, u)
+
+
+def _overflow_quiet(spec: KernelSpec):
+    """numpy's error state for `spec`'s kernel values: overflow and NaN pass
+    without a warning for the polynomial family, whose values can exceed
+    the float range; nothing changes for the Gaussian's, in (0, 1]."""
+    if spec.family == "gaussian":
+        return contextlib.nullcontext()
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _rows(spec: KernelSpec, rows: np.ndarray, u) -> np.ndarray:
+    """`_kernel_rows` under the caller's numpy error state."""
     gaussian = spec.family == "gaussian"
     term = np.subtract if gaussian else np.multiply
     if not rows.shape[0]:  # L = 0: every value is k(0, 0) = 1
@@ -175,15 +196,3 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     """Symmetric Gram matrix of a point set (PSD up to eigenvalue roundoff)."""
     return kernel_matrix(spec, points, points)
 
-
-def expansion_inner_product(spec: KernelSpec, h, g) -> float:
-    """Inner product of two kernel expansions h = (coeffs, centers), g likewise.
-
-    For h(.) = sum_i a_i k(c_i, .) and g(.) = sum_j b_j k(e_j, .) this is
-    sum_ij a_i b_j k(c_i, e_j): symmetric, bilinear, and nonnegative on the
-    diagonal up to roundoff. The coefficients are read as `as_input` reads a
-    vector, one per center.
-    """
-    (a, ca), (b, cb) = h, g
-    K = kernel_matrix(spec, ca, cb)
-    return float(as_input(a, dim=K.shape[0]) @ K @ as_input(b, dim=K.shape[1]))

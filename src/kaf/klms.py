@@ -91,7 +91,7 @@ class Klms:
         """
         n = self.n
         w = u - self._centers[0]
-        ww = float(w @ w)
+        ww = float(np.vdot(w, w))  # np.vdot, unlike @, warns of no overflow, as for y below
         if self.spec.family != "gaussian":
             h = kernel_vector(self.spec, self._centers[:n], u)
         else:
@@ -164,5 +164,5 @@ class Klms:
         obj.n = 0
         for u, c in zip(centers, coeffs):
             w = u - centers[0]
-            obj._append(u, c, w, float(w @ w))
+            obj._append(u, c, w, float(np.vdot(w, w)))
         return obj

@@ -32,7 +32,7 @@ joins Y. A growth step appends the row [l^T, s], s = sqrt(d2), to L
 with den = lambda D + d2 and a priori error e:
 
     P' = [[P - (lambda/den) q q^T, -(s/den) q], [-(s/den) q^T, D/den]]
-    b' = [b + (lambda e/den) q; s e/den]
+    b' = [b + (lambda/den) e q; s e/den]
 
 It writes only P_b's new row and column, -(s/den) q and D/den; the pending
 rows get a 0 in the new coordinate, and the row [sqrt(lambda/den) q^T, 0]
@@ -341,13 +341,14 @@ class KrlsAldReg:
         k = q.shape[0]
         s = math.sqrt(d2)
         den = self.lam * D + d2
+        r = self.lam / den  # <= 1/D <= 1, where lambda e alone can overflow
         self._Pb = Pb = reserve_square(self._Pb, k)
         self._Y = Y = reserve(self._Y, k, axis=1)
         Pb[:k, k] = Pb[k, :k] = -(s / den) * q
         Pb[k, k] = D / den
         Y[:self._m, k] = 0.0
-        self.b = np.append(self.b + (self.lam * e / den) * q, s * e / den)
-        self._stack(np.append(math.sqrt(self.lam / den) * q, 0.0)[None])
+        self.b = np.append(self.b + (r * e) * q, s * e / den)
+        self._stack(np.append(math.sqrt(r) * q, 0.0)[None])
 
     def _check_trainable(self) -> None:
         """Refuse the predict-only state, loaded without resume_exact: no P_b or b."""

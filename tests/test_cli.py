@@ -1,11 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kaf
 import kaf.bench
@@ -14,7 +20,7 @@ import kaf.verify
 from kaf.cli import main
 from kaf.dictionary import Dictionary
 from kaf.exceptions import ValidationError
-from kaf.experiments import StreamConfig, generate
+from kaf.experiments import FILTER_KEYS, GENERATORS, StreamConfig, generate
 from kaf.verify import SUITES, run_suite
 
 
@@ -263,6 +269,21 @@ class TestRun:
         assert err["message"].startswith(f"trial with seed 1 failed at step {step}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_overflowing_squared_error_exits_2_and_writes_nothing(self, workers, tmp_path,
+                                                                   monkeypatch, capsys):
+        """eta = 10 on 300 samples: LMS's error stays finite, up to 4.2e213,
+        but its square overflows from step 209 on, before any update does."""
+        monkeypatch.setenv("KAF_THREADS", workers)
+        cfg = base_run_config(tmp_path, filter={"kind": "lms", "eta": 10.0}, trials=1,
+                              stream={"generator": "nonlinear_sysid", "length": 300,
+                                      "noise_std": 0.1, "seed": 1, "embed_L": 3})
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "numerical"
+        assert err["message"].startswith("trial with seed 1 failed at step 209: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     @pytest.mark.parametrize("length", [10 ** 30, 2 ** 62])
     def test_unallocatable_stream_exits_1(self, length, tmp_path, monkeypatch, capfd):
         """numpy refuses these lengths' draws before it allocates anything;
@@ -276,6 +297,66 @@ class TestRun:
         assert error["type"] == "validation"
         assert error["message"].startswith(f"stream.length {length} is too long to generate: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+# Extreme values of each filter key, and of the kernels' and streams'.
+KEY_VALUES = {
+    "eta": [1e-300, 0.2, 10.0, 1e10, 1e300],
+    "lambda": [0.0, 1e-300, 0.1, 1e300],
+    "delta": [0.0, 1e-12, 0.01, 1e300],
+    "forgetting": [1e-300, 0.5, 1.0],
+    "kernel": [{"family": "gaussian", "sigma": sigma} for sigma in (1e-150, 1.0, 1e150)]
+              + [{"family": "polynomial", "degree": p} for p in (1, 2, 7)],
+}
+
+
+@st.composite
+def run_configs(draw):
+    """A `kaf run` config: any filter kind, each key it reads set to an
+    extreme value or an ordinary one, on a short stream of any generator."""
+    kind = draw(st.sampled_from(sorted(FILTER_KEYS)))
+    filt = {"kind": kind, **{key: draw(st.sampled_from(KEY_VALUES[key]))
+                             for key in FILTER_KEYS[kind]}}
+    embed_L = draw(st.integers(1, 3))
+    stream = {"generator": draw(st.sampled_from(GENERATORS)),
+              "length": draw(st.integers(embed_L + 1, 400)),
+              "noise_std": draw(st.sampled_from([0.0, 0.1, 1e100, 1e300])),
+              "seed": draw(st.integers(0, 3)), "embed_L": embed_L}
+    return {"filter": filt, "stream": stream, "trials": draw(st.integers(1, 3))}
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+class TestRunContract:
+    @settings(max_examples=50)
+    @given(cfg=run_configs(), workers=st.sampled_from(["1", "2"]))
+    def test_exit_code_outputs_and_no_warning(self, cfg, workers):
+        """Whatever the config, `kaf run` exits 0, 1, 2 or 3. On 0 it has
+        written a CSV of finite numbers and a summary that is strict JSON;
+        otherwise it prints one JSON error object and leaves no output. No
+        RuntimeWarning escapes, from the parent or, through the pool, from a
+        forked worker, which inherits the warning filter."""
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+                mock.patch.dict(os.environ, {"KAF_THREADS": workers}):
+            warnings.simplefilter("error", RuntimeWarning)
+            out = os.path.join(tmp, "curve.csv")
+            config = os.path.join(tmp, "c.json")
+            with open(config, "w") as f:
+                json.dump({**cfg, "out": out}, f)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(["run", "--config", config])
+            if code == 0:
+                assert sorted(os.listdir(tmp)) == ["c.json", "curve.csv", "curve.summary.json"]
+                with open(os.path.join(tmp, "curve.summary.json")) as f:
+                    json.load(f, parse_constant=refuse_constant)
+                assert np.isfinite(np.array(read_rows(out)[1:], dtype=float)).all()
+            else:
+                assert code in (1, 2, 3)
+                assert list(json.loads(stdout.getvalue())) == ["error"]
+                assert os.listdir(tmp) == ["c.json"]
 
 
 class TestUsage:
@@ -369,6 +450,16 @@ class TestSweep:
         assert len(rows) == 3
         assert rows[1][-1] == "" and float(rows[1][1]) > 0
         assert rows[2][-1].startswith("NumericalError: trial with seed 3 failed at step 272: ")
+        assert rows[2][1] == rows[2][2] == ""
+
+    def test_overflowing_squared_error_recorded(self, tmp_path):
+        cfg = self.sweep_config(tmp_path, {"eta": [0.2, 10.0]}, filter={"kind": "lms"},
+                                stream={"generator": "nonlinear_sysid", "length": 300,
+                                        "noise_std": 0.1, "seed": 1, "embed_L": 3})
+        assert main(["sweep", "--config", write_config(tmp_path / "s.json", cfg)]) == 0
+        rows = read_rows(cfg["out"])
+        assert rows[1][-1] == "" and float(rows[1][1]) > 0
+        assert rows[2][-1].startswith("NumericalError: trial with seed 1 failed at step 209: ")
         assert rows[2][1] == rows[2][2] == ""
 
     def test_unallocatable_stream_recorded_as_a_failed_point(self, tmp_path):
@@ -531,11 +622,12 @@ class TestVerify:
 
 class TestBench:
     def test_recipes(self, monkeypatch):
-        """Each recipe's sizes strictly increase from above the warm-up size,
-        and every kind is a `--filter` choice that reaches `run_bench`."""
+        """Each recipe's sizes strictly increase, its first window starts
+        after sample 0 (which the constructor absorbs, untimed), and every
+        kind is a `--filter` choice that reaches `run_bench`."""
         for kind, sizes in kaf.bench.RECIPES.items():
             assert all(a < b for a, b in zip(sizes, sizes[1:])), kind
-            assert sizes[0] > kaf.bench.WARMUP_SIZE, kind
+            assert sizes[0] - kaf.bench._half_width(sizes[0]) > 0, kind
         kinds = []
         monkeypatch.setattr(kaf.cli, "run_bench", lambda kind: kinds.append(kind)
                             or kaf.bench.BenchResult(kind, [], 2.0, False))
@@ -557,6 +649,17 @@ class TestBench:
         report = json.loads(capsys.readouterr().out.splitlines()[0])
         assert sorted(report) == ["filter", "slope", "unstable_timings"]
         assert report["filter"] == "krls-ald-reg" and np.isfinite(report["slope"])
+
+    @pytest.mark.parametrize("kind", kaf.bench.BENCH_KINDS)
+    def test_every_window_is_two_sided(self, kind, monkeypatch, capsys):
+        """The child, run in process on step times of size^2, collects past
+        the last recipe size's window: `run_bench` reads the slope 2."""
+        monkeypatch.setattr(kaf.bench, "_collect",
+                            lambda kind, max_size: np.arange(max_size + 2) ** 2 / 1e9)
+        kaf.bench._child(kind)
+        times = np.array(json.loads(capsys.readouterr().out))
+        monkeypatch.setattr(kaf.bench, "_collect_one_thread", lambda kind: times)
+        assert kaf.bench.run_bench(kind).slope == pytest.approx(2.0, abs=1e-3)
 
     def test_failed_child_exits_2(self, tmp_path, monkeypatch, capfd):
         """A child that cannot run, here a program in place of the Python

@@ -121,27 +121,29 @@ class TestAldTest:
             d.ald_test([1.0], 0.1)
 
     def test_overflowing_polynomial_first_center_refused(self):
-        """k(u, u) = (1e400 + 1)^2 overflows to inf: no first center. (numpy's
-        overflow warnings from the kernel are not under test.)"""
+        """k(u, u) = (1e400 + 1)^2 overflows to inf: no first center, and no
+        numpy warning."""
         poly = KernelSpec("polynomial", degree=2)
         for build in (lambda: Dictionary(poly, [1e200]),
                       lambda: KrlsAldReg(poly, 0.1, 0.01, [1e200], 1.0)):
-            with np.errstate(over="ignore"), pytest.raises(
-                    ValidationError, match=r"degenerate first center: k\(u, u\) = inf"):
+            with pytest.raises(ValidationError,
+                               match=r"degenerate first center: k\(u, u\) = inf"):
                 build()
 
     def test_overflowing_polynomial_kernel_value_is_named(self):
         """After the center [1.0], the input [1e200] overflows k(u, u) and
         k(c, u): the error names them, not the well-conditioned 1 x 1 Gram
-        matrix, and the filter is as it was."""
+        matrix, with no numpy warning, and the filter is as it was, whether
+        the input comes through `step` or through `run`'s screen."""
         poly = KernelSpec("polynomial", degree=2)
         d = Dictionary(poly, [1.0])
         f = KrlsAldReg(poly, 0.1, 0.01, [1.0], 1.0)
         snap = f.to_snapshot(resume_exact=True)
-        for step in (lambda: d.ald_test([1e200], 0.01), lambda: f.step([1e200], 1.0)):
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                    NumericalError, match=r"kernel values are not finite \(k\(u, u\) = inf, "
-                                          r"max \|k\(c_i, u\)\| = inf\)") as exc:
+        for step in (lambda: d.ald_test([1e200], 0.01), lambda: f.step([1e200], 1.0),
+                     lambda: f.run([[1e200], [2.0]], [1.0, 1.0])):
+            with pytest.raises(NumericalError,
+                               match=r"kernel values are not finite \(k\(u, u\) = inf, "
+                                     r"max \|k\(c_i, u\)\| = inf\)") as exc:
                 step()
             assert "cond" not in str(exc.value)
         assert f.to_snapshot(resume_exact=True) == snap

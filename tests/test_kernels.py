@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kaf import Dictionary, KernelSpec, expansion_inner_product, gram, kernel_eval, kernel_matrix
+from kaf import Dictionary, KernelSpec, gram, kernel_eval, kernel_matrix
 from kaf.exceptions import DimensionMismatchError, NonFiniteInputError, ValidationError
 from kaf.kernels import kernel_block, kernel_diag, kernel_self, kernel_vector
 from kaf.oracle import polynomial_feature_map
@@ -205,59 +205,6 @@ def test_dictionary_kernel_vector_reads_the_block_row(spec, dim, k_min):
     d = grown(spec, rng.uniform(-4, 4, (60, dim)), check)
     check(d)
     assert d.size >= k_min
-
-
-class TestExpansionInnerProduct:
-    def test_single_identical_term(self):
-        h = ([1.0], [[0.0]])
-        assert expansion_inner_product(GAUSS, h, h) == 1.0
-
-    def test_one_term_bilinearity(self):
-        got = expansion_inner_product(GAUSS, ([2.0], [[0.0]]), ([1.0], [[1.0]]))
-        assert got == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
-
-    def test_matches_double_loop(self):
-        rng = np.random.default_rng(5)
-        a, ca = rng.standard_normal(3), rng.standard_normal((3, 2))
-        b, cb = rng.standard_normal(4), rng.standard_normal((4, 2))
-        brute = sum(a[i] * b[j] * kernel_eval(GAUSS, ca[i], cb[j])
-                    for i in range(3) for j in range(4))
-        assert expansion_inner_product(GAUSS, (a, ca), (b, cb)) == pytest.approx(
-            brute, abs=1e-12)
-
-    def test_symmetry_scaling_distributivity(self):
-        rng = np.random.default_rng(6)
-        a, ca = rng.standard_normal(3), rng.standard_normal((3, 2))
-        b, cb = rng.standard_normal(2), rng.standard_normal((2, 2))
-        g, cg = rng.standard_normal(4), rng.standard_normal((4, 2))
-        ip = lambda x, y: expansion_inner_product(GAUSS, x, y)
-        assert ip((a, ca), (b, cb)) == pytest.approx(ip((b, cb), (a, ca)), abs=1e-12)
-        # <c f + d g, h> = c <f, h> + d <g, h>, combining f and g center-wise
-        c, dd = 1.7, -0.4
-        comb = (np.concatenate([c * a, dd * b]), np.vstack([ca, cb]))
-        lhs = ip(comb, (g, cg))
-        rhs = c * ip((a, ca), (g, cg)) + dd * ip((b, cb), (g, cg))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_squared_norm_nonnegative(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            a = rng.standard_normal(5)
-            ca = rng.standard_normal((5, 3))
-            assert expansion_inner_product(GAUSS, (a, ca), (a, ca)) >= -1e-12
-
-    def test_count_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            expansion_inner_product(GAUSS, ([1.0, 2.0], [[0.0]]), ([1.0], [[1.0]]))
-
-    @pytest.mark.parametrize("coeff, error", [
-        (math.nan, NonFiniteInputError), ("1", ValidationError), (True, ValidationError)])
-    def test_coefficients_are_read_as_inputs(self, coeff, error):
-        """A coefficient is a finite real number, as an input entry is."""
-        for h, g in ((([coeff], [[0.0]]), ([1.0], [[1.0]])),
-                     (([1.0], [[0.0]]), ([coeff], [[1.0]]))):
-            with pytest.raises(error):
-                expansion_inner_product(GAUSS, h, g)
 
 
 class TestKernelSpec:

@@ -101,6 +101,14 @@ class TestStep:
         with pytest.raises(NumericalError, match="not finite"):
             Klms(GAUSS, 10.0, [0.0], 1e308)  # the first term is checked alike
 
+    def test_overflowing_polynomial_kernel_refused_without_a_warning(self):
+        """k(1, 1e200) = (1e200 + 1)^2 overflows: y is inf, and the step is
+        refused as a divergent one, with no numpy warning."""
+        f = Klms(KernelSpec("polynomial", degree=2), 0.1, [1.0], 1.0)
+        with pytest.raises(NumericalError, match="not finite"):
+            f.step([1e200], 1.0)
+        assert f.n == 1
+
     def test_dimension_mismatch_transactional(self):
         f = Klms(GAUSS, 0.2, [0.0, 0.0], 1.0)
         coeffs = f.coeffs.copy()

@@ -13,7 +13,6 @@ from kaf import (
     KrlsAldReg,
     StreamConfig,
     batch_solve_regularized,
-    expansion_inner_product,
     generate,
     kernel_eval,
 )
@@ -202,6 +201,17 @@ class TestGrowBranch:
         eig = np.linalg.eigvalsh(f.P)
         assert eig[0] > 0 and eig[-1] <= (1 + 1e-12) / lam
 
+    def test_huge_lambda_and_targets_keep_b_finite(self):
+        """b's growth term is (lambda/den) e q with lambda/den <= 1: at
+        lambda = 1e300 and targets near 1e10, lambda e alone overflows."""
+        U, d = generate(StreamConfig("noisy_sinc", length=300, noise_std=1e10, seed=1))
+        f = KrlsAldReg(GAUSS, 1e300, 0.01, U[0], d[0])
+        grew = 0
+        for i in range(1, 300):
+            grew += f.step(U[i], d[i]).grew
+            assert np.isfinite(f.b).all(), i
+        assert grew >= 5
+
 
 class TestRecursiveEqualsBatch:
     def test_unregularized_mode_matches_batch(self):
@@ -286,7 +296,7 @@ class TestPredict:
         f = KrlsAldReg(GAUSS, 1.0, 0.1, [0.3], 0.0)
         assert f.predict([5.0]) == 0.0
 
-    def test_matches_brute_force_and_inner_product(self):
+    def test_matches_brute_force(self):
         U, d = stream_2d(60, 17)
         f = KrlsAldReg(GAUSS, 0.1, 0.05, U[0], d[0])
         for i in range(1, 60):
@@ -296,12 +306,7 @@ class TestPredict:
             u = rng.uniform(-1.5, 1.5, 2)
             brute = sum(f.alpha[i] * kernel_eval(GAUSS, f.dict.centers[i], u)
                         for i in range(f.dict_size))
-            # the prediction is the RKHS inner product of the model expansion
-            # with the evaluation expansion at u
-            via_ip = expansion_inner_product(
-                GAUSS, (f.alpha, f.dict.centers), ([1.0], u[None, :]))
             assert f.predict(u) == pytest.approx(brute, abs=1e-12)
-            assert f.predict(u) == pytest.approx(via_ip, abs=1e-12)
 
 
 class TestTransactional:

@@ -35,8 +35,7 @@ from hypothesis.extra import numpy as hnp
 import kaf.base
 import kaf.kernels
 from kaf import (BatchProblem, Dictionary, FilterConfig, KernelSpec, Klms, KrlsAldReg, Lms, Rls,
-                 batch_krr, expansion_inner_product, gram, kernel_eval, kernel_matrix,
-                 run_trials)
+                 batch_krr, gram, kernel_eval, kernel_matrix, run_trials)
 from kaf.base import as_floats, as_input, check_target, convert
 from kaf.cli import main
 from kaf.exceptions import (
@@ -768,8 +767,6 @@ KERNEL_TAKERS = {
     "gram": lambda spec: gram(spec, PTS),
     "kernel_matrix": lambda spec: kernel_matrix(spec, PTS, PTS),
     "kernel_eval": lambda spec: kernel_eval(spec, [0.0], [1.0]),
-    "expansion_inner_product": lambda spec: expansion_inner_product(spec, ([1.0], [[0.0]]),
-                                                                    ([1.0], [[1.0]])),
 }
 
 
