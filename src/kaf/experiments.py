@@ -47,7 +47,7 @@ FILTER_KEYS = {
     "klms": ("kernel", "eta"),
     "krls-ald-reg": ("kernel", "lambda", "delta"),
     "lms": ("eta",),
-    "rls": ("lambda", "forgetting"),
+    "rls": ("lambda",),
 }
 FILTER_KINDS = tuple(FILTER_KEYS)
 FIELD_NAMES = {"lambda": "lam"}  # config key -> FilterConfig field, where they differ
@@ -183,7 +183,6 @@ class FilterConfig:
     lam: float = 0.1
     delta: float = 0.01
     eta: float = 0.2
-    forgetting: float = 1.0
 
     def __post_init__(self):
         """The kind is checked here; the fields it reads by the filter's
@@ -292,7 +291,7 @@ def build_filter(fc: FilterConfig, first_u: np.ndarray, first_d: float,
         return Klms(fc.kernel, fc.eta, first_u, first_d)
     if fc.kind == "lms":
         return Lms(embed_L, fc.eta)
-    return Rls(embed_L, fc.lam, fc.forgetting)
+    return Rls(embed_L, fc.lam)
 
 
 def step_loop(filt, U: np.ndarray, d: np.ndarray, start: int = 0):

@@ -11,7 +11,9 @@ convention; callers using the latter should pass sigma * sqrt(2).
 Every kernel value is formed one way, by `_kernel_rows`: the terms
 t_j = (u_j - v_j)^2 (Gaussian) or u_j v_j (polynomial) are summed in index
 order, ((t_0 + t_1) + t_2) + ..., whatever the CPU's SIMD width. The
-Gaussian sum is divided by -sigma^2 and passed to `exp`; the polynomial base
+Gaussian sum is divided by -sigma^2 and passed to `exp` (for sigma < 1 it
+is first clamped at 1e308 sigma^2, past which `exp` gives 0 either way, so
+the quotient stays in the float range); the polynomial base
 b = u . v + 1 is raised to its degree as (b * b) * b ..., never by `pow`,
 whose numpy scalar and array paths differ in the last bit. So, bit for bit,
 
@@ -61,6 +63,8 @@ class KernelSpec:
         object.__setattr__(self, "degree", convert(self.degree, int, "kernel.degree"))
         if self.family == "gaussian":
             # sigma^2 must not underflow to 0: k(u, u) would be 0/0 = NaN.
+            # Any larger sigma is formed, however small: a value whose
+            # exponent leaves the float range is 0, as its exp is.
             if not (np.isfinite(self.sigma) and self.sigma > 0 and self.sigma * self.sigma > 0):
                 raise ValidationError("kernel.sigma must be a positive finite real")
         else:
@@ -175,8 +179,11 @@ def _rows(spec: KernelSpec, rows: np.ndarray, u) -> np.ndarray:
                     t *= t
                 acc += t
     if gaussian:
+        s2 = spec.sigma * spec.sigma
+        if s2 < 1.0:  # the quotient could overflow (and warn); exp of -1e308 is 0 too
+            np.minimum(acc, s2 * 1e308, out=acc)
         # x / -s^2 is the float -x / s^2, one pass fewer
-        acc /= -(spec.sigma * spec.sigma)
+        acc /= -s2
         return np.exp(acc, out=acc)
     acc += 1.0
     power = acc

@@ -28,7 +28,9 @@ A clamp at 0, an in-place exp and the dot with the coefficients follow, with
 no n x L difference array. Distances about c_1 rather than the origin keep
 the rounding error proportional to the spread of the data, not to its
 offset, and the first term (c_1 - c_1 = 0, q_1 = 0) is exactly
--||w||^2/sigma^2 (see `_expansion`).
+-||w||^2/sigma^2 (see `_expansion`). Where the product could overflow, the
+sum is `kernel_vector`'s explicit differences instead, whose values past the
+float range are 0, as they are exactly.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ class Klms:
         self._centers = np.empty((16, u.shape[0]))
         self._coeffs = np.empty(16)
         self._D = np.empty((u.shape[0] + 2, 16))  # columns [c_i - c_1; q_i; 1]
+        # 8/sigma^2, or inf once a stored q_i 8/sigma^2 is not finite: the
+        # shifted sum is taken only where ||w||^2 times this is finite
+        self._scale = (8.0 / (self.spec.sigma * self.spec.sigma)
+                       if self.spec.family == "gaussian" else math.inf)
         self.n = 0
         self._append(u, eta * d, np.zeros(u.shape[0]), 0.0)
 
@@ -87,13 +93,19 @@ class Klms:
         eps = 2^-53, besides a relative 2 eps of the whole exponent from
         rounding 1/sigma^2; the ||w||^2 term carries v's separate rounding
         of ||w||^2/sigma^2. A kernel value moves by at most as much.
-        The polynomial kernel is (c_i . u + 1)^degree.
+        With ||w||^2 and every q_i at most DBL_MAX sigma^2/8, v^T D sums
+        terms of absolute sum at most 2 (q_i + ||w||^2)/sigma^2 <= DBL_MAX/2,
+        so nothing overflows; otherwise h is `kernel_vector`'s, overflow
+        quiet. The polynomial kernel is (c_i . u + 1)^degree.
         """
         n = self.n
         w = u - self._centers[0]
         ww = float(np.vdot(w, w))  # np.vdot, unlike @, warns of no overflow, as for y below
         if self.spec.family != "gaussian":
             h = kernel_vector(self.spec, self._centers[:n], u)
+        elif not math.isfinite(ww * self._scale):
+            with np.errstate(over="ignore"):
+                h = kernel_vector(self.spec, self._centers[:n], u)
         else:
             s2 = self.spec.sigma * self.spec.sigma
             v = np.empty(w.shape[0] + 2)
@@ -134,6 +146,8 @@ class Klms:
         self._D[:-2, n] = w
         self._D[-2, n] = ww
         self._D[-1, n] = 1.0
+        if not math.isfinite(ww * self._scale):
+            self._scale = math.inf
         self.n = n + 1
 
     def to_snapshot(self) -> dict:

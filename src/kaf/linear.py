@@ -6,10 +6,10 @@ linear model, `_LinearModel`: the dimension rule, the weights, `predict` and
 `step` up to the checked input with its a-priori output and error. Each
 class keeps its own hyperparameter checks, `_update` and snapshot. Textbook
 update rules are used (stochastic gradient for LMS, rank-one
-inverse-correlation update for RLS); RLS initializes its inverse-correlation
-matrix as (1/eps) I with eps playing the same role as the kernel filter's
-ridge parameter. Either refuses an update that overflows, a divergent LMS
-eta included, with NumericalError and leaves its state as it was.
+inverse-correlation update for RLS). RLS, like `KrlsAldReg`, is growing-window
+ridge regression: its inverse-correlation matrix starts as (1/lambda) I. Either
+refuses an update that overflows, a divergent LMS eta included, with
+NumericalError and leaves its state as it was.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from .base import (StepOutput, as_input, as_object, check_target, convert, scala
                    snapshot_array)
 from .exceptions import NumericalError, ValidationError
 
-# RLS refuses a denominator forgetting + u'.aux.u at or below
-# DENOM_ROUNDOFF dim max|aux| u.u: an error E of up to DENOM_ROUNDOFF max|aux|
-# per entry of aux moves u'.aux.u by at most that, as (sum |u_i|)^2 <= dim u.u.
+# RLS refuses a denominator 1 + u'.aux.u at or below DENOM_ROUNDOFF dim
+# max|aux| u.u: an error E of up to DENOM_ROUNDOFF max|aux| per entry of aux
+# moves u'.aux.u by at most that, as (sum |u_i|)^2 <= dim u.u. Its own updates
+# keep the denominator >= 1; the floor guards an aux set or loaded by hand.
 DENOM_ROUNDOFF = 4 * np.finfo(float).eps
 
 
@@ -86,50 +87,41 @@ class Lms(_LinearModel):
 
 
 class Rls(_LinearModel):
-    """Exponentially windowed recursive least squares (forgetting 1 = growing window).
+    """Growing-window ridge recursive least squares.
 
-    With forgetting = 1 the weights after n samples equal the ridge solution
-    (sum u u^T + eps I)^-1 sum u d exactly, which the tests verify against a
-    dense solve.
+    The weights after n samples equal the ridge solution
+    (sum u u^T + lambda I)^-1 sum u d exactly, which the tests verify against
+    a dense solve.
     """
 
-    def __init__(self, dim: int, lam: float, forgetting: float = 1.0):
+    def __init__(self, dim: int, lam: float):
         super().__init__(dim)
         lam = convert(lam, float, "lambda")
         if not (np.isfinite(lam) and lam > 0 and np.isfinite(1.0 / lam)):  # aux = I / lam
             raise ValidationError(f"lambda must be > 0 with 1/lambda finite, got {lam!r}")
-        forgetting = convert(forgetting, float, "forgetting")
-        if not (0.0 < forgetting <= 1.0):
-            raise ValidationError(f"forgetting must be in (0, 1], got {forgetting!r}")
         self.lam = lam
-        self.forgetting = forgetting
         self.aux = np.eye(self.dim) / lam
 
     def _update(self, uu: np.ndarray, e: float) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             Pu = self.aux @ uu
-            denom = self.forgetting + float(uu @ Pu)
-            # denom >= forgetting for a PD aux; at or below the floor it is
-            # roundoff, as once an unexcited direction of aux has outgrown it
+            denom = 1.0 + float(uu @ Pu)
             floor = DENOM_ROUNDOFF * self.dim * float(np.abs(self.aux).max()) * float(uu @ uu)
             if not (np.isfinite(denom) and denom > floor):
-                raise NumericalError(f"RLS denominator forgetting + u'.aux.u is {denom!r}, not a "
-                                     f"finite number above its roundoff floor {floor!r}: aux is "
-                                     "not positive definite, has overflowed, or has grown "
-                                     "along a direction the inputs never excite")
+                raise NumericalError(f"RLS denominator 1 + u'.aux.u is {denom!r}, not a finite "
+                                     f"number above its roundoff floor {floor!r}: aux is not "
+                                     "positive definite or has overflowed")
             weights = self.weights + Pu / denom * e
             # outer(Pu, Pu) keeps aux exactly symmetric.
-            aux = (self.aux - np.outer(Pu, Pu) / denom) / self.forgetting
+            aux = self.aux - np.outer(Pu, Pu) / denom
         if not (np.isfinite(aux).all() and np.isfinite(weights).all()):
-            raise NumericalError("RLS update overflowed: with forgetting < 1, aux grows "
-                                 "without bound along a direction the inputs never excite")
+            raise NumericalError("RLS update overflowed: the weights or aux left the float range")
         self.weights, self.aux = weights, aux
 
     def to_snapshot(self) -> dict:
         return {
             "algorithm": "rls",
             "lambda": self.lam,
-            "forgetting": self.forgetting,
             "weights": self.weights.tolist(),
             "aux": self.aux.tolist(),
         }
@@ -138,10 +130,11 @@ class Rls(_LinearModel):
     def from_snapshot(cls, snap: dict) -> "Rls":
         if as_object(snap, "snapshot").get("algorithm") != "rls":
             raise ValidationError(f"not an rls snapshot: {snap.get('algorithm')!r}")
+        if scalar_field(snap, "forgetting", default=1.0) != 1.0:  # older snapshots store 1
+            raise ValidationError("snapshot 'forgetting' must be 1: RLS forgets nothing")
         weights = snapshot_array(snap, "weights", (None,))
         dim = weights.shape[0]
-        obj = cls(dim, scalar_field(snap, "lambda"),
-                  scalar_field(snap, "forgetting", default=1.0))
+        obj = cls(dim, scalar_field(snap, "lambda"))
         obj.weights = weights
         obj.aux = snapshot_array(snap, "aux", (dim, dim))
         if not np.array_equal(obj.aux, obj.aux.T):  # a saved aux is exactly symmetric

@@ -176,8 +176,9 @@ class TestRun:
         ("run", "rls", {}, ["--sigma", "2"], "unknown filter config keys: ['sigma']"),
         ("run", "klms", {}, ["--delta", "0.5"], "unknown filter config keys: ['delta']"),
         ("run", "klms", {"max_terms": 5}, [], "unknown filter config keys: ['max_terms']"),
+        ("run", "rls", {"forgetting": 0.9}, [], "unknown filter config keys: ['forgetting']"),
     ], ids=["config-key", "config-kernel", "lambda-flag", "eta-flag", "sigma-flag-lms",
-            "sigma-flag-rls", "delta-flag-klms", "klms-term-cap"])
+            "sigma-flag-rls", "delta-flag-klms", "klms-term-cap", "rls-forgetting"])
     def test_setting_the_kind_does_not_read_exits_1(self, command, kind, extra, argv,
                                                      message, tmp_path, capsys):
         """A filter kind takes only the settings it reads, from a config file
@@ -299,15 +300,16 @@ class TestRun:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
-# Extreme values of each filter key, and of the kernels' and streams'.
+# Extreme values of each filter key and grid key, and of the kernels' and
+# streams'. sigma = 1e-160 gives sigma^2 = 1e-320, a subnormal.
 KEY_VALUES = {
     "eta": [1e-300, 0.2, 10.0, 1e10, 1e300],
     "lambda": [0.0, 1e-300, 0.1, 1e300],
     "delta": [0.0, 1e-12, 0.01, 1e300],
-    "forgetting": [1e-300, 0.5, 1.0],
-    "kernel": [{"family": "gaussian", "sigma": sigma} for sigma in (1e-150, 1.0, 1e150)]
-              + [{"family": "polynomial", "degree": p} for p in (1, 2, 7)],
+    "sigma": [1e-160, 1e-150, 1.0, 1e150],
 }
+KEY_VALUES["kernel"] = ([{"family": "gaussian", "sigma": sigma} for sigma in KEY_VALUES["sigma"]]
+                        + [{"family": "polynomial", "degree": p} for p in (1, 2, 7)])
 
 
 @st.composite
@@ -325,8 +327,42 @@ def run_configs(draw):
     return {"filter": filt, "stream": stream, "trials": draw(st.integers(1, 3))}
 
 
+@st.composite
+def sweep_configs(draw):
+    """A `kaf sweep` config: a `run_configs` one with a grid over some of the
+    keys its kind reads, each over one or two of its extreme values."""
+    cfg = draw(run_configs())
+    filt = cfg["filter"]
+    keys = [key for key, sets in kaf.cli.SWEEP_KEYS.items() if sets in FILTER_KEYS[filt["kind"]]
+            and not (key == "sigma" and filt["kernel"]["family"] == "polynomial")]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+    grid = {key: draw(st.lists(st.sampled_from(KEY_VALUES[key]), min_size=1, max_size=2,
+                               unique=True))
+            for key in keys if key in chosen}  # in SWEEP_KEYS order, as the CSV's columns
+    cfg["stream"]["length"] = min(cfg["stream"]["length"], 200)
+    return {**cfg, "trials": min(cfg["trials"], 2), "grid": grid}
+
+
 def refuse_constant(name):
     raise ValueError(f"{name} is not a JSON number")
+
+
+@contextlib.contextmanager
+def contract_run(command, cfg, workers):
+    """Run `kaf <command>` on `cfg`, writing to curve.csv in a fresh
+    directory, at KAF_THREADS `workers`, with RuntimeWarning an error in the
+    parent and, through the pool, in every forked worker, which inherits the
+    warning filter. Yields the exit code, stdout and the directory."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            mock.patch.dict(os.environ, {"KAF_THREADS": workers}):
+        warnings.simplefilter("error", RuntimeWarning)
+        config = os.path.join(tmp, "c.json")
+        with open(config, "w") as f:
+            json.dump({**cfg, "out": os.path.join(tmp, "curve.csv")}, f)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([command, "--config", config])
+        yield code, stdout.getvalue(), tmp
 
 
 class TestRunContract:
@@ -336,27 +372,47 @@ class TestRunContract:
         """Whatever the config, `kaf run` exits 0, 1, 2 or 3. On 0 it has
         written a CSV of finite numbers and a summary that is strict JSON;
         otherwise it prints one JSON error object and leaves no output. No
-        RuntimeWarning escapes, from the parent or, through the pool, from a
-        forked worker, which inherits the warning filter."""
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
-                mock.patch.dict(os.environ, {"KAF_THREADS": workers}):
-            warnings.simplefilter("error", RuntimeWarning)
-            out = os.path.join(tmp, "curve.csv")
-            config = os.path.join(tmp, "c.json")
-            with open(config, "w") as f:
-                json.dump({**cfg, "out": out}, f)
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout):
-                code = main(["run", "--config", config])
+        RuntimeWarning escapes, from the parent or a forked worker."""
+        with contract_run("run", cfg, workers) as (code, stdout, tmp):
             if code == 0:
                 assert sorted(os.listdir(tmp)) == ["c.json", "curve.csv", "curve.summary.json"]
                 with open(os.path.join(tmp, "curve.summary.json")) as f:
                     json.load(f, parse_constant=refuse_constant)
-                assert np.isfinite(np.array(read_rows(out)[1:], dtype=float)).all()
+                rows = read_rows(os.path.join(tmp, "curve.csv"))[1:]
+                assert np.isfinite(np.array(rows, dtype=float)).all()
             else:
                 assert code in (1, 2, 3)
-                assert list(json.loads(stdout.getvalue())) == ["error"]
+                assert list(json.loads(stdout)) == ["error"]
                 assert os.listdir(tmp) == ["c.json"]
+
+
+class TestSweepContract:
+    @settings(max_examples=50)
+    @given(cfg=sweep_configs(), workers=st.sampled_from(["1", "2"]))
+    def test_exit_code_rows_and_no_warning(self, cfg, workers):
+        """Whatever the config and grid, `kaf sweep` exits 0 with one row per
+        grid point, or 1 with one JSON error object and no CSV. Every number
+        in the CSV is finite; a failed point names its error and leaves its
+        MSE and dictionary size empty, and a point that ran fills both. No
+        RuntimeWarning escapes, from the parent or a forked worker."""
+        with contract_run("sweep", cfg, workers) as (code, stdout, tmp):
+            if code == 1:
+                assert list(json.loads(stdout)) == ["error"]
+                assert os.listdir(tmp) == ["c.json"]
+                return
+            assert code == 0
+            header, *rows = read_rows(os.path.join(tmp, "curve.csv"))
+            assert header == list(cfg["grid"]) + ["steady_state_mse", "final_dict_size",
+                                                  "total_seconds", "error"]
+            assert len(rows) == np.prod([len(values) for values in cfg["grid"].values()])
+            for *numbers, error in rows:
+                mse_and_size = numbers[-3:-1]
+                if error:
+                    assert mse_and_size == ["", ""]
+                else:
+                    assert "" not in mse_and_size
+                values = np.array([x for x in numbers if x], dtype=float)
+                assert np.isfinite(values).all()
 
 
 class TestUsage:

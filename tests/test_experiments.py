@@ -273,13 +273,11 @@ class TestTrialsAndAveraging:
             FilterConfig("klms", eta=-1.0)
         # The filters' constructors are the one rule: LMS takes eta = 0 (a
         # frozen filter), KRLS lambda = 0 (the unregularized KRLS), RLS
-        # refuses lambda = 0 and forgetting > 1.
+        # refuses lambda = 0.
         assert FilterConfig("lms", eta=0.0).eta == 0.0
         assert FilterConfig("krls-ald-reg", lam=0.0).lam == 0.0
         with pytest.raises(ValidationError, match="filter.lambda"):
             FilterConfig("rls", lam=0.0)
-        with pytest.raises(ValidationError, match="filter.forgetting"):
-            FilterConfig("rls", forgetting=2.0)
 
     def test_filter_config_json_round_trip(self):
         fc = FilterConfig("krls-ald-reg", kernel=KernelSpec("gaussian", sigma=2.0),
@@ -291,10 +289,10 @@ class TestTrialsAndAveraging:
     def test_filter_config_keeps_the_constructors_values(self):
         """The config stores what the filter's constructor converted, so its
         JSON holds plain floats: 0.25 and 1.0."""
-        fc = FilterConfig("rls", lam=np.float32(0.25), forgetting=np.int64(1))
-        assert type(fc.lam) is float and type(fc.forgetting) is float
-        text = json.dumps(fc.to_json(), sort_keys=True)
-        assert '"forgetting": 1.0' in text and '"lambda": 0.25' in text
+        rls, lms = FilterConfig("rls", lam=np.float32(0.25)), FilterConfig("lms", eta=np.int64(1))
+        assert type(rls.lam) is float and type(lms.eta) is float
+        assert json.dumps(rls.to_json()) == '{"kind": "rls", "lambda": 0.25}'
+        assert json.dumps(lms.to_json()) == '{"kind": "lms", "eta": 1.0}'
 
     @pytest.mark.parametrize("kind, key", [("lms", "lambda"), ("lms", "kernel"),
                                            ("rls", "delta"), ("klms", "lambda"),

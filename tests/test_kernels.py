@@ -207,6 +207,18 @@ def test_dictionary_kernel_vector_reads_the_block_row(spec, dim, k_min):
     assert d.size >= k_min
 
 
+@pytest.mark.parametrize("sigma, far", [(1e-160, 1e-150), (1e-150, 1e-140), (0.5, 1e154)])
+def test_an_exponent_past_the_float_range_gives_0_without_a_warning(sigma, far):
+    """||u - v||^2 / sigma^2 past the float range (1e-300 / 1e-320, or
+    1e308 / 0.25) would overflow; the value it stands for is exactly 0 and
+    is formed so, with no numpy warning. A repeated point still gives 1."""
+    spec = KernelSpec("gaussian", sigma=sigma)
+    X = np.array([[0.0], [far], [0.0]])
+    assert np.array_equal(gram(spec, X), [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    assert np.array_equal(kernel_vector(spec, X, X[1]), [0.0, 1.0, 0.0])
+    assert kernel_eval(spec, [0.0], [far]) == 0.0
+
+
 class TestKernelSpec:
     def test_json_round_trip(self):
         for spec in (KernelSpec("gaussian", sigma=0.5),

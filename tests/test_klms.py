@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,27 @@ class TestStep:
         with pytest.raises(NumericalError, match="not finite"):
             f.step([1e200], 1.0)
         assert f.n == 1
+
+    def test_far_from_the_first_center_steps_without_refusal(self):
+        """||w||^2 = ||u - c_1||^2 overflows 4e400 here, so the shifted sum
+        would be inf - inf: the step takes the explicit differences instead,
+        and every true kernel value, 0, with no numpy warning. Once that q_i
+        is stored, every query does, and a resumed filter alike."""
+        f = Klms(GAUSS, 0.1, [1e200], 1.0)
+        assert f.step([-1e200], 1.0) == (0.0, 1.0, True, 2)
+        g = Klms.from_snapshot(f.to_snapshot())
+        for filt in (f, g):
+            assert filt.step([0.0], 1.0) == (0.0, 1.0, True, 3)
+            assert filt.predict([1e200]) == 0.1 and filt.predict([3.0]) == 0.1 * math.exp(-9.0)
+
+    def test_tiny_sigma_sees_only_exact_repeats(self):
+        """At sigma = 1e-160, 8/sigma^2 overflows, so every sum takes the
+        explicit differences: each kernel value is 1 at a repeated center
+        and 0 elsewhere, as it is exactly, with no numpy warning."""
+        f = Klms(KernelSpec("gaussian", sigma=1e-160), 0.5, [0.0], 1.0)
+        assert f.step([1e-140], 1.0).y == 0.0
+        assert f.step([0.0], 2.0).y == 0.5
+        assert f.predict([1e-140]) == 0.5 and f.predict([1.0]) == 0.0
 
     def test_dimension_mismatch_transactional(self):
         f = Klms(GAUSS, 0.2, [0.0, 0.0], 1.0)

@@ -419,7 +419,7 @@ SNAPSHOT_FILTERS = {
     "rls": (FILTERS["rls"], False),
 }
 # Keys whose absence is a valid snapshot: the field's default applies.
-OPTIONAL_KEYS = {"resume_exact", "P_pending", "forgetting"}
+OPTIONAL_KEYS = {"resume_exact", "P_pending"}
 
 
 def _saved(name: str) -> dict:
@@ -541,13 +541,11 @@ def _mostly(lo, hi, edges):
        kernel=st.sampled_from([GAUSS, KernelSpec("polynomial", degree=2)]),
        lam=_mostly(-0.2, 2, [0.0, -0.1, math.inf, math.nan, 1e300]),
        delta=_mostly(-0.05, 1, [0.0, -1e-9, math.inf, math.nan]),
-       eta=_mostly(-0.2, 2, [0.0, -0.1, math.inf, math.nan]),
-       forgetting=_mostly(0.5, 1.2, [0.0, -0.1, 1.0, 1.0 + 1e-12, math.nan]))
-def test_filter_config_is_the_constructors_rule(kind, kernel, lam, delta, eta, forgetting):
+       eta=_mostly(-0.2, 2, [0.0, -0.1, math.inf, math.nan]))
+def test_filter_config_is_the_constructors_rule(kind, kernel, lam, delta, eta):
     """FilterConfig refuses a setting exactly when building its filter on a
     real sample does: the constructor is the one rule."""
-    fields = dict(kind=kind, kernel=kernel, lam=lam, delta=delta, eta=eta,
-                  forgetting=forgetting)
+    fields = dict(kind=kind, kernel=kernel, lam=lam, delta=delta, eta=eta)
     U, d = stream(2, 3)
     try:
         build_filter(SimpleNamespace(**fields), U[0], d[0], DIM)
@@ -620,8 +618,7 @@ def filter_configs(draw):
     may be passed as a numpy scalar or an integral float, as a caller may."""
     kind = draw(st.sampled_from(sorted(FILTER_KEYS)))
     values = {"kernel": kernel_specs, "delta": st.floats(0, 1e6), "eta": st.floats(1e-6, 1e3),
-              "lambda": st.floats(0 if kind == "krls-ald-reg" else 1e-6, 1e6),
-              "forgetting": st.floats(1e-3, 1.0)}
+              "lambda": st.floats(0 if kind == "krls-ald-reg" else 1e-6, 1e6)}
     fields = {}
     for key in FILTER_KEYS[kind]:
         value = draw(values[key])
@@ -645,7 +642,7 @@ CONFIG_FIELDS = {
     "config": {"filter": dict, "stream": dict, "trials": int, "out": str,
                "summary_out": str, "record_timings": bool, "grid": dict},
     "filter": {"kind": str, "kernel": dict, "lambda": float, "delta": float,
-               "eta": float, "forgetting": float},
+               "eta": float},
     "stream": {"generator": str, "length": int, "noise_std": float, "seed": int,
                "embed_L": int},
     "kernel": {"family": str, "sigma": float, "degree": int},
@@ -668,7 +665,7 @@ BASE_FILTERS = {
     "klms": {"eta": 0.2},
     "krls-ald-reg": {"lambda": 0.1, "delta": 0.01},
     "lms": {"eta": 0.05},
-    "rls": {"lambda": 0.1, "forgetting": 0.99},
+    "rls": {"lambda": 0.1},
 }
 # A grid over every key each kind reads, and no other: a kind refuses a grid
 # key it does not read.
