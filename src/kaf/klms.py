@@ -28,9 +28,11 @@ A clamp at 0, an in-place exp and the dot with the coefficients follow, with
 no n x L difference array. Distances about c_1 rather than the origin keep
 the rounding error proportional to the spread of the data, not to its
 offset, and the first term (c_1 - c_1 = 0, q_1 = 0) is exactly
--||w||^2/sigma^2 (see `_expansion`). Where the product could overflow, the
-sum is `kernel_vector`'s explicit differences instead, whose values past the
-float range are 0, as they are exactly.
+-||w||^2/sigma^2 (see `_expansion`). But that error still grows with the
+spread: where its bound exceeds SHIFT_TOL, the product could lose a kernel
+value of order 1, or overflow, and the sum is `kernel_vector`'s explicit
+differences instead, whose values past the float range are 0, as they are
+exactly.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ from .base import (StepOutput, as_input, as_object, check_target, convert, reser
                    scalar_field, snapshot_array)
 from .exceptions import NumericalError, ValidationError
 from .kernels import KernelSpec, check_spec, kernel_vector
+
+# Largest bound on an exponent's rounding error (see `_expansion`) for which
+# the shifted sum is taken. The bound stays below 3e-13 on the dim-3
+# `nonlinear_sysid` streams at sigma = 1 (q_i/sigma^2 up to about 50) and
+# below 4e-11 on `kaf bench`'s dim-128 stream (about 350).
+SHIFT_TOL = 1e-10
 
 
 class Klms:
@@ -58,10 +66,12 @@ class Klms:
         self._centers = np.empty((16, u.shape[0]))
         self._coeffs = np.empty(16)
         self._D = np.empty((u.shape[0] + 2, 16))  # columns [c_i - c_1; q_i; 1]
-        # 8/sigma^2, or inf once a stored q_i 8/sigma^2 is not finite: the
-        # shifted sum is taken only where ||w||^2 times this is finite
-        self._scale = (8.0 / (self.spec.sigma * self.spec.sigma)
-                       if self.spec.family == "gaussian" else math.inf)
+        # 6 (dim + 5) eps / sigma^2, inf where the shifted sum's factor
+        # 2/sigma^2 overflows, or once a stored q_i times it exceeds
+        # SHIFT_TOL: the shifted sum is taken only where ||w||^2 times this
+        # is at most SHIFT_TOL (see `_expansion`)
+        self._scale = (3 * (u.shape[0] + 5) * 2.0 ** -53 * (2.0 / (spec.sigma * spec.sigma))
+                       if spec.family == "gaussian" else math.inf)
         self.n = 0
         self._append(u, eta * d, np.zeros(u.shape[0]), 0.0)
 
@@ -93,17 +103,19 @@ class Klms:
         eps = 2^-53, besides a relative 2 eps of the whole exponent from
         rounding 1/sigma^2; the ||w||^2 term carries v's separate rounding
         of ||w||^2/sigma^2. A kernel value moves by at most as much.
-        With ||w||^2 and every q_i at most DBL_MAX sigma^2/8, v^T D sums
-        terms of absolute sum at most 2 (q_i + ||w||^2)/sigma^2 <= DBL_MAX/2,
-        so nothing overflows; otherwise h is `kernel_vector`'s, overflow
-        quiet. The polynomial kernel is (c_i . u + 1)^degree.
+        Since ||c_i - c_1|| ||w|| <= (q_i + ||w||^2)/2, the bound is at most
+        (q_i + ||w||^2) `_scale` / 2, so the sum is taken so only while
+        ||w||^2 `_scale` and every q_i `_scale` are at most SHIFT_TOL; then
+        ||w||^2 and q_i are below 3e4 sigma^2 and nothing overflows.
+        Otherwise h is `kernel_vector`'s, overflow quiet. The polynomial
+        kernel is (c_i . u + 1)^degree.
         """
         n = self.n
         w = u - self._centers[0]
         ww = float(np.vdot(w, w))  # np.vdot, unlike @, warns of no overflow, as for y below
         if self.spec.family != "gaussian":
             h = kernel_vector(self.spec, self._centers[:n], u)
-        elif not math.isfinite(ww * self._scale):
+        elif not ww * self._scale <= SHIFT_TOL:  # NaN at ww = 0 once _scale is inf
             with np.errstate(over="ignore"):
                 h = kernel_vector(self.spec, self._centers[:n], u)
         else:
@@ -146,7 +158,7 @@ class Klms:
         self._D[:-2, n] = w
         self._D[-2, n] = ww
         self._D[-1, n] = 1.0
-        if not math.isfinite(ww * self._scale):
+        if not ww * self._scale <= SHIFT_TOL:
             self._scale = math.inf
         self.n = n + 1
 

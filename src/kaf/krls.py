@@ -19,8 +19,9 @@ P_b -= Y^T Y absorbs them in one level-3 product, which numpy forms exactly
 symmetric. Reads go through both terms: q = P f = P_b f - Y^T (Y f). While
 K <= PENDING, where reading Y would cost more than the flush saves, every
 stack is flushed at once. The flushes fall at fixed pending counts, so
-reruns are bit-identical. P_b, Y and W live in capacity buffers that double
-when full, so neither growth nor a snapshot's replay copies a K x K array;
+reruns are bit-identical. P_b and W live in square capacity buffers that
+grow by an eighth when full, and Y in one whose columns double, so growth
+and a snapshot's replay copy a K x K array only at every eighth of growth;
 the property `P` forms P_b - Y^T Y in a new array without changing the
 state.
 
@@ -92,7 +93,7 @@ import numpy as np
 
 from .base import (StepOutput, as_floats, as_input, as_object, check_target, convert, reserve,
                    reserve_square, scalar_field, snapshot_array)
-from .dictionary import AldScreen, Dictionary, check_delta, check_lambda
+from .dictionary import AldScreen, Dictionary, _dot_tril, check_delta, check_lambda
 from .exceptions import DimensionMismatchError, KafError, NumericalError, ValidationError
 from .kernels import KernelSpec, check_spec, kernel_self
 
@@ -176,7 +177,7 @@ class KrlsAldReg:
     def alpha(self) -> np.ndarray:
         """Expansion coefficients W^T b; the model is sum_i alpha_i k(c_i, .)."""
         if self._alpha is None:
-            self._alpha = self.b @ self.dict.W
+            self._alpha = _dot_tril(self.b, self.dict.W)
         return self._alpha
 
     def predict(self, u) -> float:

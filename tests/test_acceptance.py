@@ -100,10 +100,12 @@ def test_gram_psd():
 
 def test_cost_scaling():
     # The recipes of `kaf.bench.RECIPES`. A forced-growth KRLS step makes
-    # three K^2 matrix-vector products and no K^2 write. Only from K ~ 500 on
-    # do they outweigh its fixed call cost (~70 us) and stream from memory
-    # rather than cache, so its recipe reads K = 500-2000; KLMS's reads
-    # 500-8000 terms of a 128-dimensional stream.
+    # three K^2 matrix-vector products, two of them over W's blocked
+    # triangle (about K^2/2 entries each), and copies W and P_b only at
+    # every eighth of growth. Only from K ~ 500 on do they outweigh its
+    # fixed call cost (~70 us) and stream from memory rather than cache, so
+    # its recipe reads K = 500-2000; KLMS's reads 500-8000 terms of a
+    # 128-dimensional stream.
     krls = run_bench("krls-ald-reg")
     klms = run_bench("klms")
     ok = 1.5 <= krls.slope <= 2.5 and 0.7 <= klms.slope <= 1.3

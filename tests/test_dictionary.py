@@ -1,10 +1,13 @@
+import copy
+import json
 import math
 
 import numpy as np
 import pytest
 
-from kaf import Dictionary, KernelSpec, KrlsAldReg, gram
-from kaf.dictionary import GROWTH_FLOOR
+from kaf import Dictionary, KernelSpec, KrlsAldReg, StreamConfig, dictionary, generate, gram
+from kaf.base import EXACT_SIZE_MAX, reserve_square
+from kaf.dictionary import GROWTH_FLOOR, W_BLOCK, AldScreen, _dot_tril, _tril_dot
 from kaf.exceptions import (
     DimensionMismatchError,
     NearSingularGrowthError,
@@ -275,3 +278,107 @@ class TestSnapshot:
         snap["centers_sha256"] = d.to_snapshot()["centers_sha256"]
         with pytest.raises(NumericalError, match="near-singular"):
             Dictionary.from_snapshot(snap)
+
+
+def never_read(cap: int, k: int) -> np.ndarray:
+    """Mask of the entries of a (cap, cap) buffer holding W at size k that
+    neither blocked product reads, at k or any later size: those right of
+    their row's diagonal block, and those at or left of the diagonal in the
+    rows from k on, which `_grow` writes before any product reads them. What
+    is left above the diagonal lies in the diagonal blocks, read as the
+    zeros `reserve_square` leaves there."""
+    i, j = np.indices((cap, cap))
+    return (j >= (i // W_BLOCK + 1) * W_BLOCK) | ((i >= k) & (j <= i))
+
+
+def nan_filling(buf: np.ndarray, n: int) -> np.ndarray:
+    """`reserve_square`, with NaN in every entry of a new buffer that
+    `never_read` names."""
+    grown = reserve_square(buf, n)
+    if grown is not buf:
+        grown[never_read(grown.shape[0], n)] = np.nan
+    return grown
+
+
+class TestTriangle:
+    """W x and x W read W by row blocks of its lower triangle."""
+
+    @pytest.mark.parametrize("k", [W_BLOCK - 1, W_BLOCK, W_BLOCK + 1, 2 * W_BLOCK + 1, 500])
+    def test_blocked_products_match_dense_ones(self, k):
+        """Each agrees with the dense product within the rounding bound of a
+        sum of n = K + K/W_BLOCK + 1 terms, taken in either order:
+        2 gamma_n (|W| |x|), gamma_n = n u / (1 - n u), u = 2^-53; while
+        K <= W_BLOCK it is the dense product, bit for bit."""
+        rng = np.random.default_rng(k)
+        buf = np.full((k + 7, k + 7), np.nan)
+        buf[:k, :k] = np.tril(rng.standard_normal((k, k)))
+        W = buf[:k, :k]
+        n = k + k // W_BLOCK + 1
+        gamma2 = 2 * n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
+        x, H = rng.standard_normal(k), rng.standard_normal((5, k))
+        A = np.abs(W)
+        L, dense = np.empty((5, k + 5))[:, :k], np.empty((5, k + 5))[:, :k]
+        _tril_dot(W, H.T, out=L.T)  # as `AldScreen` forms L = H W^T
+        np.matmul(H, W.T, out=dense)
+        for got, want, bound in ((_tril_dot(W, x), W @ x, A @ np.abs(x)),
+                                 (_dot_tril(x, W), x @ W, np.abs(x) @ A),
+                                 (_tril_dot(W, H.T), W @ H.T, A @ np.abs(H.T)),
+                                 (L, dense, np.abs(H) @ A.T)):
+            if k <= W_BLOCK:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert (np.abs(got - want) <= gamma2 * bound).all()
+
+    @pytest.mark.parametrize("k", [W_BLOCK - 1, W_BLOCK, W_BLOCK + 1, 2 * W_BLOCK + 1])
+    def test_filter_reads_no_entry_outside_the_block_triangle(self, k, monkeypatch):
+        """A KRLS filter whose W buffer holds NaN at every entry `never_read`
+        names, from K = k on, steps, runs, predicts, screens and resumes from
+        a resume_exact snapshot bit for bit as one whose buffer holds zeros
+        there; so does a snapshot's replay with NaN in every buffer it grows."""
+        U, d = generate(StreamConfig("nonlinear_sysid", length=1500, noise_std=0.1, seed=1,
+                                     embed_L=3))
+        f = KrlsAldReg(GAUSS, 0.1, 0.01, U[0], d[0])
+        i = 1
+        while f.dict_size < k:
+            f.step(U[i], d[i])
+            i += 1
+        g = copy.deepcopy(f)
+        snap = json.loads(json.dumps(f.to_snapshot(resume_exact=True)))
+
+        def outputs(h):
+            screen = AldScreen(h.dict, U[i:i + 64])
+            out = [screen.L.copy(), screen.d2.copy(), screen.rejects(h.delta), h.alpha.copy(),
+                   np.array([h.predict(u) for u in U[i:i + 64]])]
+            out += [np.array(h.step(U[j], d[j])) for j in range(i, i + 100)]
+            out += h.run(U[i + 100:i + 400], d[i + 100:i + 400])
+            return out + [np.tril(h.dict.W), h.P, h.b]
+
+        want = outputs(f)
+        assert want[-3].shape[0] > k  # the steps and the run admitted centers
+        resumed = outputs(KrlsAldReg.from_snapshot(snap))
+        monkeypatch.setattr(dictionary, "reserve_square", nan_filling)
+        g.dict._W[never_read(g.dict._W.shape[0], k)] = np.nan
+        for got in (resumed, outputs(g), outputs(KrlsAldReg.from_snapshot(snap))):
+            assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
+
+
+class TestCapacity:
+    @pytest.mark.parametrize("n", [0, 1, EXACT_SIZE_MAX - 1, EXACT_SIZE_MAX, 100, 511, 1000])
+    def test_reserve_square_grows_by_an_eighth(self, n):
+        """A full buffer grows to room for row and column n, exact-size below
+        EXACT_SIZE_MAX and with at most n/8 more beyond; the (n, n) block is
+        kept and every new entry is 0, so W still reads 0 above its diagonal.
+        A buffer with room is returned as it is."""
+        rng = np.random.default_rng(n)
+        buf = rng.standard_normal((n, n))
+        grown = reserve_square(buf, n)
+        cap = grown.shape[0]
+        assert grown.shape == (cap, cap) and cap >= n + 1
+        if n < EXACT_SIZE_MAX:
+            assert cap == n + 1
+        else:
+            assert cap - n <= n / 8
+        assert np.array_equal(grown[:n, :n], buf)
+        grown[:n, :n] = 0.0
+        assert not grown.any()
+        assert reserve_square(grown, n) is grown

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kaf import KernelSpec, Klms
+from kaf import KernelSpec, Klms, StreamConfig, generate
 from kaf.exceptions import DimensionMismatchError, NumericalError, ValidationError
-from kaf.kernels import kernel_eval, kernel_matrix
+from kaf.kernels import kernel_eval, kernel_matrix, kernel_vector
+from kaf.klms import SHIFT_TOL
 from kaf.oracle import feature_space_lms
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -122,11 +123,42 @@ class TestStep:
             assert filt.step([0.0], 1.0) == (0.0, 1.0, True, 3)
             assert filt.predict([1e200]) == 0.1 and filt.predict([3.0]) == 0.1 * math.exp(-9.0)
 
+    @pytest.mark.parametrize("sigma, center, query", [(1e-3, 1e5, 1e5 + 1e-3),
+                                                      (1e-150, 1e-140, 1e-140)])
+    def test_wide_spread_takes_the_explicit_differences(self, sigma, center, query):
+        """A spread of 1e8 widths or more puts the shifted sum's exponent
+        bound past SHIFT_TOL, so the sum is `kernel_vector`'s explicit
+        differences: at sigma = 1e-3 the query 1e-3 from the center at 1e5
+        reads 0.5 e^-1, where the shifted sum read 0.0677, and at
+        sigma = 1e-150 the center at 1e-140 reads its coefficient at itself,
+        where the shifted sum read 0. A resumed filter alike."""
+        f = Klms(KernelSpec("gaussian", sigma=sigma), 0.5, [0.0], 1.0)
+        f.step([center], 1.0)
+        g = Klms.from_snapshot(f.to_snapshot())
+        for filt in (f, g):
+            explicit = kernel_vector(filt.spec, filt.centers, np.array([query])) @ filt.coeffs
+            assert abs(filt.predict([query]) - explicit) <= 1e-12
+            assert filt.predict([query]) == pytest.approx(0.5 * math.exp(-1.0 + (center == query)),
+                                                          rel=1e-7)
+
+    def test_benchmark_streams_keep_the_shifted_sum(self):
+        """On `kaf run`'s dim-3 `nonlinear_sysid` stream at sigma = 1, every
+        bound stays far below SHIFT_TOL: the shifted sum serves every query."""
+        U, d = generate(StreamConfig("nonlinear_sysid", length=3000, noise_std=0.1, seed=1,
+                                     embed_L=3))
+        f = Klms(GAUSS, 0.2, U[0], d[0])
+        for u, t in zip(U[1:], d[1:]):
+            f.step(u, t)
+        w = U - U[0]
+        assert np.einsum("ij,ij->i", w, w).max() * f._scale <= SHIFT_TOL / 100
+
     def test_tiny_sigma_sees_only_exact_repeats(self):
-        """At sigma = 1e-160, 8/sigma^2 overflows, so every sum takes the
-        explicit differences: each kernel value is 1 at a repeated center
-        and 0 elsewhere, as it is exactly, with no numpy warning."""
+        """At sigma = 1e-160, 2/sigma^2 overflows, so every sum takes the
+        explicit differences, the first at c_1 included: each kernel value
+        is 1 at a repeated center and 0 elsewhere, as it is exactly, with no
+        numpy warning."""
         f = Klms(KernelSpec("gaussian", sigma=1e-160), 0.5, [0.0], 1.0)
+        assert f.predict([0.0]) == 0.5
         assert f.step([1e-140], 1.0).y == 0.0
         assert f.step([0.0], 2.0).y == 0.5
         assert f.predict([1e-140]) == 0.5 and f.predict([1.0]) == 0.0

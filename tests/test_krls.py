@@ -16,6 +16,7 @@ from kaf import (
     generate,
     kernel_eval,
 )
+from kaf.base import reserve_square
 from kaf.exceptions import (
     DimensionMismatchError,
     KafError,
@@ -621,21 +622,35 @@ def test_first_sample_becomes_first_center():
     assert f.dict_size == 1
 
 
+def first_growth_from(n: int) -> tuple[int, int]:
+    """The first size >= n at which `reserve_square` grows a full buffer, and
+    the capacity it grows to."""
+    buf = np.zeros((0, 0))
+    for k in range(10 * n):
+        grown = reserve_square(buf, k)
+        if grown is not buf and k >= n:
+            return k, grown.shape[0]
+        buf = grown
+    raise AssertionError("reserve_square never grew")
+
+
 @settings(max_examples=30)
-@given(pending=st.sampled_from([0, 1, PENDING - 1]), doubled=st.booleans(),
+@given(pending=st.sampled_from([0, 1, PENDING - 1]), grown=st.booleans(),
        lam=st.sampled_from([0.0, 1e-3, 0.1, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
-def test_snapshot_with_pending_rows_resumes_bit_for_bit(pending, doubled, lam, seed):
+def test_snapshot_with_pending_rows_resumes_bit_for_bit(pending, grown, lam, seed):
     """A resume_exact snapshot taken with 0, 1 or PENDING - 1 rows pending,
-    at K = 40 or just after P_b's and W's buffers doubled (K = 65), stores
-    P_b and the pending rows as they are: the loaded filter steps and runs
-    bit for bit as the saved one, across later flushes and growth. Taking
-    the snapshot flushes nothing, so the saved filter's later outputs are
-    those of a deep copy that was never snapshotted."""
-    k = 65 if doubled else 40
+    at K = 40 or just after P_b's and W's buffers grew (the first growth of
+    `reserve_square` from K = 2 PENDING on), stores P_b and the pending rows
+    as they are: the loaded filter steps and runs bit for bit as the saved
+    one, across later flushes and growth. Taking the snapshot flushes
+    nothing, so the saved filter's later outputs are those of a deep copy
+    that was never snapshotted."""
+    at, cap = first_growth_from(2 * PENDING)
+    k = at + 1 if grown else 40
     f, C = with_pending(pending, lam=lam, extra=k - PENDING)
     assert f.dict_size == k and f._m == pending
-    if doubled:
-        assert f._Pb.shape == f.dict._W.shape == (128, 128)
+    if grown:
+        assert f._Pb.shape == f.dict._W.shape == (cap, cap)
     never = copy.deepcopy(f)
     snap = json.loads(json.dumps(f.to_snapshot(resume_exact=True)))
     assert ("P_pending" in snap) == (pending > 0)
