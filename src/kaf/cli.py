@@ -23,9 +23,12 @@ KAF_THREADS bounds the worker processes that run trials (`kaf run`, where
 each worker also formats its trial's CSV rows) or grid points (`kaf sweep`)
 at once; runs are serial where the platform cannot fork.
 
-Outputs are deterministic given config, seed and BLAS thread count, and
-identical for every KAF_THREADS; a KRLS run at embed_L >= 2 can differ in
-the last digits between BLAS thread counts. CSV floats are printed with
+Every command runs numpy's bundled OpenBLAS at one thread, restored on
+return; its forked workers inherit that. Outputs are deterministic given
+config and seed, and identical for every KAF_THREADS and BLAS thread count.
+Where numpy links another BLAS (MKL, Accelerate, numpy 1.x), the threads
+are left as they are, and a KRLS run at embed_L >= 2 can differ in the last
+digits between that BLAS's thread counts. CSV floats are printed with
 17 significant digits, and the curves' per-step wall times are zeros for
 every filter kind unless the config sets "record_timings": true, which also
 adds "mean_step_seconds" to the summary (real timings differ between runs).
@@ -45,6 +48,7 @@ import sys
 import time
 from dataclasses import replace
 
+from ._blas import one_thread
 from .base import check_object, convert, fmt17, scalar_field
 from .bench import BENCH_KINDS, run_bench
 from .exceptions import KafError, NumericalError, ValidationError
@@ -363,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        code = _dispatch(argv)
+        with one_thread():  # the command's BLAS products, in this process and its workers
+            code = _dispatch(argv)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -9,11 +9,15 @@ a = W^T l = G^-1 h, to W; no existing row changes. `_grow` admits the first
 center too, from the empty factor. W lives in a buffer that grows by an
 eighth when full (`base.reserve_square`), so most admissions copy no K x K
 array; the property `W` is a read-only (K, K) view. Every product with W,
-l = W h, l^T W, a screen's H W^T and KRLS's b W, goes through `_tril_dot`
-or `_dot_tril`, which read it by blocks of W_BLOCK rows, W[lo:hi, :hi]: its
-lower triangle and the upper triangles of the diagonal blocks, about
-(K^2 + K W_BLOCK)/2 entries of K^2. G itself is not kept: `gram` recomputes
-it from the centers for verification and diagnostics.
+l = W h, l^T W, a screen's H W^T and KRLS's b W, goes through `_blas`. Up
+to K = W_BLOCK each is one numpy product. Past it, OpenBLAS's triangular
+kernels read W's lower triangle only: `_ald` forms l = W h by one dtrmv in
+place on h, `_grow` forms l^T W by one dtrmv in place on W's new row, and a
+screen forms H W^T by one dtrmm. Where numpy's BLAS does not export them,
+`_blas._tril_dot` and `_dot_tril` read W by blocks of W_BLOCK rows,
+W[lo:hi, :hi]: its lower triangle and the upper triangles of the diagonal
+blocks, about (K^2 + K W_BLOCK)/2 entries of K^2. G itself is not kept:
+`gram` recomputes it from the centers for verification and diagnostics.
 
 The centers are stored coordinate-major, one per column of an (L, capacity)
 buffer that doubles along its columns when full (`base.reserve`, axis 1). A
@@ -44,6 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _blas
 from .base import as_input, as_object, convert, reserve, reserve_square, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
 from .kernels import (KernelSpec, _kernel_rows, _overflow_quiet, check_spec, kernel_block,
@@ -54,12 +59,6 @@ GROWTH_FLOOR = 1e-12
 
 # Safety factor of `AldScreen`'s slack over its roundoff bound.
 SCREEN_SAFETY = 2.0
-
-# Rows of W per block of `_tril_dot` and `_dot_tril`. Of 64, 128 and 256,
-# 128 measured fastest for a KRLS step at K = 400-500 (one CPU, one BLAS
-# thread); up to K = W_BLOCK each is one product, as unblocked.
-W_BLOCK = 128
-
 
 def check_lambda(lam) -> float:
     """The ridge regularizer lambda, a finite float >= 0 by the field rule;
@@ -169,7 +168,7 @@ class Dictionary:
                 f"ALD test produced non-finite values: the input's kernel values are not "
                 f"finite (k(u, u) = {k_uu!r}, max |k(c_i, u)| = {float(np.abs(h).max())!r})")
         k = self._size
-        l = _tril_dot(self._W[:k, :k], h)
+        l = _blas.tril_dot(self._W, k, h)
         d2_raw = float(k_uu - l @ l)
         # l . l is a sum of squares, so d2_raw is finite only if every l_i is.
         if not math.isfinite(d2_raw):
@@ -213,7 +212,8 @@ class Dictionary:
         # diagonal are never written and stay 0.
         s = math.sqrt(ald.d2)
         W = reserve_square(self._W, k)
-        W[k, :k] = -_dot_tril(ald.l, W[:k, :k]) / s
+        W[k, :k] = ald.l  # l^T W is formed in place here past W_BLOCK
+        W[k, :k] = -_blas.dot_tril(W[k, :k], W, k) / s
         W[k, k] = 1.0 / s
 
         self._centers = reserve(self._centers, k, axis=1)
@@ -300,7 +300,7 @@ class AldScreen:
         self.L = self._L[:, :k]
         self._k_uu = kernel_diag(dic.spec, U)
         with _overflow_quiet(dic.spec):
-            _tril_dot(dic.W, H.T, out=self.L.T)
+            _blas.tril_rows(H, dic._W, k, self.L)
             self.d2 = self._k_uu - np.einsum("ij,ij->i", self.L, self.L)
             self._lw = np.abs(self.L) @ dic._row_l1[:dic.size]
         self._k_cc = float(kernel_diag(dic.spec, dic.centers).max())
@@ -326,39 +326,6 @@ class AldScreen:
         self._L[:, k - 1] = l
         self.L = self._L[:, :k]
         self._k_cc = max(self._k_cc, float(kernel_diag(self._dic.spec, c)[0]))
-
-
-def _tril_dot(W: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """W x, into `out` when given, for a (K, K) W that is lower triangular
-    and x of shape (K,) or (K, m): for each block of W_BLOCK rows,
-    W[lo:hi, :hi] x[:hi]. No entry right of a diagonal block is read, and
-    while K <= W_BLOCK it is one product. (W @ H^T written into L^T is
-    bit for bit H @ W^T written into L.)"""
-    k = W.shape[0]
-    if k <= W_BLOCK:
-        return np.matmul(W, x, out=out)
-    if out is None:
-        out = np.empty(x.shape)
-    for lo in range(0, k, W_BLOCK):
-        hi = min(lo + W_BLOCK, k)
-        np.matmul(W[lo:hi, :hi], x[:hi], out=out[lo:hi])
-    return out
-
-
-def _dot_tril(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """x W for a vector x and a (K, K) W that is lower triangular: the sum,
-    over blocks of W_BLOCK rows, of x[lo:hi] W[lo:hi, :hi], last block first.
-    No entry right of a diagonal block is read, and while K <= W_BLOCK it
-    is one product."""
-    k = W.shape[0]
-    if k <= W_BLOCK:
-        return x @ W
-    lo = (k - 1) // W_BLOCK * W_BLOCK
-    out = x[lo:] @ W[lo:]  # the last block spans every column
-    while lo:
-        hi, lo = lo, lo - W_BLOCK
-        out[:hi] += x[lo:hi] @ W[lo:hi, :hi]
-    return out
 
 
 def _checksum(centers: np.ndarray) -> str:

@@ -11,19 +11,27 @@ the rows of L = A G W^T. Model state after n samples, K = dictionary size:
 plus the dictionary's centers and W. `alpha` = W^T b is computed when first
 read and cached until `_stack`, which every write to P and b goes through.
 
-P is kept as a base P_b, exactly symmetric, less the rank-m term Y^T Y of
-the m < PENDING rows of Y that P_b has not absorbed yet (Woodbury applied
-lazily, as blocked LAPACK codes delay rank-k updates). Every write to P
-stacks rows on Y; once PENDING or more rows are pending, the flush
-P_b -= Y^T Y absorbs them in one level-3 product, which numpy forms exactly
-symmetric. Reads go through both terms: q = P f = P_b f - Y^T (Y f). While
-K <= PENDING, where reading Y would cost more than the flush saves, every
-stack is flushed at once. The flushes fall at fixed pending counts, so
-reruns are bit-identical. P_b and W live in square capacity buffers that
-grow by an eighth when full, and Y in one whose columns double, so growth
-and a snapshot's replay copy a K x K array only at every eighth of growth;
-the property `P` forms P_b - Y^T Y in a new array without changing the
-state.
+P is kept as a base P_b less the rank-m term Y^T Y of the m < PENDING rows
+of Y that P_b has not absorbed yet (Woodbury applied lazily, as blocked
+LAPACK codes delay rank-k updates). Every write to P stacks rows on Y; once
+PENDING or more rows are pending, the flush P_b -= Y^T Y absorbs them in
+one level-3 product. Reads go through both terms: q = P f = P_b f -
+Y^T (Y f). While K <= PENDING, where reading Y would cost more than the
+flush saves, every stack is flushed at once. The flushes fall at fixed
+pending counts, so reruns are bit-identical. P_b and W live in square
+capacity buffers that grow by an eighth when full, and Y in one whose
+columns double, so growth and a snapshot's replay copy a K x K array only
+at every eighth of growth.
+
+Up to K = W_BLOCK, and on `_blas`'s reference path (a numpy whose BLAS does
+not export the kernels), P_b is exactly symmetric: numpy reads it whole and
+forms the flush's Y^T Y exactly symmetric. Past W_BLOCK with the kernels,
+P_b's lower triangle is the state: P_b f (dsymv) and L P_b (dsymm) read
+only that triangle, and the flush is one dsyrk into it, in place, with no
+K x K temporary; the strict upper triangle goes stale and is never read.
+The property `P` and a snapshot's "P" mirror the lower triangle, so they
+are exactly symmetric either way, and either path resumes the other's
+snapshots. `P` forms P_b - Y^T Y in a new array without changing the state.
 
 A step takes q = P l and D = 1 + l^T q (>= 1 in exact arithmetic,
 floor-checked) once, then takes one of two branches. An unchanged step is
@@ -35,7 +43,8 @@ with den = lambda D + d2 and a priori error e:
     P' = [[P - (lambda/den) q q^T, -(s/den) q], [-(s/den) q^T, D/den]]
     b' = [b + (lambda/den) e q; s e/den]
 
-It writes only P_b's new row and column, -(s/den) q and D/den; the pending
+It writes only P_b's new row and column, -(s/den) q and D/den (past
+W_BLOCK with the kernels, only the row, in the lower triangle); the pending
 rows get a 0 in the new coordinate, and the row [sqrt(lambda/den) q^T, 0]
 joins Y. One formula serves every lambda >= 0 (lambda = 0 is Engel, Mannor
 & Meir's original KRLS) and the first sample, bordered onto the empty state.
@@ -52,7 +61,9 @@ Admission rule: a sample goes through `step` when its screened d2 is not
 below delta by more than the screen's roundoff bound, so `step` makes every
 decision that could go either way, and the samples before it are ones
 `step` would not admit. After an admission the screen gains W's new row,
-and the block goes on.
+and the block goes on. The blocks run numpy's bundled OpenBLAS at one
+thread (`_blas.one_thread`), so their level-3 and LAPACK calls, like the
+kernels, read the same at every BLAS thread count.
 
 Between admissions the samples are plain RLS on fixed features: the rows
 of L and their targets d, in order. The innovations form of block RLS
@@ -91,9 +102,10 @@ import math
 
 import numpy as np
 
+from . import _blas
 from .base import (StepOutput, as_floats, as_input, as_object, check_target, convert, reserve,
                    reserve_square, scalar_field, snapshot_array)
-from .dictionary import AldScreen, Dictionary, _dot_tril, check_delta, check_lambda
+from .dictionary import AldScreen, Dictionary, check_delta, check_lambda
 from .exceptions import DimensionMismatchError, KafError, NumericalError, ValidationError
 from .kernels import KernelSpec, check_spec, kernel_self
 
@@ -171,13 +183,13 @@ class KrlsAldReg:
             return None
         k, m = self.dict.size, self._m
         Y = self._Y[:m, :k]
-        return self._Pb[:k, :k] - Y.T @ Y
+        return _blas.mirror_lower(self._Pb, k) - Y.T @ Y
 
     @property
     def alpha(self) -> np.ndarray:
         """Expansion coefficients W^T b; the model is sum_i alpha_i k(c_i, .)."""
         if self._alpha is None:
-            self._alpha = _dot_tril(self.b, self.dict.W)
+            self._alpha = _blas.dot_tril(self.b.copy(), self.dict._W, self.dict.size)
         return self._alpha
 
     def predict(self, u) -> float:
@@ -205,6 +217,7 @@ class KrlsAldReg:
         self.n += 1
         return StepOutput(y, e, ald.admitted, self.dict._size)
 
+    @_blas.one_thread()  # the screens' and block updates' level-3 and LAPACK calls
     def run(self, U, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Process the samples (U[i], d[i]) in order, as `step` on each would,
         and return arrays of their y, e and dict_size. U is an (n, dim) array,
@@ -272,7 +285,7 @@ class KrlsAldReg:
         with the state untouched, when a denominator is below BLOCK_DENOM_MIN
         or a result is not finite."""
         j, k, m = L.shape[0], L.shape[1], self._m
-        LP = L @ self._Pb[:k, :k]
+        LP = _blas.rows_sym(L, self._Pb, k)
         if m:
             Y = self._Y[:m, :k]
             LP -= (L @ Y.T) @ Y
@@ -305,7 +318,7 @@ class KrlsAldReg:
         """q = P f and the floor-checked denominator 1 + f^T P f, which is
         >= 1 in exact arithmetic since P is positive definite."""
         k, m = f.shape[0], self._m
-        q = self._Pb[:k, :k] @ f
+        q = _blas.sym_dot(self._Pb, k, f)
         if m:
             Y = self._Y[:m, :k]
             q -= (Y @ f) @ Y
@@ -333,7 +346,7 @@ class KrlsAldReg:
                 self._m = m
                 return
             rows, self._m = self._Y[:m, :k], 0
-        self._Pb[:k, :k] -= rows.T @ rows  # numpy forms rows^T rows exactly symmetric
+        _blas.sym_flush(self._Pb, k, rows)
 
     def _border(self, q: np.ndarray, D: float, d2: float, e: float) -> None:
         """Extend P and b by a coordinate for the feature [l; sqrt(d2)], for
@@ -345,7 +358,9 @@ class KrlsAldReg:
         r = self.lam / den  # <= 1/D <= 1, where lambda e alone can overflow
         self._Pb = Pb = reserve_square(self._Pb, k)
         self._Y = Y = reserve(self._Y, k, axis=1)
-        Pb[:k, k] = Pb[k, :k] = -(s / den) * q
+        Pb[k, :k] = -(s / den) * q
+        if not _blas.lower_only(k + 1):  # the products read P_b whole
+            Pb[:k, k] = Pb[k, :k]
         Pb[k, k] = D / den
         Y[:self._m, k] = 0.0
         self.b = np.append(self.b + (r * e) * q, s * e / den)
@@ -360,7 +375,8 @@ class KrlsAldReg:
     # -- serialization ----------------------------------------------------
 
     def to_snapshot(self, resume_exact: bool = False) -> dict:
-        """Model snapshot. With ``resume_exact`` the state P_b ("P"), the
+        """Model snapshot. With ``resume_exact`` the state P_b ("P", exactly
+        symmetric, mirrored from its lower triangle), the
         pending rows of Y ("P_pending", when there are any) and b are
         embedded, so training continues bit for bit; without it the snapshot,
         and a filter loaded from it, support prediction only (or resume by
@@ -378,7 +394,7 @@ class KrlsAldReg:
             self._check_trainable()
             k, m = self.dict.size, self._m
             snap["resume_exact"] = True
-            snap["P"] = self._Pb[:k, :k].tolist()
+            snap["P"] = _blas.mirror_lower(self._Pb, k).tolist()
             if m:
                 snap["P_pending"] = self._Y[:m, :k].tolist()
             snap["b"] = self.b.tolist()

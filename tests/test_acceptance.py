@@ -100,8 +100,9 @@ def test_gram_psd():
 
 def test_cost_scaling():
     # The recipes of `kaf.bench.RECIPES`. A forced-growth KRLS step makes
-    # three K^2 matrix-vector products, two of them over W's blocked
-    # triangle (about K^2/2 entries each), and copies W and P_b only at
+    # three K^2 matrix-vector products, each over one triangle of W or P_b
+    # (about K^2/2 entries each, through BLAS's dtrmv and dsymv where numpy's
+    # OpenBLAS exports them), and copies W and P_b only at
     # every eighth of growth. Only from K ~ 500 on do they outweigh its
     # fixed call cost (~70 us) and stream from memory rather than cache, so
     # its recipe reads K = 500-2000; KLMS's reads 500-8000 terms of a

@@ -717,6 +717,21 @@ class TestBench:
         monkeypatch.setattr(kaf.bench, "_collect_one_thread", lambda kind: times)
         assert kaf.bench.run_bench(kind).slope == pytest.approx(2.0, abs=1e-3)
 
+    def test_each_step_reads_its_fastest_pass(self, monkeypatch, capsys):
+        """The child runs the stream PASSES times and prints each step's
+        fastest time: steps that one pass ran slowly read as in the others."""
+        passes = iter(range(kaf.bench.PASSES))
+
+        def collect(kind, max_size):
+            times = np.ones(max_size + 2)
+            times[next(passes)::kaf.bench.PASSES] = 2.0  # each step is slow in one pass
+            return times
+
+        monkeypatch.setattr(kaf.bench, "_collect", collect)
+        kaf.bench._child("krls-ald-reg")
+        times = json.loads(capsys.readouterr().out)
+        assert len(times) == 2202 and set(times) == {1.0}
+
     def test_failed_child_exits_2(self, tmp_path, monkeypatch, capfd):
         """A child that cannot run, here a program in place of the Python
         interpreter that exits 1: its last stderr line names the failure."""

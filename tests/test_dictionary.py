@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from kaf import Dictionary, KernelSpec, KrlsAldReg, StreamConfig, dictionary, generate, gram
+from kaf import (Dictionary, KernelSpec, KrlsAldReg, StreamConfig, dictionary, generate, gram,
+                 krls)
 from kaf.base import EXACT_SIZE_MAX, reserve_square
-from kaf.dictionary import GROWTH_FLOOR, W_BLOCK, AldScreen, _dot_tril, _tril_dot
+from kaf._blas import W_BLOCK, _dot_tril, _tril_dot
+from kaf.dictionary import GROWTH_FLOOR, AldScreen
 from kaf.exceptions import (
     DimensionMismatchError,
     NearSingularGrowthError,
@@ -291,6 +293,16 @@ def never_read(cap: int, k: int) -> np.ndarray:
     return (j >= (i // W_BLOCK + 1) * W_BLOCK) | ((i >= k) & (j <= i))
 
 
+def upper_nan_filling(buf: np.ndarray, n: int) -> np.ndarray:
+    """`reserve_square` for P_b, with NaN in the strict upper triangle of the
+    buffer it returns once K exceeds W_BLOCK: from row and column n = W_BLOCK
+    on. The bordering step writes P_b's new row after it."""
+    grown = reserve_square(buf, n)
+    if n >= W_BLOCK:
+        grown[np.triu_indices(grown.shape[0], 1)] = np.nan
+    return grown
+
+
 def nan_filling(buf: np.ndarray, n: int) -> np.ndarray:
     """`reserve_square`, with NaN in every entry of a new buffer that
     `never_read` names."""
@@ -330,36 +342,48 @@ class TestTriangle:
                 assert (np.abs(got - want) <= gamma2 * bound).all()
 
     @pytest.mark.parametrize("k", [W_BLOCK - 1, W_BLOCK, W_BLOCK + 1, 2 * W_BLOCK + 1])
-    def test_filter_reads_no_entry_outside_the_block_triangle(self, k, monkeypatch):
+    def test_filter_reads_no_entry_outside_the_block_triangle(self, k, each_backend,
+                                                              monkeypatch):
         """A KRLS filter whose W buffer holds NaN at every entry `never_read`
-        names, from K = k on, steps, runs, predicts, screens and resumes from
-        a resume_exact snapshot bit for bit as one whose buffer holds zeros
-        there; so does a snapshot's replay with NaN in every buffer it grows."""
+        names, from K = k on, steps, runs, predicts, screens, resumes from a
+        resume_exact snapshot and saves one bit for bit as one whose buffer
+        holds zeros there; so does a snapshot's replay with NaN in every
+        buffer it grows. On the kernels' backend P_b's strict upper triangle
+        holds NaN too, in every buffer P_b takes, from K > W_BLOCK on."""
         U, d = generate(StreamConfig("nonlinear_sysid", length=1500, noise_std=0.1, seed=1,
                                      embed_L=3))
-        f = KrlsAldReg(GAUSS, 0.1, 0.01, U[0], d[0])
-        i = 1
-        while f.dict_size < k:
-            f.step(U[i], d[i])
-            i += 1
-        g = copy.deepcopy(f)
-        snap = json.loads(json.dumps(f.to_snapshot(resume_exact=True)))
+        for backend in each_backend():
+            f = KrlsAldReg(GAUSS, 0.1, 0.01, U[0], d[0])
+            i = 1
+            while f.dict_size < k:
+                f.step(U[i], d[i])
+                i += 1
+            g = copy.deepcopy(f)
+            snap = json.loads(json.dumps(f.to_snapshot(resume_exact=True)))
 
-        def outputs(h):
-            screen = AldScreen(h.dict, U[i:i + 64])
-            out = [screen.L.copy(), screen.d2.copy(), screen.rejects(h.delta), h.alpha.copy(),
-                   np.array([h.predict(u) for u in U[i:i + 64]])]
-            out += [np.array(h.step(U[j], d[j])) for j in range(i, i + 100)]
-            out += h.run(U[i + 100:i + 400], d[i + 100:i + 400])
-            return out + [np.tril(h.dict.W), h.P, h.b]
+            def outputs(h):
+                screen = AldScreen(h.dict, U[i:i + 64])
+                out = [screen.L.copy(), screen.d2.copy(), screen.rejects(h.delta),
+                       h.alpha.copy(), np.array([h.predict(u) for u in U[i:i + 64]])]
+                out += [np.array(h.step(U[j], d[j])) for j in range(i, i + 100)]
+                out += h.run(U[i + 100:i + 400], d[i + 100:i + 400])
+                return out + [np.tril(h.dict.W), h.P, h.b,
+                              json.dumps(h.to_snapshot(resume_exact=True))]
 
-        want = outputs(f)
-        assert want[-3].shape[0] > k  # the steps and the run admitted centers
-        resumed = outputs(KrlsAldReg.from_snapshot(snap))
-        monkeypatch.setattr(dictionary, "reserve_square", nan_filling)
-        g.dict._W[never_read(g.dict._W.shape[0], k)] = np.nan
-        for got in (resumed, outputs(g), outputs(KrlsAldReg.from_snapshot(snap))):
-            assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
+            want = outputs(f)
+            assert want[-4].shape[0] > k  # the steps and the run admitted centers
+            resumed = outputs(KrlsAldReg.from_snapshot(snap))
+            with monkeypatch.context() as m:
+                m.setattr(dictionary, "reserve_square", nan_filling)
+                g.dict._W[never_read(g.dict._W.shape[0], k)] = np.nan
+                loaded = KrlsAldReg.from_snapshot(snap)
+                if backend == "blas":
+                    m.setattr(krls, "reserve_square", upper_nan_filling)
+                    for h in (g, loaded):
+                        if k > W_BLOCK:
+                            h._Pb[np.triu_indices(h._Pb.shape[0], 1)] = np.nan
+                for got in (resumed, outputs(g), outputs(loaded)):
+                    assert all(np.array_equal(a, b) for a, b in zip(want, got, strict=True))
 
 
 class TestCapacity:

@@ -380,29 +380,33 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
-def test_unchanged_step_allocates_less_than_one_matrix():
-    """P's updates wait as rows of Y: at K = 400 (a 512 x 512 buffer), of
-    PENDING unchanged steps only the one whose row fills Y allocates a
-    K x K array (the flush's Y^T Y). A growth step between flushes writes
-    P_b's and W's new rows in place, with no (K+1) x (K+1) array."""
+def test_unchanged_step_allocates_less_than_one_matrix(each_backend):
+    """P's updates wait as rows of Y: at K = 400, of PENDING unchanged steps
+    one flushes, and only on the reference path does it allocate a K x K
+    array (numpy's Y^T Y); the kernels' flush works in place. A growth step
+    between flushes writes P_b's and W's new rows in place, with no
+    (K+1) x (K+1) array."""
     k = 400
     pts = np.zeros((k + 2, 1))
     pts[:, 0] = 3.0 * np.arange(k + 2)  # kernel values ~exp(-9): all admitted
-    f = KrlsAldReg(GAUSS, 0.1, 0.5, pts[0], 1.0)
-    for u in pts[1:k]:
-        assert f.step(u, 1.0).grew
-    assert f.dict_size == k
-    big = []
-    for i in range(PENDING):
-        out, peak = _peak_bytes(lambda: f.step(pts[i], 1.0))
-        assert not out.grew
-        if peak >= k * k * 8:
-            big.append(i)
-            assert f._m == 0  # this step flushed
-    assert len(big) == 1
-    assert f._m < PENDING - 1
-    out, peak = _peak_bytes(lambda: f.step(pts[k], 1.0))
-    assert out.grew and f._m > 0 and peak < k * k * 8
+    for backend in each_backend():
+        f = KrlsAldReg(GAUSS, 0.1, 0.5, pts[0], 1.0)
+        for u in pts[1:k]:
+            assert f.step(u, 1.0).grew
+        assert f.dict_size == k
+        big, flushed = [], []
+        for i in range(PENDING):
+            out, peak = _peak_bytes(lambda: f.step(pts[i], 1.0))
+            assert not out.grew
+            if peak >= k * k * 8:
+                big.append(i)
+            if f._m == 0:  # this step flushed
+                flushed.append(i)
+        assert len(flushed) == 1
+        assert big == (flushed if backend == "reference" else [])
+        assert f._m < PENDING - 1
+        out, peak = _peak_bytes(lambda: f.step(pts[k], 1.0))
+        assert out.grew and f._m > 0 and peak < k * k * 8
 
 
 @pytest.fixture(scope="module")
