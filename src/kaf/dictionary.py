@@ -26,12 +26,23 @@ passes the used columns to `kernels._kernel_rows`, so h is bit for bit
 `kernels.kernel_vector`'s. The property `centers` is their read-only (K, L)
 transpose; a snapshot and its checksum see the same values and bytes.
 
-W depends on the centers alone, so a snapshot stores only the centers and
-their checksum: `from_snapshot` rebuilds W by admitting the centers again in
-order, the same float operations that grew it, so the factor is bit-identical.
+From input dimension SHIFT_DIM_MIN on, a Gaussian dictionary also keeps a
+buffer of shifted centers (`kernels.ShiftedSum`), one column
+[c_i - c_1; ||c_i - c_1||^2; 1] per center, appended by `_grow`.
+`expansion`, the sum sum_i a_i k(c_i, u) behind KRLS's `predict`, goes
+through it while its rounding gate passes, and through `kernel_vector`
+otherwise: below that dimension, for a polynomial kernel, or where the gate
+refuses. The ALD test, `AldScreen` and every step keep the explicit
+differences, since the screen's roundoff bound relies on `kernel_vector`
+matching `kernel_block` bit for bit.
+
+W and the shifted columns depend on the centers alone, so a snapshot stores
+only the centers and their checksum: `from_snapshot` rebuilds both by
+admitting the centers again in order, the same float operations that grew
+them, so they are bit-identical.
 
 A Dictionary is a single-writer value: `grow` needs exclusive access, while
-`ald_test` and `kernel_vector` are read-only.
+`ald_test`, `kernel_vector` and `expansion` are read-only.
 
 The public `ald_test` and `grow` validate their input vector (and `delta`,
 by `check_delta`, as `KrlsAldReg` does) and delegate to `_ald` and `_grow`,
@@ -51,14 +62,25 @@ import numpy as np
 from . import _blas
 from .base import as_input, as_object, convert, reserve, reserve_square, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
-from .kernels import (KernelSpec, _kernel_rows, _overflow_quiet, check_spec, kernel_block,
-                      kernel_diag, kernel_self)
+from .kernels import (KernelSpec, ShiftedSum, _kernel_rows, _overflow_quiet, check_spec,
+                      kernel_block, kernel_diag, kernel_self)
 
 # Residuals below this cannot be admitted: the new row of W divides by sqrt(d2).
 GROWTH_FLOOR = 1e-12
 
 # Safety factor of `AldScreen`'s slack over its roundoff bound.
 SCREEN_SAFETY = 2.0
+
+# Smallest input dimension at which a Gaussian dictionary keeps shifted
+# columns (`kernels.ShiftedSum`) and `expansion` sums through them. The
+# explicit differences take three passes over K values per coordinate (a
+# difference, its square and a sum), the shifted sum one product over L + 2
+# rows and a clamp, so the shifted sum gains with L. Timed against the
+# explicit sum in alternation on one CPU and one BLAS thread (median speed
+# ratio of 11 alternations of 1500 queries each, at K from 16 to 2000):
+# 1.04-1.35x at L = 3, growing with K (1.26x at K = 500); 0.94-1.01x at
+# L = 2; 0.67-0.90x at L = 1.
+SHIFT_DIM_MIN = 3
 
 def check_lambda(lam) -> float:
     """The ridge regularizer lambda, a finite float >= 0 by the field rule;
@@ -113,6 +135,8 @@ class Dictionary:
         self._W = np.empty((0, 0))
         self._row_l1 = np.empty(4)  # sum_j |W_ij| of each row i
         self._centers = np.empty((c.shape[0], 4))  # (L, capacity): a center per column
+        self._shifted = (ShiftedSum(spec, c) if spec.family == "gaussian"
+                         and c.shape[0] >= SHIFT_DIM_MIN else None)
         self._size = 0
         self._grow(c, self._ald(c, 0.0))
 
@@ -148,6 +172,16 @@ class Dictionary:
         """h_i = k(c_i, u) against every stored center, bit-identical to
         `kernels.kernel_vector(spec, centers, u)`."""
         return _kernel_rows(self.spec, self._centers[:, : self._size], u)
+
+    def expansion(self, u: np.ndarray, coeffs: np.ndarray) -> float:
+        """sum_i coeffs_i k(c_i, u) for validated u: `ShiftedSum.dot`, within
+        its bound, where the dictionary keeps shifted columns and their gate
+        passes, else `float(kernel_vector(u) @ coeffs)` bit for bit."""
+        if self._shifted is not None:
+            y = self._shifted.dot(*self._shifted.shift(u), coeffs)
+            if y is not None:
+                return y
+        return float(self.kernel_vector(u) @ coeffs)
 
     def ald_test(self, u, delta: float) -> AldResult:
         """Test whether u's feature vector is within residual `delta` of the span.
@@ -218,6 +252,8 @@ class Dictionary:
 
         self._centers = reserve(self._centers, k, axis=1)
         self._centers[:, k] = uu
+        if self._shifted is not None:
+            self._shifted.append(*self._shifted.shift(uu))
         self._row_l1 = reserve(self._row_l1, k)
         self._row_l1[k] = np.abs(W[k, :k + 1]).sum()
         self._W = W

@@ -22,23 +22,35 @@ whose numpy scalar and array paths differ in the last bit. So, bit for bit,
 for any memory layout of C, `kernel_eval(spec, u, v)` (which is
 `kernel_block`'s 1 x 1 entry) equals the matching entry of both,
 `kernel_self` and `kernel_diag` equal the diagonal, and `gram` is exactly
-symmetric. KLMS's shifted-center expansion (`Klms._expansion`) is the one
-other Gaussian formula, with its own error bound.
+symmetric. `ShiftedSum`, a Gaussian expansion sum_i a_i k(c_i, u) from
+distances about the first center in one matrix-vector product, is the one
+other Gaussian formula, with its own error bound and a gate that hands the
+sum back to the explicit differences where that bound is too loose. Every
+KLMS sum and KRLS's `predict` from input dimension
+`dictionary.SHIFT_DIM_MIN` on go through it.
 
-All evaluation is pure and stateless, safe for unsynchronized concurrent use.
+All evaluation is pure and stateless, safe for unsynchronized concurrent
+use, apart from a `ShiftedSum`'s `append`, which needs exclusive access.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import as_input, as_points, check_object, convert
+from .base import as_input, as_points, check_object, convert, reserve
 from .exceptions import ValidationError
 
 FAMILIES = ("gaussian", "polynomial")
+
+# Largest bound on an exponent's rounding error (see `ShiftedSum.dot`) for
+# which the shifted sum is taken. The bound stays below 3e-13 on the dim-3
+# `nonlinear_sysid` streams at sigma = 1 (q_i/sigma^2 up to about 50) and
+# below 4e-11 on `kaf bench`'s dim-128 stream (about 350).
+SHIFT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -190,6 +202,95 @@ def _rows(spec: KernelSpec, rows: np.ndarray, u) -> np.ndarray:
     for _ in range(spec.degree - 1):
         power = power * acc
     return power
+
+
+class ShiftedSum:
+    """Gaussian sums sum_i a_i k(c_i, u) over a growing list of centers, in
+    one matrix-vector product.
+
+    Squared distances are taken about the first center c_1. A buffer D of
+    shape (L + 2, capacity), doubling along its columns when full, holds one
+    column per center,
+
+        D[:, i] = [c_i - c_1; q_i; 1],    q_i = ||c_i - c_1||^2,
+
+    and with w = u - c_1 the vector v = [w (2/sigma^2); -1/sigma^2; -||w||^2/sigma^2]
+    gives every exponent in one product:
+
+        (v^T D)_i = -(q_i + ||w||^2 - 2 (c_i - c_1) . w) / sigma^2
+                  = -||c_i - u||^2 / sigma^2.
+
+    A clamp at 0, an in-place exp and the dot with the coefficients follow,
+    with no K x L difference array. Distances about c_1 rather than the
+    origin keep the rounding error proportional to the spread of the data,
+    not to its offset, and the first column (c_1 - c_1 = 0, q_1 = 0) gives
+    exactly -||w||^2/sigma^2. That error still grows with the spread: where
+    its bound exceeds SHIFT_TOL, `dot` refuses, and the caller sums
+    `kernel_vector`'s explicit differences instead, whose values past the
+    float range are 0, as they are exactly.
+
+    The owner appends every center, the first included, in order through
+    `append`, with `shift`'s w and ||w||^2, so replaying the centers rebuilds
+    D and its capacity bit for bit. `dot` writes nothing: it builds v per
+    call. For a polynomial spec the gate is shut from the start.
+    """
+
+    def __init__(self, spec: KernelSpec, first_center: np.ndarray):
+        self._c1 = first_center.copy()
+        dim = first_center.shape[0]
+        self._D = np.empty((dim + 2, 16))
+        self.size = 0
+        self._s2 = spec.sigma * spec.sigma
+        # 6 (dim + 5) eps / sigma^2, inf where the factor 2/sigma^2 overflows,
+        # or once a stored q_i times it exceeds SHIFT_TOL: the sum is taken
+        # only where ||w||^2 times this is at most SHIFT_TOL (see `dot`)
+        self._scale = (3 * (dim + 5) * 2.0 ** -53 * (2.0 / self._s2)
+                       if spec.family == "gaussian" else math.inf)
+
+    def shift(self, u: np.ndarray) -> tuple[np.ndarray, float]:
+        """w = u - c_1 and ||w||^2, for validated u."""
+        w = u - self._c1
+        return w, float(np.vdot(w, w))  # np.vdot, unlike @, warns of no overflow
+
+    def append(self, w: np.ndarray, ww: float) -> None:
+        """Add the column of the center c_1 + w, with ww = ||w||^2 from `shift`."""
+        n = self.size
+        self._D = reserve(self._D, n, axis=1)
+        self._D[:-2, n] = w
+        self._D[-2, n] = ww
+        self._D[-1, n] = 1.0
+        if not ww * self._scale <= SHIFT_TOL:
+            self._scale = math.inf
+        self.size = n + 1
+
+    def dot(self, w: np.ndarray, ww: float, coeffs: np.ndarray) -> float | None:
+        """sum_i coeffs_i k(c_i, u) over the `size` centers, for `shift(u)`'s
+        w and ww, or None where the gate refuses.
+
+        With h = v^T D clamped at 0, against -||c_i - u||^2/sigma^2 h_i is
+        off by at most
+
+            2 (L + 5) eps (q_i + ||w||^2 + ||c_i - c_1|| ||w||) / sigma^2,
+
+        eps = 2^-53, besides a relative 2 eps of the whole exponent from
+        rounding 1/sigma^2; the ||w||^2 term carries v's separate rounding
+        of ||w||^2/sigma^2. A kernel value moves by at most as much.
+        Since ||c_i - c_1|| ||w|| <= (q_i + ||w||^2)/2, the bound is at most
+        (q_i + ||w||^2) `_scale` / 2, so the sum is taken only while
+        ||w||^2 `_scale` and every q_i `_scale` are at most SHIFT_TOL; then
+        ||w||^2 and q_i are below 3e4 sigma^2 and nothing overflows.
+        """
+        if not ww * self._scale <= SHIFT_TOL:  # NaN at ww = 0 once _scale is inf
+            return None
+        s2 = self._s2
+        v = np.empty(w.shape[0] + 2)
+        np.multiply(w, 2.0 / s2, out=v[:-2])
+        v[-2] = -1.0 / s2
+        v[-1] = -ww / s2
+        h = v @ self._D[:, :self.size]
+        np.minimum(h, 0.0, out=h)
+        np.exp(h, out=h)
+        return float(np.vdot(h, coeffs))  # np.vdot, unlike @, warns of no overflow
 
 
 def kernel_matrix(spec: KernelSpec, x, z) -> np.ndarray:

@@ -193,9 +193,20 @@ class KrlsAldReg:
         return self._alpha
 
     def predict(self, u) -> float:
-        """Current model output sum_i alpha_i k(c_i, u); no state mutation."""
-        uu = as_input(u, dim=self.dict.dim)
-        return float(self.dict.kernel_vector(uu) @ self.alpha)
+        """Current model output sum_i alpha_i k(c_i, u); no state mutation.
+
+        Below input dimension `dictionary.SHIFT_DIM_MIN` (L = 1 and 2), or for
+        a polynomial kernel, it is `float(kernel_vector(spec, centers, u) @
+        alpha)` bit for bit. From there on a Gaussian sum is taken from the
+        dictionary's shifted columns (`kernels.ShiftedSum.dot`): each
+        exponent, and so each kernel value, lies within
+        2 (L + 5) eps (q_i + ||w||^2 + ||c_i - c_1|| ||w||) / sigma^2 of the
+        explicit one, for eps = 2^-53, w = u - c_1 and q_i = ||c_i - c_1||^2,
+        besides a relative 2 eps of the exponent from rounding 1/sigma^2,
+        and the dot with alpha adds its own rounding. Where that bound could
+        exceed `kernels.SHIFT_TOL`, the sum is the explicit one.
+        """
+        return self.dict.expansion(as_input(u, dim=self.dict.dim), self.alpha)
 
     def step(self, u, d) -> StepOutput:
         """Process one sample: predict with the pre-update coefficients, then

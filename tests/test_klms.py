@@ -1,14 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kaf import KernelSpec, Klms, StreamConfig, generate
+from kaf import KernelSpec, Klms, KrlsAldReg, StreamConfig, generate
 from kaf.exceptions import DimensionMismatchError, NumericalError, ValidationError
-from kaf.kernels import kernel_eval, kernel_matrix, kernel_vector
-from kaf.klms import SHIFT_TOL
+from kaf.kernels import SHIFT_TOL, kernel_eval, kernel_matrix, kernel_vector
 from kaf.oracle import feature_space_lms
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -131,8 +131,12 @@ class TestStep:
         differences: at sigma = 1e-3 the query 1e-3 from the center at 1e5
         reads 0.5 e^-1, where the shifted sum read 0.0677, and at
         sigma = 1e-150 the center at 1e-140 reads its coefficient at itself,
-        where the shifted sum read 0. A resumed filter alike."""
-        f = Klms(KernelSpec("gaussian", sigma=sigma), 0.5, [0.0], 1.0)
+        where the shifted sum read 0. A resumed filter alike. A KRLS
+        dictionary at L = 3 given that center (about 140 widths out is
+        enough) sums every later prediction, at the far center and at the
+        first, explicitly, bit for bit, with no numpy warning."""
+        spec = KernelSpec("gaussian", sigma=sigma)
+        f = Klms(spec, 0.5, [0.0], 1.0)
         f.step([center], 1.0)
         g = Klms.from_snapshot(f.to_snapshot())
         for filt in (f, g):
@@ -140,6 +144,16 @@ class TestStep:
             assert abs(filt.predict([query]) - explicit) <= 1e-12
             assert filt.predict([query]) == pytest.approx(0.5 * math.exp(-1.0 + (center == query)),
                                                           rel=1e-7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = KrlsAldReg(spec, 0.1, 0.01, [0.0, 0.0, 0.0], 1.0)
+            assert k.step([center, 0.0, 0.0], 1.0).grew
+            for filt in (k, KrlsAldReg.from_snapshot(k.to_snapshot())):
+                assert filt.dict._shifted._scale == math.inf
+                for q in ([query, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, sigma, -sigma]):
+                    q = np.array(q)
+                    assert filt.predict(q) == float(
+                        kernel_vector(spec, filt.dict.centers, q) @ filt.alpha)
 
     def test_benchmark_streams_keep_the_shifted_sum(self):
         """On `kaf run`'s dim-3 `nonlinear_sysid` stream at sigma = 1, every
@@ -150,7 +164,7 @@ class TestStep:
         for u, t in zip(U[1:], d[1:]):
             f.step(u, t)
         w = U - U[0]
-        assert np.einsum("ij,ij->i", w, w).max() * f._scale <= SHIFT_TOL / 100
+        assert np.einsum("ij,ij->i", w, w).max() * f._shifted._scale <= SHIFT_TOL / 100
 
     def test_tiny_sigma_sees_only_exact_repeats(self):
         """At sigma = 1e-160, 2/sigma^2 overflows, so every sum takes the
@@ -298,7 +312,7 @@ EPS = 2.0 ** -53
 def distance_form_bound(centers, coeffs, u, sigma):
     """Bound on |expansion - explicit-difference reference| at u.
 
-    Per term: the exponent bound in `Klms._expansion`'s docstring, plus the
+    Per term: the exponent bound in `ShiftedSum.dot`'s docstring, plus the
     rounding of either side's 1/sigma^2 scale, exp and sum.
     """
     L, n = centers.shape[1], centers.shape[0]
@@ -315,8 +329,9 @@ def distance_form_bound(centers, coeffs, u, sigma):
        eta=st.floats(0.01, 1.0))
 def test_distance_form_matches_explicit_differences(L, steps, seed, offset, log_sigma,
                                                      log_spread, eta):
-    """step and predict against kernel_matrix's explicit differences, within
-    the documented bound, on inputs spread over a few widths about an offset."""
+    """KLMS step and predict, and KRLS predict over the same samples, against
+    kernel_matrix's explicit differences, within the documented bound, on
+    inputs spread over a few widths about an offset."""
     rng = np.random.default_rng(seed)
     sigma = 10.0 ** log_sigma
     spec = KernelSpec("gaussian", sigma=sigma)
@@ -335,3 +350,7 @@ def test_distance_form_matches_explicit_differences(L, steps, seed, offset, log_
     ref = float(kernel_matrix(spec, f.centers, u[None, :])[:, 0] @ f.coeffs)
     assert abs(f.predict(u) - ref) <= distance_form_bound(f.centers, f.coeffs, u, sigma)
     assert np.array_equal(f.coeffs, eta * np.asarray(errors))
+    k = KrlsAldReg(spec, 0.1, 0.01, U[0], d[0])
+    k.run(U[1:-1], d[1:-1])
+    ref = float(kernel_matrix(spec, k.dict.centers, u[None, :])[:, 0] @ k.alpha)
+    assert abs(k.predict(u) - ref) <= distance_form_bound(k.dict.centers, k.alpha, u, sigma)

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from kaf.exceptions import (
     NumericalError,
     ValidationError,
 )
+from kaf.kernels import kernel_vector
 from kaf.krls import PENDING
 from kaf.verify import _krls_run
 
@@ -308,6 +310,36 @@ class TestPredict:
             brute = sum(f.alpha[i] * kernel_eval(GAUSS, f.dict.centers[i], u)
                         for i in range(f.dict_size))
             assert f.predict(u) == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_below_the_shift_dimension_sums_explicit_differences(self, dim):
+        """Below `dictionary.SHIFT_DIM_MIN` (3) a prediction is the kernel
+        vector's dot with alpha, bit for bit, and the dictionary keeps no
+        shifted columns."""
+        U, d = generate(StreamConfig("nonlinear_sysid", length=400, noise_std=0.1, seed=3,
+                                     embed_L=dim))
+        f = KrlsAldReg(GAUSS, 0.1, 0.01, U[0], d[0])
+        f.run(U[1:], d[1:])
+        assert f.dict._shifted is None and f.dict_size > 10
+        for u in U[::7] + 0.1:
+            assert f.predict(u) == float(kernel_vector(GAUSS, f.dict.centers, u) @ f.alpha)
+
+    def test_tiny_sigma_grows_and_predicts_without_a_warning(self):
+        """At sigma = 1e-160 and L = 3, 2/sigma^2 overflows: the shifted sum's
+        gate is inf from the first center on, so no v is formed, and every
+        prediction is explicit: a center reads its own alpha, any other
+        point 0."""
+        spec = KernelSpec("gaussian", sigma=1e-160)
+        C = [[0.0, 0.0, 0.0], [1e-140, 0.0, 0.0], [0.0, -1.0, 2.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = KrlsAldReg(spec, 0.1, 0.01, C[0], 1.0)
+            for c, t in zip(C[1:], (2.0, -3.0)):
+                assert f.step(c, t).grew
+            assert f.dict._shifted._scale == math.inf
+            for c, a in zip(C, f.alpha):
+                assert f.predict(c) == a
+            assert f.predict([1e-140, 1e-140, 0.0]) == 0.0
 
 
 class TestTransactional:

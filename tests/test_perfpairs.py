@@ -32,6 +32,28 @@ def test_summary_counts_wins_and_judges_against_the_bound(parent, change, wins, 
     assert got["parent"]["median"] == statistics.median(parent)
 
 
+TEN = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]   # median 100, IQR 1.5
+
+
+@pytest.mark.parametrize("change, wins, claim", [
+    # 9 of 10 pairs, one a tie; the medians 103 and 100 differ by more than 1.5
+    ([110, 105, 103, 102, 102, 103, 104, 102, 104, 107], 9, "gain"),
+    # 9 of 10 pairs, but the medians 101 and 100 differ by less than 1.5
+    ([101, 102, 100, 101, 103, 99, 101, 102, 100, 99], 9, "no gain"),
+    # 8 of 10 pairs, by far
+    ([120] * 8 + [90, 90], 8, "no gain"),
+    # every pair lost
+    ([90] * 10, 0, "no gain"),
+])
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gain_past_the_parent_iqr(change, wins,
+                                                                             claim):
+    got = perfpairs.summarize(METRIC, runs(TEN, change))
+    assert got["change_wins"] == wins and got["claim"] == claim
+    assert got["parent_iqr"] == 1.5
+
+
 def test_lower_is_better_flips_wins():
     got = perfpairs.summarize(dict(METRIC, better="lower"), runs([10, 10], [9, 11]))
     assert got["change_wins"] == 1 and got["change_over_parent"] == 1.0
+    got = perfpairs.summarize(dict(METRIC, better="lower"), runs([10, 11], [8, 9]))
+    assert got["change_wins"] == 2 and got["claim"] == "gain"

@@ -19,10 +19,13 @@ verdict. The verdict is "worse than bound" when the change's median is worse
 than the parent's by more than the bound, else "better in every run" when
 every change run beats every parent run, else "unresolved" when the parent's
 spread (its highest run less its lowest, over its median, also recorded as
-parent_spread) is wider than the bound, else "within bound". It also holds
-the seeds, the held-out seed's values, whether every check passed, the
-failed operations per side, and the machine block of the first run (the
-parent's, first seed, first workload).
+parent_spread) is wider than the bound, else "within bound". Beside the
+verdict, claim is "gain" when the change won at least nine tenths of the
+pairs and its median is better than the parent's by more than parent_iqr,
+else "no gain": the rule a claimed gain must meet. It also holds the seeds,
+the held-out seed's values, whether every check passed, the failed
+operations per side, and the machine block of the first run (the parent's,
+first seed, first workload).
 """
 
 import argparse
@@ -85,11 +88,14 @@ def summarize(metric: dict, runs: dict) -> dict:
         verdict = "unresolved"
     else:
         verdict = "within bound"
+    gain = (change["median"] - parent["median"]) * (1 if higher else -1)
+    parent_iqr = parent["q3"] - parent["q1"]
+    claim = "gain" if 10 * wins >= 9 * len(values["parent"]) and gain > parent_iqr else "no gain"
     return {"unit": metric["unit"], "better": metric["better"], "bound": bound,
             "parent": parent, "change": change, "change_over_parent": ratio,
-            "parent_iqr": parent["q3"] - parent["q1"], "parent_spread": spread,
+            "parent_iqr": parent_iqr, "parent_spread": spread,
             "change_wins": wins,
-            "verdict": verdict, "parent_values": values["parent"],
+            "verdict": verdict, "claim": claim, "parent_values": values["parent"],
             "change_values": values["change"]}
 
 
@@ -111,7 +117,9 @@ def main(argv=None) -> int:
                         "first on even pairs; held-out seed once per side afterwards, parent "
                         "first. Medians and quartiles are numpy's linear percentiles over the "
                         "pairs; change_wins counts pairs the change read better; parent_spread "
-                        "is the parent's highest run less its lowest, over its median.",
+                        "is the parent's highest run less its lowest, over its median; claim "
+                        "is a gain when the change won at least 9/10 of the pairs and its "
+                        "median is better by more than the parent's IQR.",
               "parent": revision(args.parent), "workloads": {}}
     for workload in workloads:
         runs = {side: [] for side in SIDES}
