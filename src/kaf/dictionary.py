@@ -19,22 +19,20 @@ W[lo:hi, :hi]: its lower triangle and the upper triangles of the diagonal
 blocks, about (K^2 + K W_BLOCK)/2 entries of K^2. G itself is not kept:
 `gram` recomputes it from the centers for verification and diagnostics.
 
-The centers are stored coordinate-major, one per column of an (L, capacity)
-buffer that doubles along its columns when full (`base.reserve`, axis 1). A
-kernel vector then reads one contiguous row per coordinate: `kernel_vector`
-passes the used columns to `kernels._kernel_rows`, so h is bit for bit
+The centers live in one `kernels.Centers`, coordinate-major, one per
+column of an (L, capacity) buffer that doubles along its columns when full.
+A kernel vector then reads one contiguous row per coordinate, bit for bit
 `kernels.kernel_vector`'s. The property `centers` is their read-only (K, L)
-transpose; a snapshot and its checksum see the same values and bytes.
+view; a snapshot and its checksum see the same values and bytes.
 
-From input dimension SHIFT_DIM_MIN on, a Gaussian dictionary also keeps a
-buffer of shifted centers (`kernels.ShiftedSum`), one column
-[c_i - c_1; ||c_i - c_1||^2; 1] per center, appended by `_grow`.
-`expansion`, the sum sum_i a_i k(c_i, u) behind KRLS's `predict`, goes
-through it while its rounding gate passes, and through `kernel_vector`
-otherwise: below that dimension, for a polynomial kernel, or where the gate
-refuses. The ALD test, `AldScreen` and every step keep the explicit
-differences, since the screen's roundoff bound relies on `kernel_vector`
-matching `kernel_block` bit for bit.
+From input dimension SHIFT_DIM_MIN on, a Gaussian dictionary asks its store
+for shifted columns too, one [c_i - c_1; ||c_i - c_1||^2; 1] per center,
+appended with the center by `_grow`. The store's `sum`, behind KRLS's
+`predict`, goes through them while their rounding gate passes, and through
+the kernel vector otherwise: below that dimension, for a polynomial kernel,
+or where the gate refuses. The ALD test, `AldScreen` and every step keep
+the explicit differences, since the screen's roundoff bound relies on
+`kernel_vector` matching `kernel_block` bit for bit.
 
 W and the shifted columns depend on the centers alone, so a snapshot stores
 only the centers and their checksum: `from_snapshot` rebuilds both by
@@ -42,7 +40,7 @@ admitting the centers again in order, the same float operations that grew
 them, so they are bit-identical.
 
 A Dictionary is a single-writer value: `grow` needs exclusive access, while
-`ald_test`, `kernel_vector` and `expansion` are read-only.
+`ald_test` and `kernel_vector` are read-only.
 
 The public `ald_test` and `grow` validate their input vector (and `delta`,
 by `check_delta`, as `KrlsAldReg` does) and delegate to `_ald` and `_grow`,
@@ -62,8 +60,8 @@ import numpy as np
 from . import _blas
 from .base import as_input, as_object, convert, reserve, reserve_square, snapshot_array
 from .exceptions import NearSingularGrowthError, NumericalError, ValidationError
-from .kernels import (KernelSpec, ShiftedSum, _kernel_rows, _overflow_quiet, check_spec,
-                      kernel_block, kernel_diag, kernel_self)
+from .kernels import (Centers, KernelSpec, _overflow_quiet, check_spec, kernel_block,
+                      kernel_diag, kernel_self)
 
 # Residuals below this cannot be admitted: the new row of W divides by sqrt(d2).
 GROWTH_FLOOR = 1e-12
@@ -72,7 +70,7 @@ GROWTH_FLOOR = 1e-12
 SCREEN_SAFETY = 2.0
 
 # Smallest input dimension at which a Gaussian dictionary keeps shifted
-# columns (`kernels.ShiftedSum`) and `expansion` sums through them. The
+# columns (`kernels.Centers`) and KRLS's `predict` sums through them. The
 # explicit differences take three passes over K values per coordinate (a
 # difference, its square and a sum), the shifted sum one product over L + 2
 # rows and a clamp, so the shifted sum gains with L. Timed against the
@@ -134,32 +132,27 @@ class Dictionary:
             )
         self._W = np.empty((0, 0))
         self._row_l1 = np.empty(4)  # sum_j |W_ij| of each row i
-        self._centers = np.empty((c.shape[0], 4))  # (L, capacity): a center per column
-        self._shifted = (ShiftedSum(spec, c) if spec.family == "gaussian"
-                         and c.shape[0] >= SHIFT_DIM_MIN else None)
-        self._size = 0
+        self._centers = Centers(spec, c.shape[0], shift=c.shape[0] >= SHIFT_DIM_MIN)
         self._grow(c, self._ald(c, 0.0))
 
     @property
     def size(self) -> int:
-        return self._size
+        return self._centers.size
 
     @property
     def dim(self) -> int:
-        return self._centers.shape[0]
+        return self._centers.dim
 
     @property
     def centers(self) -> np.ndarray:
-        """Read-only (K, L) view of the admitted centers, in admission order:
-        the transpose of the buffer's used columns."""
-        view = self._centers[:, : self._size].T
-        view.flags.writeable = False
-        return view
+        """Read-only (K, L) view of the admitted centers, in admission order."""
+        return self._centers.points
 
     @property
     def W(self) -> np.ndarray:
         """Read-only (K, K) view of the factor, in its capacity buffer."""
-        view = self._W[: self._size, : self._size]
+        k = self.size
+        view = self._W[:k, :k]
         view.flags.writeable = False
         return view
 
@@ -171,17 +164,7 @@ class Dictionary:
     def kernel_vector(self, u: np.ndarray) -> np.ndarray:
         """h_i = k(c_i, u) against every stored center, bit-identical to
         `kernels.kernel_vector(spec, centers, u)`."""
-        return _kernel_rows(self.spec, self._centers[:, : self._size], u)
-
-    def expansion(self, u: np.ndarray, coeffs: np.ndarray) -> float:
-        """sum_i coeffs_i k(c_i, u) for validated u: `ShiftedSum.dot`, within
-        its bound, where the dictionary keeps shifted columns and their gate
-        passes, else `float(kernel_vector(u) @ coeffs)` bit for bit."""
-        if self._shifted is not None:
-            y = self._shifted.dot(*self._shifted.shift(u), coeffs)
-            if y is not None:
-                return y
-        return float(self.kernel_vector(u) @ coeffs)
+        return self._centers.kernel_vector(u)
 
     def ald_test(self, u, delta: float) -> AldResult:
         """Test whether u's feature vector is within residual `delta` of the span.
@@ -194,14 +177,14 @@ class Dictionary:
 
     def _ald(self, uu: np.ndarray, delta: float) -> AldResult:
         """`ald_test` for a validated length-`dim` float64 vector and delta."""
-        h = self.kernel_vector(uu)
+        h = self._centers.kernel_vector(uu)
         k_uu = kernel_self(self.spec, uu)
         # Gaussian values lie in (0, 1]; a polynomial one can overflow
         if self.spec.family != "gaussian" and not (math.isfinite(k_uu) and np.isfinite(h).all()):
             raise NumericalError(
                 f"ALD test produced non-finite values: the input's kernel values are not "
                 f"finite (k(u, u) = {k_uu!r}, max |k(c_i, u)| = {float(np.abs(h).max())!r})")
-        k = self._size
+        k = self.size
         l = _blas.tril_dot(self._W, k, h)
         d2_raw = float(k_uu - l @ l)
         # l . l is a sum of squares, so d2_raw is finite only if every l_i is.
@@ -209,7 +192,7 @@ class Dictionary:
             cond = float(np.linalg.cond(self.gram))
             raise NumericalError(
                 f"ALD test produced non-finite values; Gram matrix is "
-                f"ill-conditioned (cond ~ {cond:.3e}, size {self._size})"
+                f"ill-conditioned (cond ~ {cond:.3e}, size {k})"
             )
         d2 = max(d2_raw, 0.0)
         return AldResult(l, d2, d2 > delta, d2_raw)
@@ -229,7 +212,7 @@ class Dictionary:
         """`grow` for a validated length-`dim` float64 vector."""
         if not ald.admitted:
             raise ValidationError("grow requires an admitted ALD result")
-        k = self._size
+        k = self.size
         if ald.l.shape[0] != k:
             raise ValidationError(
                 f"stale ALD result: computed for size {ald.l.shape[0]}, dictionary has {k}"
@@ -250,14 +233,10 @@ class Dictionary:
         W[k, :k] = -_blas.dot_tril(W[k, :k], W, k) / s
         W[k, k] = 1.0 / s
 
-        self._centers = reserve(self._centers, k, axis=1)
-        self._centers[:, k] = uu
-        if self._shifted is not None:
-            self._shifted.append(*self._shifted.shift(uu))
         self._row_l1 = reserve(self._row_l1, k)
         self._row_l1[k] = np.abs(W[k, :k + 1]).sum()
         self._W = W
-        self._size = k + 1
+        self._centers.append(uu)
 
     # -- serialization ----------------------------------------------------
 

@@ -22,15 +22,19 @@ whose numpy scalar and array paths differ in the last bit. So, bit for bit,
 for any memory layout of C, `kernel_eval(spec, u, v)` (which is
 `kernel_block`'s 1 x 1 entry) equals the matching entry of both,
 `kernel_self` and `kernel_diag` equal the diagonal, and `gram` is exactly
-symmetric. `ShiftedSum`, a Gaussian expansion sum_i a_i k(c_i, u) from
-distances about the first center in one matrix-vector product, is the one
-other Gaussian formula, with its own error bound and a gate that hands the
-sum back to the explicit differences where that bound is too loose. Every
-KLMS sum and KRLS's `predict` from input dimension
-`dictionary.SHIFT_DIM_MIN` on go through it.
+symmetric.
+
+`Centers` holds the centers of a kernel expansion sum_i a_i k(c_i, u) for
+both kernel filters, KRLS's dictionary and KLMS, and is the one place that
+sums one. Where its owner asks for it, a Gaussian store also keeps shifted
+columns, which give every exponent from distances about the first center in
+one matrix-vector product: the one other Gaussian formula, with its own
+error bound and a gate that hands the sum back to the explicit differences
+where that bound is too loose. KLMS asks for them at every input dimension,
+a KRLS dictionary from `dictionary.SHIFT_DIM_MIN` on, for its `predict`.
 
 All evaluation is pure and stateless, safe for unsynchronized concurrent
-use, apart from a `ShiftedSum`'s `append`, which needs exclusive access.
+use, apart from a `Centers`' `append`, which needs exclusive access.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .exceptions import ValidationError
 
 FAMILIES = ("gaussian", "polynomial")
 
-# Largest bound on an exponent's rounding error (see `ShiftedSum.dot`) for
+# Largest bound on an exponent's rounding error (see `Centers.sum`) for
 # which the shifted sum is taken. The bound stays below 3e-13 on the dim-3
 # `nonlinear_sysid` streams at sigma = 1 (q_i/sigma^2 up to about 50) and
 # below 4e-11 on `kaf bench`'s dim-128 stream (about 350).
@@ -129,7 +133,7 @@ def kernel_diag(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
 def kernel_vector(spec: KernelSpec, centers: np.ndarray, u: np.ndarray) -> np.ndarray:
     """k(c_i, u) for every row c_i of the (K, L) `centers`, bit-identical to
     `kernel_block(spec, u[None], centers)[0]`. Fastest when the rows of
-    `centers.T` are contiguous, as `Dictionary.centers`' are. Hot path:
+    `centers.T` are contiguous, as a `Centers`' `points` are. Hot path:
     inputs assumed validated."""
     return _kernel_rows(spec, centers.T, u)
 
@@ -204,13 +208,20 @@ def _rows(spec: KernelSpec, rows: np.ndarray, u) -> np.ndarray:
     return power
 
 
-class ShiftedSum:
-    """Gaussian sums sum_i a_i k(c_i, u) over a growing list of centers, in
-    one matrix-vector product.
+class Centers:
+    """The centers c_1..c_K of a kernel expansion sum_i a_i k(c_i, u), and
+    that sum.
 
-    Squared distances are taken about the first center c_1. A buffer D of
-    shape (L + 2, capacity), doubling along its columns when full, holds one
-    column per center,
+    The centers sit coordinate-major, one per column of an (L, capacity)
+    buffer that doubles along its columns when full (`base.reserve`, axis
+    1), so `kernel_vector` reads one contiguous row per coordinate and is
+    bit for bit `kernels.kernel_vector(spec, points, u)`. `points` is their
+    read-only (K, L) transpose.
+
+    A Gaussian store built with `shift` also keeps shifted columns, for the
+    sum in one matrix-vector product. Squared distances are taken about the
+    first center c_1. A buffer D of shape (L + 2, capacity) holds one column
+    per center,
 
         D[:, i] = [c_i - c_1; q_i; 1],    q_i = ||c_i - c_1||^2,
 
@@ -225,50 +236,70 @@ class ShiftedSum:
     origin keep the rounding error proportional to the spread of the data,
     not to its offset, and the first column (c_1 - c_1 = 0, q_1 = 0) gives
     exactly -||w||^2/sigma^2. That error still grows with the spread: where
-    its bound exceeds SHIFT_TOL, `dot` refuses, and the caller sums
+    its bound exceeds SHIFT_TOL, the gate refuses, and `sum` takes
     `kernel_vector`'s explicit differences instead, whose values past the
-    float range are 0, as they are exactly.
+    float range are 0, as they are exactly. A polynomial store, or one
+    built without `shift`, keeps no D and always sums explicitly.
 
     The owner appends every center, the first included, in order through
-    `append`, with `shift`'s w and ||w||^2, so replaying the centers rebuilds
-    D and its capacity bit for bit. `dot` writes nothing: it builds v per
-    call. For a polynomial spec the gate is shut from the start.
+    `append`, so replaying the centers rebuilds both buffers, their
+    capacities and the gate bit for bit. `sum` and `kernel_vector` write
+    nothing; `append` needs exclusive access.
     """
 
-    def __init__(self, spec: KernelSpec, first_center: np.ndarray):
-        self._c1 = first_center.copy()
-        dim = first_center.shape[0]
-        self._D = np.empty((dim + 2, 16))
+    def __init__(self, spec: KernelSpec, dim: int, shift: bool):
+        self.spec = spec
+        self.dim = dim
         self.size = 0
+        self._C = np.empty((dim, 16))
+        self._shifted = np.empty((dim + 2, 16)) if shift and spec.family == "gaussian" else None
         self._s2 = spec.sigma * spec.sigma
-        # 6 (dim + 5) eps / sigma^2, inf where the factor 2/sigma^2 overflows,
-        # or once a stored q_i times it exceeds SHIFT_TOL: the sum is taken
-        # only where ||w||^2 times this is at most SHIFT_TOL (see `dot`)
+        # 6 (dim + 5) eps / sigma^2, inf without shifted columns, where the
+        # factor 2/sigma^2 overflows, or once a stored q_i times it exceeds
+        # SHIFT_TOL: the shifted sum is taken only where ||w||^2 times this
+        # is at most SHIFT_TOL (see `sum`)
         self._scale = (3 * (dim + 5) * 2.0 ** -53 * (2.0 / self._s2)
-                       if spec.family == "gaussian" else math.inf)
+                       if self._shifted is not None else math.inf)
 
-    def shift(self, u: np.ndarray) -> tuple[np.ndarray, float]:
-        """w = u - c_1 and ||w||^2, for validated u."""
-        w = u - self._c1
-        return w, float(np.vdot(w, w))  # np.vdot, unlike @, warns of no overflow
+    @property
+    def points(self) -> np.ndarray:
+        """Read-only (K, L) view of the centers, in order: the transpose of
+        the buffer's used columns."""
+        view = self._C[:, :self.size].T
+        view.flags.writeable = False
+        return view
 
-    def append(self, w: np.ndarray, ww: float) -> None:
-        """Add the column of the center c_1 + w, with ww = ||w||^2 from `shift`."""
+    def kernel_vector(self, u: np.ndarray) -> np.ndarray:
+        """h_i = k(c_i, u) for validated u, bit-identical to
+        `kernel_vector(spec, points, u)`."""
+        return _kernel_rows(self.spec, self._C[:, :self.size], u)
+
+    def append(self, u: np.ndarray) -> None:
+        """Add the validated center u, and its shifted column if kept."""
         n = self.size
-        self._D = reserve(self._D, n, axis=1)
-        self._D[:-2, n] = w
-        self._D[-2, n] = ww
-        self._D[-1, n] = 1.0
-        if not ww * self._scale <= SHIFT_TOL:
-            self._scale = math.inf
+        self._C = reserve(self._C, n, axis=1)
+        self._C[:, n] = u
+        if self._shifted is not None:
+            if not n:  # c_1, contiguous: u - C[:, 0] reads a strided column, at twice the cost
+                self._c1 = u.copy()
+            w = u - self._c1
+            ww = float(np.vdot(w, w))  # np.vdot, unlike @, warns of no overflow
+            D = self._shifted = reserve(self._shifted, n, axis=1)
+            D[:-2, n] = w
+            D[-2, n] = ww
+            D[-1, n] = 1.0
+            if not ww * self._scale <= SHIFT_TOL:
+                self._scale = math.inf
         self.size = n + 1
 
-    def dot(self, w: np.ndarray, ww: float, coeffs: np.ndarray) -> float | None:
-        """sum_i coeffs_i k(c_i, u) over the `size` centers, for `shift(u)`'s
-        w and ww, or None where the gate refuses.
+    def sum(self, u: np.ndarray, coeffs: np.ndarray) -> float:
+        """sum_i coeffs_i k(c_i, u) over the centers, for validated u: from
+        the shifted columns where they are kept and the gate passes, else
+        `float(np.vdot(kernel_vector(u), coeffs))`, overflow quiet where the
+        gate refused.
 
-        With h = v^T D clamped at 0, against -||c_i - u||^2/sigma^2 h_i is
-        off by at most
+        With w = u - c_1 and h = v^T D clamped at 0, against
+        -||c_i - u||^2/sigma^2 h_i is off by at most
 
             2 (L + 5) eps (q_i + ||w||^2 + ||c_i - c_1|| ||w||) / sigma^2,
 
@@ -276,20 +307,27 @@ class ShiftedSum:
         rounding 1/sigma^2; the ||w||^2 term carries v's separate rounding
         of ||w||^2/sigma^2. A kernel value moves by at most as much.
         Since ||c_i - c_1|| ||w|| <= (q_i + ||w||^2)/2, the bound is at most
-        (q_i + ||w||^2) `_scale` / 2, so the sum is taken only while
+        (q_i + ||w||^2) `_scale` / 2, so the shifted sum is taken only while
         ||w||^2 `_scale` and every q_i `_scale` are at most SHIFT_TOL; then
         ||w||^2 and q_i are below 3e4 sigma^2 and nothing overflows.
         """
-        if not ww * self._scale <= SHIFT_TOL:  # NaN at ww = 0 once _scale is inf
-            return None
-        s2 = self._s2
-        v = np.empty(w.shape[0] + 2)
-        np.multiply(w, 2.0 / s2, out=v[:-2])
-        v[-2] = -1.0 / s2
-        v[-1] = -ww / s2
-        h = v @ self._D[:, :self.size]
-        np.minimum(h, 0.0, out=h)
-        np.exp(h, out=h)
+        if self._shifted is None:
+            h = self.kernel_vector(u)
+        else:
+            w = u - self._c1
+            ww = float(np.vdot(w, w))
+            if ww * self._scale <= SHIFT_TOL:  # False at ww = 0 once _scale is inf
+                s2 = self._s2
+                v = np.empty(w.shape[0] + 2)
+                np.multiply(w, 2.0 / s2, out=v[:-2])
+                v[-2] = -1.0 / s2
+                v[-1] = -ww / s2
+                h = v @ self._shifted[:, :self.size]
+                np.minimum(h, 0.0, out=h)
+                np.exp(h, out=h)
+            else:
+                with np.errstate(over="ignore"):
+                    h = self.kernel_vector(u)
         return float(np.vdot(h, coeffs))  # np.vdot, unlike @, warns of no overflow
 
 

@@ -13,10 +13,11 @@ zero initial weight vector. Memory grows linearly with the stream: KLMS
 never sparsifies, so there is no term cap. A step whose new coefficient is
 not finite (a divergent eta) raises NumericalError before any write.
 
-The Gaussian sum is taken from squared distances about the first center,
-in one matrix-vector product with a buffer of shifted centers
-(`kernels.ShiftedSum`, one column per term), and from `kernel_vector`'s
-explicit differences where that sum's rounding bound exceeds SHIFT_TOL.
+The centers live in one `kernels.Centers`, which also sums the expansion.
+KLMS asks it for shifted columns at every input dimension: a Gaussian sum
+is then one matrix-vector product with distances about the first center,
+or `kernel_vector`'s explicit differences where that sum's rounding bound
+exceeds SHIFT_TOL. The polynomial sum is always explicit.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .base import (StepOutput, as_input, as_object, check_target, convert, reserve,
                    scalar_field, snapshot_array)
 from .exceptions import NumericalError, ValidationError
-from .kernels import KernelSpec, ShiftedSum, check_spec, kernel_vector
+from .kernels import Centers, KernelSpec, check_spec
 
 
 class Klms:
@@ -40,23 +41,21 @@ class Klms:
         u = as_input(first_input)
         d = check_target(first_target)
         self.eta = eta
-        # Amortized-doubling buffers: every term is a row (a column of the
-        # shifted sum's buffer).
-        self._centers = np.empty((16, u.shape[0]))
-        self._coeffs = np.empty(16)
-        self._shifted = ShiftedSum(self.spec, u)
-        self.n = 0
-        self._append(u, eta * d, *self._shifted.shift(u))
+        self._centers = Centers(self.spec, u.shape[0], shift=True)
+        self._coeffs = np.empty(16)  # amortized doubling, a term per entry
+        self._append(u, eta * d)
+
+    @property
+    def n(self) -> int:
+        return self._centers.size
 
     @property
     def dim(self) -> int:
-        return self._centers.shape[1]
+        return self._centers.dim
 
     @property
     def centers(self) -> np.ndarray:
-        view = self._centers[: self.n]
-        view.flags.writeable = False
-        return view
+        return self._centers.points
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -64,57 +63,38 @@ class Klms:
         view.flags.writeable = False
         return view
 
-    def _expansion(self, u: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """The expansion at validated u, with w = u - c_1 and ||w||^2 (u's
-        shifted column if appended): `ShiftedSum.dot`, within its bound, or
-        where it refuses `kernel_vector`'s, overflow quiet. The polynomial
-        kernel is (c_i . u + 1)^degree, always explicit.
-        """
-        n = self.n
-        w, ww = self._shifted.shift(u)
-        y = self._shifted.dot(w, ww, self._coeffs[:n])
-        if y is None:
-            with np.errstate(over="ignore"):
-                h = kernel_vector(self.spec, self._centers[:n], u)
-            # np.vdot, unlike @, warns of no overflow: `_append` refuses a diverged y
-            y = float(np.vdot(h, self._coeffs[:n]))
-        return y, w, ww
-
     def predict(self, u) -> float:
-        return self._expansion(as_input(u, dim=self.dim))[0]
+        return self._centers.sum(as_input(u, dim=self.dim), self._coeffs[: self.n])
 
     def step(self, u, d) -> StepOutput:
         """Predict with the current expansion, then append a unit for this sample."""
-        uu = as_input(u, dim=self.dim)
+        uu = as_input(u, dim=self._centers.dim)
         dd = check_target(d)
-        y, w, ww = self._expansion(uu)
+        n = self._centers.size
+        y = self._centers.sum(uu, self._coeffs[:n])
         e = dd - y
-        self._append(uu, self.eta * e, w, ww)
-        return StepOutput(y=y, e=e, grew=True, dict_size=self.n)
+        self._append(uu, self.eta * e)
+        return StepOutput(y=y, e=e, grew=True, dict_size=n + 1)
 
-    def _append(self, u: np.ndarray, c: float, w: np.ndarray, ww: float) -> None:
-        """Append the term c k(u, .), with w = u - c_1 and ww = ||w||^2: its
-        center, its coefficient and its shifted column, the one path every
-        term is written through. A c that is not finite raises NumericalError
-        before any write."""
+    def _append(self, u: np.ndarray, c: float) -> None:
+        """Append the term c k(u, .): its center and its coefficient, the one
+        path every term is written through. A c that is not finite raises
+        NumericalError before any write."""
         if not math.isfinite(c):
             raise NumericalError(f"KLMS coefficient eta * e = {c!r} is not finite: "
                                  "the expansion has diverged (eta too large)")
-        n = self.n
-        self._centers = reserve(self._centers, n)
-        self._centers[n] = u
+        n = self._centers.size
         self._coeffs = reserve(self._coeffs, n)
         self._coeffs[n] = c
-        self._shifted.append(w, ww)
-        self.n = n + 1
+        self._centers.append(u)
 
     def to_snapshot(self) -> dict:
         return {
             "algorithm": "klms",
             "kernel": self.spec.to_json(),
             "eta": self.eta,
-            "centers": self._centers[: self.n].tolist(),
-            "coeffs": self._coeffs[: self.n].tolist(),
+            "centers": self.centers.tolist(),
+            "coeffs": self.coeffs.tolist(),
         }
 
     @classmethod
@@ -130,11 +110,9 @@ class Klms:
         coeffs = snapshot_array(snap, "coeffs", (n,))
         obj = cls(KernelSpec.from_json(snap.get("kernel")), scalar_field(snap, "eta"),
                   centers[0], 0.0)
-        # Replay the terms in order through `_append`, each column as `step`
-        # computes it: the buffers match the saved filter's, and resumed
-        # steps match bit for bit.
-        obj.n = 0
-        obj._shifted = ShiftedSum(obj.spec, centers[0])
+        # Replay the terms in order through `_append` into a new store: the
+        # buffers match the saved filter's, and resumed steps match bit for bit.
+        obj._centers = Centers(obj.spec, centers.shape[1], shift=True)
         for u, c in zip(centers, coeffs):
-            obj._append(u, c, *obj._shifted.shift(u))
+            obj._append(u, c)
         return obj

@@ -195,18 +195,21 @@ class KrlsAldReg:
     def predict(self, u) -> float:
         """Current model output sum_i alpha_i k(c_i, u); no state mutation.
 
+        The dictionary's center store sums it (`kernels.Centers.sum`).
         Below input dimension `dictionary.SHIFT_DIM_MIN` (L = 1 and 2), or for
-        a polynomial kernel, it is `float(kernel_vector(spec, centers, u) @
-        alpha)` bit for bit. From there on a Gaussian sum is taken from the
-        dictionary's shifted columns (`kernels.ShiftedSum.dot`): each
-        exponent, and so each kernel value, lies within
+        a polynomial kernel, the store keeps no shifted columns and the sum is
+        `float(np.vdot(kernel_vector(spec, centers, u), alpha))`, bit for bit
+        `kernel_vector(spec, centers, u) @ alpha`. From there on a Gaussian
+        sum is taken from the store's shifted columns: each exponent, and so
+        each kernel value, lies within
         2 (L + 5) eps (q_i + ||w||^2 + ||c_i - c_1|| ||w||) / sigma^2 of the
         explicit one, for eps = 2^-53, w = u - c_1 and q_i = ||c_i - c_1||^2,
         besides a relative 2 eps of the exponent from rounding 1/sigma^2,
         and the dot with alpha adds its own rounding. Where that bound could
-        exceed `kernels.SHIFT_TOL`, the sum is the explicit one.
+        exceed `kernels.SHIFT_TOL`, the sum is the explicit one, with no
+        numpy overflow warning.
         """
-        return self.dict.expansion(as_input(u, dim=self.dict.dim), self.alpha)
+        return self.dict._centers.sum(as_input(u, dim=self.dict.dim), self.alpha)
 
     def step(self, u, d) -> StepOutput:
         """Process one sample: predict with the pre-update coefficients, then
@@ -226,7 +229,7 @@ class KrlsAldReg:
         else:
             self._update(q, D, e)
         self.n += 1
-        return StepOutput(y, e, ald.admitted, self.dict._size)
+        return StepOutput(y, e, ald.admitted, self.dict.size)
 
     @_blas.one_thread()  # the screens' and block updates' level-3 and LAPACK calls
     def run(self, U, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -149,7 +149,7 @@ class TestStep:
             k = KrlsAldReg(spec, 0.1, 0.01, [0.0, 0.0, 0.0], 1.0)
             assert k.step([center, 0.0, 0.0], 1.0).grew
             for filt in (k, KrlsAldReg.from_snapshot(k.to_snapshot())):
-                assert filt.dict._shifted._scale == math.inf
+                assert filt.dict._centers._scale == math.inf
                 for q in ([query, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, sigma, -sigma]):
                     q = np.array(q)
                     assert filt.predict(q) == float(
@@ -164,7 +164,7 @@ class TestStep:
         for u, t in zip(U[1:], d[1:]):
             f.step(u, t)
         w = U - U[0]
-        assert np.einsum("ij,ij->i", w, w).max() * f._shifted._scale <= SHIFT_TOL / 100
+        assert np.einsum("ij,ij->i", w, w).max() * f._centers._scale <= SHIFT_TOL / 100
 
     def test_tiny_sigma_sees_only_exact_repeats(self):
         """At sigma = 1e-160, 2/sigma^2 overflows, so every sum takes the
@@ -256,10 +256,11 @@ class TestSnapshot:
     @pytest.mark.parametrize("spec", [KernelSpec("gaussian", sigma=0.8),
                                       KernelSpec("polynomial", degree=2)])
     def test_resume_at_45_terms_across_the_next_doubling(self, spec):
-        """A snapshot at 45 terms loads into buffers of exactly 45 columns,
-        which double on the next step; the uninterrupted filter's double at
-        64. Stepped past both, the two agree bit for bit. The polynomial sum
-        reads the centers, not the Gaussian's shifted-center buffer."""
+        """A snapshot at 45 terms replays its terms into new buffers, which
+        double as the saved filter's did, at 64. Stepped past that, the two
+        agree bit for bit. A polynomial
+        filter, resumed or not, keeps no shifted columns: its sum is the
+        kernel vector's dot with the coefficients, bit for bit."""
         rng = np.random.default_rng(12)
         U = 0.5 * rng.standard_normal((130, 3))
         d = rng.standard_normal(130)
@@ -274,6 +275,11 @@ class TestSnapshot:
         assert np.array_equal(g.coeffs, f.coeffs)
         probe = 0.5 * rng.standard_normal(3)
         assert g.predict(probe) == f.predict(probe)
+        if spec.family == "polynomial":
+            for filt in (f, g):
+                assert filt._centers._shifted is None
+                assert filt.predict(probe) == float(
+                    kernel_vector(spec, filt.centers, probe) @ filt.coeffs)
 
     def test_snapshot_with_a_term_cap_loads_ignoring_it(self):
         """Older snapshots carry a "max_terms" cap; it is ignored, even below
@@ -312,7 +318,7 @@ EPS = 2.0 ** -53
 def distance_form_bound(centers, coeffs, u, sigma):
     """Bound on |expansion - explicit-difference reference| at u.
 
-    Per term: the exponent bound in `ShiftedSum.dot`'s docstring, plus the
+    Per term: the exponent bound in `Centers.sum`'s docstring, plus the
     rounding of either side's 1/sigma^2 scale, exp and sum.
     """
     L, n = centers.shape[1], centers.shape[0]

@@ -320,7 +320,7 @@ class TestPredict:
                                      embed_L=dim))
         f = KrlsAldReg(GAUSS, 0.1, 0.01, U[0], d[0])
         f.run(U[1:], d[1:])
-        assert f.dict._shifted is None and f.dict_size > 10
+        assert f.dict._centers._shifted is None and f.dict_size > 10
         for u in U[::7] + 0.1:
             assert f.predict(u) == float(kernel_vector(GAUSS, f.dict.centers, u) @ f.alpha)
 
@@ -336,7 +336,7 @@ class TestPredict:
             f = KrlsAldReg(spec, 0.1, 0.01, C[0], 1.0)
             for c, t in zip(C[1:], (2.0, -3.0)):
                 assert f.step(c, t).grew
-            assert f.dict._shifted._scale == math.inf
+            assert f.dict._centers._scale == math.inf
             for c, a in zip(C, f.alpha):
                 assert f.predict(c) == a
             assert f.predict([1e-140, 1e-140, 0.0]) == 0.0
