@@ -95,6 +95,35 @@ def as_points(points, dim: int | None = None) -> np.ndarray:
     return x
 
 
+def as_stream(U, d, dim: int) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """The prologue of a filter's bulk `run` over inputs U and targets d:
+    (n, X, t, stop). n is the stream's length; U and d of different lengths,
+    or without one, raise DimensionMismatchError. X and t are U and d read
+    by `as_floats`, scalar inputs as an (n, 1) X, or empty arrays where that
+    refuses them. Samples 0..stop-1 are finite rows of an (n, dim) X and
+    their t: stop is the first non-finite sample, n when there is none, and
+    0 when X is not (n, dim) or t not (n,). `run` takes those samples in
+    blocks, and the rest through `step`, which raises where a step loop would."""
+    try:
+        n, m = len(d), len(U)
+    except TypeError:
+        raise DimensionMismatchError("run takes a sequence of inputs and one of targets, "
+                                     f"got {type(U).__name__}, {type(d).__name__}") from None
+    if m != n:
+        raise DimensionMismatchError(f"run got {m} inputs for {n} targets")
+    try:
+        X, t = as_floats(U, "inputs"), as_floats(d, "targets")
+    except ValidationError:  # ragged or not numbers: all go through `step`
+        X = t = np.empty((0, 0))
+    if X.ndim == 1:
+        X = X[:, None]  # scalar inputs
+    stop = 0
+    if X.shape == (n, dim) and t.shape == (n,):
+        bad = np.flatnonzero(~(np.isfinite(X).all(axis=1) & np.isfinite(t)))
+        stop = int(bad[0]) if bad.size else n
+    return n, X, t, stop
+
+
 def snapshot_array(snap: dict, key: str, shape: tuple) -> np.ndarray:
     """A finite, C-ordered float64 copy of snapshot field `key`, read by
     `as_floats` as a step input is.

@@ -1,8 +1,9 @@
 """Synthetic streams, learning-curve records, the step loop and the trial runner.
 
 `step_loop` is the one loop that feeds a filter a stream sample by sample and
-times its `step` calls; `run_trial`, `kaf bench` and the klms-feature verify
-suite all go through it.
+times its `step` calls; `kaf bench`, the klms-feature verify suite and
+`run_trial`'s timed trials and linear filters go through it. The kernel
+filters' untimed trials go through their bulk `run`.
 
 Every generator is fully determined by (config, seed). Random draws happen
 in a fixed order (plant parameters, then the driving sequence, then the
@@ -323,8 +324,9 @@ def run_trial(fc: FilterConfig, sc: StreamConfig,
 
     Kernel filters absorb the first sample at construction; that iteration is
     recorded as y = 0, e = d(1) (zero initial model). A filter with a bulk
-    `run` (KRLS) takes the rest of the stream in one call unless
-    `record_timings` is set; every other trial goes through `step_loop`,
+    `run` (KRLS and KLMS) takes the rest of the stream in one call unless
+    `record_timings` is set; every other trial (LMS, RLS, or any timed one)
+    goes through `step_loop`,
     which times each `step` call (a kernel filter's construction is timed
     here). For every kind, step_seconds are zeros unless `record_timings` is
     set (wall-clock values are not reproducible). Filter errors are re-raised

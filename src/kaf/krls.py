@@ -103,10 +103,10 @@ import math
 import numpy as np
 
 from . import _blas
-from .base import (StepOutput, as_floats, as_input, as_object, check_target, convert, reserve,
+from .base import (StepOutput, as_input, as_object, as_stream, check_target, convert, reserve,
                    reserve_square, scalar_field, snapshot_array)
 from .dictionary import AldScreen, Dictionary, check_delta, check_lambda
-from .exceptions import DimensionMismatchError, KafError, NumericalError, ValidationError
+from .exceptions import KafError, NumericalError, ValidationError
 from .kernels import KernelSpec, check_spec, kernel_self
 
 DEGENERACY_FLOOR = 1e-12
@@ -239,13 +239,7 @@ class KrlsAldReg:
         docstring) up to the first non-finite one, and from there on, or for a
         stream that is not an (n, dim) array of real numbers, through `step`,
         which raises where the step loop would. On a raise, `n` counts the samples committed."""
-        try:
-            n, m = len(d), len(U)
-        except TypeError:
-            raise DimensionMismatchError("run takes a sequence of inputs and one of targets, "
-                                         f"got {type(U).__name__}, {type(d).__name__}") from None
-        if m != n:
-            raise DimensionMismatchError(f"run got {m} inputs for {n} targets")
+        n, X, t, stop = as_stream(U, d, self.dict.dim)
         if n:  # as the first `step` would; an empty stream runs no step
             self._check_trainable()
         y, e = np.empty(n), np.empty(n)
@@ -256,16 +250,6 @@ class KrlsAldReg:
             y[i], e[i], size[i] = out.y, out.e, out.dict_size
             return out.grew
 
-        try:
-            X, t = as_floats(U, "inputs"), as_floats(d, "targets")
-        except ValidationError:  # ragged or not numbers: all go through `step`
-            X = t = np.empty((0, 0))
-        if X.ndim == 1:
-            X = X[:, None]  # scalar inputs
-        stop = 0
-        if X.shape == (n, self.dict.dim) and t.shape == (n,):
-            bad = np.flatnonzero(~(np.isfinite(X).all(axis=1) & np.isfinite(t)))
-            stop = int(bad[0]) if bad.size else n
         for lo in range(0, stop, BLOCK):
             hi = min(lo + BLOCK, stop)
             screen = AldScreen(self.dict, X[lo:hi])

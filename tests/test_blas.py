@@ -93,22 +93,26 @@ def test_mirror_lower_is_exactly_symmetric():
 
 
 def test_step_loop_and_run_do_not_depend_on_the_blas_thread_count():
-    """A step loop and `run` grown past K = 2 W_BLOCK write the same bytes of
-    y, e and alpha at one and two OpenBLAS threads."""
+    """A KRLS step loop and `run` grown past K = 2 W_BLOCK, and a KLMS `run`
+    over 3000 samples, whose tiles of stored columns are level-3 products,
+    write the same bytes of y, e and alpha or the coefficients at one and
+    two OpenBLAS threads."""
     if not _blas._bound():
         pytest.skip("numpy's bundled OpenBLAS does not export the kernels")
     script = (
         "import sys\n"
         "import numpy as np\n"
-        "from kaf import KernelSpec, KrlsAldReg, StreamConfig, generate\n"
-        "U, d = generate(StreamConfig('nonlinear_sysid', length=700, noise_std=0.1, seed=1,"
+        "from kaf import KernelSpec, Klms, KrlsAldReg, StreamConfig, generate\n"
+        "U, d = generate(StreamConfig('nonlinear_sysid', length=3000, noise_std=0.1, seed=1,"
         " embed_L=3))\n"
         "f, g = (KrlsAldReg(KernelSpec('gaussian', sigma=1.0), 0.1, 0.01, U[0], d[0])"
         " for _ in range(2))\n"
-        "steps = np.array([f.step(U[i], d[i])[:2] for i in range(1, len(d))])\n"
-        "y, e, _ = g.run(U[1:], d[1:])\n"
+        "steps = np.array([f.step(U[i], d[i])[:2] for i in range(1, 700)])\n"
+        "y, e, _ = g.run(U[1:700], d[1:700])\n"
         "assert min(f.dict_size, g.dict_size) > 2 * 128\n"
-        "sys.stdout.write(b''.join(a.tobytes() for a in (steps, f.alpha, y, e, g.alpha)).hex())\n"
+        "h = Klms(KernelSpec('gaussian', sigma=1.0), 0.2, U[0], d[0])\n"
+        "out = (steps, f.alpha, y, e, g.alpha, *h.run(U[1:], d[1:])[:2], h.coeffs)\n"
+        "sys.stdout.write(b''.join(a.tobytes() for a in out).hex())\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = []

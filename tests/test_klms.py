@@ -1,14 +1,18 @@
+import copy
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kaf import KernelSpec, Klms, KrlsAldReg, StreamConfig, generate
-from kaf.exceptions import DimensionMismatchError, NumericalError, ValidationError
-from kaf.kernels import SHIFT_TOL, kernel_eval, kernel_matrix, kernel_vector
+from kaf.exceptions import (DimensionMismatchError, NonFiniteInputError, NumericalError,
+                            ValidationError)
+from kaf.experiments import step_loop
+from kaf.kernels import SHIFT_TOL, TILE, kernel_eval, kernel_matrix, kernel_vector
+from kaf.klms import BLOCK
 from kaf.oracle import feature_space_lms
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -330,14 +334,15 @@ def distance_form_bound(centers, coeffs, u, sigma):
 
 
 @settings(max_examples=150)
-@given(L=st.integers(1, 8), steps=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+@given(L=st.integers(1, 8), steps=st.integers(1, 100), seed=st.integers(0, 2 ** 32 - 1),
        offset=st.floats(-1e4, 1e4), log_sigma=st.floats(-2, 2), log_spread=st.floats(-1, 1),
        eta=st.floats(0.01, 1.0))
 def test_distance_form_matches_explicit_differences(L, steps, seed, offset, log_sigma,
                                                      log_spread, eta):
-    """KLMS step and predict, and KRLS predict over the same samples, against
-    kernel_matrix's explicit differences, within the documented bound, on
-    inputs spread over a few widths about an offset."""
+    """KLMS step, run and predict, and KRLS predict over the same samples,
+    against kernel_matrix's explicit differences, within the documented
+    bound, on inputs spread over a few widths about an offset. `run`'s
+    e = d - y and coefficients eta e hold exactly."""
     rng = np.random.default_rng(seed)
     sigma = 10.0 ** log_sigma
     spec = KernelSpec("gaussian", sigma=sigma)
@@ -356,7 +361,125 @@ def test_distance_form_matches_explicit_differences(L, steps, seed, offset, log_
     ref = float(kernel_matrix(spec, f.centers, u[None, :])[:, 0] @ f.coeffs)
     assert abs(f.predict(u) - ref) <= distance_form_bound(f.centers, f.coeffs, u, sigma)
     assert np.array_equal(f.coeffs, eta * np.asarray(errors))
+    g = Klms(spec, eta, U[0], d[0])
+    y, e, size = g.run(U[1:-1], d[1:-1])
+    assert np.array_equal(e, d[1:-1] - y) and np.array_equal(size, np.arange(2, steps + 2))
+    assert np.array_equal(g.coeffs, eta * np.append(d[0], e))
+    for i in range(steps):
+        centers, coeffs = g.centers[:i + 1], g.coeffs[:i + 1]
+        ref = float(kernel_matrix(spec, centers, U[i + 1][None, :])[:, 0] @ coeffs)
+        assert abs(y[i] - ref) <= distance_form_bound(centers, coeffs, U[i + 1], sigma)
     k = KrlsAldReg(spec, 0.1, 0.01, U[0], d[0])
     k.run(U[1:-1], d[1:-1])
     ref = float(kernel_matrix(spec, k.dict.centers, u[None, :])[:, 0] @ k.alpha)
     assert abs(k.predict(u) - ref) <= distance_form_bound(k.dict.centers, k.alpha, u, sigma)
+
+
+def sysid(length: int, seed: int = 1, L: int = 3):
+    return generate(StreamConfig("nonlinear_sysid", length=length, noise_std=0.1, seed=seed,
+                                 embed_L=L))
+
+
+@settings(max_examples=25, deadline=None)
+@given(length=st.integers(1, TILE + 2 * BLOCK), far=st.none() | st.integers(0, TILE + 2 * BLOCK),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(length=TILE + 2 * BLOCK, far=None, seed=1)
+@example(length=TILE + BLOCK + 3, far=TILE + 10, seed=2)
+def test_run_matches_the_step_loop(length, far, seed):
+    """`run` against `step_loop` on a deep copy, over streams that cross
+    BLOCK and TILE: the same dict_size, e = d - y and coefficients eta e
+    exactly, y to roundoff. A far sample mid-stream shuts the gate: its block
+    and every later one go through `step`, so from there on `run` is a run
+    of the blocks before it, then the step loop, bit for bit."""
+    rng = np.random.default_rng(seed)
+    U, d = rng.standard_normal((length + 1, 3)), rng.standard_normal(length + 1)
+    if far is not None and far < length:
+        U[far + 1] += 1e3
+    f = Klms(GAUSS, 0.2, U[0], d[0])
+    g, h = copy.deepcopy(f), copy.deepcopy(f)
+    y0, _, k0, _ = step_loop(f, U, d, 1)
+    y, e, size = g.run(U[1:], d[1:])
+    assert np.array_equal(size, k0[1:]) and g.n == f.n == length + 1
+    assert np.array_equal(e, d[1:] - y) and np.array_equal(g.coeffs, 0.2 * np.append(d[0], e))
+    assert np.abs(y - y0[1:]).max() <= 1e-12
+    if far is not None and far < length:
+        b = far // BLOCK * BLOCK
+        h.run(U[1:b + 1], d[1:b + 1])
+        y1, e1, _, _ = step_loop(h, U, d, b + 1)
+        assert y1[b + 1:].tobytes() == y[b:].tobytes() and e1[b + 1:].tobytes() == e[b:].tobytes()
+        assert g.to_snapshot() == h.to_snapshot()
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("polynomial", degree=2),
+                                  KernelSpec("gaussian", sigma=1e-160)])
+def test_run_without_shifted_sums_is_the_step_loop(spec):
+    """A polynomial store keeps no shifted columns, and at sigma = 1e-160 the
+    gate is shut from the start: every block goes through `step`, so `run`
+    is the step loop bit for bit."""
+    U, d = sysid(3 * BLOCK + 5)
+    f = Klms(spec, 0.002, U[0], d[0])
+    g = copy.deepcopy(f)
+    y0, e0, k0, _ = step_loop(f, U, d, 1)
+    y, e, size = g.run(U[1:], d[1:])
+    assert y.tobytes() == y0[1:].tobytes() and e.tobytes() == e0[1:].tobytes()
+    assert np.array_equal(size, k0[1:]) and g.to_snapshot() == f.to_snapshot()
+
+
+@pytest.mark.parametrize("case, error", [("nan", NonFiniteInputError),
+                                         ("ragged", DimensionMismatchError),
+                                         ("diverges", NumericalError)])
+def test_run_raises_where_the_step_loop_does(case, error):
+    """A non-finite sample, a ragged stream and a divergent eta: `run` raises
+    the step loop's exception at the step loop's sample, and `n` counts the
+    samples committed, as the step loop leaves them."""
+    eta = 50.0 if case == "diverges" else 0.2
+    U, d = sysid(400, L=1 if case == "diverges" else 3)
+    U = U.tolist()
+    if case == "nan":
+        U[150][1] = math.nan
+    elif case == "ragged":
+        U[150] = U[150][:2]
+    f = Klms(GAUSS, eta, U[0], d[0])
+    g = copy.deepcopy(f)
+    with pytest.raises(error) as want:
+        step_loop(f, np.array(U, dtype=object), d, 1)
+    with pytest.raises(error) as got:
+        g.run(U[1:], d[1:])
+    assert str(want.value) == f"failed at step {g.n + 1}: {got.value}"
+    assert g.n == f.n == (263 - 1 if case == "diverges" else 150)
+    assert np.array_equal(g.centers, f.centers)
+
+
+def test_snapshot_after_run_resumes_bit_for_bit():
+    """A snapshot taken after `run` loads into the same buffers, and the
+    resumed filter steps, and runs, as the running one does, bit for bit."""
+    U, d = sysid(TILE + BLOCK + 40)
+    f = Klms(GAUSS, 0.2, U[0], d[0])
+    f.run(U[1:TILE + 7], d[1:TILE + 7])
+    g = Klms.from_snapshot(json.loads(json.dumps(f.to_snapshot())))
+    assert g.to_snapshot() == f.to_snapshot()
+    for i in range(TILE + 7, TILE + 20):
+        assert f.step(U[i], d[i]) == g.step(U[i], d[i])
+    a, b = f.run(U[TILE + 20:], d[TILE + 20:]), g.run(U[TILE + 20:], d[TILE + 20:])
+    assert all(x.tobytes() == z.tobytes() for x, z in zip(a, b))
+
+
+def test_run_near_the_float_range_raises_no_warning():
+    """Inputs near 1e308: repeats of the first center take the shifted sums,
+    which match the step loop to roundoff, and a spread whose squared
+    distances overflow refuses them, so every sample steps, bit for bit as
+    the step loop does. Neither raises a numpy warning."""
+    rng = np.random.default_rng(3)
+    spread = 1e308 * rng.uniform(0.5, 1.0, (2 * BLOCK, 2))
+    for U in (np.full((2 * BLOCK, 2), 1.5e308), spread):
+        d = rng.standard_normal(2 * BLOCK)
+        f = Klms(GAUSS, 0.2, U[0], d[0])
+        g = copy.deepcopy(f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y0, e0, _, _ = step_loop(f, U, d, 1)
+            y, e, _ = g.run(U[1:], d[1:])
+        if U is spread:
+            assert y.tobytes() == y0[1:].tobytes() and e.tobytes() == e0[1:].tobytes()
+        else:
+            assert np.abs(y - y0[1:]).max() <= 1e-12 and np.array_equal(e, d[1:] - y)
