@@ -8,6 +8,12 @@ field or hyperparameter; `as_floats` reads the entries of anything else, for
 and finiteness. Validation happens once at public API boundaries; internal
 code assumes finite, correctly shaped float64 data. Filters do not time
 themselves: a caller that wants per-step cost times its own `step` calls.
+
+Buffers grown by doubling (`reserve`) are allocated by `aligned_empty`, on
+a 64-byte boundary, where an AVX-512 load reads a whole cache line. One
+started at a capacity that is a multiple of 8, as KLMS's are, stays one, so
+each row of a (rows, capacity) buffer starts on the boundary too. The
+square buffers of `reserve_square` keep numpy's own alignment.
 """
 
 from __future__ import annotations
@@ -198,15 +204,36 @@ def convert(value, kind: type, what: str):
 EXACT_SIZE_MAX = 32
 
 
-def reserve(buf: np.ndarray, n: int, axis: int = 0) -> np.ndarray:
+# Byte boundary of `aligned_empty`'s first entry: one cache line, and the
+# width of an AVX-512 load, which reads a whole line only from there.
+ALIGN = 64
+
+
+def aligned_empty(shape) -> np.ndarray:
+    """An uninitialized C-ordered float64 array of `shape` whose first entry
+    sits on an ALIGN-byte boundary: a view into an `np.empty` that has
+    ALIGN / 8 more entries. A (rows, cols) one with cols a multiple of 8
+    starts every row on the boundary too."""
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
+    raw = np.empty(size + ALIGN // 8)
+    skip = -raw.ctypes.data % ALIGN // 8
+    return raw[skip:skip + size].reshape(shape)
+
+
+def reserve(buf: np.ndarray, n: int, axis: int = 0, count: int = 1) -> np.ndarray:
     """`buf`, whose leading n entries along `axis` are in use, with room for
-    index n there: `buf` itself, or, when it is full, a buffer of twice the
-    size along `axis` holding the entries in use."""
-    if n < buf.shape[axis]:
+    indices n..n+count-1 there: `buf` itself, or, when they do not fit, an
+    `aligned_empty` buffer holding the entries in use, its size along
+    `axis` doubled until they do. So appending count entries at once leaves
+    the capacity that appending them one at a time does."""
+    cap = buf.shape[axis]
+    if n + count <= cap:
         return buf
+    while cap < n + count:
+        cap *= 2
     shape = list(buf.shape)
-    shape[axis] = 2 * n
-    grown = np.empty(shape)
+    shape[axis] = cap
+    grown = aligned_empty(tuple(shape))
     used = (slice(None),) * axis + (slice(n),)
     grown[used] = buf[used]
     return grown

@@ -33,10 +33,15 @@ error bound and a gate that hands the sum back to the explicit differences
 where that bound is too loose. KLMS asks for them at every input dimension,
 a KRLS dictionary from `dictionary.SHIFT_DIM_MIN` on, for its `predict`.
 `Centers.sums` takes the same shifted sum for a block of queries at once,
-one tile of TILE columns at a time, for KLMS's bulk `run`.
+one tile of TILE columns at a time, for KLMS's bulk `run`: each tile's
+exponents are written into one (block, TILE) buffer, allocated once per
+call, and `Centers.extend` writes the block's centers back in one column
+block of each buffer. A store's buffers sit on 64-byte boundaries
+(`base.aligned_empty`), row by row.
 
 All evaluation is pure and stateless, safe for unsynchronized concurrent
-use, apart from a `Centers`' `append`, which needs exclusive access.
+use, apart from a `Centers`' `append` and `extend`, which need exclusive
+access.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import as_input, as_points, check_object, convert, reserve
+from .base import aligned_empty, as_input, as_points, check_object, convert, reserve
 from .exceptions import ValidationError
 
 FAMILIES = ("gaussian", "polynomial")
@@ -60,10 +65,11 @@ SHIFT_TOL = 1e-10
 
 # Columns of the shifted buffer per tile of `Centers.sums`: a 64-row block's
 # (64, TILE) exponents then take 512 KiB, a quarter of a 2 MiB L2. Over a
-# 16000-sample KLMS `run` at L = 3 and sigma = 1 (one CPU, one BLAS thread,
-# median of seven alternations), tiles of 512 and 1024 columns took 0.313 s,
-# of 2048 0.339 s, and of 4096 or the whole (64, n) block 0.373 s; the step
-# loop took 0.501 s.
+# 16000-sample KLMS `run` at L = 3 and sigma = 1 (an AVX-512 Xeon with 2 MiB
+# of L2 per core; one CPU, one BLAS thread, median of seven alternations),
+# tiles of 512, 1024 and 2048 columns took 0.178, 0.173 and 0.177 s, of
+# 4096 0.224 s, and the whole (64, n) block 0.272 s; the step loop took
+# 0.335 s.
 TILE = 1024
 
 
@@ -88,11 +94,14 @@ class KernelSpec:
         object.__setattr__(self, "sigma", convert(self.sigma, float, "kernel.sigma"))
         object.__setattr__(self, "degree", convert(self.degree, int, "kernel.degree"))
         if self.family == "gaussian":
-            # sigma^2 must not underflow to 0: k(u, u) would be 0/0 = NaN.
-            # Any larger sigma is formed, however small: a value whose
-            # exponent leaves the float range is 0, as its exp is.
-            if not (np.isfinite(self.sigma) and self.sigma > 0 and self.sigma * self.sigma > 0):
-                raise ValidationError("kernel.sigma must be a positive finite real")
+            # sigma^2 must neither underflow to 0 (k(u, u) would be 0/0 =
+            # NaN) nor overflow to inf (a distance past the float range
+            # would give inf/inf = NaN). Any sigma between is formed,
+            # however small: a value whose exponent leaves the float range
+            # is 0, as its exp is.
+            if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):
+                raise ValidationError("kernel.sigma must be a positive real whose square is "
+                                      "a positive finite float (about 1.6e-162 to 1.3e154)")
         else:
             if self.degree < 1:
                 raise ValidationError("kernel.degree must be an integer >= 1")
@@ -252,17 +261,22 @@ class Centers:
     built without `shift`, keeps no D and always sums explicitly.
 
     The owner appends every center, the first included, in order through
-    `append`, so replaying the centers rebuilds both buffers, their
-    capacities and the gate bit for bit. `sum`, `sums` and `kernel_vector`
-    write nothing; `append` needs exclusive access.
+    `append`, or a block of them through `extend`, which leaves what
+    `append` on each would, so replaying the centers rebuilds both buffers,
+    their capacities and the gate bit for bit. Both buffers start at a
+    capacity of 16 on a 64-byte boundary (`base.aligned_empty`) and keep
+    it, every row included, as they double. `sum`, `sums` and
+    `kernel_vector` write nothing; `append` and `extend` need exclusive
+    access.
     """
 
     def __init__(self, spec: KernelSpec, dim: int, shift: bool):
         self.spec = spec
         self.dim = dim
         self.size = 0
-        self._C = np.empty((dim, 16))
-        self._shifted = np.empty((dim + 2, 16)) if shift and spec.family == "gaussian" else None
+        self._C = aligned_empty((dim, 16))
+        self._shifted = (aligned_empty((dim + 2, 16)) if shift and spec.family == "gaussian"
+                         else None)
         self._s2 = spec.sigma * spec.sigma
         # 6 (dim + 5) eps / sigma^2, inf without shifted columns, where the
         # factor 2/sigma^2 overflows, or once a stored q_i times it exceeds
@@ -301,6 +315,27 @@ class Centers:
             if not ww * self._scale <= SHIFT_TOL:
                 self._scale = math.inf
         self.size = n + 1
+
+    def extend(self, X: np.ndarray) -> None:
+        """Add the rows of the validated (m, L) block X as centers, in one
+        column block of each buffer, which `append` on each row in order
+        would leave bit for bit: the same columns (each ||w||^2 by `np.vdot`
+        on its row, as `append` takes it), capacities and gate."""
+        n, m = self.size, X.shape[0]
+        self._C = reserve(self._C, n, axis=1, count=m)
+        self._C[:, n:n + m] = X.T
+        if self._shifted is not None:
+            if not n:
+                self._c1 = X[0].copy()
+            W = X - self._c1
+            ww = np.array([np.vdot(w, w) for w in W])
+            D = self._shifted = reserve(self._shifted, n, axis=1, count=m)
+            D[:-2, n:n + m] = W.T
+            D[-2, n:n + m] = ww
+            D[-1, n:n + m] = 1.0
+            if not (ww * self._scale <= SHIFT_TOL).all():  # one far row shuts it for good
+                self._scale = math.inf
+        self.size = n + m
 
     def sum(self, u: np.ndarray, coeffs: np.ndarray) -> float:
         """sum_i coeffs_i k(c_i, u) over the centers, for validated u: from
@@ -349,7 +384,8 @@ class Centers:
         Row j of V is the v that `sum` builds for x_j, but for ||w||^2,
         summed by `np.einsum` rather than `np.vdot` (the two can differ in
         the last bit). The exponents V D are taken TILE columns of D at a
-        time: E = V D[:, tile], clamped at 0, exponentiated in place, then
+        time: E = V D[:, tile], written into one aligned buffer that every
+        tile reuses, clamped at 0, exponentiated in place, then
         E coeffs[tile]. So every term keeps `sum`'s bound; only the order of
         the additions differs.
         """
@@ -365,9 +401,10 @@ class Centers:
         V[:, -2] = -1.0 / s2
         np.divide(ww, -s2, out=V[:, -1])
         out = np.zeros(X.shape[0])
+        buf = aligned_empty((X.shape[0], min(TILE, self._shifted.shape[1])))
         for lo in range(0, self.size, TILE):
             hi = min(lo + TILE, self.size)
-            E = V @ self._shifted[:, lo:hi]
+            E = np.matmul(V, self._shifted[:, lo:hi], out=buf[:, :hi - lo])
             np.minimum(E, 0.0, out=E)
             np.exp(E, out=E)
             out += E @ coeffs[lo:hi]

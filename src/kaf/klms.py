@@ -24,12 +24,20 @@ Each sample's prediction is its sum against the centers stored before the
 block plus the terms of the block's earlier samples. The first part is one
 `Centers.sums` call for the whole block, the shifted sum taken in tiles of
 `kernels.TILE` stored columns; the second comes from one kernel block of
-the block's inputs, by explicit differences, in a short loop: y_j, then
-e_j = d_j - y_j and c_j = eta e_j. Every term is then committed through
-`_append`, the one write path, so a snapshot's replay rebuilds the same
-buffers. Each term keeps `Centers.sum`'s bound, but the additions fall in
-another order, so y moves from the step loop's by roundoff only; e = d - y
-and c = eta e hold exactly, and dict_size is the step loop's.
+the block's inputs, by explicit differences, taken in sub-blocks of SUB
+samples: one product adds the terms of the earlier sub-blocks, and the
+sub-block's own terms are added as floats, in index order, in a short
+loop: y_j, then e_j = d_j - y_j and c_j = eta e_j. The block's terms are
+then committed in one `_extend`, which writes each buffer once and leaves
+what `_append` on each term in order, the step's write, would. Each term
+keeps `Centers.sum`'s bound, but the additions fall in another order, so y
+moves from the step loop's by roundoff only; e = d - y and c = eta e hold
+exactly, and dict_size is the step loop's.
+
+The coefficients, like the store's buffers, sit on 64-byte boundaries
+(`base.aligned_empty`). `from_snapshot` replays the saved terms through
+the same `_extend`, so a loaded filter holds the saved one's buffers,
+capacities and gate, and continues bit for bit.
 
 Failure rule, as KRLS's `run`: the samples up to the first non-finite one
 go in blocks; that one and those after it, or all of a stream that is not
@@ -48,18 +56,25 @@ import math
 import numpy as np
 
 from . import _blas
-from .base import (StepOutput, as_input, as_object, as_stream, check_target, convert, reserve,
-                   scalar_field, snapshot_array)
+from .base import (StepOutput, aligned_empty, as_input, as_object, as_stream, check_target,
+                   convert, reserve, scalar_field, snapshot_array)
 from .exceptions import NumericalError, ValidationError
 from .kernels import Centers, KernelSpec, check_spec, kernel_block
 
 # Samples `run` takes at once: their sums against the stored centers are one
 # `Centers.sums` call, and the terms between them one (BLOCK, BLOCK) kernel
 # block. Over a 16000-sample `nonlinear_sysid` run at L = 3 and sigma = 1
-# (one CPU, one BLAS thread, tiles of 1024 columns, median of seven
-# alternations), blocks of 32, 64 and 128 took 0.289, 0.278 and 0.377 s; the
-# step loop takes about 0.5 s.
+# (an AVX-512 Xeon; one CPU, one BLAS thread, tiles of 1024 columns, median
+# of seven alternations), blocks of 32, 64 and 128 took 0.185, 0.173 and
+# 0.169 s, the last two within the runs' spread of a few percent; the step
+# loop takes 0.335 s.
 BLOCK = 64
+
+# Samples of a block whose terms between them are added as floats: the
+# terms of the block's earlier sub-blocks come in one product per sub-block.
+# On the run above, sub-blocks of 4, 8 and 16 took 0.179, 0.173 and 0.175 s,
+# and the whole block's 2016 terms as floats 0.194 s.
+SUB = 8
 
 
 class Klms:
@@ -72,7 +87,7 @@ class Klms:
         d = check_target(first_target)
         self.eta = eta
         self._centers = Centers(self.spec, u.shape[0], shift=True)
-        self._coeffs = np.empty(16)  # amortized doubling, a term per entry
+        self._coeffs = aligned_empty(16)  # amortized doubling, a term per entry
         self._append(u, eta * d)
 
     @property
@@ -137,28 +152,36 @@ class Klms:
 
     def _block(self, X: np.ndarray, t: np.ndarray) -> np.ndarray | None:
         """The outputs y of the validated samples (X[j], t[j]), taken as their
-        steps would take them, each term eta (t_j - y_j) committed through
-        `_append`; None, with the filter untouched, where the store refuses
+        steps would take them, the terms eta (t_j - y_j) committed in one
+        `_extend`; None, with the filter untouched, where the store refuses
         the sums or a coefficient is not finite."""
+        eta = self.eta
         with np.errstate(over="ignore", invalid="ignore"):
             y = self._centers.sums(X, self._coeffs[:self.n])
             if y is None:
                 return None
             K = kernel_block(self.spec, X, X)
             c = np.empty(t.shape[0])
-            for j in range(t.shape[0]):
-                y[j] += K[j, :j] @ c[:j]
-                c[j] = self.eta * (t[j] - y[j])
+            for lo in range(0, t.shape[0], SUB):
+                hi = min(lo + SUB, t.shape[0])
+                if lo:
+                    y[lo:hi] += K[lo:hi, :lo] @ c[:lo]
+                # the sub-block's own terms, as floats: c_j waits for y_j
+                ys, ts, cs = y[lo:hi].tolist(), t[lo:hi].tolist(), []
+                for j, row in enumerate(K[lo:hi, lo:hi].tolist()):
+                    for k in range(j):
+                        ys[j] += row[k] * cs[k]
+                    cs.append(eta * (ts[j] - ys[j]))
+                y[lo:hi], c[lo:hi] = ys, cs
         if not np.isfinite(c).all():
             return None
-        for u, cj in zip(X, c):
-            self._append(u, cj)
+        self._extend(X, c)
         return y
 
     def _append(self, u: np.ndarray, c: float) -> None:
-        """Append the term c k(u, .): its center and its coefficient, the one
-        path every term is written through. A c that is not finite raises
-        NumericalError before any write."""
+        """Append the term c k(u, .): its center and its coefficient, as
+        `step` does. A c that is not finite raises NumericalError before any
+        write."""
         if not math.isfinite(c):
             raise NumericalError(f"KLMS coefficient eta * e = {c!r} is not finite: "
                                  "the expansion has diverged (eta too large)")
@@ -166,6 +189,15 @@ class Klms:
         self._coeffs = reserve(self._coeffs, n)
         self._coeffs[n] = c
         self._centers.append(u)
+
+    def _extend(self, X: np.ndarray, c: np.ndarray) -> None:
+        """Append the terms c_j k(x_j, .) for the rows x_j of X and the finite
+        c, in one write of each buffer, bit for bit as `_append` on each in
+        order (see `Centers.extend`)."""
+        n, m = self._centers.size, c.shape[0]
+        self._coeffs = reserve(self._coeffs, n, count=m)
+        self._coeffs[n:n + m] = c
+        self._centers.extend(X)
 
     def to_snapshot(self) -> dict:
         return {
@@ -189,9 +221,8 @@ class Klms:
         coeffs = snapshot_array(snap, "coeffs", (n,))
         obj = cls(KernelSpec.from_json(snap.get("kernel")), scalar_field(snap, "eta"),
                   centers[0], 0.0)
-        # Replay the terms in order through `_append` into a new store: the
-        # buffers match the saved filter's, and resumed steps match bit for bit.
+        # Replay the terms in one `_extend` into a new store: the buffers
+        # match the saved filter's, and resumed steps match bit for bit.
         obj._centers = Centers(obj.spec, centers.shape[1], shift=True)
-        for u, c in zip(centers, coeffs):
-            obj._append(u, c)
+        obj._extend(centers, coeffs)
         return obj

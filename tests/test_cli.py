@@ -106,6 +106,17 @@ class TestRun:
         assert "filter.lambda" in err["error"]["message"]
         assert not os.path.exists(cfg["out"])  # no partial outputs
 
+    @pytest.mark.parametrize("kind, hyper", [("krls-ald-reg", {"lambda": 0.1, "delta": 0.01}),
+                                             ("klms", {"eta": 0.2})])
+    def test_sigma_whose_square_overflows_exits_1(self, kind, hyper, tmp_path, capsys):
+        cfg = base_run_config(tmp_path)
+        cfg["filter"] = {"kind": kind, "kernel": {"family": "gaussian", "sigma": 1e200}, **hyper}
+        assert main(["run", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["type"] == "validation"
+        assert "kernel.sigma" in err["error"]["message"]
+        assert not os.path.exists(cfg["out"])
+
     def test_flag_overrides_beat_file(self, tmp_path):
         cfg = base_run_config(tmp_path)
         cpath = write_config(tmp_path / "c.json", cfg)

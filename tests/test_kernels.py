@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kaf import Dictionary, KernelSpec, gram, kernel_eval, kernel_matrix
+from kaf import Dictionary, KernelSpec, Klms, gram, kernel_eval, kernel_matrix
 from kaf.exceptions import DimensionMismatchError, NonFiniteInputError, ValidationError
-from kaf.kernels import kernel_block, kernel_diag, kernel_self, kernel_vector
+from kaf.kernels import Centers, kernel_block, kernel_diag, kernel_self, kernel_vector
 from kaf.oracle import polynomial_feature_map
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -219,6 +220,42 @@ def test_an_exponent_past_the_float_range_gives_0_without_a_warning(sigma, far):
     assert kernel_eval(spec, [0.0], [far]) == 0.0
 
 
+def assert_same_store(a: Centers, b: Centers) -> None:
+    """Two stores hold the same centers, shifted columns, capacities and gate."""
+    assert a.size == b.size and a._scale == b._scale
+    assert a.points.tobytes() == b.points.tobytes()
+    assert a._C.shape == b._C.shape
+    assert a._C[:, :a.size].tobytes() == b._C[:, :b.size].tobytes()
+    if a._shifted is None or b._shifted is None:
+        assert a._shifted is b._shifted is None
+    else:
+        assert a._shifted.shape == b._shifted.shape
+        assert a._shifted[:, :a.size].tobytes() == b._shifted[:, :b.size].tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("far", [False, True])
+@pytest.mark.parametrize("spec, n0", [(GAUSS, 0), (GAUSS, 10), (GAUSS, 16),
+                                      (KernelSpec("polynomial", degree=2), 10)])
+def test_extend_is_append_row_by_row(spec, n0, m, far):
+    """`Centers.extend` writes a block of m centers as `append` on each row
+    in order does, bit for bit, after n0 appended ones: across capacity
+    doublings (16, 32, ..., 256), and with one far row mid-block, which
+    shuts the gate for good."""
+    rng = np.random.default_rng(m + n0)
+    X = 3.0 * rng.standard_normal((n0 + m, 3))
+    if far:
+        X[n0 + m // 2] += 1e6  # past c_1 unless it is c_1
+    a, b = Centers(spec, 3, shift=True), Centers(spec, 3, shift=True)
+    for u in X:
+        a.append(u)
+    for u in X[:n0]:
+        b.append(u)
+    b.extend(X[n0:])
+    assert_same_store(a, b)
+    assert math.isinf(b._scale) == (far and n0 + m // 2 > 0 or spec.family != "gaussian")
+
+
 class TestKernelSpec:
     def test_json_round_trip(self):
         for spec in (KernelSpec("gaussian", sigma=0.5),
@@ -242,6 +279,26 @@ class TestKernelSpec:
             KernelSpec("gaussian", sigma=-1.0)
         with pytest.raises(ValidationError):
             KernelSpec.from_json({"family": "gaussian", "sigma": -1.0})
+
+    @pytest.mark.parametrize("sigma", [1.35e154, 1e200, 1e308])
+    def test_sigma_whose_square_overflows_is_refused(self, sigma):
+        """sigma^2 = inf would make a far value inf/inf = NaN: refused, as a
+        sigma whose square underflows is, at every way in."""
+        with pytest.raises(ValidationError, match="kernel.sigma"):
+            KernelSpec("gaussian", sigma=sigma)
+        with pytest.raises(ValidationError, match="kernel.sigma"):
+            KernelSpec.from_json({"family": "gaussian", "sigma": sigma})
+        with pytest.raises(ValidationError, match="kernel.sigma"):
+            Klms.from_snapshot({"algorithm": "klms", "eta": 0.1, "centers": [[0.0]],
+                                "coeffs": [1.0],
+                                "kernel": {"family": "gaussian", "sigma": sigma}})
+        assert KernelSpec("polynomial", sigma=sigma).sigma == sigma  # no width there
+
+    def test_largest_sigma_gives_finite_values_without_a_warning(self):
+        spec = KernelSpec("gaussian", sigma=1.34e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_eval(spec, [0.0], [1.34e154]) == math.exp(-1.0)
 
     @pytest.mark.parametrize("field, value", [
         ("sigma", "1"), ("sigma", True), ("sigma", None), ("degree", 2.5),

@@ -11,9 +11,10 @@ from kaf import KernelSpec, Klms, KrlsAldReg, StreamConfig, generate
 from kaf.exceptions import (DimensionMismatchError, NonFiniteInputError, NumericalError,
                             ValidationError)
 from kaf.experiments import step_loop
-from kaf.kernels import SHIFT_TOL, TILE, kernel_eval, kernel_matrix, kernel_vector
+from kaf.kernels import SHIFT_TOL, TILE, Centers, kernel_eval, kernel_matrix, kernel_vector
 from kaf.klms import BLOCK
 from kaf.oracle import feature_space_lms
+from test_kernels import assert_same_store
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
 
@@ -388,7 +389,8 @@ def sysid(length: int, seed: int = 1, L: int = 3):
 def test_run_matches_the_step_loop(length, far, seed):
     """`run` against `step_loop` on a deep copy, over streams that cross
     BLOCK and TILE: the same dict_size, e = d - y and coefficients eta e
-    exactly, y to roundoff. A far sample mid-stream shuts the gate: its block
+    exactly, y to roundoff, and the buffers that appending `run`'s own
+    terms one at a time leaves. A far sample mid-stream shuts the gate: its block
     and every later one go through `step`, so from there on `run` is a run
     of the blocks before it, then the step loop, bit for bit."""
     rng = np.random.default_rng(seed)
@@ -402,6 +404,7 @@ def test_run_matches_the_step_loop(length, far, seed):
     assert np.array_equal(size, k0[1:]) and g.n == f.n == length + 1
     assert np.array_equal(e, d[1:] - y) and np.array_equal(g.coeffs, 0.2 * np.append(d[0], e))
     assert np.abs(y - y0[1:]).max() <= 1e-12
+    assert_appended_one_at_a_time(g)
     if far is not None and far < length:
         b = far // BLOCK * BLOCK
         h.run(U[1:b + 1], d[1:b + 1])
@@ -448,6 +451,47 @@ def test_run_raises_where_the_step_loop_does(case, error):
     assert str(want.value) == f"failed at step {g.n + 1}: {got.value}"
     assert g.n == f.n == (263 - 1 if case == "diverges" else 150)
     assert np.array_equal(g.centers, f.centers)
+
+
+def assert_aligned(buf: np.ndarray) -> None:
+    """`buf` and each of its rows start on a 64-byte boundary."""
+    for row in np.atleast_2d(buf):
+        assert row.ctypes.data % 64 == 0
+
+
+def test_buffers_sit_on_64_byte_boundaries():
+    """The centers, the shifted columns and the coefficients start on a
+    64-byte boundary, as does every row, at each capacity from 16 to 4096,
+    stepped or loaded from a snapshot."""
+    U, d = sysid(4096)
+    f = Klms(GAUSS, 0.2, U[0], d[0])
+    caps = set()
+    for i in range(1, 4096):
+        f.step(U[i], d[i])
+        if f._coeffs.shape[0] not in caps:
+            caps.add(f._coeffs.shape[0])
+            for buf in (f._centers._C, f._centers._shifted, f._coeffs):
+                assert_aligned(buf)
+    assert caps == {16 * 2 ** k for k in range(9)}
+    for n in (1, 17, 4096):
+        g = Klms.from_snapshot(json.loads(json.dumps(
+            {**f.to_snapshot(), "centers": f.centers[:n].tolist(),
+             "coeffs": f.coeffs[:n].tolist()})))
+        for buf in (g._centers._C, g._centers._shifted, g._coeffs):
+            assert_aligned(buf)
+
+
+def assert_appended_one_at_a_time(f: Klms) -> None:
+    """`f`'s buffers are what appending its own terms one at a time through
+    `Klms._append` writes: centers, shifted columns, coefficients,
+    capacities and gate."""
+    g = Klms(f.spec, f.eta, f.centers[0], 0.0)
+    g._centers = Centers(f.spec, f.dim, shift=True)
+    for u, c in zip(f.centers, f.coeffs):
+        g._append(u.copy(), c)
+    assert_same_store(f._centers, g._centers)
+    assert f._coeffs.shape == g._coeffs.shape
+    assert f.coeffs.tobytes() == g.coeffs.tobytes()
 
 
 def test_snapshot_after_run_resumes_bit_for_bit():
