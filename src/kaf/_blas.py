@@ -24,11 +24,13 @@ The library is looked up next to the numpy package (`numpy.libs`, or
 `numpy/.dylibs`) and its symbols bound at the first product past W_BLOCK,
 so `import kaf` binds nothing. They bind all or none. With none (numpy
 linked to MKL or Accelerate, numpy 1.x, another build of OpenBLAS) every
-product takes the reference path, numpy's own products: W by blocks of
-W_BLOCK rows (`_tril_dot`, `_dot_tril`) and P_b whole, kept exactly
-symmetric, which meets the lower-triangle contract too. Up to K = W_BLOCK
-every product is the reference one, whatever the library, bit for bit the
-product numpy gave before the kernels.
+product takes the reference path: one numpy product over the (K, K)
+block, which reads W and P_b whole. That is exact for W, whose buffer is
+0 above its diagonal (`base.reserve_square` zero-fills it and
+`Dictionary._grow` writes only up to the diagonal), and P_b is kept
+exactly symmetric there, which meets the lower-triangle contract too. Up
+to K = W_BLOCK every product is the reference one, whatever the library,
+bit for bit the product numpy gave before the kernels.
 
 Each kernel call runs at one OpenBLAS thread, set for the calling thread
 and restored after the call: at two threads dsymv and dtrmv sum in
@@ -49,12 +51,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Rows of W per block of `_tril_dot` and `_dot_tril`, and the size past
-# which the kernels take over. Of 64, 128 and 256, 128 measured fastest for
-# the blocked reference products at K = 400-500 (one CPU, one BLAS thread);
-# up to K = W_BLOCK each product is one numpy call, as unblocked. In a KRLS
-# step loop the kernels switched on from K = 64 or 96 were slower than
-# numpy's products below 128, where W and P_b still fit in L2 cache.
+# The size past which the kernels take over. In a KRLS step loop the
+# kernels switched on from K = 64 or 96 were slower than numpy's products
+# below 128, where W and P_b still fit in L2 cache.
 W_BLOCK = 128
 
 # CBLAS enum values (cblas.h)
@@ -124,12 +123,6 @@ def _bound() -> bool:
     return bool(_lib)
 
 
-def lower_only(k: int) -> bool:
-    """Whether the products at size k read and write only the lower triangle
-    of a symmetric matrix: past W_BLOCK, where the kernels bind."""
-    return k > W_BLOCK and _bound()
-
-
 def _address(a: np.ndarray) -> int:
     """The address of a's first element: through the buffer protocol for a
     writable C-contiguous array, which takes about half the time of numpy's
@@ -173,7 +166,7 @@ def tril_dot(W: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
     """W[:k, :k] x for the lower-triangular factor in the buffer W and a
     contiguous length-k vector x: past W_BLOCK with dtrmv, in x itself."""
     if k <= W_BLOCK or not _bound():
-        return _tril_dot(W[:k, :k], x)
+        return W[:k, :k] @ x
     _call(_lib.trmv, _ROW_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT, k, *_mat(W, k, k), _vec(x, k), 1)
     return x
 
@@ -182,7 +175,7 @@ def dot_tril(x: np.ndarray, W: np.ndarray, k: int) -> np.ndarray:
     """x W[:k, :k] for a contiguous length-k vector x and the lower-triangular
     factor in the buffer W: past W_BLOCK with dtrmv, in x itself."""
     if k <= W_BLOCK or not _bound():
-        return _dot_tril(x, W[:k, :k])
+        return x @ W[:k, :k]
     _call(_lib.trmv, _ROW_MAJOR, _LOWER, _TRANS, _NON_UNIT, k, *_mat(W, k, k), _vec(x, k), 1)
     return x
 
@@ -191,7 +184,7 @@ def tril_rows(H: np.ndarray, W: np.ndarray, k: int, out: np.ndarray) -> None:
     """out = H W[:k, :k]^T, for (m, k) H and `out`, whose rows are contiguous:
     past W_BLOCK by copying H into `out` and one dtrmm there."""
     if k <= W_BLOCK or not _bound():
-        _tril_dot(W[:k, :k], H.T, out=out.T)  # bit for bit H @ W^T into out
+        np.matmul(W[:k, :k], H.T, out=out.T)  # bit for bit H @ W^T into out
         return
     out[...] = H
     m = out.shape[0]
@@ -239,39 +232,6 @@ def mirror_lower(P: np.ndarray, k: int) -> np.ndarray:
     S = np.tril(P[:k, :k])
     S += np.tril(S, -1).T
     return S
-
-
-def _tril_dot(W: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """W x, into `out` when given, for a (K, K) W that is lower triangular
-    and x of shape (K,) or (K, m): for each block of W_BLOCK rows,
-    W[lo:hi, :hi] x[:hi]. No entry right of a diagonal block is read, and
-    while K <= W_BLOCK it is one product. (W @ H^T written into L^T is
-    bit for bit H @ W^T written into L.)"""
-    k = W.shape[0]
-    if k <= W_BLOCK:
-        return np.matmul(W, x, out=out)
-    if out is None:
-        out = np.empty(x.shape)
-    for lo in range(0, k, W_BLOCK):
-        hi = min(lo + W_BLOCK, k)
-        np.matmul(W[lo:hi, :hi], x[:hi], out=out[lo:hi])
-    return out
-
-
-def _dot_tril(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """x W for a vector x and a (K, K) W that is lower triangular: the sum,
-    over blocks of W_BLOCK rows, of x[lo:hi] W[lo:hi, :hi], last block first.
-    No entry right of a diagonal block is read, and while K <= W_BLOCK it
-    is one product."""
-    k = W.shape[0]
-    if k <= W_BLOCK:
-        return x @ W
-    lo = (k - 1) // W_BLOCK * W_BLOCK
-    out = x[lo:] @ W[lo:]  # the last block spans every column
-    while lo:
-        hi, lo = lo, lo - W_BLOCK
-        out[:hi] += x[lo:hi] @ W[lo:hi, :hi]
-    return out
 
 
 @functools.cache

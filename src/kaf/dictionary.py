@@ -14,10 +14,11 @@ to K = W_BLOCK each is one numpy product. Past it, OpenBLAS's triangular
 kernels read W's lower triangle only: `_ald` forms l = W h by one dtrmv in
 place on h, `_grow` forms l^T W by one dtrmv in place on W's new row, and a
 screen forms H W^T by one dtrmm. Where numpy's BLAS does not export them,
-`_blas._tril_dot` and `_dot_tril` read W by blocks of W_BLOCK rows,
-W[lo:hi, :hi]: its lower triangle and the upper triangles of the diagonal
-blocks, about (K^2 + K W_BLOCK)/2 entries of K^2. G itself is not kept:
-`gram` recomputes it from the centers for verification and diagnostics.
+each stays one numpy product and reads W's (K, K) block whole, exact
+because the buffer is 0 above the diagonal: `reserve_square` zero-fills
+it, and `_grow` writes each row only up to the diagonal. G itself is not
+kept: `gram` recomputes it from the centers for verification and
+diagnostics.
 
 The centers live in one `kernels.Centers`, coordinate-major, one per
 column of an (L, capacity) buffer that doubles along its columns when full.
@@ -40,7 +41,7 @@ admitting the centers again in order, the same float operations that grew
 them, so they are bit-identical.
 
 A Dictionary is a single-writer value: `grow` needs exclusive access, while
-`ald_test` and `kernel_vector` are read-only.
+`ald_test` is read-only.
 
 The public `ald_test` and `grow` validate their input vector (and `delta`,
 by `check_delta`, as `KrlsAldReg` does) and delegate to `_ald` and `_grow`,
@@ -160,11 +161,6 @@ class Dictionary:
     def gram(self) -> np.ndarray:
         """G[i, j] = k(c_i, c_j), recomputed from the centers on every access."""
         return kernel_block(self.spec, self.centers, self.centers)
-
-    def kernel_vector(self, u: np.ndarray) -> np.ndarray:
-        """h_i = k(c_i, u) against every stored center, bit-identical to
-        `kernels.kernel_vector(spec, centers, u)`."""
-        return self._centers.kernel_vector(u)
 
     def ald_test(self, u, delta: float) -> AldResult:
         """Test whether u's feature vector is within residual `delta` of the span.

@@ -24,11 +24,12 @@ columns double, so growth and a snapshot's replay copy a K x K array only
 at every eighth of growth.
 
 Up to K = W_BLOCK, and on `_blas`'s reference path (a numpy whose BLAS does
-not export the kernels), P_b is exactly symmetric: numpy reads it whole and
-forms the flush's Y^T Y exactly symmetric. Past W_BLOCK with the kernels,
-P_b's lower triangle is the state: P_b f (dsymv) and L P_b (dsymm) read
-only that triangle, and the flush is one dsyrk into it, in place, with no
-K x K temporary; the strict upper triangle goes stale and is never read.
+not export the kernels), P_b is exactly symmetric: numpy reads it whole,
+forms the flush's Y^T Y exactly symmetric, and a growth writes P_b's new
+row and column alike. Past W_BLOCK with the kernels, P_b's lower triangle
+is the state: P_b f (dsymv) and L P_b (dsymm) read only that triangle, and
+the flush is one dsyrk into it, in place, with no K x K temporary; the
+strict upper triangle goes stale and is never read.
 The property `P` and a snapshot's "P" mirror the lower triangle, so they
 are exactly symmetric either way, and either path resumes the other's
 snapshots. `P` forms P_b - Y^T Y in a new array without changing the state.
@@ -43,11 +44,11 @@ with den = lambda D + d2 and a priori error e:
     P' = [[P - (lambda/den) q q^T, -(s/den) q], [-(s/den) q^T, D/den]]
     b' = [b + (lambda/den) e q; s e/den]
 
-It writes only P_b's new row and column, -(s/den) q and D/den (past
-W_BLOCK with the kernels, only the row, in the lower triangle); the pending
-rows get a 0 in the new coordinate, and the row [sqrt(lambda/den) q^T, 0]
-joins Y. One formula serves every lambda >= 0 (lambda = 0 is Engel, Mannor
-& Meir's original KRLS) and the first sample, bordered onto the empty state.
+It writes only P_b's new row and column, -(s/den) q and D/den, on
+either backend; the pending rows get a 0 in the new coordinate, and the
+row [sqrt(lambda/den) q^T, 0] joins Y. One formula serves every
+lambda >= 0 (lambda = 0 is Engel, Mannor & Meir's original KRLS) and the
+first sample, bordered onto the empty state.
 
 Steps are transactional: all floor checks precede the first write, so a
 raised error leaves the state bit-identical. `step` validates its input once
@@ -356,9 +357,7 @@ class KrlsAldReg:
         r = self.lam / den  # <= 1/D <= 1, where lambda e alone can overflow
         self._Pb = Pb = reserve_square(self._Pb, k)
         self._Y = Y = reserve(self._Y, k, axis=1)
-        Pb[k, :k] = -(s / den) * q
-        if not _blas.lower_only(k + 1):  # the products read P_b whole
-            Pb[:k, k] = Pb[k, :k]
+        Pb[k, :k] = Pb[:k, k] = -(s / den) * q
         Pb[k, k] = D / den
         Y[:self._m, k] = 0.0
         self.b = np.append(self.b + (r * e) * q, s * e / den)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from kaf import KernelSpec, KrlsAldReg, StreamConfig, _blas, cli, generate
+from kaf import KernelSpec, KrlsAldReg, StreamConfig, _blas, cli, generate, krls
 from kaf._blas import W_BLOCK
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -22,9 +22,9 @@ def gamma2(n: int) -> float:
     return 2 * n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
 
 
-def check(got, want, bound, n, k):
-    """Bit for bit while k <= W_BLOCK, else within 2 gamma_n bound."""
-    if k <= W_BLOCK:
+def check(got, want, bound, n, exact):
+    """Bit for bit where `exact`, else within 2 gamma_n bound."""
+    if exact:
         assert got.tobytes() == want.tobytes()
     else:
         assert (np.abs(got - want) <= gamma2(n) * bound).all()
@@ -38,12 +38,13 @@ def stream(length: int):
 @pytest.mark.parametrize("backend", ["reference", "blas"], indirect=True)
 @pytest.mark.parametrize("k", SIZES)
 def test_products_match_dense_ones(backend, k):
-    """Each product agrees with numpy's dense product within 2 gamma_n of the
-    product of magnitudes, n = K + K/W_BLOCK + 1 (m + 1 for the flush of m
-    rows), and is today's numpy product bit for bit while K <= W_BLOCK. The
-    buffers hold NaN outside their (K, K) block, and on the kernels' backend
-    past W_BLOCK in P's strict upper triangle, which no product may read;
-    there the flush leaves that triangle as it was."""
+    """Each product is numpy's dense product bit for bit on the reference
+    backend at every K, and on the kernels' backend while K <= W_BLOCK;
+    past it the kernels agree with it within 2 gamma_n of the product of
+    magnitudes, n = K (m + 1 for the flush of m rows). The buffers hold NaN
+    outside their (K, K) block, and on the kernels' backend past W_BLOCK in
+    P's strict upper triangle, which no product may read; there the flush
+    leaves that triangle as it was."""
     rng = np.random.default_rng(k)
     cap, m = k + 7, 20
     W = np.full((cap, cap), np.nan)
@@ -53,36 +54,36 @@ def test_products_match_dense_ones(backend, k):
     P = np.full((cap, cap), np.nan)
     P[:k, :k] = S
     upper = np.triu_indices(k, 1)
-    if backend == "blas" and k > W_BLOCK:
+    exact = backend == "reference" or k <= W_BLOCK
+    if not exact:
         P[upper] = np.nan
     Y = rng.standard_normal((m + 3, cap))[:m, :k]
     H = rng.standard_normal((5, k))
     L = np.empty((5, k + 5))[:, :k]
     x = rng.standard_normal(k)
-    Wk, Pk = W[:k, :k], P[:k, :k]  # today's views
+    Wk, Pk = W[:k, :k], P[:k, :k]  # the (K, K) views
     A, B = np.abs(Wk), np.abs(S)
-    n = k + k // W_BLOCK + 1
 
-    check(_blas.tril_dot(W, k, x.copy()), Wk @ x, A @ np.abs(x), n, k)
-    check(_blas.dot_tril(x.copy(), W, k), x @ Wk, np.abs(x) @ A, n, k)
+    check(_blas.tril_dot(W, k, x.copy()), Wk @ x, A @ np.abs(x), k, exact)
+    check(_blas.dot_tril(x.copy(), W, k), x @ Wk, np.abs(x) @ A, k, exact)
     _blas.tril_rows(H, W, k, L)
     want = np.empty((5, k + 5))[:, :k]
     np.matmul(H, Wk.T, out=want)
-    check(L, want, np.abs(H) @ A.T, n, k)
-    dense = Pk if k <= W_BLOCK else S  # today's view, or the clean matrix
-    check(_blas.sym_dot(P, k, x), dense @ x, B @ np.abs(x), n, k)
-    check(_blas.rows_sym(L, P, k), L @ dense, np.abs(L) @ B, n, k)
+    check(L, want, np.abs(H) @ A.T, k, exact)
+    dense = Pk if exact else S  # the view, or the clean matrix
+    check(_blas.sym_dot(P, k, x), dense @ x, B @ np.abs(x), k, exact)
+    check(_blas.rows_sym(L, P, k), L @ dense, np.abs(L) @ B, k, exact)
 
-    want = dense - Y.T @ Y  # today's flush, P[:k, :k] -= Y^T Y
+    want = dense - Y.T @ Y  # numpy's flush, P[:k, :k] -= Y^T Y
     before = P.copy()
     _blas.sym_flush(P, k, Y)
-    check(np.tril(Pk), np.tril(want), B + np.abs(Y).T @ np.abs(Y), m + 1, k)
+    check(np.tril(Pk), np.tril(want), B + np.abs(Y).T @ np.abs(Y), m + 1, exact)
     assert np.array_equal(P[k:], before[k:], equal_nan=True)
     assert np.array_equal(P[:, k:], before[:, k:], equal_nan=True)
-    if backend == "blas" and k > W_BLOCK:
-        assert np.isnan(Pk[upper]).all()
-    else:  # numpy forms Y^T Y exactly symmetric
+    if exact:  # numpy forms Y^T Y exactly symmetric
         assert np.array_equal(Pk, Pk.T)
+    else:
+        assert np.isnan(Pk[upper]).all()
 
 
 def test_mirror_lower_is_exactly_symmetric():
@@ -90,6 +91,47 @@ def test_mirror_lower_is_exactly_symmetric():
     P[:4, :4] = np.tril(np.arange(16.0).reshape(4, 4))
     S = _blas.mirror_lower(P, 4)
     assert np.array_equal(S, S.T) and np.array_equal(np.tril(S), P[:4, :4])
+
+
+@pytest.mark.parametrize("backend", ["reference", "blas"], indirect=True)
+def test_grown_state_keeps_the_contract_whole_products_rely_on(backend):
+    """Whole products over the (K, K) block are exact only while W's buffer
+    is 0 above its diagonal and P_b, where numpy reads it, is exactly
+    symmetric. Through a step loop across K = PENDING, W_BLOCK and several
+    capacity growths, a `run`, a resume_exact snapshot's replay and steps
+    after it, W's whole capacity buffer stays exactly 0 above the diagonal
+    after each; P_b[:K, :K] stays exactly symmetric on the reference
+    backend, and on the kernels' backend while K <= W_BLOCK."""
+    U, d = stream(900)
+
+    def check(f):
+        k = f.dict_size
+        assert not np.triu(f.dict._W, 1).any()
+        if backend == "reference" or k <= W_BLOCK:
+            Pb = f._Pb[:k, :k]
+            assert np.array_equal(Pb, Pb.T)
+
+    f = KrlsAldReg(GAUSS, 0.1, 0.01, U[0], d[0])
+    check(f)
+    sizes, caps = set(), set()
+    for i in range(1, 500):
+        f.step(U[i], d[i])
+        check(f)
+        sizes.add(f.dict_size)
+        caps.add(f.dict._W.shape[0])
+    assert {krls.PENDING, W_BLOCK} <= sizes and max(sizes) > W_BLOCK
+    assert len({c for c in caps if c > W_BLOCK}) >= 2  # grown past W_BLOCK, twice
+    k = f.dict_size
+    f.run(U[500:800], d[500:800])
+    assert f.dict_size > k
+    check(f)
+    g = KrlsAldReg.from_snapshot(json.loads(json.dumps(f.to_snapshot(resume_exact=True))))
+    check(g)
+    k = g.dict_size
+    for i in range(800, 900):
+        g.step(U[i], d[i])
+        check(g)
+    assert g.dict_size > k
 
 
 def test_step_loop_and_run_do_not_depend_on_the_blas_thread_count():

@@ -8,7 +8,7 @@ import pytest
 from kaf import (Dictionary, KernelSpec, KrlsAldReg, StreamConfig, dictionary, generate, gram,
                  krls)
 from kaf.base import EXACT_SIZE_MAX, reserve_square
-from kaf._blas import W_BLOCK, _dot_tril, _tril_dot
+from kaf._blas import W_BLOCK
 from kaf.dictionary import GROWTH_FLOOR, AldScreen
 from kaf.exceptions import (
     DimensionMismatchError,
@@ -16,6 +16,7 @@ from kaf.exceptions import (
     NumericalError,
     ValidationError,
 )
+from kaf.kernels import kernel_vector
 from kaf.oracle import polynomial_feature_map
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
@@ -52,7 +53,8 @@ class TestAldTest:
         d = Dictionary(GAUSS, [0.0])
         res = d.ald_test([2.0], 0.1)
         e4 = math.exp(-4.0)
-        np.testing.assert_allclose(d.kernel_vector(np.array([2.0])), [e4], rtol=1e-15)
+        np.testing.assert_allclose(kernel_vector(GAUSS, d.centers, np.array([2.0])), [e4],
+                                   rtol=1e-15)
         np.testing.assert_allclose(coefficients(d, res), [e4], rtol=1e-15)
         assert res.d2 == pytest.approx(1.0 - math.exp(-8.0), rel=1e-12)
         assert res.admitted
@@ -63,7 +65,7 @@ class TestAldTest:
         spec = KernelSpec("polynomial", degree=1)
         d = Dictionary(spec, [1.0])
         res = d.ald_test([3.0], 0.0)
-        np.testing.assert_allclose(d.kernel_vector(np.array([3.0])), [4.0])
+        np.testing.assert_allclose(kernel_vector(spec, d.centers, np.array([3.0])), [4.0])
         np.testing.assert_allclose(coefficients(d, res), [2.0])
         assert res.d2 == pytest.approx(2.0, abs=1e-12)
 
@@ -281,74 +283,58 @@ class TestSnapshot:
             Dictionary.from_snapshot(snap)
 
 
-def never_read(cap: int, k: int) -> np.ndarray:
+def never_read(cap: int, k: int, backend: str) -> np.ndarray:
     """Mask of the entries of a (cap, cap) buffer holding W at size k that
-    neither blocked product reads, at k or any later size: those right of
-    their row's diagonal block, and those at or left of the diagonal in the
-    rows from k on, which `_grow` writes before any product reads them. What
-    is left above the diagonal lies in the diagonal blocks, read as the
-    zeros `reserve_square` leaves there."""
+    no product on `backend` reads, at k or any later size. On either, those
+    at or left of the diagonal in the rows from k on, which `_grow` writes
+    before any product reads them. The reference backend reads W's (K, K)
+    block whole, so every entry above the diagonal is read, as the zeros
+    `reserve_square` leaves there. The kernels read only the lower triangle
+    past W_BLOCK, so on their backend the entries above the diagonal
+    outside the leading (W_BLOCK, W_BLOCK) block go unread too."""
     i, j = np.indices((cap, cap))
-    return (j >= (i // W_BLOCK + 1) * W_BLOCK) | ((i >= k) & (j <= i))
+    unread = (i >= k) & (j <= i)
+    if backend == "blas":
+        unread |= (j > i) & (j >= W_BLOCK)
+    return unread
 
 
 def upper_nan_filling(buf: np.ndarray, n: int) -> np.ndarray:
     """`reserve_square` for P_b, with NaN in the strict upper triangle of the
     buffer it returns once K exceeds W_BLOCK: from row and column n = W_BLOCK
-    on. The bordering step writes P_b's new row after it."""
+    on. The bordering step writes P_b's new row and column after it."""
     grown = reserve_square(buf, n)
     if n >= W_BLOCK:
         grown[np.triu_indices(grown.shape[0], 1)] = np.nan
     return grown
 
 
-def nan_filling(buf: np.ndarray, n: int) -> np.ndarray:
+def nan_filling(backend: str):
     """`reserve_square`, with NaN in every entry of a new buffer that
-    `never_read` names."""
-    grown = reserve_square(buf, n)
-    if grown is not buf:
-        grown[never_read(grown.shape[0], n)] = np.nan
-    return grown
+    `never_read` names for `backend`."""
+    def filling(buf: np.ndarray, n: int) -> np.ndarray:
+        grown = reserve_square(buf, n)
+        if grown is not buf:
+            grown[never_read(grown.shape[0], n, backend)] = np.nan
+        return grown
+    return filling
 
 
 class TestTriangle:
-    """W x and x W read W by row blocks of its lower triangle."""
-
-    @pytest.mark.parametrize("k", [W_BLOCK - 1, W_BLOCK, W_BLOCK + 1, 2 * W_BLOCK + 1, 500])
-    def test_blocked_products_match_dense_ones(self, k):
-        """Each agrees with the dense product within the rounding bound of a
-        sum of n = K + K/W_BLOCK + 1 terms, taken in either order:
-        2 gamma_n (|W| |x|), gamma_n = n u / (1 - n u), u = 2^-53; while
-        K <= W_BLOCK it is the dense product, bit for bit."""
-        rng = np.random.default_rng(k)
-        buf = np.full((k + 7, k + 7), np.nan)
-        buf[:k, :k] = np.tril(rng.standard_normal((k, k)))
-        W = buf[:k, :k]
-        n = k + k // W_BLOCK + 1
-        gamma2 = 2 * n * 2.0 ** -53 / (1 - n * 2.0 ** -53)
-        x, H = rng.standard_normal(k), rng.standard_normal((5, k))
-        A = np.abs(W)
-        L, dense = np.empty((5, k + 5))[:, :k], np.empty((5, k + 5))[:, :k]
-        _tril_dot(W, H.T, out=L.T)  # as `AldScreen` forms L = H W^T
-        np.matmul(H, W.T, out=dense)
-        for got, want, bound in ((_tril_dot(W, x), W @ x, A @ np.abs(x)),
-                                 (_dot_tril(x, W), x @ W, np.abs(x) @ A),
-                                 (_tril_dot(W, H.T), W @ H.T, A @ np.abs(H.T)),
-                                 (L, dense, np.abs(H) @ A.T)):
-            if k <= W_BLOCK:
-                assert got.tobytes() == want.tobytes()
-            else:
-                assert (np.abs(got - want) <= gamma2 * bound).all()
+    """The filter reads W only where its buffer holds the factor or the
+    zeros above its diagonal, and reads P_b's lower triangle only where
+    the kernels serve the products."""
 
     @pytest.mark.parametrize("k", [W_BLOCK - 1, W_BLOCK, W_BLOCK + 1, 2 * W_BLOCK + 1])
     def test_filter_reads_no_entry_outside_the_block_triangle(self, k, each_backend,
                                                               monkeypatch):
         """A KRLS filter whose W buffer holds NaN at every entry `never_read`
-        names, from K = k on, steps, runs, predicts, screens, resumes from a
-        resume_exact snapshot and saves one bit for bit as one whose buffer
-        holds zeros there; so does a snapshot's replay with NaN in every
-        buffer it grows. On the kernels' backend P_b's strict upper triangle
-        holds NaN too, in every buffer P_b takes, from K > W_BLOCK on."""
+        names for its backend, from K = k on, steps, runs, predicts,
+        screens, resumes from a resume_exact snapshot and saves one bit for
+        bit as one whose buffer holds zeros there; so does a snapshot's
+        replay with NaN in every buffer it grows. On the kernels' backend
+        P_b's strict upper triangle holds NaN too, in every buffer P_b
+        takes, from K > W_BLOCK on."""
         U, d = generate(StreamConfig("nonlinear_sysid", length=1500, noise_std=0.1, seed=1,
                                      embed_L=3))
         for backend in each_backend():
@@ -373,8 +359,8 @@ class TestTriangle:
             assert want[-4].shape[0] > k  # the steps and the run admitted centers
             resumed = outputs(KrlsAldReg.from_snapshot(snap))
             with monkeypatch.context() as m:
-                m.setattr(dictionary, "reserve_square", nan_filling)
-                g.dict._W[never_read(g.dict._W.shape[0], k)] = np.nan
+                m.setattr(dictionary, "reserve_square", nan_filling(backend))
+                g.dict._W[never_read(g.dict._W.shape[0], k, backend)] = np.nan
                 loaded = KrlsAldReg.from_snapshot(snap)
                 if backend == "blas":
                     m.setattr(krls, "reserve_square", upper_nan_filling)

@@ -163,11 +163,11 @@ def grown(spec, points, check=lambda d: None):
 
 def assert_one_row(spec, C, u, d=None):
     """h = kernel_vector(spec, C, u) is bit for bit kernel_block's row, and
-    `d.kernel_vector(u)` for the dictionary d holding C."""
+    the kernel vector of the center store of the dictionary d holding C."""
     h = kernel_vector(spec, C, u)
     assert h.tobytes() == kernel_block(spec, u[None], C)[0].tobytes()
     if d is not None:
-        assert d.kernel_vector(u).tobytes() == h.tobytes()
+        assert d._centers.kernel_vector(u).tobytes() == h.tobytes()
     return h
 
 
@@ -193,7 +193,7 @@ def test_one_summation_order(case):
     (GAUSS, 0, 1), (GAUSS, 1, 9), (GAUSS, 3, 9),
     (KernelSpec("polynomial", degree=2), 3, 9), (KernelSpec("polynomial", degree=6), 1, 7)])
 def test_dictionary_kernel_vector_reads_the_block_row(spec, dim, k_min):
-    """`Dictionary.kernel_vector` reads its (L, capacity) center rows, and h
+    """A dictionary's center store reads its (L, capacity) center rows, and h
     is bit for bit the public kernel_vector and kernel_block's row at every
     size: past the buffer's doublings at K = 4 and 8, and at L = 0."""
     rng = np.random.default_rng(dim)
