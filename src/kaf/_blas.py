@@ -35,9 +35,10 @@ bit for bit the product numpy gave before the kernels.
 Each kernel call runs at one OpenBLAS thread, set for the calling thread
 and restored after the call: at two threads dsymv and dtrmv sum in
 another order, and outputs would depend on the thread count. For the same
-reason `one_thread` runs a whole body, such as a `kaf` command or KRLS's
-`run`, with numpy's OpenBLAS at one thread: the technique of
-threadpoolctl (https://github.com/joblib/threadpoolctl), without it.
+reason `one_thread` runs a whole body, such as a `kaf` command or a
+filter's bulk `run` (`base.run_stream`), with numpy's OpenBLAS at one
+thread: the technique of threadpoolctl
+(https://github.com/joblib/threadpoolctl), without it.
 """
 
 from __future__ import annotations

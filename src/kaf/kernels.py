@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import aligned_empty, as_input, as_points, check_object, convert, reserve
+from .base import aligned_empty, as_input, as_points, check_object, convert, realigned, reserve
 from .exceptions import ValidationError
 
 FAMILIES = ("gaussian", "polynomial")
@@ -265,7 +265,8 @@ class Centers:
     `append` on each would, so replaying the centers rebuilds both buffers,
     their capacities and the gate bit for bit. Both buffers start at a
     capacity of 16 on a 64-byte boundary (`base.aligned_empty`) and keep
-    it, every row included, as they double. `sum`, `sums` and
+    it, every row included, as they double, and a copy or an unpickled
+    store gets it back (`__setstate__`). `sum`, `sums` and
     `kernel_vector` write nothing; `append` and `extend` need exclusive
     access.
     """
@@ -284,6 +285,10 @@ class Centers:
         # is at most SHIFT_TOL (see `sum`)
         self._scale = (3 * (dim + 5) * 2.0 ** -53 * (2.0 / self._s2)
                        if self._shifted is not None else math.inf)
+
+    def __setstate__(self, state: dict) -> None:
+        """A copied or unpickled store, its buffers back on the 64-byte boundary."""
+        self.__dict__.update(realigned(state, "_C", "_shifted"))
 
     @property
     def points(self) -> np.ndarray:

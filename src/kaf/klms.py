@@ -19,9 +19,11 @@ is then one matrix-vector product with distances about the first center,
 or `kernel_vector`'s explicit differences where that sum's rounding bound
 exceeds SHIFT_TOL. The polynomial sum is always explicit.
 
-`run` feeds a stream through the same recursion in blocks of BLOCK samples.
-Each sample's prediction is its sum against the centers stored before the
-block plus the terms of the block's earlier samples. The first part is one
+`run` feeds a stream through the same recursion, in blocks of `base.BLOCK`
+samples handed to `_block` by the one bulk driver, `base.run_stream`, whose
+docstring gives the failure rule. Each sample's prediction is its sum
+against the centers stored before the block plus the terms of the block's
+earlier samples. The first part is one
 `Centers.sums` call for the whole block, the shifted sum taken in tiles of
 `kernels.TILE` stored columns; the second comes from one kernel block of
 the block's inputs, by explicit differences, taken in sub-blocks of SUB
@@ -32,21 +34,16 @@ then committed in one `_extend`, which writes each buffer once and leaves
 what `_append` on each term in order, the step's write, would. Each term
 keeps `Centers.sum`'s bound, but the additions fall in another order, so y
 moves from the step loop's by roundoff only; e = d - y and c = eta e hold
-exactly, and dict_size is the step loop's.
+exactly, and dict_size is the step loop's. A block whose sums the store
+refuses (no shifted columns, or a sample past the gate) or whose
+coefficients are not all finite is stepped sample by sample from the state
+before it, so a divergent eta raises from `step` at the step loop's sample.
 
 The coefficients, like the store's buffers, sit on 64-byte boundaries
 (`base.aligned_empty`). `from_snapshot` replays the saved terms through
 the same `_extend`, so a loaded filter holds the saved one's buffers,
-capacities and gate, and continues bit for bit.
-
-Failure rule, as KRLS's `run`: the samples up to the first non-finite one
-go in blocks; that one and those after it, or all of a stream that is not
-an (n, dim) array of real numbers, go through `step`, which raises where
-the step loop would. A block whose sums the store refuses (no shifted
-columns, or a sample past the gate) or whose coefficients are not all
-finite is stepped sample by sample from the state before it, so a divergent
-eta raises from `step` at the step loop's sample. Step and block alike
-commit each sample whole, and `n` counts the samples committed.
+capacities and gate, and continues bit for bit; a copied or unpickled
+filter is realigned (`__setstate__`) and continues bit for bit too.
 """
 
 from __future__ import annotations
@@ -55,25 +52,16 @@ import math
 
 import numpy as np
 
-from . import _blas
-from .base import (StepOutput, aligned_empty, as_input, as_object, as_stream, check_target,
-                   convert, reserve, scalar_field, snapshot_array)
+from .base import (BLOCK, StepOutput, aligned_empty, as_input, as_object, check_target,
+                   convert, realigned, reserve, run_stream, scalar_field, snapshot_array)
 from .exceptions import NumericalError, ValidationError
 from .kernels import Centers, KernelSpec, check_spec, kernel_block
 
-# Samples `run` takes at once: their sums against the stored centers are one
-# `Centers.sums` call, and the terms between them one (BLOCK, BLOCK) kernel
-# block. Over a 16000-sample `nonlinear_sysid` run at L = 3 and sigma = 1
-# (an AVX-512 Xeon; one CPU, one BLAS thread, tiles of 1024 columns, median
-# of seven alternations), blocks of 32, 64 and 128 took 0.185, 0.173 and
-# 0.169 s, the last two within the runs' spread of a few percent; the step
-# loop takes 0.335 s.
-BLOCK = 64
-
 # Samples of a block whose terms between them are added as floats: the
 # terms of the block's earlier sub-blocks come in one product per sub-block.
-# On the run above, sub-blocks of 4, 8 and 16 took 0.179, 0.173 and 0.175 s,
-# and the whole block's 2016 terms as floats 0.194 s.
+# On the 16000-sample run that timed `base.BLOCK`, sub-blocks of 4, 8 and 16
+# took 0.179, 0.173 and 0.175 s, and the whole block's 2016 terms as floats
+# 0.194 s.
 SUB = 8
 
 
@@ -89,6 +77,11 @@ class Klms:
         self._centers = Centers(self.spec, u.shape[0], shift=True)
         self._coeffs = aligned_empty(16)  # amortized doubling, a term per entry
         self._append(u, eta * d)
+
+    def __setstate__(self, state: dict) -> None:
+        """A copied or unpickled filter, its coefficients back on the 64-byte
+        boundary (its store realigns its own buffers)."""
+        self.__dict__.update(realigned(state, "_coeffs"))
 
     @property
     def n(self) -> int:
@@ -121,62 +114,43 @@ class Klms:
         self._append(uu, self.eta * e)
         return StepOutput(y=y, e=e, grew=True, dict_size=n + 1)
 
-    @_blas.one_thread()  # the tiles' products
     def run(self, U, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Process the samples (U[i], d[i]) in order, as `step` on each would,
-        and return arrays of their y, e and dict_size. U is an (n, dim) array,
-        or n scalars when dim = 1. The samples go in blocks (see the module
-        docstring) up to the first non-finite one, and from there on, or for a
-        stream that is not an (n, dim) array of real numbers, through `step`,
-        which raises where the step loop would. On a raise, `n` counts the
-        samples committed."""
-        n, X, t, stop = as_stream(U, d, self.dim)
-        y, e = np.empty(n), np.empty(n)
-        size = np.arange(self.n + 1, self.n + n + 1)
+        and return arrays of their y, e and dict_size, through
+        `base.run_stream` and `_block`."""
+        return run_stream(self, U, d, self.dim, self._block)
 
-        def step(i: int) -> None:
-            y[i], e[i] = self.step(U[i], d[i])[:2]
-
-        for lo in range(0, stop, BLOCK):
-            hi = min(lo + BLOCK, stop)
-            out = self._block(X[lo:hi], t[lo:hi])
-            if out is None:
-                for i in range(lo, hi):
-                    step(i)
-            else:
-                y[lo:hi] = out
-                e[lo:hi] = t[lo:hi] - out
-        for i in range(stop, n):
-            step(i)
-        return y, e, size
-
-    def _block(self, X: np.ndarray, t: np.ndarray) -> np.ndarray | None:
-        """The outputs y of the validated samples (X[j], t[j]), taken as their
-        steps would take them, the terms eta (t_j - y_j) committed in one
-        `_extend`; None, with the filter untouched, where the store refuses
-        the sums or a coefficient is not finite."""
-        eta = self.eta
+    def _block(self, X: np.ndarray, t: np.ndarray, y: np.ndarray, size: np.ndarray,
+               step) -> None:
+        """`run_stream`'s block step: write the outputs y and dict_size of the
+        validated samples (X[j], t[j]), taken as their steps would take them,
+        and commit the terms eta (t_j - y_j) in one `_extend`. Where the store
+        refuses the sums or a coefficient is not finite, the filter is left
+        untouched and every sample goes to `step`."""
+        eta, n, m = self.eta, self.n, t.shape[0]
+        c = np.empty(m)
         with np.errstate(over="ignore", invalid="ignore"):
-            y = self._centers.sums(X, self._coeffs[:self.n])
-            if y is None:
-                return None
-            K = kernel_block(self.spec, X, X)
-            c = np.empty(t.shape[0])
-            for lo in range(0, t.shape[0], SUB):
-                hi = min(lo + SUB, t.shape[0])
-                if lo:
-                    y[lo:hi] += K[lo:hi, :lo] @ c[:lo]
-                # the sub-block's own terms, as floats: c_j waits for y_j
-                ys, ts, cs = y[lo:hi].tolist(), t[lo:hi].tolist(), []
-                for j, row in enumerate(K[lo:hi, lo:hi].tolist()):
-                    for k in range(j):
-                        ys[j] += row[k] * cs[k]
-                    cs.append(eta * (ts[j] - ys[j]))
-                y[lo:hi], c[lo:hi] = ys, cs
-        if not np.isfinite(c).all():
-            return None
+            sums = self._centers.sums(X, self._coeffs[:n])
+            if sums is not None:
+                K = kernel_block(self.spec, X, X)
+                for lo in range(0, m, SUB):
+                    hi = min(lo + SUB, m)
+                    if lo:
+                        sums[lo:hi] += K[lo:hi, :lo] @ c[:lo]
+                    # the sub-block's own terms, as floats: c_j waits for y_j
+                    ys, ts, cs = sums[lo:hi].tolist(), t[lo:hi].tolist(), []
+                    for j, row in enumerate(K[lo:hi, lo:hi].tolist()):
+                        for k in range(j):
+                            ys[j] += row[k] * cs[k]
+                        cs.append(eta * (ts[j] - ys[j]))
+                    sums[lo:hi], c[lo:hi] = ys, cs
+        if sums is None or not np.isfinite(c).all():
+            for j in range(m):
+                step(j)
+            return
         self._extend(X, c)
-        return y
+        y[:] = sums
+        size[:] = np.arange(n + 1, n + m + 1)
 
     def _append(self, u: np.ndarray, c: float) -> None:
         """Append the term c k(u, .): its center and its coefficient, as

@@ -54,17 +54,17 @@ Steps are transactional: all floor checks precede the first write, so a
 raised error leaves the state bit-identical. `step` validates its input once
 and passes the checked vector to the dictionary's trusted `_ald`/`_grow`.
 
-`run` feeds a stream through the same recursion in blocks. The ALD test
+`run` feeds a stream through the same recursion, in blocks of
+`base.BLOCK` samples handed to `_block` by the one bulk driver,
+`base.run_stream`, whose docstring gives the failure rule. The ALD test
 reads only the dictionary, never P or b (Engel, Mannor & Meir 2004), so one
-kernel matrix H and one product L = H W^T screen up to BLOCK samples'
-residuals d2 = k(u, u) - rowsum(L^2) at once (`dictionary.AldScreen`).
+kernel matrix H and one product L = H W^T screen a block's residuals
+d2 = k(u, u) - rowsum(L^2) at once (`dictionary.AldScreen`).
 Admission rule: a sample goes through `step` when its screened d2 is not
 below delta by more than the screen's roundoff bound, so `step` makes every
 decision that could go either way, and the samples before it are ones
 `step` would not admit. After an admission the screen gains W's new row,
-and the block goes on. The blocks run numpy's bundled OpenBLAS at one
-thread (`_blas.one_thread`), so their level-3 and LAPACK calls, like the
-kernels, read the same at every BLAS thread count.
+and the block goes on.
 
 Between admissions the samples are plain RLS on fixed features: the rows
 of L and their targets d, in order. The innovations form of block RLS
@@ -80,21 +80,17 @@ and the outputs are y = d - e~, then e = d - y, so e = d - y exactly. The
 per-sample denominators 1 + l^T P l are diag(R)^2. R and Z come from one
 Cholesky factorization F F^T of S bordered so that the Schur complement is
 at least I, since S >= I. For a block of j rows, B = [L P, d - L b] and the
-border E = B while K + 1 <= j, E = I beyond (see BLOCK):
+border E = B while K + 1 <= j, E = I beyond (see `base.BLOCK`):
 
     M = [[S, E], [E^T, c I]], c = |E|_F^2 + 1    F = [[R, 0], [(R^-1 E)^T, T]]
 
 so Z = R^-1 B is F's lower-left block, transposed, or that times B. R^-1 E
 does not depend on c, so a c that overflows (targets beyond about 1e154)
 leaves Z as it is, or makes the Cholesky fail and the block go through `step`.
-
-Failure rule: the samples up to the first non-finite one go in blocks; that
-one and those after it, or all of a stream that is not an (n, dim) array of
-real numbers, go through `step`, which raises where the step loop would. A
-block whose Cholesky fails, whose results are not finite, or whose diag(R)^2
-are not all above BLOCK_DENOM_MIN, is re-stepped sample by sample from the
-state before it, so a floor violation raises from `step` at the step loop's
-sample with the state the step loop leaves. `n` counts the samples committed.
+A block whose Cholesky fails, whose results are not finite, or whose
+diag(R)^2 are not all above BLOCK_DENOM_MIN, is re-stepped sample by sample
+from the state before it, so a floor violation raises from `step` at the
+step loop's sample.
 """
 
 from __future__ import annotations
@@ -104,23 +100,13 @@ import math
 import numpy as np
 
 from . import _blas
-from .base import (StepOutput, as_input, as_object, as_stream, check_target, convert, reserve,
-                   reserve_square, scalar_field, snapshot_array)
+from .base import (BLOCK, StepOutput, as_input, as_object, check_target, convert, reserve,
+                   reserve_square, run_stream, scalar_field, snapshot_array)
 from .dictionary import AldScreen, Dictionary, check_delta, check_lambda
 from .exceptions import KafError, NumericalError, ValidationError
 from .kernels import KernelSpec, check_spec, kernel_self
 
 DEGENERACY_FLOOR = 1e-12
-
-# Samples `run` screens at once; it also caps a block update's rows j. The
-# update's one Cholesky factorization borders S with B while K + 1 <= j, and
-# with I beyond. Measured at j = 64, one CPU and one BLAS thread, building M
-# and factoring it, against a Cholesky of S then numpy's LU solve of R Z = B
-# (Z agreeing to 4e-16 relative): at K = 14, 74 against 125 us
-# (the I border 196 us); at K = 500, the I border 314 us, the LU solve 1052 us
-# and the B border 4861 us. At K = 100 the I border already takes 231 us
-# against the B border's 317 us.
-BLOCK = 64
 
 # 1 + l^T P l >= 1 in exact arithmetic: a block update whose denominators
 # diag(R)^2 do not all exceed this has lost P's definiteness to roundoff, and
@@ -232,50 +218,38 @@ class KrlsAldReg:
         self.n += 1
         return StepOutput(y, e, ald.admitted, self.dict.size)
 
-    @_blas.one_thread()  # the screens' and block updates' level-3 and LAPACK calls
     def run(self, U, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Process the samples (U[i], d[i]) in order, as `step` on each would,
-        and return arrays of their y, e and dict_size. U is an (n, dim) array,
-        or n scalars when dim = 1. The samples go in blocks (see the module
-        docstring) up to the first non-finite one, and from there on, or for a
-        stream that is not an (n, dim) array of real numbers, through `step`,
-        which raises where the step loop would. On a raise, `n` counts the samples committed."""
-        n, X, t, stop = as_stream(U, d, self.dict.dim)
-        if n:  # as the first `step` would; an empty stream runs no step
-            self._check_trainable()
-        y, e = np.empty(n), np.empty(n)
-        size = np.empty(n, dtype=int)
+        and return arrays of their y, e and dict_size, through
+        `base.run_stream` and `_block`."""
+        return run_stream(self, U, d, self.dict.dim, self._block)
 
-        def step(i: int) -> bool:
-            out = self.step(U[i], d[i])
-            y[i], e[i], size[i] = out.y, out.e, out.dict_size
-            return out.grew
-
-        for lo in range(0, stop, BLOCK):
-            hi = min(lo + BLOCK, stop)
-            screen = AldScreen(self.dict, X[lo:hi])
-            clear = screen.rejects(self.delta)
-            i = lo
-            while i < hi:
-                # Samples i..j-1 are ones `step` would not admit; j might be.
-                hit = np.flatnonzero(~clear[i - lo:])
-                j = i + int(hit[0]) if hit.size else hi
-                if j > i:
-                    errs = self._update_block(screen.L[i - lo:j - lo], t[i:j])
-                    if errs is None:
-                        for k in range(i, j):
-                            step(k)
-                    else:
-                        y[i:j] = t[i:j] - errs
-                        e[i:j] = t[i:j] - y[i:j]
-                        size[i:j] = self.dict.size
-                if j < hi and step(j):
-                    screen.extend()
-                    clear = screen.rejects(self.delta)
-                i = j + 1
-        for i in range(stop, n):
-            step(i)
-        return y, e, size
+    def _block(self, X: np.ndarray, t: np.ndarray, y: np.ndarray, size: np.ndarray,
+               step) -> None:
+        """`run_stream`'s block step: screen the validated samples (X[j], t[j]),
+        take each stretch that `step` would not admit in one `_update_block`,
+        and hand `step` each sample that might be admitted and each stretch
+        the update refuses (see the module docstring)."""
+        self._check_trainable()
+        screen = AldScreen(self.dict, X)
+        clear = screen.rejects(self.delta)
+        i, m = 0, t.shape[0]
+        while i < m:
+            # Samples i..j-1 are ones `step` would not admit; j might be.
+            hit = np.flatnonzero(~clear[i:])
+            j = i + int(hit[0]) if hit.size else m
+            if j > i:
+                errs = self._update_block(screen.L[i:j], t[i:j])
+                if errs is None:
+                    for k in range(i, j):
+                        step(k)
+                else:
+                    y[i:j] = t[i:j] - errs
+                    size[i:j] = self.dict.size
+            if j < m and step(j):
+                screen.extend()
+                clear = screen.rejects(self.delta)
+            i = j + 1
 
     def _update_block(self, L: np.ndarray, d: np.ndarray) -> np.ndarray | None:
         """One block RLS update for samples `step` would not admit, with the

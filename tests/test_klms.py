@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -462,7 +463,8 @@ def assert_aligned(buf: np.ndarray) -> None:
 def test_buffers_sit_on_64_byte_boundaries():
     """The centers, the shifted columns and the coefficients start on a
     64-byte boundary, as does every row, at each capacity from 16 to 4096,
-    stepped or loaded from a snapshot."""
+    stepped, loaded from a snapshot, deep-copied or unpickled; a copy and
+    an unpickled filter continue bit for bit."""
     U, d = sysid(4096)
     f = Klms(GAUSS, 0.2, U[0], d[0])
     caps = set()
@@ -479,6 +481,18 @@ def test_buffers_sit_on_64_byte_boundaries():
              "coeffs": f.coeffs[:n].tolist()})))
         for buf in (g._centers._C, g._centers._shifted, g._coeffs):
             assert_aligned(buf)
+    V, t = sysid(BLOCK + 20, seed=2)
+    for g in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        for buf in (g._centers._C, g._centers._shifted, g._coeffs):
+            assert_aligned(buf)
+        assert_same_store(g._centers, f._centers)
+        assert g._coeffs.shape == f._coeffs.shape
+        h = copy.deepcopy(f)
+        for i in range(10):
+            assert g.step(V[i], t[i]) == h.step(V[i], t[i])
+        a, b = g.run(V[10:], t[10:]), h.run(V[10:], t[10:])
+        assert all(x.tobytes() == z.tobytes() for x, z in zip(a, b))
+        assert g.coeffs.tobytes() == h.coeffs.tobytes()
 
 
 def assert_appended_one_at_a_time(f: Klms) -> None:

@@ -1,4 +1,6 @@
-"""`KrlsAldReg.run`, the bulk path, against the step loop it stands in for."""
+"""`KrlsAldReg.run`, the bulk path, against the step loop it stands in for;
+and the contract of the bulk driver both kernel filters' `run` share
+(`base.run_stream`), checked on KLMS too."""
 
 import copy
 import pickle
@@ -9,12 +11,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kaf.experiments
-from kaf import FilterConfig, KernelSpec, KrlsAldReg, StreamConfig, generate, gram, run_trial
+from kaf import (FilterConfig, KernelSpec, Klms, KrlsAldReg, StreamConfig, generate, gram,
+                 run_trial)
 from kaf.exceptions import DimensionMismatchError, KafError, NonFiniteInputError, NumericalError
 from kaf.dictionary import AldScreen
 from kaf.krls import BLOCK, BLOCK_DENOM_MIN, PENDING
 
 GAUSS = KernelSpec("gaussian", sigma=1.0)
+
+# Both kernel filters, built from a first sample: the inputs of the
+# driver-contract tests.
+FILTERS = pytest.mark.parametrize("make", [
+    lambda u, d: KrlsAldReg(GAUSS, 0.1, 0.05, u, d),
+    lambda u, d: Klms(GAUSS, 0.2, u, d),
+], ids=["krls", "klms"])
 
 
 def step_loop(f, U, d):
@@ -213,10 +223,11 @@ def test_screen_rejects_no_sample_step_admits(family, dim, seed):
             screen.extend()
 
 
-def test_scalar_inputs_and_an_empty_stream():
+@FILTERS
+def test_scalar_inputs_and_an_empty_stream(make):
     U = np.linspace(-3, 3, 40)
     d = np.sin(U)
-    f = KrlsAldReg(GAUSS, 0.1, 0.05, U[0], d[0])
+    f = make(U[0], d[0])
     g = copy.deepcopy(f)
     y, _, size = f.run(U[1:], d[1:])
     y_ref, _, size_ref = step_loop(g, U[1:], d[1:])
@@ -224,6 +235,26 @@ def test_scalar_inputs_and_an_empty_stream():
     y, e, size = f.run(np.empty((0, 1)), [])
     assert y.shape == e.shape == size.shape == (0,)
     assert f.n == 40
+
+
+@FILTERS
+@pytest.mark.parametrize("bad", [None, 0, 100, 130], ids=["clean", "at-0", "mid-block", "tail"])
+def test_n_counts_the_samples_committed(make, bad):
+    """After `run`, `n` has grown by the samples committed: the whole stream,
+    or those before a non-finite input at sample 0, mid-block or past the
+    last full block, where `run` raises the step loop's error."""
+    U, d = generate(StreamConfig("nonlinear_sysid", length=2 * BLOCK + 10, noise_std=0.1,
+                                 seed=3, embed_L=2))
+    f = make(U[0], d[0])
+    U = U[1:].copy()
+    if bad is None:
+        f.run(U, d[1:])
+        assert f.n == 2 * BLOCK + 10
+        return
+    U[bad, 1] = np.nan
+    with pytest.raises(NonFiniteInputError):
+        f.run(U, d[1:])
+    assert f.n == 1 + bad
 
 
 @settings(max_examples=60)
@@ -451,10 +482,14 @@ class TestFailures:
         assert_same_failure(f, copy.deepcopy(f), U, np.zeros(4))
         assert f.n == 3
 
-    def test_targets_must_match_inputs(self):
-        f = KrlsAldReg(GAUSS, 0.1, 0.01, [0.0], 0.5)
+    @FILTERS
+    def test_targets_must_match_inputs(self, make):
+        f = make([0.0], 0.5)
         with pytest.raises(DimensionMismatchError, match="3 inputs for 2 targets"):
             f.run(np.zeros((3, 1)), np.zeros(2))
+        assert f.n == 1
+        with pytest.raises(DimensionMismatchError, match="^target is not a scalar"):
+            f.run(np.zeros((3, 1)), np.zeros((3, 1)))  # as the step loop, at sample 0
         assert f.n == 1
 
     def test_predict_only_state_refuses(self):
@@ -466,6 +501,17 @@ class TestFailures:
             g.to_snapshot(resume_exact=True)
         y, e, size = g.run(np.empty((0, 1)), [])  # as the step loop, which runs no step
         assert y.shape == e.shape == size.shape == (0,) and g.n == 1
+
+    @pytest.mark.parametrize("U", [[[0.1], [0.2, 0.3]], [[np.nan], [0.2]], [[0.1, 0.2]] * 2],
+                             ids=["ragged", "non-finite-first", "wrong-dim"])
+    def test_predict_only_state_refuses_a_stream_that_only_steps(self, U):
+        """A stream whose first sample goes straight to `step`, past the
+        blocks, meets the predict-only refusal before anything else."""
+        f = KrlsAldReg(GAUSS, 0.1, 0.01, [0.0], 0.5)
+        g = KrlsAldReg.from_snapshot(f.to_snapshot())
+        with pytest.raises(KafError, match="^snapshot was saved without resume_exact"):
+            g.run(U, [0.0, 1.0])
+        assert g.n == 1
 
 
 def test_p_symmetric_and_snapshot_resumes_like_the_step_loop():
